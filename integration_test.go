@@ -337,7 +337,7 @@ func TestMidScaleDeployment(t *testing.T) {
 // gated behind ANK_FULLSCALE=1.
 func TestFullScaleNRENDeployment(t *testing.T) {
 	if os.Getenv("ANK_FULLSCALE") == "" {
-		t.Skip("set ANK_FULLSCALE=1 to run the 1158-router deployment (~100s)")
+		t.Skip("set ANK_FULLSCALE=1 to run the 1158-router deployment (~10 s, ~3 GB)")
 	}
 	g, err := topogen.NREN(topogen.DefaultNREN())
 	if err != nil {

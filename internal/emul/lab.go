@@ -681,6 +681,10 @@ func (l *Lab) converge() error {
 	for _, down := range bgp.SessionsDown() {
 		l.logf("bgp session down: %s", down)
 	}
+	for _, r := range bgp.RoundLog() {
+		l.obs.Add(obs.CounterBGPSpeakersSkipped, int64(r.Skipped))
+		l.obs.Add(obs.CounterBGPPrefixesDecided, int64(r.Decided))
+	}
 	if l.incremental {
 		restored, dirtyPfx, skipped := bgp.IncrementalStats()
 		l.obs.Add(obs.CounterBGPSpeakersRestored, restored)

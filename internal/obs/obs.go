@@ -64,10 +64,17 @@ const (
 	CounterRoundsSkipped       = "rounds_skipped"
 	CounterFIBNodesReused      = "fib_nodes_reused"
 
+	// Delta-evaluation counters (internal/routing/rib.go), summed over the
+	// BGP engine's per-round record on every converge: speaker turns that
+	// found no session with anything new and did no work, and prefixes whose
+	// selection was re-decided.
+	CounterBGPSpeakersSkipped = "bgp_speakers_skipped"
+	CounterBGPPrefixesDecided = "bgp_prefixes_decided"
+
 	// Sharded-convergence counters (internal/routing/shard.go): the number
 	// of structural per-AS shards in the converged topology, rounds
-	// evaluated by the parallel wavefront driver, and advertisements
-	// delivered across shard boundaries (eBGP sessions). All zero when the
+	// evaluated by the parallel wavefront driver, and adj-RIB-in changes
+	// taken across shard boundaries (eBGP sessions). All zero when the
 	// sequential sweep ran (shards knob <= 1).
 	CounterBGPShards           = "bgp_shards"
 	CounterShardRoundsParallel = "shard_rounds_parallel"

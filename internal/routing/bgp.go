@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -98,35 +99,44 @@ type session struct {
 
 type speaker struct {
 	host     string
+	idx      int // position in the sweep (hostname) order
 	dc       *DeviceConfig
 	profile  VendorProfile
 	routerID netip.Addr
 	sessions []session
 	// sorted is sessions ordered by peer address (the deterministic
-	// processing order), precomputed once at engine build.
+	// processing order) with repeated addresses dropped, precomputed once at
+	// engine build; in runs parallel to it.
 	sorted []session
-	// sessTo maps peer hostname to this speaker's first session toward it
-	// (reverseSession semantics), precomputed once at engine build.
-	sessTo map[string]session
-	// advCache memoizes advertise() per session target address and prefix;
-	// see advEntry. advMu guards it during sharded rounds, when several of
-	// the speaker's peers may pull from it concurrently (shard.go).
-	advCache map[netip.Addr]map[netip.Prefix]advEntry
-	advMu    sync.Mutex
-	// adjIn[peerAddr] is the current set of routes heard from that peer.
-	adjIn map[netip.Addr][]BGPRoute
-	// locRIB is the selected best route per prefix.
-	locRIB map[netip.Prefix]BGPRoute
-	// seg is the speaker's segment of the engine's protocol-state hash,
-	// maintained incrementally (recomputed only when the speaker's state
-	// changes; see segHash).
-	seg uint64
+	in     []ribIn
+	// outs holds one adj-RIB-out per peer host, in configuration order of
+	// the first session toward it; outTo indexes them by peer hostname (the
+	// first-match reverseSession semantics).
+	outs  []*ribOut
+	outTo map[string]*ribOut
+	peers []*speaker // distinct session peers
+	// rib is the selected best route per prefix, ascending; see rib.go for
+	// how the lists are maintained.
+	rib []BGPRoute
+	// pending lists prefixes to decide whatever the sessions say: the
+	// originated networks, before the first turn and after a flush.
+	pending []netip.Prefix
+	// seg is the speaker's segment of the engine's protocol-state hash
+	// (salt plus entry hashes; see segHash), maintained by its turns.
+	salt, seg uint64
+	// nhCost memoizes the IGP metric per next hop: the IGP is fixed for an
+	// engine's lifetime. Only the speaker's own turn touches it.
+	nhCost map[netip.Addr]int
+	// sdirty and deviant are the replay verdicts (replay.go). The owner
+	// writes deviant during its turn and only session peers read it, which
+	// never run concurrently with the owner.
+	sdirty, deviant bool
 }
 
 // BGPEngine runs the path-vector computation over a set of speakers.
 type BGPEngine struct {
 	speakers map[string]*speaker
-	order    []string
+	sp       []*speaker // the speakers in sweep (hostname) order
 	igp      IGPCoster
 	// addrOwner maps every configured address to its host, for session
 	// establishment.
@@ -149,8 +159,10 @@ type BGPEngine struct {
 	sessionsDown []string
 
 	// pert, when set, degrades every advertisement delivery; nil is the
-	// zero-perturbation fast path.
-	pert Perturber
+	// zero-perturbation fast path. pertMu serializes calls into it while
+	// shards evaluate concurrently.
+	pert   Perturber
+	pertMu sync.Mutex
 	// churn counts best-route changes per prefix across all speakers;
 	// changedAt records the last round each speaker's selection changed.
 	churn     map[netip.Prefix]int
@@ -161,30 +173,33 @@ type BGPEngine struct {
 	sessFlaps map[[2]string]int
 	sessUp    map[[2]string]bool
 
+	// Round-driver state. slots holds each speaker's turn result for the
+	// round being applied, cur the round's work record and roundChanged its
+	// verdict; log is the finished rounds of the most recent run.
+	slots        []turnResult
+	seq          scratch
+	cur          BGPRound
+	roundChanged bool
+	log          []BGPRound
+
 	// Incremental-reconvergence state (see replay.go). replay is the
 	// previous run's trajectory being replayed (nil when inactive); record
-	// accumulates this run's trajectory. staticDirty marks speakers whose
-	// configuration differs from the replayed run's; deviant marks speakers
-	// that have departed from the trajectory mid-run. ran guards against
-	// replaying into a continuation run.
-	replay      *BGPReplay
-	record      *BGPReplay
-	staticDirty map[string]bool
-	deviant     map[string]bool
-	ran         bool
+	// accumulates this run's trajectory, recRound the round being recorded.
+	// ran guards against replaying into a continuation run.
+	replay   *BGPReplay
+	record   *BGPReplay
+	recRound replayRound
+	ran      bool
 
-	statRestored      int64
 	statDirtyPrefixes int64
 	statRoundsSkipped int64
 
 	// Sharded-evaluation state (see shard.go). shardWorkers is the SetShards
 	// knob (<= 1 keeps the sequential sweep); plan caches the per-AS
-	// partition and its dependency DAG; pertMu serializes perturbation-layer
-	// calls during concurrent shard evaluation. The stat pair accumulates
-	// across runs of this engine.
+	// partition and its dependency DAG. The stat pair accumulates across
+	// runs of this engine.
 	shardWorkers     int
 	plan             *shardPlan
-	pertMu           sync.Mutex
 	statShardRounds  int64
 	statCrossAdverts int64
 }
@@ -221,13 +236,15 @@ func NewBGPEngine(devices []*DeviceConfig, profileOf func(host string) VendorPro
 		if !rid.IsValid() && len(dc.Interfaces) > 0 {
 			rid = dc.Interfaces[0].Addr
 		}
+		salt := fnv.New64a()
+		salt.Write([]byte(dc.Hostname))
 		sp := &speaker{
 			host: dc.Hostname, dc: dc, profile: prof, routerID: rid,
-			adjIn:  map[netip.Addr][]BGPRoute{},
-			locRIB: map[netip.Prefix]BGPRoute{},
+			outTo: map[string]*ribOut{}, nhCost: map[netip.Addr]int{},
+			pending: dc.BGP.Networks, salt: salt.Sum64(), seg: salt.Sum64(),
 		}
 		e.speakers[dc.Hostname] = sp
-		e.order = append(e.order, dc.Hostname)
+		e.sp = append(e.sp, sp)
 		for _, ic := range dc.Interfaces {
 			e.addrOwner[ic.Addr] = dc.Hostname
 		}
@@ -235,11 +252,15 @@ func NewBGPEngine(devices []*DeviceConfig, profileOf func(host string) VendorPro
 			e.addrOwner[dc.Loopback] = dc.Hostname
 		}
 	}
-	sort.Strings(e.order)
+	sort.Slice(e.sp, func(i, j int) bool { return e.sp[i].host < e.sp[j].host })
+	for i, sp := range e.sp {
+		sp.idx = i
+	}
+	e.slots = make([]turnResult, len(e.sp))
 	// Establish sessions: a neighbor statement whose address belongs to a
 	// device that has a matching reverse session.
-	for _, host := range e.order {
-		sp := e.speakers[host]
+	for _, sp := range e.sp {
+		host := sp.host
 		for _, nbr := range sp.dc.BGP.Neighbors {
 			peerHost, ok := e.addrOwner[nbr.Addr]
 			if !ok {
@@ -268,24 +289,29 @@ func NewBGPEngine(devices []*DeviceConfig, profileOf func(host string) VendorPro
 	// every entry names the peer address, so golden diffs are stable.
 	sort.Strings(e.sessionsDown)
 	// Second pass: precompute per-session local addresses, the sorted
-	// processing order, the reverse-session index, and each speaker's
-	// initial state-hash segment.
-	for _, host := range e.order {
-		sp := e.speakers[host]
+	// processing order and one adj-RIB-out per peer; third, point every
+	// adj-RIB-in at the peer's adj-RIB-out toward it.
+	for _, sp := range e.sp {
 		for i := range sp.sessions {
-			sp.sessions[i].myAddr = e.myAddressOn(sp, sp.sessions[i])
-		}
-		sp.sorted = make([]session, len(sp.sessions))
-		copy(sp.sorted, sp.sessions)
-		sort.Slice(sp.sorted, func(i, j int) bool { return sp.sorted[i].peerAddr.Less(sp.sorted[j].peerAddr) })
-		sp.sessTo = make(map[string]session, len(sp.sessions))
-		for _, s := range sp.sessions {
-			if _, ok := sp.sessTo[s.peerHost]; !ok {
-				sp.sessTo[s.peerHost] = s
+			s := &sp.sessions[i]
+			s.myAddr = e.myAddressOn(sp, *s)
+			if sp.outTo[s.peerHost] == nil {
+				sp.outTo[s.peerHost] = &ribOut{sess: *s}
+				sp.outs = append(sp.outs, sp.outTo[s.peerHost])
+				sp.peers = append(sp.peers, e.speakers[s.peerHost])
 			}
 		}
-		sp.advCache = map[netip.Addr]map[netip.Prefix]advEntry{}
-		sp.seg = e.segHash(sp)
+		sp.sorted = append([]session(nil), sp.sessions...)
+		sort.SliceStable(sp.sorted, func(i, j int) bool { return sp.sorted[i].peerAddr.Less(sp.sorted[j].peerAddr) })
+		// A repeated neighbor address is one session; the first statement
+		// is the one inbound policy has always read.
+		sp.sorted = slices.CompactFunc(sp.sorted, func(a, b session) bool { return a.peerAddr == b.peerAddr })
+		sp.in = make([]ribIn, len(sp.sorted))
+	}
+	for _, sp := range e.sp {
+		for k, s := range sp.sorted {
+			sp.in[k] = ribIn{from: e.speakers[s.peerHost].outTo[sp.host], synced: true, sorted: true}
+		}
 	}
 	return e, nil
 }
@@ -305,10 +331,21 @@ func (e *BGPEngine) SessionsDown() []string { return e.sessionsDown }
 func (e *BGPEngine) SetPerturber(p Perturber) { e.pert = p }
 
 // deliver applies the perturbation layer to one session's advertisements
-// for the current round, recording session up/down transitions.
-func (e *BGPEngine) deliver(from, to string, routes []BGPRoute) []BGPRoute {
+// for the current round, recording session up/down transitions. It runs
+// under the perturber lock (shards evaluate concurrently); when events is
+// set and the perturber supports capture, the lines it logs go there so the
+// round driver can restage them in sweep order. A perturber without the
+// capture extension only ever runs in the sequential sweep and logs
+// directly.
+func (e *BGPEngine) deliver(from, to string, routes []BGPRoute, events *[]string) []BGPRoute {
 	if e.pert == nil {
 		return routes
+	}
+	e.pertMu.Lock()
+	defer e.pertMu.Unlock()
+	if capt, ok := e.pert.(perturbCapturer); ok && events != nil {
+		capt.setCapture(events)
+		defer capt.setCapture(nil)
 	}
 	pair := [2]string{from, to}
 	if pair[1] < pair[0] {
@@ -358,271 +395,241 @@ func (e *BGPEngine) SetSequential(on bool) { e.sequential = on }
 // It returns true when the round changed nothing (convergence).
 func (e *BGPEngine) Step() bool {
 	if e.sequential {
-		if e.useSharded() {
-			return e.stepSharded()
-		}
-		return e.stepSequential()
+		return e.sweep()
 	}
-	e.rounds++
+	e.beginRound()
 	// Phase 1: selection.
-	for _, host := range e.order {
-		e.selectBest(e.speakers[host])
-	}
+	e.reselectAll()
 	// Phase 2: advertisement into fresh adj-RIB-ins.
-	next := map[string]map[netip.Addr][]BGPRoute{}
-	for _, host := range e.order {
-		next[host] = map[netip.Addr][]BGPRoute{}
+	next := make([][][]BGPRoute, len(e.sp))
+	for i, sp := range e.sp {
+		next[i] = make([][]BGPRoute, len(sp.in))
 	}
-	for _, host := range e.order {
-		sp := e.speakers[host]
-		for _, s := range e.sessionsOf(sp) {
+	for _, sp := range e.sp {
+		for i := range sp.sorted {
+			s := &sp.sorted[i]
 			peer := e.speakers[s.peerHost]
-			myAddr := s.myAddr
 			var out []BGPRoute
-			for _, prefix := range sortedPrefixes(sp.locRIB) {
-				rt := sp.locRIB[prefix]
-				adv, ok := sp.advertise(rt, s, myAddr)
-				if ok {
+			for j := range sp.rib {
+				var adv BGPRoute
+				if sp.advertise(&sp.rib[j], s, &adv) {
 					out = append(out, adv)
 				}
 			}
-			out = e.deliver(sp.host, s.peerHost, out)
+			out = e.deliver(sp.host, s.peerHost, out, nil)
 			// The peer indexes the session by the address it configured for
 			// me.
-			peerSideAddr := e.addrFor(peer, sp, myAddr)
-			if peerSideAddr.IsValid() {
-				next[s.peerHost][peerSideAddr] = filterReceived(peer, out, peerSideAddr)
+			if k := e.sessionFrom(peer, sp, s.myAddr); k >= 0 {
+				next[peer.idx][k] = filterReceived(peer, &peer.sorted[k], out)
 			}
 		}
 	}
 	changed := false
-	for _, host := range e.order {
-		sp := e.speakers[host]
-		if !adjEqual(sp.adjIn, next[host]) {
-			changed = true
+	for i, sp := range e.sp {
+		for k := range sp.in {
+			in := &sp.in[k]
+			changed = changed || !routeSlicesEqual(in.routes, next[i][k])
+			// The list no longer reflects the peer's adj-RIB-out.
+			in.routes, in.sorted, in.synced = next[i][k], isSorted(next[i][k]), false
 		}
-		sp.adjIn = next[host]
 	}
 	if changed {
 		// Re-select so observers see the post-round state.
-		for _, host := range e.order {
-			e.selectBest(e.speakers[host])
-		}
+		e.reselectAll()
 	}
-	// Synchronous rounds rewrite every adj-RIB-in wholesale, so refresh all
-	// state-hash segments (cost parity with the previous full-state hash).
-	for _, host := range e.order {
-		sp := e.speakers[host]
-		sp.seg = e.segHash(sp)
+	// Synchronous rounds rewrite every adj-RIB-in wholesale, so re-render
+	// every state-hash segment.
+	for _, sp := range e.sp {
+		sp.seg = segHash(sp)
 	}
+	e.roundChanged = changed
+	e.endRound()
 	return !changed
 }
 
-// stepSequential processes speakers one at a time (Gauss–Seidel): each
-// speaker pulls its peers' current advertisements, rebuilds its adj-RIB-in
-// and re-selects before the next speaker runs.
-//
-// When a replay trajectory is armed (EnableIncremental), a speaker whose
-// round state is provably identical to the recorded one restores it
-// instead of recomputing — see replay.go for the admission argument.
-// Recomputed speakers are checked against the record afterwards: an exact
-// match re-adopts the recorded maps (so peers keep restoring), a mismatch
-// marks the speaker deviant.
-func (e *BGPEngine) stepSequential() bool {
-	e.rounds++
-	changed := false
+// reselectAll re-decides every prefix of every speaker (the synchronous
+// model's selection phase).
+func (e *BGPEngine) reselectAll() {
+	for i, sp := range e.sp {
+		t := &e.slots[i]
+		*t = turnResult{churned: t.churned[:0]}
+		e.seq.dirty = sp.allPrefixes(e.seq.dirty)
+		e.reselect(sp, e.seq.dirty, t, &e.seq)
+		e.apply(sp, t)
+	}
+}
+
+// sweep runs one Gauss–Seidel round: every speaker takes its turn (rib.go)
+// in hostname order against its peers' current state, one at a time or —
+// SetShards — shard by shard on a worker pool with the results applied at
+// a barrier (shard.go). Both drivers apply the same turn results in the
+// same order, so they are byte-identical.
+func (e *BGPEngine) sweep() bool {
+	e.beginRound()
 	var hist replayRound
 	if e.replay != nil {
-		if idx := e.rounds - 1; idx >= 0 && idx < len(e.replay.rounds) {
+		if idx := e.rounds - 1; idx < len(e.replay.rounds) {
 			hist = e.replay.rounds[idx]
 		} else {
 			// The run outran the recorded trajectory; no further restores.
 			e.replay = nil
 		}
 	}
-	var rec replayRound
+	e.recRound = nil
 	if e.record != nil {
-		rec = make(replayRound, len(e.order))
+		e.recRound = make(replayRound, len(e.sp))
 	}
-	restoredThisRound := 0
-	for _, host := range e.order {
-		sp := e.speakers[host]
-		if hist != nil {
-			if h, ok := hist[host]; ok && e.canRestore(host, sp) {
-				sp.adjIn = h.adjIn
-				sp.locRIB = h.locRIB
-				sp.seg = h.seg
-				for _, p := range h.churned {
-					e.churn[p]++
-				}
-				if len(h.churned) > 0 {
-					e.changedAt[host] = e.rounds
-				}
-				changed = changed || h.changed
-				if rec != nil {
-					rec[host] = h
-				}
-				e.statRestored++
-				restoredThisRound++
-				continue
-			}
+	if e.useSharded() {
+		e.statShardRounds++
+		e.runSharded(hist)
+		for i, sp := range e.sp {
+			e.apply(sp, &e.slots[i])
 		}
-		newIn := map[netip.Addr][]BGPRoute{}
-		for _, s := range e.sessionsOf(sp) {
-			peer := e.speakers[s.peerHost]
-			ps, ok := e.reverseSession(peer, sp)
-			if !ok {
-				continue
-			}
-			var out []BGPRoute
-			for _, prefix := range sortedPrefixes(peer.locRIB) {
-				rt := peer.locRIB[prefix]
-				if adv, ok := peer.advertiseCached(rt, ps); ok {
-					out = append(out, adv)
-				}
-			}
-			out = e.deliver(peer.host, sp.host, out)
-			newIn[s.peerAddr] = filterReceived(sp, out, s.peerAddr)
-		}
-		spChanged := !adjEqual(sp.adjIn, newIn)
-		sp.adjIn = newIn
-		churned, ribChanged := e.selectBest(sp)
-		spChanged = spChanged || ribChanged
-		if spChanged {
-			changed = true
-			sp.seg = e.segHash(sp)
-		}
-		if hist != nil {
-			if h, ok := hist[host]; ok && sp.seg == h.seg &&
-				adjIdentical(sp.adjIn, h.adjIn) && locRIBIdentical(sp.locRIB, h.locRIB) {
-				// Back on (or still on) the trajectory: adopt the recorded
-				// maps so identity holds by reference for downstream peers.
-				sp.adjIn = h.adjIn
-				sp.locRIB = h.locRIB
-				delete(e.deviant, host)
-			} else {
-				e.deviant[host] = true
-			}
-		}
-		if rec != nil {
-			rec[host] = replayState{adjIn: sp.adjIn, locRIB: sp.locRIB, seg: sp.seg, changed: spChanged, churned: churned}
+	} else {
+		for i, sp := range e.sp {
+			e.turn(sp, hist, &e.slots[i], &e.seq)
+			e.apply(sp, &e.slots[i])
 		}
 	}
-	if hist != nil && restoredThisRound == len(e.order) {
-		e.statRoundsSkipped++
+	if hist != nil {
+		e.statDirtyPrefixes += int64(e.cur.Decided)
+		if e.cur.Restored == len(e.sp) {
+			e.statRoundsSkipped++
+		}
 	}
-	if rec != nil {
-		e.record.rounds = append(e.record.rounds, rec)
+	if e.record != nil {
+		e.record.rounds = append(e.record.rounds, e.recRound)
 	}
-	return !changed
+	e.endRound()
+	return !e.roundChanged
 }
 
-// advertiseCached is advertise() behind the speaker's per-session memo:
-// outbound policy is a pure function of (route, session), so an unchanged
-// route re-advertises the cached result (sharing its AS-path slice, which
-// no downstream path mutates) instead of re-allocating it.
-func (sp *speaker) advertiseCached(rt BGPRoute, s session) (BGPRoute, bool) {
-	byPfx := sp.advCache[s.peerAddr]
-	if byPfx == nil {
-		byPfx = map[netip.Prefix]advEntry{}
-		sp.advCache[s.peerAddr] = byPfx
-	}
-	if c, ok := byPfx[rt.Prefix]; ok && routeIdentical(c.src, rt) {
-		return c.out, c.ok
-	}
-	out, ok := sp.advertise(rt, s, s.myAddr)
-	byPfx[rt.Prefix] = advEntry{src: rt, out: out, ok: ok}
-	return out, ok
+func (e *BGPEngine) beginRound() {
+	e.rounds++
+	e.cur, e.roundChanged = BGPRound{Round: e.rounds}, false
 }
 
-// reverseSession finds peer's established session back to sp (first match
-// in configuration order, via the precomputed index).
-func (e *BGPEngine) reverseSession(peer, sp *speaker) (session, bool) {
-	s, ok := peer.sessTo[sp.host]
-	return s, ok
+func (e *BGPEngine) endRound() { e.log = append(e.log, e.cur) }
+
+// apply folds one speaker's turn result into the engine: churn counters,
+// changed-at stamps, the round's verdict and work record, the trajectory
+// record and captured perturbation events. The drivers call it in sweep
+// order, which is the order the effects have always happened in.
+func (e *BGPEngine) apply(sp *speaker, t *turnResult) {
+	for _, p := range t.churned {
+		e.churn[p]++
+	}
+	if len(t.churned) > 0 {
+		e.changedAt[sp.host] = e.rounds
+	}
+	e.roundChanged = e.roundChanged || t.changed
+	switch {
+	case t.restored:
+		e.cur.Restored++
+	case t.skipped:
+		e.cur.Skipped++
+	default:
+		e.cur.Evaluated++
+	}
+	e.cur.Sessions += t.sessions
+	e.cur.Decided += t.decided
+	e.cur.Adverts += t.adverts
+	e.cur.Churned += len(t.churned)
+	e.statCrossAdverts += int64(t.cross)
+	if e.recRound != nil {
+		e.recRound[sp.host] = sp.snapshot(t)
+	}
+	if len(t.events) > 0 {
+		e.pert.(perturbCapturer).restageEvents(t.events)
+	}
 }
 
-func locRIBEqual(a, b map[netip.Prefix]BGPRoute) bool {
-	if len(a) != len(b) {
-		return false
+// BGPRound is one round's work record: counts only, no wall-clock, and the
+// same at any shard count. In sequential mode a speaker is restored when it
+// adopted its recorded state, skipped when no session had anything new for
+// it, evaluated otherwise; synchronous rounds evaluate everyone, twice when
+// the exchange changed something.
+type BGPRound struct {
+	Round                        int
+	Evaluated, Skipped, Restored int // speakers
+	Sessions                     int // sessions whose changes were consumed
+	Decided                      int // prefixes whose selection was re-decided
+	Adverts                      int // adj-RIB-out entries changed
+	Churned                      int // prefixes whose best route moved
+}
+
+// RoundLog returns the per-round work records of the most recent Run.
+func (e *BGPEngine) RoundLog() []BGPRound { return append([]BGPRound(nil), e.log...) }
+
+// sessionFrom finds which of peer's adj-RIB-ins hears the sender
+// (preferring the sender's exact session address), or -1. A session only
+// carries routes when BOTH ends configured it consistently — a remote-as
+// mismatch on either side leaves it down, exactly as in a real lab.
+func (e *BGPEngine) sessionFrom(peer, sender *speaker, senderAddr netip.Addr) int {
+	match := func(s session) bool { return s.peerHost == sender.host && s.peerAddr == senderAddr }
+	i := slices.IndexFunc(peer.sessions, match)
+	if i < 0 {
+		i = slices.IndexFunc(peer.sessions, func(s session) bool { return s.peerHost == sender.host })
 	}
-	for p, ra := range a {
-		rb, ok := b[p]
-		if !ok || !routeEqual(ra, rb) {
-			return false
+	if i < 0 {
+		return -1
+	}
+	return slices.IndexFunc(peer.sorted, func(s session) bool { return s.peerAddr == peer.sessions[i].peerAddr })
+}
+
+// accept applies inbound processing to one route heard on session s: loop
+// prevention and local-pref assignment. It reports whether the route is
+// kept, written to out.
+func (sp *speaker) accept(s *session, r, out *BGPRoute) bool {
+	if s.ebgp && slices.Contains(r.ASPath, sp.dc.BGP.ASN) {
+		return false // eBGP AS-path loop
+	}
+	if r.OriginatorID.IsValid() && r.OriginatorID == sp.routerID {
+		return false // RR originator loop
+	}
+	*out = *r
+	out.LearnedFrom = s.peerAddr
+	out.FromEBGP = s.ebgp
+	if s.ebgp {
+		out.LocalPref = 100
+		if s.cfg.LocalPrefIn > 0 {
+			out.LocalPref = s.cfg.LocalPrefIn
 		}
+	} else {
+		out.FromRRClient = s.cfg.RRClient
 	}
+	out.Local = false
 	return true
 }
 
-// addrFor finds which established session address the peer uses for the
-// sender (preferring the sender's exact session address). A session only
-// carries routes when BOTH ends configured it consistently — a remote-as
-// mismatch on either side leaves it down, exactly as in a real lab.
-func (e *BGPEngine) addrFor(peer, sender *speaker, senderAddr netip.Addr) netip.Addr {
-	for _, s := range peer.sessions {
-		if s.peerHost == sender.host && s.peerAddr == senderAddr {
-			return s.peerAddr
-		}
-	}
-	for _, s := range peer.sessions {
-		if s.peerHost == sender.host {
-			return s.peerAddr
-		}
-	}
-	return netip.Addr{}
-}
-
-// filterReceived applies inbound processing: loop prevention and local-pref
-// assignment.
-func filterReceived(sp *speaker, routes []BGPRoute, fromAddr netip.Addr) []BGPRoute {
-	var cfg *BGPNeighbor
-	for i := range sp.dc.BGP.Neighbors {
-		if sp.dc.BGP.Neighbors[i].Addr == fromAddr {
-			cfg = &sp.dc.BGP.Neighbors[i]
-			break
-		}
-	}
+// filterReceived is accept over a whole delivery.
+func filterReceived(sp *speaker, s *session, routes []BGPRoute) []BGPRoute {
 	var out []BGPRoute
-	for _, r := range routes {
-		if containsASN(r.ASPath, sp.dc.BGP.ASN) && cfg != nil && cfg.RemoteASN != sp.dc.BGP.ASN {
-			continue // eBGP AS-path loop
+	for i := range routes {
+		var rt BGPRoute
+		if sp.accept(s, &routes[i], &rt) {
+			out = append(out, rt)
 		}
-		if r.OriginatorID.IsValid() && r.OriginatorID == sp.routerID {
-			continue // RR originator loop
-		}
-		r.LearnedFrom = fromAddr
-		if cfg != nil && cfg.RemoteASN != sp.dc.BGP.ASN {
-			r.FromEBGP = true
-			if cfg.LocalPrefIn > 0 {
-				r.LocalPref = cfg.LocalPrefIn
-			} else {
-				r.LocalPref = 100
-			}
-		} else {
-			r.FromEBGP = false
-			r.FromRRClient = cfg != nil && cfg.RRClient
-		}
-		r.Local = false
-		out = append(out, r)
 	}
 	return out
 }
 
-// advertise applies outbound policy for one route on one session.
-func (sp *speaker) advertise(rt BGPRoute, s session, myAddr netip.Addr) (BGPRoute, bool) {
-	out := rt
+// advertise applies outbound policy for one route on one session. It
+// reports whether the route is sent, written to out. AS paths are shared,
+// not copied: nothing downstream mutates one.
+func (sp *speaker) advertise(rt *BGPRoute, s *session, out *BGPRoute) bool {
+	*out = *rt
 	if s.ebgp {
-		if containsASN(rt.ASPath, s.cfg.RemoteASN) {
-			return BGPRoute{}, false
+		if slices.Contains(rt.ASPath, s.cfg.RemoteASN) {
+			return false
 		}
-		out.ASPath = append([]int{sp.dc.BGP.ASN}, rt.ASPath...)
-		out.NextHop = myAddr
+		out.ASPath = append(append(make([]int, 0, len(rt.ASPath)+1), sp.dc.BGP.ASN), rt.ASPath...)
+		out.NextHop = s.myAddr
 		out.MED = s.cfg.MEDOut
 		out.LocalPref = 0
 		out.OriginatorID = netip.Addr{}
 		out.FromRRClient = false
-		return out, true
+		return true
 	}
 	// iBGP advertisement rules.
 	switch {
@@ -632,7 +639,7 @@ func (sp *speaker) advertise(rt BGPRoute, s session, myAddr netip.Addr) (BGPRout
 		if sp.dc.HasLoopback() {
 			out.NextHop = sp.dc.Loopback
 		} else {
-			out.NextHop = myAddr
+			out.NextHop = s.myAddr
 		}
 		out.OriginatorID = sp.routerID
 	case rt.FromRRClient:
@@ -640,96 +647,14 @@ func (sp *speaker) advertise(rt BGPRoute, s session, myAddr netip.Addr) (BGPRout
 	default:
 		// From a non-client iBGP peer: only to my clients.
 		if !s.cfg.RRClient {
-			return BGPRoute{}, false
+			return false
 		}
 	}
-	out.ASPath = append([]int{}, rt.ASPath...)
 	out.FromRRClient = false
 	if !out.OriginatorID.IsValid() {
 		out.OriginatorID = rt.OriginatorID
 	}
-	return out, true
-}
-
-// sessionsOf returns the speaker's sessions in deterministic processing
-// order (sorted by peer address, precomputed at engine build). Callers
-// must not mutate the returned slice.
-func (e *BGPEngine) sessionsOf(sp *speaker) []session {
-	return sp.sorted
-}
-
-// selectBest runs the decision process for every known prefix. It returns
-// the prefixes whose selection changed (collected only while recording a
-// replay trajectory) and whether the loc-RIB changed at all.
-func (e *BGPEngine) selectBest(sp *speaker) (churned []netip.Prefix, ribChanged bool) {
-	candidates := map[netip.Prefix][]BGPRoute{}
-	// Locally originated networks.
-	for _, p := range sp.dc.BGP.Networks {
-		nh := netip.Addr{}
-		candidates[p] = append(candidates[p], BGPRoute{
-			Prefix: p, NextHop: nh, LocalPref: 100, Local: true,
-		})
-	}
-	peers := make([]netip.Addr, 0, len(sp.adjIn))
-	for a := range sp.adjIn {
-		peers = append(peers, a)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i].Less(peers[j]) })
-	for _, peer := range peers {
-		for _, r := range sp.adjIn[peer] {
-			// Next-hop reachability check.
-			if r.NextHop.IsValid() && e.igp.IGPCost(sp.host, r.NextHop) < 0 {
-				continue
-			}
-			candidates[r.Prefix] = append(candidates[r.Prefix], r)
-		}
-	}
-	if e.replay != nil {
-		e.statDirtyPrefixes += int64(len(candidates))
-	}
-	newRIB := map[netip.Prefix]BGPRoute{}
-	for p, cands := range candidates {
-		best, ok := e.decide(sp, cands)
-		if ok {
-			newRIB[p] = best
-		}
-	}
-	churned, ribChanged = e.recordChurn(sp, newRIB)
-	sp.locRIB = newRIB
-	return churned, ribChanged
-}
-
-// recordChurn counts best-route changes between a speaker's old and new
-// selections — the per-prefix route-churn metric convergence experiments
-// report — and stamps the speaker's last-changed round for the watchdog's
-// unstable-speaker detection. The changed prefixes are collected (in
-// arbitrary order — replay applies them as a set) only while a replay
-// trajectory is being recorded. changed is true exactly when the loc-RIB
-// content changed (it is equivalent to !locRIBEqual(old, new)).
-func (e *BGPEngine) recordChurn(sp *speaker, newRIB map[netip.Prefix]BGPRoute) (churned []netip.Prefix, changed bool) {
-	for p, nr := range newRIB {
-		or, had := sp.locRIB[p]
-		if !had || !routeEqual(or, nr) {
-			e.churn[p]++
-			changed = true
-			if e.record != nil {
-				churned = append(churned, p)
-			}
-		}
-	}
-	for p := range sp.locRIB {
-		if _, still := newRIB[p]; !still {
-			e.churn[p]++
-			changed = true
-			if e.record != nil {
-				churned = append(churned, p)
-			}
-		}
-	}
-	if changed {
-		e.changedAt[sp.host] = e.rounds
-	}
-	return churned, changed
+	return true
 }
 
 // RouteChurn returns the per-prefix count of best-route changes across all
@@ -802,9 +727,7 @@ func (e *BGPEngine) SoftReset(hosts []string) {
 		if !ok {
 			continue
 		}
-		sp.adjIn = map[netip.Addr][]BGPRoute{}
-		sp.locRIB = map[netip.Prefix]BGPRoute{}
-		sp.seg = e.segHash(sp)
+		sp.flush()
 		if e.pert != nil {
 			e.pert.OnSoftReset(host)
 		}
@@ -822,37 +745,36 @@ func (e *BGPEngine) SoftReset(hosts []string) {
 // control plane is partitioned (speakers exist that can never hear each
 // other's routes).
 func (e *BGPEngine) SessionComponents() int {
-	if len(e.order) == 0 {
-		return 0
+	parent := make([]int, len(e.sp))
+	for i := range parent {
+		parent[i] = i
 	}
-	parent := map[string]string{}
-	var find func(string) string
-	find = func(x string) string {
+	var find func(int) int
+	find = func(x int) int {
 		if parent[x] != x {
 			parent[x] = find(parent[x])
 		}
 		return parent[x]
 	}
-	for _, h := range e.order {
-		parent[h] = h
-	}
-	for _, host := range e.order {
-		for _, s := range e.speakers[host].sessions {
-			parent[find(host)] = find(s.peerHost)
+	for _, sp := range e.sp {
+		for _, peer := range sp.peers {
+			parent[find(sp.idx)] = find(peer.idx)
 		}
 	}
-	roots := map[string]bool{}
-	for _, h := range e.order {
-		roots[find(h)] = true
+	roots := 0
+	for i := range parent {
+		if find(i) == i {
+			roots++
+		}
 	}
-	return len(roots)
+	return roots
 }
 
 // decide implements the BGP decision process with the speaker's vendor
 // profile.
-func (e *BGPEngine) decide(sp *speaker, cands []BGPRoute) (BGPRoute, bool) {
+func (e *BGPEngine) decide(sp *speaker, cands []*BGPRoute) *BGPRoute {
 	if len(cands) == 0 {
-		return BGPRoute{}, false
+		return nil
 	}
 	best := cands[0]
 	for _, c := range cands[1:] {
@@ -860,11 +782,11 @@ func (e *BGPEngine) decide(sp *speaker, cands []BGPRoute) (BGPRoute, bool) {
 			best = c
 		}
 	}
-	return best, true
+	return best
 }
 
 // better reports whether a beats b under the decision process.
-func (e *BGPEngine) better(sp *speaker, a, b BGPRoute) bool {
+func (e *BGPEngine) better(sp *speaker, a, b *BGPRoute) bool {
 	// 1. Highest local-pref.
 	if a.LocalPref != b.LocalPref {
 		return a.LocalPref > b.LocalPref
@@ -928,13 +850,24 @@ func (e *BGPEngine) better(sp *speaker, a, b BGPRoute) bool {
 	return false
 }
 
-func (e *BGPEngine) igpCostOf(sp *speaker, r BGPRoute) int {
+func (e *BGPEngine) igpCostOf(sp *speaker, r *BGPRoute) int {
 	if !r.NextHop.IsValid() {
 		return 0
 	}
-	c := e.igp.IGPCost(sp.host, r.NextHop)
+	c := e.nextHopCost(sp, r.NextHop)
 	if c < 0 {
 		return 1 << 30
+	}
+	return c
+}
+
+// nextHopCost is the IGP metric from sp to a next hop (negative:
+// unreachable), asked of the IGP once per (speaker, next hop).
+func (e *BGPEngine) nextHopCost(sp *speaker, nh netip.Addr) int {
+	c, ok := sp.nhCost[nh]
+	if !ok {
+		c = e.igp.IGPCost(sp.host, nh)
+		sp.nhCost[nh] = c
 	}
 	return c
 }
@@ -954,6 +887,21 @@ func (e *BGPEngine) RunContext(ctx context.Context, maxRounds int) BGPResult {
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxBGPRounds
 	}
+	e.beginRun()
+	for r := 0; r < maxRounds; r++ {
+		if ctx.Err() != nil {
+			e.cancelled = true
+			break
+		}
+		if e.runRound() {
+			break
+		}
+	}
+	return e.endRun()
+}
+
+// beginRun resets the per-run verdict, statistics and perturbation state.
+func (e *BGPEngine) beginRun() {
 	// Replay is only valid for a fresh engine's first, unperturbed run: a
 	// continuation (post-escalation) run departs from the from-scratch
 	// trajectory, and the perturbation layer is stateful (flap counters,
@@ -962,41 +910,41 @@ func (e *BGPEngine) RunContext(ctx context.Context, maxRounds int) BGPResult {
 		e.replay, e.record = nil, nil
 	}
 	e.ran = true
-	e.statRestored, e.statDirtyPrefixes, e.statRoundsSkipped = 0, 0, 0
+	e.statDirtyPrefixes, e.statRoundsSkipped = 0, 0
+	e.log = nil
 	e.stateHashes = map[uint64][]int{}
 	e.converged, e.oscillating, e.cancelled = false, false, false
 	e.cycleLen = 0
 	if e.pert != nil {
 		e.pert.Reset()
 	}
-	for r := 0; r < maxRounds; r++ {
-		if ctx.Err() != nil {
-			e.cancelled = true
-			break
-		}
-		quiet := e.Step()
-		if quiet {
-			if e.pert == nil || !e.pert.Pending(e.rounds) {
-				e.converged = true
-				break
-			}
-			// Delayed advertisements are still in flight: the state is
-			// momentarily stable but must not register as convergence (or
-			// as a cycle — it will change when the queue drains).
-			continue
-		}
-		h := e.stateHash()
-		seen := e.stateHashes[h]
-		if cl, ok := e.cycleDetected(seen); ok {
-			e.oscillating = true
-			e.cycleLen = cl
-			break
-		}
-		if len(seen) == 3 {
-			seen = seen[1:]
-		}
-		e.stateHashes[h] = append(seen, e.rounds)
+}
+
+// runRound steps once and reports whether the run is over: converged, or a
+// protocol state repeated.
+func (e *BGPEngine) runRound() bool {
+	if e.Step() {
+		// Delayed advertisements still in flight make the state momentarily
+		// stable, which must not register as convergence (or as a cycle —
+		// it will change when the queue drains).
+		e.converged = e.pert == nil || !e.pert.Pending(e.rounds)
+		return e.converged
 	}
+	h := e.stateHash()
+	seen := e.stateHashes[h]
+	if cl, ok := e.cycleDetected(seen); ok {
+		e.oscillating = true
+		e.cycleLen = cl
+		return true
+	}
+	if len(seen) == 3 {
+		seen = seen[1:]
+	}
+	e.stateHashes[h] = append(seen, e.rounds)
+	return false
+}
+
+func (e *BGPEngine) endRun() BGPResult {
 	if !e.converged && !e.oscillating && !e.cancelled {
 		e.oscillating = true // ran out of rounds without stabilising
 		e.cycleLen = -1
@@ -1050,40 +998,15 @@ type BGPResult struct {
 // the selected routes can be momentarily stable while longer paths are
 // still flooding, which must not register as a cycle. The segments are
 // XOR-combined (each is salted with its hostname, so identical speaker
-// states cannot cancel), which lets sequential rounds maintain the hash
-// incrementally: only speakers whose state changed re-render their
-// segment. Only hash *equality* across rounds is observable (cycle
-// detection), and for any reachable pair of rounds equal protocol states
-// produce equal segments.
+// states cannot cancel) and maintained by the turns that change them (see
+// segHash). Only hash *equality* across rounds is observable (cycle
+// detection), and equal protocol states produce equal segments.
 func (e *BGPEngine) stateHash() uint64 {
 	var h uint64
-	for _, host := range e.order {
-		h ^= e.speakers[host].seg
+	for _, sp := range e.sp {
+		h ^= sp.seg
 	}
 	return h
-}
-
-// segHash renders one speaker's protocol state — adj-RIB-in and selection
-// — into its segment of the engine state hash.
-func (e *BGPEngine) segHash(sp *speaker) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|", sp.host)
-	peers := make([]netip.Addr, 0, len(sp.adjIn))
-	for a := range sp.adjIn {
-		peers = append(peers, a)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i].Less(peers[j]) })
-	for _, peer := range peers {
-		fmt.Fprintf(h, "<%v:", peer)
-		for _, rt := range sp.adjIn[peer] {
-			fmt.Fprintf(h, "%v>%v[%s]lp%dm%do%v;", rt.Prefix, rt.NextHop, rt.pathString(), rt.LocalPref, rt.MED, rt.OriginatorID)
-		}
-	}
-	for _, p := range sortedPrefixes(sp.locRIB) {
-		rt := sp.locRIB[p]
-		fmt.Fprintf(h, "%v>%v[%s];", p, rt.NextHop, rt.pathString())
-	}
-	return h.Sum64()
 }
 
 // BestRoutes returns a speaker's selected routes, sorted by prefix (the
@@ -1093,77 +1016,20 @@ func (e *BGPEngine) BestRoutes(host string) []BGPRoute {
 	if !ok {
 		return nil
 	}
-	var out []BGPRoute
-	for _, p := range sortedPrefixes(sp.locRIB) {
-		out = append(out, sp.locRIB[p])
-	}
-	return out
+	return append([]BGPRoute(nil), sp.rib...)
 }
 
 // Speakers returns the hostnames running BGP, sorted.
 func (e *BGPEngine) Speakers() []string {
-	out := make([]string, len(e.order))
-	copy(out, e.order)
+	out := make([]string, len(e.sp))
+	for i, sp := range e.sp {
+		out[i] = sp.host
+	}
 	return out
-}
-
-func sortedPrefixes(m map[netip.Prefix]BGPRoute) []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr() != out[j].Addr() {
-			return out[i].Addr().Less(out[j].Addr())
-		}
-		return out[i].Bits() < out[j].Bits()
-	})
-	return out
-}
-
-// adjEqual compares two adj-RIB-in states, treating absent and empty peer
-// entries as equal.
-func adjEqual(a, b map[netip.Addr][]BGPRoute) bool {
-	keys := map[netip.Addr]bool{}
-	for k := range a {
-		keys[k] = true
-	}
-	for k := range b {
-		keys[k] = true
-	}
-	for k := range keys {
-		ra, rb := a[k], b[k]
-		if len(ra) != len(rb) {
-			return false
-		}
-		for i := range ra {
-			if !routeEqual(ra[i], rb[i]) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func routeEqual(a, b BGPRoute) bool {
-	if a.Prefix != b.Prefix || a.NextHop != b.NextHop || a.LocalPref != b.LocalPref ||
-		a.MED != b.MED || a.FromEBGP != b.FromEBGP || a.Local != b.Local ||
-		a.OriginatorID != b.OriginatorID || len(a.ASPath) != len(b.ASPath) {
-		return false
-	}
-	for i := range a.ASPath {
-		if a.ASPath[i] != b.ASPath[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsASN(path []int, asn int) bool {
-	for _, a := range path {
-		if a == asn {
-			return true
-		}
-	}
-	return false
+	return a.Prefix == b.Prefix && a.NextHop == b.NextHop && a.LocalPref == b.LocalPref &&
+		a.MED == b.MED && a.FromEBGP == b.FromEBGP && a.Local == b.Local &&
+		a.OriginatorID == b.OriginatorID && slices.Equal(a.ASPath, b.ASPath)
 }

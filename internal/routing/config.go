@@ -10,16 +10,20 @@
 // mis-behaving emulated network, exactly as on the paper's Netkit
 // deployments.
 //
+// A sequential BGP round costs what changed: every speaker keeps a
+// versioned adj-RIB-out per peer and a turn consumes only the changes its
+// peers published since it last looked (delta evaluation; see rib.go).
+//
 // Both engines support incremental reconvergence. The OSPF/IS-IS domain
 // diffs the canonical link-state database between Converge calls and
 // re-runs Dijkstra only for sources whose shortest-path tree an edge or
 // advertisement change can reach (delta SPF; see ospf.go). The BGP engine
 // records each sequential run's per-round trajectory and replays it on the
 // next run for speakers whose configs and neighborhoods are unchanged
-// (trajectory memoization; see replay.go). Both paths are exact: they skip
-// recomputation only where the result is provably byte-identical to a full
-// run, so convergence outcomes, route selections and oscillation verdicts
-// never depend on whether incremental mode is enabled.
+// (trajectory memoization; see replay.go). All of these are exact: they
+// skip recomputation only where the result is provably byte-identical to a
+// full run, so convergence outcomes, route selections and oscillation
+// verdicts never depend on whether incremental mode is enabled.
 package routing
 
 import (

@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 )
 
@@ -280,11 +281,16 @@ func checkEnginesIdentical(t *testing.T, name string, a, b *BGPEngine, ra, rb BG
 	}
 	for _, host := range a.Speakers() {
 		sa, sb := a.speakers[host], b.speakers[host]
-		if !adjIdentical(sa.adjIn, sb.adjIn) {
-			t.Fatalf("%s: adj-RIB-in diverges for %s", name, host)
+		for k := range sa.in {
+			if !listIdentical(sa.in[k].routes, sb.in[k].routes) {
+				t.Fatalf("%s: adj-RIB-in diverges for %s", name, host)
+			}
 		}
-		if !locRIBIdentical(sa.locRIB, sb.locRIB) {
-			t.Fatalf("%s: loc-RIB diverges for %s:\na: %+v\nb: %+v", name, host, sa.locRIB, sb.locRIB)
+		if !listIdentical(sa.rib, sb.rib) {
+			t.Fatalf("%s: loc-RIB diverges for %s:\na: %+v\nb: %+v", name, host, sa.rib, sb.rib)
+		}
+		if sa.seg != segHash(sa) || sb.seg != segHash(sb) {
+			t.Fatalf("%s: %s's maintained state hash disagrees with a full render", name, host)
 		}
 	}
 	ca, cb := a.RouteChurn(), b.RouteChurn()
@@ -447,7 +453,7 @@ func TestBGPReplaySoftResetDiscards(t *testing.T) {
 		t.Fatalf("baselines disagree: %+v vs %+v", rf, r)
 	}
 	for _, host := range e.Speakers() {
-		if !locRIBIdentical(e.speakers[host].locRIB, full.speakers[host].locRIB) {
+		if !listIdentical(e.speakers[host].rib, full.speakers[host].rib) {
 			t.Errorf("post-reset loc-RIB diverges for %s", host)
 		}
 	}
@@ -503,5 +509,97 @@ func TestConfigSignatureSensitivity(t *testing.T) {
 		if ConfigSignature(dc) == sig {
 			t.Errorf("%s mutation did not change the signature", name)
 		}
+	}
+}
+
+// TestNextHopCostMemo: the per-(speaker, next hop) IGP-cost memo answers
+// exactly what the IGP answers, on the ring whose all-unit costs make
+// nearly every chord an exactly-tight equal-cost alternative.
+func TestNextHopCostMemo(t *testing.T) {
+	devs := ringChordTopo(16, 5)
+	for i, d := range devs {
+		for k := range d.Interfaces {
+			d.Interfaces[k].Cost = 1
+		}
+		d.BGP = &BGPConfig{ASN: 65000, RouterID: d.Loopback,
+			Networks: []netip.Prefix{netip.PrefixFrom(netip.AddrFrom4([4]byte{203, 0, byte(i), 0}), 24)}}
+		for j, peer := range devs {
+			if i != j {
+				d.BGP.Neighbors = append(d.BGP.Neighbors, BGPNeighbor{Addr: peer.Loopback, RemoteASN: 65000, UpdateSource: "lo"})
+			}
+		}
+	}
+	igp := igpFor(t, devs)
+	e, err := NewBGPEngine(devs, func(string) VendorProfile { return ProfileIOS }, igp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetSequential(true)
+	if res := e.Run(50); !res.Converged {
+		t.Fatalf("run: %+v", res)
+	}
+	for _, sp := range e.sp {
+		if len(sp.nhCost) == 0 {
+			t.Fatalf("%s: the run never asked for a next-hop cost", sp.host)
+		}
+		for nh, c := range sp.nhCost {
+			if want := igp.IGPCost(sp.host, nh); c != want {
+				t.Errorf("%s: memoized cost to %v is %d, the IGP says %d", sp.host, nh, c, want)
+			}
+		}
+		unknown := netip.AddrFrom4([4]byte{192, 0, 2, 1})
+		for _, nh := range append([]netip.Addr{unknown}, devs[3].Loopback, devs[11].Interfaces[1].Addr) {
+			want := igp.IGPCost(sp.host, nh)
+			if first, again := e.nextHopCost(sp, nh), e.nextHopCost(sp, nh); first != want || again != want {
+				t.Errorf("%s: cost to %v is %d then %d, the IGP says %d", sp.host, nh, first, again, want)
+			}
+		}
+	}
+}
+
+// TestRoundLog: the per-round work record is the same under both round
+// drivers, its rounds are the run's rounds, and the quiet round that ends a
+// converged run decides no prefix and emits no advert.
+func TestRoundLog(t *testing.T) {
+	devs := nrenDevices(t, 5, 60)
+	igp := igpFor(t, devs)
+	var logs [][]BGPRound
+	for _, shards := range []int{1, 4} {
+		e, err := NewBGPEngine(devs, nil, igp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetSequential(true)
+		e.SetShards(shards)
+		res := e.Run(50)
+		log := e.RoundLog()
+		if !res.Converged || len(log) != res.Rounds {
+			t.Fatalf("shards=%d: %+v with %d rounds logged", shards, res, len(log))
+		}
+		last := log[len(log)-1]
+		if last.Decided != 0 || last.Adverts != 0 || last.Sessions != 0 || last.Skipped != len(devs) {
+			t.Errorf("shards=%d: the quiet round did work: %+v", shards, last)
+		}
+		if first := log[0]; first.Evaluated != len(devs) || first.Decided == 0 || first.Adverts == 0 || first.Churned == 0 {
+			t.Errorf("shards=%d: the first round did no work: %+v", shards, first)
+		}
+		logs = append(logs, log)
+	}
+	if !slices.Equal(logs[0], logs[1]) {
+		t.Errorf("round log differs between drivers:\nsequential %+v\nsharded    %+v", logs[0], logs[1])
+	}
+}
+
+// TestContinuationLeavesRecordAlone: a run that continues an engine whose
+// trajectory a caller still holds (the watchdog's soft reset) must not
+// write into it.
+func TestContinuationLeavesRecordAlone(t *testing.T) {
+	e, _ := runSeq(t, asLineTopo(5), nil, map[string]bool{})
+	log := e.ReplayLog()
+	want := fmt.Sprint(log.rounds)
+	e.SoftReset([]string{"r02"})
+	e.Run(1) // one round in, the flushed speaker has relearned only part of its table
+	if fmt.Sprint(log.rounds) != want {
+		t.Error("the continuation run rewrote the recorded trajectory")
 	}
 }

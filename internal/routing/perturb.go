@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -492,14 +493,4 @@ func (p *ScheduledPerturber) Describe() string {
 	return fmt.Sprintf("%s (seed %d)", strings.Join(parts, ", "), p.seed)
 }
 
-func routeSlicesEqual(a, b []BGPRoute) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !routeEqual(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
+func routeSlicesEqual(a, b []BGPRoute) bool { return slices.EqualFunc(a, b, routeEqual) }

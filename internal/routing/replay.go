@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/netip"
+	"slices"
 )
 
 // Incremental BGP reconvergence works by trajectory replay. A sequential
@@ -32,12 +33,19 @@ import (
 // deviant, which poisons restoration for it and its neighbors from then
 // on. Perturbed runs never record or replay (the Perturber is stateful),
 // and a soft reset discards both the log and the recording.
+//
+// Under delta evaluation (rib.go) a restored speaker also re-synchronises
+// its sessions: every peer is on the trajectory, so its recorded
+// adj-RIB-ins are what consuming the peers' current adj-RIB-outs would
+// yield, and its own adj-RIB-outs are restored with a version jump so a
+// recomputing peer diffs the whole session instead of trusting a delta.
 
 // BGPReplay is the recorded trajectory of one sequential run: per-speaker
 // config signatures and session sets (the static-dirtiness baseline) plus
-// the per-round states. All maps and slices inside are shared with the
-// engine that produced them and are never mutated after recording — the
-// engine replaces adj-RIB-in and loc-RIB maps wholesale each round.
+// the per-round states. Every route list inside is shared with the engine
+// that produced it and with the neighbouring rounds it did not change in;
+// none is ever mutated, because a turn replaces a list it changes instead
+// of patching it (rib.go).
 type BGPReplay struct {
 	sigs   map[string]uint64
 	sess   map[string][]session
@@ -54,28 +62,83 @@ func (r *BGPReplay) Rounds() int {
 
 type replayRound map[string]replayState
 
-// replayState is one speaker's post-processing state at one round.
+// replayState is one speaker's post-processing state at one round: its
+// adj-RIB-ins (parallel to speaker.sorted), selection and adj-RIB-outs
+// (parallel to speaker.outs) — both index spaces are functions of the
+// session set, which a speaker that is not statically dirty shares with
+// the recording.
 type replayState struct {
-	adjIn   map[netip.Addr][]BGPRoute
-	locRIB  map[netip.Prefix]BGPRoute
+	in      [][]BGPRoute
+	rib     []BGPRoute
+	out     [][]BGPRoute
 	seg     uint64
 	changed bool
-	// churned lists the prefixes whose selection changed this round (the
-	// recordChurn delta), so a replayed round reproduces the engine's churn
-	// counters and changed-at stamps exactly.
+	// churned lists the prefixes whose selection changed this round, so a
+	// replayed round reproduces the engine's churn counters and changed-at
+	// stamps exactly.
 	churned []netip.Prefix
 }
 
-// advEntry caches one advertise() evaluation: outbound policy is a pure
-// function of (route, session), so a route that did not change since the
-// last evaluation re-advertises the cached result without re-allocating
-// the AS path. Validation uses full identity (routeIdentical), not the
-// lenient routeEqual, because advertise() reads FromRRClient and the
-// decision process downstream reads LearnedFrom.
-type advEntry struct {
-	src BGPRoute
-	out BGPRoute
-	ok  bool
+// snapshot records the speaker's state after a turn. A restored speaker's
+// state is the record it restored.
+func (sp *speaker) snapshot(t *turnResult) replayState {
+	st := replayState{rib: sp.rib, seg: sp.seg, changed: t.changed, churned: slices.Clone(t.churned)}
+	for k := range sp.in {
+		st.in = append(st.in, sp.in[k].routes)
+	}
+	for _, o := range sp.outs {
+		st.out = append(st.out, o.routes)
+	}
+	return st
+}
+
+// adopt installs a recorded state. A restore may change content: every
+// peer is on the trajectory too, so a recorded adj-RIB-in is what consuming
+// the peer's current adj-RIB-out yields and the session counts as having
+// seen it, while an adj-RIB-out that is not the very list already installed
+// jumps two versions, past any delta. Re-adoption installs lists equal to
+// the speaker's own and touches neither.
+func (sp *speaker) adopt(h replayState, restore bool) {
+	for k := range sp.in {
+		in := &sp.in[k]
+		in.routes, in.sorted = h.in[k], true
+		if restore && in.from != nil {
+			in.seen, in.synced = in.from.version, true
+		}
+	}
+	sp.rib, sp.seg = h.rib, h.seg
+	for j, o := range sp.outs {
+		if restore && !sameList(o.routes, h.out[j]) {
+			o.version += 2
+			o.delta = nil
+		}
+		o.routes = h.out[j]
+	}
+}
+
+// matches reports whether the speaker's state is fully identical to a
+// recorded one. The adj-RIB-outs are a function of the selection and need
+// no comparison.
+func (sp *speaker) matches(h replayState) bool {
+	if sp.seg != h.seg || !listIdentical(sp.rib, h.rib) {
+		return false
+	}
+	for k := range sp.in {
+		if !listIdentical(sp.in[k].routes, h.in[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameList(a, b []BGPRoute) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// listIdentical compares route lists with full identity; lists shared with
+// the record compare by reference.
+func listIdentical(a, b []BGPRoute) bool {
+	return sameList(a, b) || slices.EqualFunc(a, b, routeIdentical)
 }
 
 // speakerSig fingerprints everything about a speaker that shapes its
@@ -88,60 +151,11 @@ func speakerSig(sp *speaker) uint64 {
 	return h.Sum64()
 }
 
-// sessionsEqual compares two session sets element-wise (session is
-// comparable: no slices or maps inside).
-func sessionsEqual(a, b []session) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // routeIdentical is routeEqual plus the fields it deliberately ignores.
-// Replay adoption and the advertise cache need full identity: LearnedFrom
-// feeds decision steps 7–8 and FromRRClient drives iBGP reflection.
+// Replay adoption and delta staging need full identity: LearnedFrom feeds
+// decision steps 7–8 and FromRRClient drives iBGP reflection.
 func routeIdentical(a, b BGPRoute) bool {
 	return a.LearnedFrom == b.LearnedFrom && a.FromRRClient == b.FromRRClient && routeEqual(a, b)
-}
-
-// adjIdentical compares adj-RIB-ins strictly: identical key sets (unlike
-// the lenient adjEqual — an empty-but-present peer entry renders into the
-// state hash differently from an absent one) and fully identical routes.
-func adjIdentical(a, b map[netip.Addr][]BGPRoute) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, ra := range a {
-		rb, ok := b[k]
-		if !ok || len(ra) != len(rb) {
-			return false
-		}
-		for i := range ra {
-			if !routeIdentical(ra[i], rb[i]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// locRIBIdentical compares selections with full identity.
-func locRIBIdentical(a, b map[netip.Prefix]BGPRoute) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for p, ra := range a {
-		rb, ok := b[p]
-		if !ok || !routeIdentical(ra, rb) {
-			return false
-		}
-	}
-	return true
 }
 
 // EnableIncremental arms trajectory recording for the coming run and, when
@@ -156,23 +170,18 @@ func (e *BGPEngine) EnableIncremental(prev *BGPReplay, extraDirty map[string]boo
 	if !e.sequential {
 		return
 	}
-	sigs := make(map[string]uint64, len(e.order))
-	sess := make(map[string][]session, len(e.order))
-	for _, host := range e.order {
-		sp := e.speakers[host]
-		sigs[host] = speakerSig(sp)
-		sess[host] = sp.sessions
+	sigs := make(map[string]uint64, len(e.sp))
+	sess := make(map[string][]session, len(e.sp))
+	for _, sp := range e.sp {
+		sigs[sp.host] = speakerSig(sp)
+		sess[sp.host] = sp.sessions
 	}
 	if prev != nil && len(prev.rounds) > 0 {
 		e.replay = prev
-		e.staticDirty = map[string]bool{}
-		e.deviant = map[string]bool{}
-		for _, host := range e.order {
-			sp := e.speakers[host]
-			psig, ok := prev.sigs[host]
-			if extraDirty[host] || !ok || psig != sigs[host] || !sessionsEqual(sp.sessions, prev.sess[host]) {
-				e.staticDirty[host] = true
-			}
+		for _, sp := range e.sp {
+			psig, ok := prev.sigs[sp.host]
+			sp.sdirty = extraDirty[sp.host] || !ok || psig != sigs[sp.host] || !slices.Equal(sp.sessions, prev.sess[sp.host])
+			sp.deviant = false
 		}
 	}
 	e.record = &BGPReplay{sigs: sigs, sess: sess}
@@ -180,17 +189,11 @@ func (e *BGPEngine) EnableIncremental(prev *BGPReplay, extraDirty map[string]boo
 
 // canRestore reports whether a speaker may adopt its recorded round state:
 // itself and every session peer must be neither statically dirty nor
-// deviant from the trajectory.
-func (e *BGPEngine) canRestore(host string, sp *speaker) bool {
-	if e.staticDirty[host] || e.deviant[host] {
-		return false
-	}
-	for _, s := range sp.sessions {
-		if e.staticDirty[s.peerHost] || e.deviant[s.peerHost] {
-			return false
-		}
-	}
-	return true
+// deviant from the trajectory. Predecessor peers carry this round's
+// verdict (they finished before us), successors last round's.
+func (sp *speaker) canRestore() bool {
+	stale := func(x *speaker) bool { return x.sdirty || x.deviant }
+	return !stale(sp) && !slices.ContainsFunc(sp.peers, stale)
 }
 
 // ReplayLog returns the trajectory recorded by the most recent run, or nil
@@ -210,11 +213,9 @@ func (e *BGPEngine) ChangedSpeakers() map[string]bool {
 	}
 	last := e.replay.rounds[len(e.replay.rounds)-1]
 	out := map[string]bool{}
-	for _, host := range e.order {
-		sp := e.speakers[host]
-		h, ok := last[host]
-		if !ok || !locRIBEqual(sp.locRIB, h.locRIB) {
-			out[host] = true
+	for _, sp := range e.sp {
+		if h, ok := last[sp.host]; !ok || !routeSlicesEqual(sp.rib, h.rib) {
+			out[sp.host] = true
 		}
 	}
 	return out
@@ -224,5 +225,8 @@ func (e *BGPEngine) ChangedSpeakers() map[string]bool {
 // speaker-rounds restored from the trajectory, prefixes re-evaluated for
 // recomputed speakers, and whole rounds in which every speaker restored.
 func (e *BGPEngine) IncrementalStats() (restored, dirtyPrefixes, roundsSkipped int64) {
-	return e.statRestored, e.statDirtyPrefixes, e.statRoundsSkipped
+	for _, r := range e.log {
+		restored += int64(r.Restored)
+	}
+	return restored, e.statDirtyPrefixes, e.statRoundsSkipped
 }

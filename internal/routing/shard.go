@@ -1,18 +1,17 @@
 package routing
 
 import (
-	"net/netip"
 	"sort"
 	"sync"
 )
 
-// Parallel sharded convergence. The sequential (Gauss–Seidel) sweep of
-// stepSequential processes speakers one at a time in hostname order; its
-// output is the byte-identity oracle every other evaluation mode must
-// match. Sharding exploits the topology's AS structure to recover
-// parallelism without giving up that identity: iBGP meshes are AS-local,
-// so partitioning speakers by ASN yields a shard graph whose cut edges are
-// exactly the eBGP sessions. Inside each round, shards evaluate
+// Parallel sharded convergence. The sequential (Gauss–Seidel) sweep
+// processes speakers one at a time in hostname order; its output is the
+// byte-identity oracle every other evaluation mode must match. Sharding
+// exploits the topology's AS structure to recover parallelism without
+// giving up that identity: iBGP meshes are AS-local, so partitioning
+// speakers by ASN yields a shard graph whose cut edges are exactly the
+// eBGP sessions. Inside each round, shards evaluate
 // concurrently on a bounded worker pool, but every speaker still observes
 // exactly the peer states the sequential sweep would have shown it:
 //
@@ -30,18 +29,17 @@ import (
 // Gauss–Seidel contract — and computes bit-for-bit what the sequential
 // sweep computes.
 //
-// Engine-level side effects (churn counters, changed-at stamps, replay
-// deviance, trajectory recording, perturbation events) are not applied
-// concurrently. Each speaker collects its deltas into per-speaker slots,
-// and a merge barrier at the end of the round applies them single-threaded
-// in canonical order: speakers in sweep (hostname) order, sessions in
-// peer-address order, prefixes in the order the sequential code would have
-// touched them. The barrier's application order equals the sequential
-// temporal order, so counters, event logs and recorded trajectories are
-// byte-identical at any shard/worker count — which also means replay
-// restore/record keys on post-merge state and incremental × sharded
-// compose (a trajectory recorded sharded replays sequentially and vice
-// versa).
+// Both drivers run the same per-speaker turn (rib.go). A turn writes only
+// its own speaker's lists — including the adj-RIB-outs its peers read,
+// which is safe for the reason above — and leaves everything engine-level
+// (churn counters, changed-at stamps, the round's work record, trajectory
+// recording, perturbation events) in its turnResult slot. The sequential
+// driver applies each slot at once; this one applies them all at a merge
+// barrier, single-threaded and in sweep order, which is the order the
+// sequential sweep applied them in. Counters, event logs and recorded
+// trajectories are therefore byte-identical at any shard/worker count, and
+// incremental × sharded compose (a trajectory recorded sharded replays
+// sequentially and vice versa).
 
 // Shard is one unit of the structural partition: an AS and its speakers in
 // sweep (hostname) order. Every speaker appears in exactly one shard.
@@ -50,29 +48,16 @@ type Shard struct {
 	Speakers []string
 }
 
-// planShard is the internal form of a shard: speaker indices into e.order.
-type planShard struct {
-	asn int
-	idx []int
-}
-
 // shardPlan is the engine's precomputed partition and dependency DAG. The
 // session graph is fixed at engine build, so the plan is computed once and
 // cached.
 type shardPlan struct {
-	shards  []planShard
-	index   map[string]int // hostname -> position in e.order
-	shardOf []int          // speaker index -> shard index
+	shards  [][]int // per shard (ascending ASN): its speakers' indices, ascending
+	shardOf []int   // speaker index -> shard index
 	// deps[i] lists i's cross-shard session peers that precede it in the
 	// sweep — the speakers i must wait for each round. Same-shard
 	// predecessors are ordered by the shard's own sequential execution.
 	deps [][]int
-	// peers[i] lists all of i's session-peer indices (both directions of
-	// the sweep), for the replay admission check.
-	peers [][]int
-	// cross[i][k] reports whether sp.sorted[k] is an eBGP (cross-shard)
-	// session, for the cross-shard advertisement counter.
-	cross [][]bool
 }
 
 // shardPlan returns the cached partition, building it on first use.
@@ -81,19 +66,13 @@ func (e *BGPEngine) shardPlan() *shardPlan {
 		return e.plan
 	}
 	p := &shardPlan{
-		index:   make(map[string]int, len(e.order)),
-		shardOf: make([]int, len(e.order)),
-		deps:    make([][]int, len(e.order)),
-		peers:   make([][]int, len(e.order)),
-		cross:   make([][]bool, len(e.order)),
-	}
-	for i, host := range e.order {
-		p.index[host] = i
+		shardOf: make([]int, len(e.sp)),
+		deps:    make([][]int, len(e.sp)),
 	}
 	byASN := map[int][]int{}
-	for i, host := range e.order {
-		asn := e.speakers[host].dc.BGP.ASN
-		byASN[asn] = append(byASN[asn], i) // ascending: e.order is sorted
+	for i, sp := range e.sp {
+		asn := sp.dc.BGP.ASN
+		byASN[asn] = append(byASN[asn], i) // ascending: e.sp is in sweep order
 	}
 	asns := make([]int, 0, len(byASN))
 	for asn := range byASN {
@@ -101,30 +80,18 @@ func (e *BGPEngine) shardPlan() *shardPlan {
 	}
 	sort.Ints(asns)
 	for sid, asn := range asns {
-		p.shards = append(p.shards, planShard{asn: asn, idx: byASN[asn]})
+		p.shards = append(p.shards, byASN[asn])
 		for _, i := range byASN[asn] {
 			p.shardOf[i] = sid
 		}
 	}
-	for i, host := range e.order {
-		sp := e.speakers[host]
-		seen := map[int]bool{}
-		for _, s := range sp.sessions {
-			j := p.index[s.peerHost] // sessions only form toward speakers
-			if !seen[j] {
-				seen[j] = true
-				p.peers[i] = append(p.peers[i], j)
-				if j < i && p.shardOf[j] != p.shardOf[i] {
-					p.deps[i] = append(p.deps[i], j)
-				}
+	for i, sp := range e.sp {
+		for _, peer := range sp.peers { // sessions only form toward speakers
+			if j := peer.idx; j < i && p.shardOf[j] != p.shardOf[i] {
+				p.deps[i] = append(p.deps[i], j)
 			}
 		}
-		sort.Ints(p.peers[i])
 		sort.Ints(p.deps[i])
-		p.cross[i] = make([]bool, len(sp.sorted))
-		for k, s := range sp.sorted {
-			p.cross[i][k] = p.shardOf[p.index[s.peerHost]] != p.shardOf[i]
-		}
 	}
 	e.plan = p
 	return p
@@ -142,16 +109,13 @@ func (e *BGPEngine) SetShards(n int) { e.shardWorkers = n }
 // the speakers. It is a property of the topology, independent of the
 // SetShards knob.
 func (e *BGPEngine) ShardCount() int {
-	if len(e.order) == 0 {
-		return 0
-	}
 	return len(e.shardPlan().shards)
 }
 
-// ShardStats reports sharded-evaluation work done by this engine:
-// rounds evaluated by the parallel driver and advertisements delivered
-// across shard boundaries (post-filter routes on eBGP sessions). Both
-// accumulate across runs of the same engine.
+// ShardStats reports sharded-evaluation work done by this engine: rounds
+// evaluated by the parallel driver and advertisements that crossed a shard
+// boundary (adj-RIB-in changes taken over eBGP sessions, under either
+// driver). Both accumulate across runs of the same engine.
 func (e *BGPEngine) ShardStats() (parallelRounds, crossShardAdverts int64) {
 	return e.statShardRounds, e.statCrossAdverts
 }
@@ -164,16 +128,17 @@ func (e *BGPEngine) ShardLayout() ([]Shard, [][2]string) {
 	p := e.shardPlan()
 	shards := make([]Shard, len(p.shards))
 	for sid, ps := range p.shards {
-		names := make([]string, len(ps.idx))
-		for k, i := range ps.idx {
-			names[k] = e.order[i]
+		names := make([]string, len(ps))
+		for k, i := range ps {
+			names[k] = e.sp[i].host
 		}
-		shards[sid] = Shard{ASN: ps.asn, Speakers: names}
+		shards[sid] = Shard{ASN: e.sp[ps[0]].dc.BGP.ASN, Speakers: names}
 	}
 	cutSet := map[[2]string]bool{}
-	for i, host := range e.order {
-		for _, s := range e.speakers[host].sessions {
-			if p.shardOf[p.index[s.peerHost]] != p.shardOf[i] {
+	for i, sp := range e.sp {
+		host := sp.host
+		for _, s := range sp.sessions {
+			if p.shardOf[e.speakers[s.peerHost].idx] != p.shardOf[i] {
 				pair := [2]string{host, s.peerHost}
 				if pair[1] < pair[0] {
 					pair[0], pair[1] = pair[1], pair[0]
@@ -210,7 +175,7 @@ type perturbCapturer interface {
 // useSharded reports whether the next sequential round should run the
 // parallel driver.
 func (e *BGPEngine) useSharded() bool {
-	if e.shardWorkers <= 1 || len(e.order) == 0 {
+	if e.shardWorkers <= 1 {
 		return false
 	}
 	if e.pert != nil {
@@ -221,92 +186,38 @@ func (e *BGPEngine) useSharded() bool {
 	return len(e.shardPlan().shards) > 1
 }
 
-// shardRun is the per-round scheduler state plus the per-speaker delta
-// slots the merge barrier consumes. Speakers write only their own slots
-// (and pullers touch peers' advertise caches under the peer's advMu), so
-// the slices need no locking; the scheduler mutex orders all cross-shard
-// hand-offs.
+// shardRun is one round's wavefront scheduler state. Speakers write only
+// their own turnResult slot and lists, so those need no locking; the
+// scheduler mutex orders all cross-shard hand-offs.
 type shardRun struct {
 	e    *BGPEngine
 	plan *shardPlan
 	hist replayRound
 
-	// Per-speaker delta slots, applied at the barrier in sweep order.
-	churned  [][]netip.Prefix
-	changed  []bool
-	restored []bool
-	dirty    []int64
-	crossAdv []int64
-	// deviant/sdirty mirror e.deviant/e.staticDirty as index slices for the
-	// round (nil when no trajectory is armed). deviant is updated live —
-	// the admission check reads predecessors' round-r verdicts — which is
-	// race-free because only session peers read a speaker's slot and
-	// session endpoints never run concurrently.
-	deviant []bool
-	sdirty  []bool
-	// rec/recSet collect the round's trajectory record (nil when not
-	// recording).
-	rec    []replayState
-	recSet []bool
-	// events[i][k] captures perturber event lines for speaker i's k-th
-	// sorted session, restaged in (speaker, session) order at the barrier.
-	events [][][]string
-	capt   perturbCapturer
-
 	mu        sync.Mutex
 	done      []bool
-	cursor    []int         // per shard: position in planShard.idx
+	cursor    []int         // per shard: position in the shard
 	waiters   map[int][]int // speaker index -> shard ids parked on it
 	ready     chan int
 	remaining int
 }
 
-// stepSharded is stepSequential's parallel twin: one round of the
-// wavefront evaluation followed by the merge barrier. See the package
-// comment at the top of this file for the identity argument.
-func (e *BGPEngine) stepSharded() bool {
-	e.rounds++
-	e.statShardRounds++
-	var hist replayRound
-	if e.replay != nil {
-		if idx := e.rounds - 1; idx >= 0 && idx < len(e.replay.rounds) {
-			hist = e.replay.rounds[idx]
-		} else {
-			// The run outran the recorded trajectory; no further restores.
-			e.replay = nil
-		}
-	}
+// runSharded has every speaker take its turn for the round, shards
+// concurrently. The caller applies the slots afterwards — the merge
+// barrier. See the comment at the top of this file for the identity
+// argument.
+func (e *BGPEngine) runSharded(hist replayRound) {
 	plan := e.shardPlan()
-	n := len(e.order)
 	r := &shardRun{
 		e: e, plan: plan, hist: hist,
-		churned:  make([][]netip.Prefix, n),
-		changed:  make([]bool, n),
-		restored: make([]bool, n),
-		dirty:    make([]int64, n),
-		crossAdv: make([]int64, n),
-		done:     make([]bool, n),
-		cursor:   make([]int, len(plan.shards)),
-		waiters:  map[int][]int{},
-		ready:    make(chan int, len(plan.shards)),
+		done:    make([]bool, len(e.sp)),
+		cursor:  make([]int, len(plan.shards)),
+		waiters: map[int][]int{},
+		// Sized to the number of sends in flight: a shard is queued at most
+		// once.
+		ready:     make(chan int, len(plan.shards)),
+		remaining: len(plan.shards),
 	}
-	if hist != nil {
-		r.deviant = make([]bool, n)
-		r.sdirty = make([]bool, n)
-		for i, host := range e.order {
-			r.deviant[i] = e.deviant[host]
-			r.sdirty[i] = e.staticDirty[host]
-		}
-	}
-	if e.record != nil {
-		r.rec = make([]replayState, n)
-		r.recSet = make([]bool, n)
-	}
-	if e.pert != nil {
-		r.capt = e.pert.(perturbCapturer) // checked by useSharded
-		r.events = make([][][]string, n)
-	}
-	r.remaining = len(plan.shards)
 	for sid := range plan.shards {
 		r.ready <- sid
 	}
@@ -319,62 +230,15 @@ func (e *BGPEngine) stepSharded() bool {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var sc scratch
 			for sid := range r.ready {
-				if r.runShard(sid) {
+				if r.runShard(sid, &sc) {
 					r.finishShard()
 				}
 			}
 		}()
 	}
 	wg.Wait()
-
-	// Merge barrier: apply every speaker's deltas in sweep order — exactly
-	// the order the sequential sweep applied them as it went.
-	changed := false
-	restoredThisRound := 0
-	var rec replayRound
-	if r.rec != nil {
-		rec = make(replayRound, n)
-	}
-	for i, host := range e.order {
-		for _, p := range r.churned[i] {
-			e.churn[p]++
-		}
-		if len(r.churned[i]) > 0 {
-			e.changedAt[host] = e.rounds
-		}
-		changed = changed || r.changed[i]
-		if r.restored[i] {
-			e.statRestored++
-			restoredThisRound++
-		}
-		e.statDirtyPrefixes += r.dirty[i]
-		e.statCrossAdverts += r.crossAdv[i]
-		if r.deviant != nil {
-			if r.deviant[i] {
-				e.deviant[host] = true
-			} else {
-				delete(e.deviant, host)
-			}
-		}
-		if rec != nil && r.recSet[i] {
-			rec[host] = r.rec[i]
-		}
-		if r.events != nil {
-			for _, lines := range r.events[i] {
-				if len(lines) > 0 {
-					r.capt.restageEvents(lines)
-				}
-			}
-		}
-	}
-	if hist != nil && restoredThisRound == n {
-		e.statRoundsSkipped++
-	}
-	if rec != nil {
-		e.record.rounds = append(e.record.rounds, rec)
-	}
-	return !changed
 }
 
 // finishShard retires a completed shard, closing the ready queue when the
@@ -392,15 +256,15 @@ func (r *shardRun) finishShard() {
 // parks on an unmet cross-shard dependency (false; the dependency's
 // completion re-enqueues it). Parking and completion-marking share r.mu,
 // so a wakeup cannot be lost between the dependency check and the park.
-func (r *shardRun) runShard(sid int) bool {
-	sh := &r.plan.shards[sid]
+func (r *shardRun) runShard(sid int, sc *scratch) bool {
+	sh := r.plan.shards[sid]
 	for {
 		r.mu.Lock()
-		if r.cursor[sid] >= len(sh.idx) {
+		if r.cursor[sid] >= len(sh) {
 			r.mu.Unlock()
 			return true
 		}
-		i := sh.idx[r.cursor[sid]]
+		i := sh[r.cursor[sid]]
 		blocked := -1
 		for _, j := range r.plan.deps[i] {
 			if !r.done[j] {
@@ -414,7 +278,7 @@ func (r *shardRun) runShard(sid int) bool {
 			return false
 		}
 		r.mu.Unlock()
-		r.e.processSpeaker(i, r)
+		r.e.turn(r.e.sp[i], r.hist, &r.e.slots[i], sc)
 		r.mu.Lock()
 		r.done[i] = true
 		r.cursor[sid]++
@@ -429,182 +293,4 @@ func (r *shardRun) runShard(sid int) bool {
 			r.ready <- w
 		}
 	}
-}
-
-// canRestore is the replay admission check over the round's index slices:
-// the speaker and all its session peers must be neither statically dirty
-// nor deviant. Predecessor peers carry this round's verdict (they finished
-// before us), successors last round's — the same views the sequential
-// sweep reads.
-func (r *shardRun) canRestore(i int) bool {
-	if r.sdirty[i] || r.deviant[i] {
-		return false
-	}
-	for _, j := range r.plan.peers[i] {
-		if r.sdirty[j] || r.deviant[j] {
-			return false
-		}
-	}
-	return true
-}
-
-// processSpeaker is the sharded counterpart of one stepSequential loop
-// iteration: restore-or-recompute for speaker i, with all engine-level
-// side effects routed into the shardRun's per-speaker slots. Any change to
-// the sequential loop body must be mirrored here; the root parity harness
-// (shard_parity_test.go) pins the equivalence.
-func (e *BGPEngine) processSpeaker(i int, r *shardRun) {
-	host := e.order[i]
-	sp := e.speakers[host]
-	if r.hist != nil {
-		if h, ok := r.hist[host]; ok && r.canRestore(i) {
-			sp.adjIn = h.adjIn
-			sp.locRIB = h.locRIB
-			sp.seg = h.seg
-			r.churned[i] = h.churned
-			r.changed[i] = h.changed
-			r.restored[i] = true
-			if r.rec != nil {
-				r.rec[i], r.recSet[i] = h, true
-			}
-			return
-		}
-	}
-	newIn := map[netip.Addr][]BGPRoute{}
-	for k, s := range e.sessionsOf(sp) {
-		peer := e.speakers[s.peerHost]
-		ps, ok := e.reverseSession(peer, sp)
-		if !ok {
-			continue
-		}
-		var out []BGPRoute
-		// The peer is quiescent (finished, or not yet started, this round —
-		// session endpoints never run concurrently), but several of its
-		// other peers may be pulling from it right now; advMu serializes
-		// their writes to its advertise cache.
-		peer.advMu.Lock()
-		for _, prefix := range sortedPrefixes(peer.locRIB) {
-			rt := peer.locRIB[prefix]
-			if adv, ok := peer.advertiseCached(rt, ps); ok {
-				out = append(out, adv)
-			}
-		}
-		peer.advMu.Unlock()
-		out = e.deliverSharded(i, k, peer.host, sp.host, out, r)
-		newIn[s.peerAddr] = filterReceived(sp, out, s.peerAddr)
-		if r.plan.cross[i][k] {
-			r.crossAdv[i] += int64(len(newIn[s.peerAddr]))
-		}
-	}
-	spChanged := !adjEqual(sp.adjIn, newIn)
-	sp.adjIn = newIn
-	churned, ribChanged := e.selectBestCollect(sp, r.hist != nil, &r.dirty[i])
-	spChanged = spChanged || ribChanged
-	if spChanged {
-		sp.seg = e.segHash(sp)
-	}
-	r.churned[i] = churned
-	r.changed[i] = spChanged
-	if r.hist != nil {
-		if h, ok := r.hist[host]; ok && sp.seg == h.seg &&
-			adjIdentical(sp.adjIn, h.adjIn) && locRIBIdentical(sp.locRIB, h.locRIB) {
-			// Back on (or still on) the trajectory: adopt the recorded maps
-			// so identity holds by reference for downstream peers.
-			sp.adjIn = h.adjIn
-			sp.locRIB = h.locRIB
-			r.deviant[i] = false
-		} else {
-			r.deviant[i] = true
-		}
-	}
-	if r.rec != nil {
-		r.rec[i] = replayState{adjIn: sp.adjIn, locRIB: sp.locRIB, seg: sp.seg, changed: spChanged, churned: churned}
-		r.recSet[i] = true
-	}
-}
-
-// deliverSharded applies the perturbation layer for one session under the
-// engine's perturber lock, capturing any event lines for canonical
-// restaging at the barrier. The perturber's decisions are FNV-keyed by
-// (round, session, route) and its per-session state is only touched by the
-// session's two endpoints — which run in sweep order — so out-of-order
-// shard evaluation changes only the order event lines are produced, never
-// their content; the barrier restores the order.
-func (e *BGPEngine) deliverSharded(i, k int, from, to string, routes []BGPRoute, r *shardRun) []BGPRoute {
-	if e.pert == nil {
-		return routes
-	}
-	e.pertMu.Lock()
-	defer e.pertMu.Unlock()
-	var buf []string
-	r.capt.setCapture(&buf)
-	out := e.deliver(from, to, routes)
-	r.capt.setCapture(nil)
-	if len(buf) > 0 {
-		if r.events[i] == nil {
-			r.events[i] = make([][]string, len(e.speakers[to].sorted))
-		}
-		r.events[i][k] = buf
-	}
-	return out
-}
-
-// selectBestCollect is selectBest with the engine-level side effects
-// (churn counters, changed-at stamps, dirty-prefix statistics) collected
-// for the merge barrier instead of applied to shared maps. The decision
-// process itself is identical.
-func (e *BGPEngine) selectBestCollect(sp *speaker, replaying bool, dirty *int64) (churned []netip.Prefix, ribChanged bool) {
-	candidates := map[netip.Prefix][]BGPRoute{}
-	for _, p := range sp.dc.BGP.Networks {
-		candidates[p] = append(candidates[p], BGPRoute{
-			Prefix: p, LocalPref: 100, Local: true,
-		})
-	}
-	peers := make([]netip.Addr, 0, len(sp.adjIn))
-	for a := range sp.adjIn {
-		peers = append(peers, a)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i].Less(peers[j]) })
-	for _, peer := range peers {
-		for _, rt := range sp.adjIn[peer] {
-			if rt.NextHop.IsValid() && e.igp.IGPCost(sp.host, rt.NextHop) < 0 {
-				continue
-			}
-			candidates[rt.Prefix] = append(candidates[rt.Prefix], rt)
-		}
-	}
-	if replaying {
-		*dirty += int64(len(candidates))
-	}
-	newRIB := map[netip.Prefix]BGPRoute{}
-	for p, cands := range candidates {
-		if best, ok := e.decide(sp, cands); ok {
-			newRIB[p] = best
-		}
-	}
-	churned, ribChanged = churnDelta(sp.locRIB, newRIB)
-	sp.locRIB = newRIB
-	return churned, ribChanged
-}
-
-// churnDelta is recordChurn without the engine-map writes: the prefixes
-// whose selection changed between the old and new loc-RIB, and whether the
-// content changed at all. Unlike recordChurn it always collects the
-// churned list — the barrier needs it to replay the counters. The list's
-// order is map-iteration order; every consumer applies it as a set.
-func churnDelta(oldRIB, newRIB map[netip.Prefix]BGPRoute) (churned []netip.Prefix, changed bool) {
-	for p, nr := range newRIB {
-		or, had := oldRIB[p]
-		if !had || !routeEqual(or, nr) {
-			churned = append(churned, p)
-			changed = true
-		}
-	}
-	for p := range oldRIB {
-		if _, still := newRIB[p]; !still {
-			churned = append(churned, p)
-			changed = true
-		}
-	}
-	return churned, changed
 }

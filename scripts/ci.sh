@@ -14,6 +14,10 @@ go build ./...
 echo "== go test -race (shuffled: catches inter-test order dependence)"
 go test -race -shuffle=on ./...
 
+echo "== benchmark module (bench/ is its own module, so ./... above never compiles it: an internal/ rename must not break it unnoticed; smoke sizes)"
+go vet -C bench ./...
+go test -C bench ./...
+
 echo "== golden output diff (testdata/golden_fig5)"
 go test -race -run 'TestGoldenFig5Tree' -count=1 .
 
