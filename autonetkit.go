@@ -253,7 +253,7 @@ func (n *Network) DeployCluster(backend sched.Backend, opts deploy.ClusterOption
 	if opts.Obs == nil {
 		opts.Obs = n.obs
 	}
-	return deploy.RunCluster(n.Files, backend, opts)
+	return deploy.RunCluster(context.Background(), n.Files, backend, opts)
 }
 
 // Measure returns a measurement client for a running lab, resolving

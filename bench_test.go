@@ -390,16 +390,12 @@ func BenchmarkE10_RPKIDeploy(b *testing.B) {
 		for j := range vms {
 			vms[j] = fmt.Sprintf("vm%03d", j)
 		}
-		pool, err := deploy.NewHostPool(
-			&deploy.Host{Name: "a", Capacity: 300},
-			&deploy.Host{Name: "b", Capacity: 300},
-			&deploy.Host{Name: "c", Capacity: 300},
-		)
+		cluster, err := sched.New(sched.Uniform(3, 300), sched.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := pool.Place(vms); err != nil {
-			b.Fatal(err)
+		if st, err := cluster.Reserve(sched.Spec{Name: "rpki", VMs: vms}); err != nil || st.State != sched.ResActive {
+			b.Fatalf("placement = %s, %v", st.State, err)
 		}
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"log"
 
 	"autonetkit"
-	"autonetkit/internal/deploy"
 	"autonetkit/internal/ipalloc"
 	"autonetkit/internal/netaddr"
+	"autonetkit/internal/sched"
 	"autonetkit/internal/services/rpki"
 	"autonetkit/internal/topogen"
 )
@@ -96,20 +96,19 @@ func main() {
 	for i := 0; i < caches; i++ {
 		vms = append(vms, fmt.Sprintf("vm-cache%d", i))
 	}
-	pool, err := deploy.NewHostPool(
-		&deploy.Host{Name: "starbed-a", Capacity: 300},
-		&deploy.Host{Name: "starbed-b", Capacity: 300},
-		&deploy.Host{Name: "starbed-c", Capacity: 300},
-	)
+	cluster, err := sched.New(sched.Uniform(3, 300), sched.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	placement, err := pool.Place(vms)
+	res, err := cluster.Reserve(sched.Spec{Name: "rpki", VMs: vms})
 	if err != nil {
 		log.Fatal(err)
+	}
+	if res.State != sched.ResActive {
+		log.Fatalf("%d VMs do not fit: %s", res.VMs, cluster.Capacity().Summary())
 	}
 	fmt.Printf("placed %d VMs across %d hosts (paper: 800+ Linux VMs on StarBed)\n",
-		len(placement), len(pool.Hosts()))
+		len(res.Placement), cluster.Capacity().Hosts)
 
 	// Origin validation: a legitimate route and a hijack.
 	roaSet := h.ROAs()

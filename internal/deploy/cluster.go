@@ -6,36 +6,50 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"autonetkit/internal/emul"
-	"autonetkit/internal/obs"
 	"autonetkit/internal/render"
 	"autonetkit/internal/retry"
 	"autonetkit/internal/sched"
 )
 
-// ClusterOptions configures a scheduler-backed pool deployment: RunPool's
-// stages with placement, health, and failure handling delegated to the
-// internal/sched cluster scheduler.
+// Counter names maintained by scheduled deployments (re-placed VMs are
+// counted by the scheduler, under obs.CounterVMsReplaced).
+const (
+	CounterBootRetries = "deploy_boot_retries"
+	CounterHostsFailed = "deploy_hosts_failed"
+)
+
+// BootFunc launches one emulation host's share of the lab. attempt is
+// 1-based. The production hosts here are in-process and always come up;
+// the hook exists so tests and chaos experiments can model flaky hardware
+// (transient boot failures, hangs) — the §3.3 StarBed deployments met
+// plenty of both.
+type BootFunc func(host string, vms []string, attempt int) error
+
+// ErrDegraded is returned (wrapped) by RunCluster when the cluster could
+// not hold the lab, or surviving capacity could not absorb a failed host's
+// VMs: the deployment terminated gracefully — events and placement intact
+// — instead of hanging or launching a partial lab.
+var ErrDegraded = errors.New("deploy: degraded: insufficient surviving capacity")
+
+// ClusterOptions configures a scheduled deployment: the launch settings
+// of Run, plus the scheduling stage that internal/sched carries out
+// (placement, health, host-failure handling).
 type ClusterOptions struct {
-	Platform string
-	// MaxBGPRounds bounds control-plane convergence (0 = default).
-	MaxBGPRounds int
-	// Lenient boots in lenient mode (see PoolOptions.Lenient).
-	Lenient bool
+	// Options are the lab-level launch settings, exactly as Run takes
+	// them (scheduler events reach OnEvent with Stage "sched"; Obs also
+	// collects the scheduler's spans and counters). A zero ConvergeTimeout
+	// falls back to Retry.AttemptTimeout, so a hung convergence cannot
+	// stall the deployment any more than a hung host boot can.
+	Options
 	// Retry governs per-host boot attempts AND per-VM migrations during
-	// drains; its AttemptTimeout also bounds convergence runs.
+	// drains.
 	Retry retry.Policy
-	// Supervise runs the convergence watchdog over the launched lab.
-	Supervise bool
 	// Boot, when set, is invoked per host boot attempt (fault-injection
 	// seam; nil always succeeds).
 	Boot BootFunc
-	// OnEvent, when set, receives progress events as they happen
-	// (scheduler events arrive with Stage "sched").
-	OnEvent func(Event)
-	// Obs, when set, collects deployment and scheduler spans/counters.
-	Obs *obs.Collector
 
 	// Seed keys the scheduler's deterministic placement tie-breaks.
 	Seed uint64
@@ -70,11 +84,11 @@ type ClusterOptions struct {
 	SnapshotEvery int
 }
 
-// ClusterDeployment is the outcome of RunCluster: a pool deployment whose
+// ClusterDeployment is the outcome of RunCluster: a deployment whose
 // placement lives in a cluster scheduler, so hosts can be cordoned,
 // drained, and failed while the lab runs.
 type ClusterDeployment struct {
-	PoolDeployment
+	Deployment
 	// Cluster is the scheduler owning the deployment's placement.
 	Cluster *sched.Cluster
 	// Reservation is the lab's reservation name.
@@ -115,23 +129,31 @@ func newSchedCluster(backend sched.Backend, opts ClusterOptions, emit func(Event
 
 // RunCluster deploys a rendered lab across a substrate backend via the
 // cluster scheduler: archive → transfer → extract → reserve (deterministic
-// bin-packing) → boot each placed host (with retry, backoff + jitter) →
-// launch. A host that exhausts its boot attempts is failed in the
-// scheduler and its VMs re-place onto surviving capacity; if none remains,
-// RunCluster returns the partial state wrapped in ErrDegraded. The
-// returned deployment drains and fails hosts live via DrainHost/FailHost.
-func RunCluster(fs *render.FileSet, backend sched.Backend, opts ClusterOptions) (*ClusterDeployment, error) {
+// bin-packing) → boot each placed host (with retry, backoff + jitter, and
+// per-attempt timeouts) → launch. A host that exhausts its boot attempts
+// is failed in the scheduler and its VMs re-place onto surviving capacity;
+// if none remains, RunCluster returns the partial state wrapped in
+// ErrDegraded. Cancelling ctx interrupts backoff sleeps and in-flight boot
+// attempts and returns the partial state with the context's error; the
+// host being booted is not failed — the caller gave up, the host didn't.
+// The returned deployment drains and fails hosts live via
+// DrainHost/FailHost.
+func RunCluster(ctx context.Context, fs *render.FileSet, backend sched.Backend, opts ClusterOptions) (*ClusterDeployment, error) {
 	if opts.Platform == "" {
 		opts.Platform = "netkit"
 	}
 	if opts.Reservation == "" {
 		opts.Reservation = "lab"
 	}
+	if opts.ConvergeTimeout == 0 {
+		opts.ConvergeTimeout = opts.Retry.AttemptTimeout
+	}
 	span := opts.Obs.StartSpan("ClusterDeploy")
 	defer span.End()
-	d := &ClusterDeployment{Reservation: opts.Reservation, backend: backend, opts: opts}
-	d.Platform = opts.Platform
-	d.onEvent = opts.OnEvent
+	d := &ClusterDeployment{
+		Deployment:  Deployment{Platform: opts.Platform, onEvent: opts.OnEvent},
+		Reservation: opts.Reservation, backend: backend, opts: opts,
+	}
 
 	cluster, rinfo, err := newSchedCluster(backend, opts, d.emit)
 	if err != nil {
@@ -152,24 +174,17 @@ func RunCluster(fs *render.FileSet, backend sched.Backend, opts ClusterOptions) 
 		}
 	}
 
-	bundle, err := Archive(fs)
+	extracted, err := d.ship(fs, fmt.Sprintf("%d hosts", cluster.Capacity().Hosts))
 	if err != nil {
 		return nil, err
 	}
-	d.emit(Event{"archive", fmt.Sprintf("%d files, %d bytes compressed", fs.Len(), len(bundle))})
-	received := make([]byte, len(bundle))
-	copy(received, bundle)
-	d.emit(Event{"transfer", fmt.Sprintf("%d bytes to %d hosts", len(received), cluster.Capacity().Hosts)})
-	extracted, err := Extract(received)
-	if err != nil {
-		return nil, err
-	}
-	d.emit(Event{"extract", fmt.Sprintf("%d files", extracted.Len())})
-
+	// The rendered tree is keyed by design-time host; the scheduler
+	// re-homes that single lab across the substrate's hosts.
 	lab, err := firstLab(extracted, opts.Platform)
 	if err != nil {
 		return nil, err
 	}
+	d.Host = lab.Host
 
 	st, err := cluster.Reserve(sched.Spec{
 		Name:   opts.Reservation,
@@ -203,94 +218,104 @@ func RunCluster(fs *render.FileSet, backend sched.Backend, opts ClusterOptions) 
 			break
 		}
 		booted[host] = true
-		if err := d.bootClusterHost(cluster, host, opts); err == nil {
+		if err := d.bootHost(ctx, host); err == nil {
 			continue
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			d.emit(Event{"abort", fmt.Sprintf("deployment cancelled while booting %s: %v", host, cerr)})
+			return d, fmt.Errorf("deploy: cancelled: %w", cerr)
 		}
 		opts.Obs.Add(CounterHostsFailed, 1)
 		d.FailedHosts = append(d.FailedHosts, host)
 		res, ferr := cluster.FailHost(host)
 		d.emit(Event{"host-failed", fmt.Sprintf("%s abandoned after %d attempts; re-placing %d VMs",
 			host, opts.Retry.Attempts(), len(res.Moves)+len(res.Stranded))})
-		d.applyMoves(res.Moves)
+		d.rehome(res, true) // the lab is not up yet: nothing to re-boot, so no error to handle
 		if ferr != nil {
-			d.StrandedVMs = append([]string(nil), res.Stranded...)
 			d.emit(Event{"degraded", fmt.Sprintf("cannot re-place %d VMs (%s): %s",
 				len(res.Stranded), strings.Join(res.Stranded, ", "), res.Report.Summary())})
 			return d, fmt.Errorf("%w: %d VMs stranded after %s failed", ErrDegraded, len(res.Stranded), host)
 		}
 	}
 
-	d.emit(Event{"lstart", fmt.Sprintf("launching %d machines", len(lab.VMNames()))})
-	lspan := opts.Obs.StartSpan("Launch")
-	err = lab.Boot(emul.BootOptions{
-		MaxBGPRounds:    opts.MaxBGPRounds,
-		ConvergeTimeout: opts.Retry.AttemptTimeout,
-		Lenient:         opts.Lenient,
-	})
-	lspan.End()
-	if err != nil && !errors.Is(err, emul.ErrPartialBoot) {
-		return d, err
-	}
-	for _, ev := range lab.Events() {
-		d.emit(Event{"machine", ev})
-	}
-	d.lab = lab
-	if opts.Supervise {
-		if serr := superviseBoot(lab, opts.Obs, d.emit); serr != nil {
-			return d, serr
-		}
-	}
-	if err != nil {
-		q := lab.Quarantined()
-		opts.Obs.Add(obs.CounterDevicesQuarantined, int64(len(q)))
-		d.emit(Event{"quarantine", fmt.Sprintf("%d machines quarantined (%s)", len(q), strings.Join(q, ", "))})
-		d.emit(Event{"done", "lab running (partial)"})
-		return d, err
-	}
-	d.emit(Event{"done", "lab running"})
-	return d, nil
+	return d, d.launch(lab, opts.Options)
 }
 
 // nextUnbooted returns the name-smallest host holding VMs that has not
 // booted yet ("" when none remain).
 func nextUnbooted(cluster *sched.Cluster, placement Placement, booted map[string]bool) string {
-	hosts := map[string]bool{}
+	next := ""
 	for _, h := range placement {
-		hosts[h] = true
-	}
-	var names []string
-	for h := range hosts {
-		if !booted[h] && len(cluster.VMsOn(h)) > 0 {
-			names = append(names, h)
+		if !booted[h] && (next == "" || h < next) && len(cluster.VMsOn(h)) > 0 {
+			next = h
 		}
 	}
-	if len(names) == 0 {
-		return ""
-	}
-	sort.Strings(names)
-	return names[0]
+	return next
 }
 
-// bootClusterHost attempts one host's boot under the retry policy. The
-// attempt loop, backoff, and circuit breaker (shared with the
-// scheduler's migrations when the policy carries one) live in
-// retry.Policy.Do.
-func (d *ClusterDeployment) bootClusterHost(cluster *sched.Cluster, host string, opts ClusterOptions) error {
-	span := opts.Obs.StartSpan("boot " + host)
+// bootHost attempts one host's boot under the retry policy, emitting an
+// event per attempt. The attempt loop, backoff, and circuit breaker
+// (shared with the scheduler's migrations when the policy carries one)
+// live in retry.Policy.Do; cancelling ctx interrupts the backoff sleep
+// and surfaces as the returned error.
+func (d *ClusterDeployment) bootHost(ctx context.Context, host string) error {
+	span := d.opts.Obs.StartSpan("boot " + host)
 	defer span.End()
-	vms := cluster.VMsOn(host)
-	pol := opts.Retry
+	vms := d.Cluster.VMsOn(host)
+	pol := d.opts.Retry
 	pol.OnRetry = func(h string, attempt int, err error) {
 		d.emit(Event{"retry", fmt.Sprintf("%s boot attempt %d failed: %v", h, attempt, err)})
-		opts.Obs.Add(CounterBootRetries, 1)
+		d.opts.Obs.Add(CounterBootRetries, 1)
 	}
-	return pol.Do(context.Background(), host, func(attempt int) error {
-		err := attemptBoot(context.Background(), opts.Boot, host, vms, attempt, pol)
+	return pol.Do(ctx, host, func(attempt int) error {
+		err := attemptBoot(ctx, d.opts.Boot, host, vms, attempt, pol)
 		if err == nil {
 			d.emit(Event{"boot", fmt.Sprintf("%s up (%d VMs, attempt %d)", host, len(vms), attempt)})
 		}
 		return err
 	})
+}
+
+// attemptBoot runs one boot attempt under the per-attempt timeout. A
+// timed-out attempt counts as failed; the stray goroutine's eventual
+// result is discarded (buffered channel), so a wedged host cannot hang the
+// deployment. Context cancellation abandons the attempt the same way.
+func attemptBoot(ctx context.Context, boot BootFunc, host string, vms []string, attempt int, pol retry.Policy) error {
+	if boot == nil {
+		return nil
+	}
+	if pol.AttemptTimeout <= 0 && ctx.Done() == nil {
+		return boot(host, vms, attempt)
+	}
+	ch := make(chan error, 1)
+	go func() { ch <- boot(host, vms, attempt) }()
+	var timeout <-chan time.Time
+	if pol.AttemptTimeout > 0 {
+		timeout = pol.AfterChan(pol.AttemptTimeout)
+	}
+	select {
+	case err := <-ch:
+		return err
+	case <-timeout:
+		return fmt.Errorf("deploy: boot of %s attempt %d timed out after %v", host, attempt, pol.AttemptTimeout)
+	case <-ctx.Done():
+		return fmt.Errorf("deploy: boot of %s attempt %d cancelled: %w", host, attempt, ctx.Err())
+	}
+}
+
+// firstLab loads the lab for the (sole) design-time host under the given
+// platform from an extracted tree.
+func firstLab(fs *render.FileSet, platform string) (*emul.Lab, error) {
+	for _, p := range fs.SortedPaths() {
+		host, rest, ok := strings.Cut(p, "/")
+		if !ok {
+			continue
+		}
+		if plat, _, ok := strings.Cut(rest, "/"); ok && plat == platform {
+			return emul.Load(fs, host, platform)
+		}
+	}
+	return nil, fmt.Errorf("deploy: no %s lab in rendered tree", platform)
 }
 
 // labOnly filters VM names down to machines the running lab actually
@@ -314,12 +339,40 @@ func (d *ClusterDeployment) labOnly(names []string) []string {
 	return out
 }
 
-// applyMoves folds scheduler moves into the deployment's placement map.
-func (d *ClusterDeployment) applyMoves(moves []sched.Move) {
-	for _, m := range moves {
+// rehome folds a scheduler re-placement into the running deployment: the
+// placement map follows the moves and the moved lab VMs re-boot on their
+// new hosts (one batch, one re-convergence). dark says the source host is
+// gone, so whatever could not re-place is stranded dark rather than still
+// live on a cordoned source. Returns the moved VM names, sorted.
+func (d *ClusterDeployment) rehome(res sched.DrainResult, dark bool) ([]string, error) {
+	moved := make([]string, 0, len(res.Moves))
+	for _, m := range res.Moves {
 		d.Placement[m.VM] = m.To
 		d.emit(Event{"replace", fmt.Sprintf("%s re-placed onto %s", m.VM, m.To)})
+		moved = append(moved, m.VM)
 	}
+	sort.Strings(moved)
+	if dark && len(res.Stranded) > 0 {
+		d.StrandedVMs = append(d.StrandedVMs, res.Stranded...)
+		sort.Strings(d.StrandedVMs)
+	}
+	if reboot := d.labOnly(moved); len(reboot) > 0 {
+		if err := d.lab.RebootVMs(reboot); err != nil {
+			return moved, fmt.Errorf("deploy: re-booting re-placed VMs: %w", err)
+		}
+	}
+	return moved, nil
+}
+
+// darken takes the host's lab VMs down in one batch (one re-convergence,
+// one incident id): the visible half of a host failure.
+func (d *ClusterDeployment) darken(host string) error {
+	if victims := d.labOnly(d.Cluster.VMsOn(host)); len(victims) > 0 {
+		if err := d.lab.FailNodes(victims); err != nil {
+			return fmt.Errorf("deploy: failing %s's VMs: %w", host, err)
+		}
+	}
+	return nil
 }
 
 // DrainHost live-drains a substrate host: the scheduler cordons it and
@@ -333,12 +386,8 @@ func (d *ClusterDeployment) DrainHost(host string) (moved, stranded []string, er
 	if derr != nil && !errors.Is(derr, sched.ErrDegraded) {
 		return nil, nil, derr
 	}
-	d.applyMoves(res.Moves)
-	moved = moveNames(res.Moves)
-	if reboot := d.labOnly(moved); len(reboot) > 0 {
-		if rerr := d.lab.RebootVMs(reboot); rerr != nil {
-			return moved, res.Stranded, fmt.Errorf("deploy: re-booting drained VMs: %w", rerr)
-		}
+	if moved, err = d.rehome(res, false); err != nil {
+		return moved, res.Stranded, err
 	}
 	d.emit(Event{"drain", fmt.Sprintf("%s drained: %d VMs moved, %d stranded", host, len(moved), len(res.Stranded))})
 	return moved, res.Stranded, derr
@@ -351,26 +400,16 @@ func (d *ClusterDeployment) DrainHost(host string) (moved, stranded []string, er
 // DrainHost's live move). Stranded orphans stay dark and re-place
 // automatically as capacity frees; the error then wraps sched.ErrDegraded.
 func (d *ClusterDeployment) FailHost(host string) (moved, stranded []string, err error) {
-	if victims := d.labOnly(d.Cluster.VMsOn(host)); len(victims) > 0 {
-		if ferr := d.lab.FailNodes(victims); ferr != nil {
-			return nil, nil, fmt.Errorf("deploy: failing %s's VMs: %w", host, ferr)
-		}
+	if err := d.darken(host); err != nil {
+		return nil, nil, err
 	}
 	res, ferr := d.Cluster.FailHost(host)
 	if ferr != nil && !errors.Is(ferr, sched.ErrDegraded) {
 		return nil, nil, ferr
 	}
 	d.FailedHosts = append(d.FailedHosts, host)
-	d.applyMoves(res.Moves)
-	moved = moveNames(res.Moves)
-	if reboot := d.labOnly(moved); len(reboot) > 0 {
-		if rerr := d.lab.RebootVMs(reboot); rerr != nil {
-			return moved, res.Stranded, fmt.Errorf("deploy: re-booting re-placed VMs: %w", rerr)
-		}
-	}
-	if len(res.Stranded) > 0 {
-		d.StrandedVMs = append(d.StrandedVMs, res.Stranded...)
-		sort.Strings(d.StrandedVMs)
+	if moved, err = d.rehome(res, true); err != nil {
+		return moved, res.Stranded, err
 	}
 	d.emit(Event{"host-failed", fmt.Sprintf("%s failed: %d VMs re-placed, %d stranded dark", host, len(moved), len(res.Stranded))})
 	return moved, res.Stranded, ferr
@@ -389,25 +428,15 @@ func (d *ClusterDeployment) SilenceHost(host string) (moved, stranded []string, 
 		return nil, nil, fmt.Errorf("deploy: silence-host needs a flaky backend (wrap the backend in sched.NewFlakyBackend)")
 	}
 	fb.Silence(host)
-	if victims := d.labOnly(d.Cluster.VMsOn(host)); len(victims) > 0 {
-		if ferr := d.lab.FailNodes(victims); ferr != nil {
-			return nil, nil, fmt.Errorf("deploy: failing %s's VMs: %w", host, ferr)
-		}
+	if err := d.darken(host); err != nil {
+		return nil, nil, err
 	}
 	res, lerr := d.Cluster.ExpireLease(host)
 	if lerr != nil && !errors.Is(lerr, sched.ErrDegraded) {
 		return nil, nil, lerr
 	}
-	d.applyMoves(res.Moves)
-	moved = moveNames(res.Moves)
-	if reboot := d.labOnly(moved); len(reboot) > 0 {
-		if rerr := d.lab.RebootVMs(reboot); rerr != nil {
-			return moved, res.Stranded, fmt.Errorf("deploy: re-booting re-placed VMs: %w", rerr)
-		}
-	}
-	if len(res.Stranded) > 0 {
-		d.StrandedVMs = append(d.StrandedVMs, res.Stranded...)
-		sort.Strings(d.StrandedVMs)
+	if moved, err = d.rehome(res, true); err != nil {
+		return moved, res.Stranded, err
 	}
 	d.emit(Event{"silence", fmt.Sprintf("%s silenced: lease expired, %d VMs re-placed, %d stranded dark", host, len(moved), len(res.Stranded))})
 	return moved, res.Stranded, lerr
@@ -472,14 +501,4 @@ func (d *ClusterDeployment) CrashSched() (string, error) {
 	summary := fmt.Sprintf("scheduler crashed and %s; status byte-identical", rinfo)
 	d.emit(Event{"crash-sched", summary})
 	return summary, nil
-}
-
-// moveNames extracts the moved VM names, sorted.
-func moveNames(moves []sched.Move) []string {
-	out := make([]string, 0, len(moves))
-	for _, m := range moves {
-		out = append(out, m.VM)
-	}
-	sort.Strings(out)
-	return out
 }

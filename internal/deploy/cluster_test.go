@@ -1,12 +1,16 @@
 package deploy
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"autonetkit/internal/emul"
 	"autonetkit/internal/obs"
 	"autonetkit/internal/retry"
 	"autonetkit/internal/sched"
@@ -15,21 +19,24 @@ import (
 func TestRunClusterHappyPath(t *testing.T) {
 	fs := renderedLab(t)
 	col := obs.NewCollector()
-	dep, err := RunCluster(fs, sched.Uniform(2, 2), ClusterOptions{Obs: col, Seed: 1})
+	dep, err := RunCluster(context.Background(), fs, sched.Uniform(2, 2), ClusterOptions{Options: Options{Obs: col}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dep.Lab() == nil || len(dep.Lab().VMNames()) != 3 {
 		t.Fatalf("lab = %v", dep.Lab())
 	}
-	if len(dep.Placement) != 3 {
-		t.Errorf("placement = %v", dep.Placement)
+	if len(dep.Placement) != 3 || len(dep.FailedHosts) != 0 || len(dep.StrandedVMs) != 0 {
+		t.Errorf("deployment = %+v", dep.Deployment)
 	}
 	stages := eventStages(dep.Events())
 	for _, want := range []string{"archive", "transfer", "extract", "place", "boot", "sched", "lstart", "done"} {
 		if stages[want] == 0 {
 			t.Errorf("missing stage %q in %v", want, dep.Events())
 		}
+	}
+	if stages["boot"] != 2 {
+		t.Errorf("boot events = %d, want one per host", stages["boot"])
 	}
 	st, ok := dep.Cluster.Reservation(dep.Reservation)
 	if !ok || st.State != sched.ResActive {
@@ -42,7 +49,7 @@ func TestRunClusterHappyPath(t *testing.T) {
 
 func TestRunClusterQueuedCapacityDegrades(t *testing.T) {
 	fs := renderedLab(t)
-	dep, err := RunCluster(fs, sched.Uniform(1, 2), ClusterOptions{Seed: 1})
+	dep, err := RunCluster(context.Background(), fs, sched.Uniform(1, 2), ClusterOptions{Seed: 1})
 	if !errors.Is(err, ErrDegraded) {
 		t.Fatalf("err = %v, want ErrDegraded for 3 VMs on 2 slots", err)
 	}
@@ -61,9 +68,9 @@ func TestRunClusterReplacesDeadBootHost(t *testing.T) {
 		sched.HostInfo{Name: "h2", Capacity: 4},
 	)
 	col := obs.NewCollector()
-	dep, err := RunCluster(fs, b, ClusterOptions{
-		Obs:  col,
-		Seed: 1,
+	dep, err := RunCluster(context.Background(), fs, b, ClusterOptions{
+		Options: Options{Obs: col},
+		Seed:    1,
 		Boot: func(host string, vms []string, attempt int) error {
 			if host == "h1" {
 				return fmt.Errorf("host is on fire")
@@ -86,8 +93,16 @@ func TestRunClusterReplacesDeadBootHost(t *testing.T) {
 			t.Errorf("%s placed on %s after h1 died", vm, host)
 		}
 	}
-	if got := col.Snapshot().Counters[obs.CounterVMsReplaced]; got == 0 {
-		t.Error("vms_replaced counter not incremented")
+	stages := eventStages(dep.Events())
+	if stages["host-failed"] != 1 || stages["replace"] != 2 {
+		t.Errorf("events = %v", dep.Events())
+	}
+	snap := col.Snapshot()
+	if snap.Counters[CounterHostsFailed] != 1 || snap.Counters[obs.CounterVMsReplaced] != 2 {
+		t.Errorf("counters = %v", snap.Counters)
+	}
+	if got := dep.Cluster.VMsOn("h1"); len(got) != 0 {
+		t.Errorf("dead host still holds %v", got)
 	}
 }
 
@@ -97,7 +112,7 @@ func TestRunClusterDegradesWithoutSurvivingCapacity(t *testing.T) {
 		sched.HostInfo{Name: "h1", Capacity: 2},
 		sched.HostInfo{Name: "h2", Capacity: 1},
 	)
-	dep, err := RunCluster(fs, b, ClusterOptions{
+	dep, err := RunCluster(context.Background(), fs, b, ClusterOptions{
 		Seed: 1,
 		Boot: func(host string, vms []string, attempt int) error {
 			if host == "h1" {
@@ -110,18 +125,24 @@ func TestRunClusterDegradesWithoutSurvivingCapacity(t *testing.T) {
 	if !errors.Is(err, ErrDegraded) {
 		t.Fatalf("err = %v, want ErrDegraded", err)
 	}
+	if dep == nil {
+		t.Fatal("degraded deployment state discarded")
+	}
 	if dep.Lab() != nil {
 		t.Error("degraded deployment launched a partial lab")
 	}
-	if len(dep.StrandedVMs) == 0 {
-		t.Error("no stranded VMs recorded")
+	if len(dep.StrandedVMs) != 2 {
+		t.Errorf("stranded = %v", dep.StrandedVMs)
+	}
+	if eventStages(dep.Events())["degraded"] != 1 {
+		t.Errorf("events = %v", dep.Events())
 	}
 }
 
 func TestClusterDeploymentDrainHost(t *testing.T) {
 	fs := renderedLab(t)
 	col := obs.NewCollector()
-	dep, err := RunCluster(fs, sched.Uniform(3, 2), ClusterOptions{Obs: col, Seed: 1, Policy: sched.PolicySpread})
+	dep, err := RunCluster(context.Background(), fs, sched.Uniform(3, 2), ClusterOptions{Options: Options{Obs: col}, Seed: 1, Policy: sched.PolicySpread})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +187,7 @@ func TestClusterDeploymentDrainHost(t *testing.T) {
 
 func TestClusterDeploymentFailHost(t *testing.T) {
 	fs := renderedLab(t)
-	dep, err := RunCluster(fs, sched.Uniform(3, 3), ClusterOptions{Seed: 1, Policy: sched.PolicySpread})
+	dep, err := RunCluster(context.Background(), fs, sched.Uniform(3, 3), ClusterOptions{Seed: 1, Policy: sched.PolicySpread})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +228,7 @@ func TestClusterDeploymentFailHost(t *testing.T) {
 func TestRunClusterDurableCrashRecover(t *testing.T) {
 	fs := renderedLab(t)
 	dir := t.TempDir()
-	dep, err := RunCluster(fs, sched.Uniform(3, 2), ClusterOptions{
+	dep, err := RunCluster(context.Background(), fs, sched.Uniform(3, 2), ClusterOptions{
 		Seed:     2013,
 		Policy:   sched.PolicySpread,
 		StateDir: dir,
@@ -248,7 +269,7 @@ func TestRunClusterDurableCrashRecover(t *testing.T) {
 func TestRunClusterReleasesStaleRecoveredReservation(t *testing.T) {
 	fs := renderedLab(t)
 	dir := t.TempDir()
-	first, err := RunCluster(fs, sched.Uniform(2, 2), ClusterOptions{Seed: 7, StateDir: dir})
+	first, err := RunCluster(context.Background(), fs, sched.Uniform(2, 2), ClusterOptions{Seed: 7, StateDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +278,7 @@ func TestRunClusterReleasesStaleRecoveredReservation(t *testing.T) {
 	}
 	// Same state dir, same seed: the prior run's "lab" reservation must be
 	// released and re-reserved, not collide.
-	second, err := RunCluster(renderedLab(t), sched.Uniform(2, 2), ClusterOptions{Seed: 7, StateDir: dir})
+	second, err := RunCluster(context.Background(), renderedLab(t), sched.Uniform(2, 2), ClusterOptions{Seed: 7, StateDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +297,7 @@ func TestRunClusterReleasesStaleRecoveredReservation(t *testing.T) {
 
 func TestCrashSchedRequiresStateDir(t *testing.T) {
 	fs := renderedLab(t)
-	dep, err := RunCluster(fs, sched.Uniform(2, 2), ClusterOptions{Seed: 1})
+	dep, err := RunCluster(context.Background(), fs, sched.Uniform(2, 2), ClusterOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +309,7 @@ func TestCrashSchedRequiresStateDir(t *testing.T) {
 func TestClusterDeploymentSilenceHost(t *testing.T) {
 	fs := renderedLab(t)
 	fb := sched.NewFlakyBackend(sched.Uniform(3, 2), 7)
-	dep, err := RunCluster(fs, fb, ClusterOptions{
+	dep, err := RunCluster(context.Background(), fs, fb, ClusterOptions{
 		Seed:   7,
 		Policy: sched.PolicySpread,
 		Lease:  sched.LeasePolicy{Enabled: true},
@@ -337,7 +358,7 @@ func TestClusterDeploymentSilenceHost(t *testing.T) {
 
 func TestClusterDeploymentSilenceNeedsFlakyBackend(t *testing.T) {
 	fs := renderedLab(t)
-	dep, err := RunCluster(fs, sched.Uniform(2, 2), ClusterOptions{Seed: 1})
+	dep, err := RunCluster(context.Background(), fs, sched.Uniform(2, 2), ClusterOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +373,7 @@ func TestClusterDeploymentSilenceNeedsFlakyBackend(t *testing.T) {
 func TestClusterDeploymentFlakyHostAndReservationState(t *testing.T) {
 	fs := renderedLab(t)
 	fb := sched.NewFlakyBackend(sched.Uniform(2, 2), 3)
-	dep, err := RunCluster(fs, fb, ClusterOptions{Seed: 3})
+	dep, err := RunCluster(context.Background(), fs, fb, ClusterOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +405,7 @@ func TestClusterBootSharesBreaker(t *testing.T) {
 	// Trip h1's breaker before the deployment even starts.
 	breaker.Failure("h1")
 	boots := map[string]int{}
-	dep, err := RunCluster(fs, b, ClusterOptions{
+	dep, err := RunCluster(context.Background(), fs, b, ClusterOptions{
 		Seed: 1,
 		Boot: func(host string, vms []string, attempt int) error {
 			boots[host]++
@@ -403,5 +424,239 @@ func TestClusterBootSharesBreaker(t *testing.T) {
 	}
 	if len(dep.FailedHosts) != 1 || dep.FailedHosts[0] != "h1" {
 		t.Errorf("failed hosts = %v", dep.FailedHosts)
+	}
+}
+
+func TestRunClusterRetriesFlakyHost(t *testing.T) {
+	fs := renderedLab(t)
+	b := sched.NewStaticBackend(
+		sched.HostInfo{Name: "h1", Capacity: 2},
+		sched.HostInfo{Name: "h2", Capacity: 2},
+	)
+	var slept []time.Duration
+	attempts := map[string]int{}
+	col := obs.NewCollector()
+	dep, err := RunCluster(context.Background(), fs, b, ClusterOptions{
+		Options: Options{Obs: col},
+		Seed:    1,
+		Boot: func(host string, vms []string, attempt int) error {
+			attempts[host]++
+			if host == "h1" && attempt < 3 {
+				return fmt.Errorf("transient boot wedge")
+			}
+			return nil
+		},
+		Retry: retry.Policy{Sleep: func(d time.Duration) { slept = append(slept, d) }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dep.Lab() == nil {
+		t.Fatal("no lab after recovered boot")
+	}
+	if attempts["h1"] != 3 || attempts["h2"] != 1 {
+		t.Errorf("attempts = %v", attempts)
+	}
+	// Exponential backoff between the failed attempts, no sleep after success.
+	if len(slept) != 2 || slept[1] <= slept[0] {
+		t.Errorf("backoff sleeps = %v", slept)
+	}
+	if got := eventStages(dep.Events())["retry"]; got != 2 {
+		t.Errorf("retry events = %d", got)
+	}
+	if got := col.Snapshot().Counters[CounterBootRetries]; got != 2 {
+		t.Errorf("retry counter = %d", got)
+	}
+	if len(dep.FailedHosts) != 0 {
+		t.Errorf("failed hosts = %v", dep.FailedHosts)
+	}
+}
+
+func TestRunClusterAttemptTimeout(t *testing.T) {
+	fs := renderedLab(t)
+	release := make(chan struct{})
+	defer close(release)
+	fired := make(chan time.Time, 8)
+	for i := 0; i < 8; i++ {
+		fired <- time.Time{}
+	}
+	dep, err := RunCluster(context.Background(), fs, sched.NewStaticBackend(sched.HostInfo{Name: "h1", Capacity: 4}), ClusterOptions{
+		Boot: func(host string, vms []string, attempt int) error {
+			<-release // a wedged host: never returns on its own
+			return fmt.Errorf("released")
+		},
+		Retry: retry.Policy{
+			MaxAttempts:    2,
+			AttemptTimeout: time.Millisecond,
+			Sleep:          func(time.Duration) {},
+			After:          func(time.Duration) <-chan time.Time { return fired },
+		},
+	})
+	if !errors.Is(err, ErrDegraded) {
+		t.Fatalf("err = %v, want ErrDegraded (sole host dead, nowhere to re-place)", err)
+	}
+	var sawTimeout bool
+	for _, e := range dep.Events() {
+		if e.Stage == "retry" && strings.Contains(e.Detail, "timed out") {
+			sawTimeout = true
+		}
+	}
+	if !sawTimeout {
+		t.Errorf("no timeout event in %v", dep.Events())
+	}
+}
+
+func TestRunClusterContextCancelledDuringBackoff(t *testing.T) {
+	fs := renderedLab(t)
+	b := sched.NewStaticBackend(
+		sched.HostInfo{Name: "h1", Capacity: 2},
+		sched.HostInfo{Name: "h2", Capacity: 3},
+	)
+	ctx, cancel := context.WithCancel(context.Background())
+	dep, err := RunCluster(ctx, fs, b, ClusterOptions{
+		Boot: func(host string, vms []string, attempt int) error {
+			cancel() // caller gives up while the first attempt is failing
+			return fmt.Errorf("still booting")
+		},
+		// An hour-long backoff: only SleepCtx's cancellation path can let
+		// the test finish.
+		Retry: retry.Policy{MaxAttempts: 3, BaseDelay: time.Hour},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// Cancellation aborts the deployment; it does not condemn the host.
+	if len(dep.FailedHosts) != 0 {
+		t.Errorf("failed hosts = %v, want none on cancellation", dep.FailedHosts)
+	}
+	if eventStages(dep.Events())["abort"] == 0 {
+		t.Errorf("no abort event: %v", dep.Events())
+	}
+}
+
+func TestRunClusterContextCancelledMidAttempt(t *testing.T) {
+	fs := renderedLab(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	block := make(chan struct{})
+	defer close(block)
+	dep, err := RunCluster(ctx, fs, sched.NewStaticBackend(sched.HostInfo{Name: "h1", Capacity: 5}), ClusterOptions{
+		Boot: func(host string, vms []string, attempt int) error {
+			cancel()
+			<-block // a wedged host: only the ctx.Done select can return
+			return nil
+		},
+		Retry: retry.Policy{MaxAttempts: 1},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if dep.Lab() != nil {
+		t.Error("cancelled deployment launched a lab")
+	}
+	if len(dep.FailedHosts) != 0 || eventStages(dep.Events())["abort"] == 0 {
+		t.Errorf("failed hosts = %v, events = %v; want no condemned host and an abort event", dep.FailedHosts, dep.Events())
+	}
+}
+
+// TestPlaceTieBreakStableNameOrder: a deployment's placement over
+// equal-capacity hosts is a pure function of (host set, VM set, seed) —
+// the order the backend lists its hosts in never moves a VM.
+func TestPlaceTieBreakStableNameOrder(t *testing.T) {
+	hosts := []sched.HostInfo{{Name: "hb", Capacity: 2}, {Name: "ha", Capacity: 2}, {Name: "hc", Capacity: 2}}
+	var want Placement
+	for rot := 0; rot < len(hosts); rot++ {
+		dep, err := RunCluster(context.Background(), renderedLab(t), sched.NewStaticBackend(hosts...), ClusterOptions{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = dep.Placement
+		} else if !reflect.DeepEqual(dep.Placement, want) {
+			t.Fatalf("host order %v changed placement: %v vs %v", hosts, dep.Placement, want)
+		}
+		hosts = append(hosts[1:], hosts[0])
+	}
+}
+
+// TestFailEmitsSortedOrphans: failing a host under a running lab emits one
+// structured host-failed event and returns the re-placed VMs sorted,
+// whatever order they were placed in.
+func TestFailEmitsSortedOrphans(t *testing.T) {
+	b := sched.NewStaticBackend(
+		sched.HostInfo{Name: "h1", Capacity: 3},
+		sched.HostInfo{Name: "h2", Capacity: 3},
+	)
+	dep, err := RunCluster(context.Background(), renderedLab(t), b, ClusterOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := dep.Placement["r1"]
+	before := eventStages(dep.Events())["host-failed"]
+	moved, stranded, err := dep.FailHost(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(moved) != 3 || len(stranded) != 0 || !sort.StringsAreSorted(moved) {
+		t.Fatalf("moved = %v, stranded = %v; want r1 r2 r3 sorted, none stranded", moved, stranded)
+	}
+	if got := eventStages(dep.Events())["host-failed"] - before; got != 1 {
+		t.Fatalf("host-failed events = %d, want 1: %v", got, dep.Events())
+	}
+	if _, _, err := dep.FailHost(victim); err == nil {
+		t.Fatal("double fail should error")
+	}
+}
+
+// launchTrace is the part of a deployment's event stream that Run and
+// RunCluster share: the scheduling stage's events are dropped and the
+// transfer destination (one named host vs. N hosts) is normalised.
+func launchTrace(events []Event) []Event {
+	clusterOnly := map[string]bool{"recover": true, "place": true, "boot": true, "retry": true,
+		"sched": true, "host-failed": true, "replace": true}
+	var out []Event
+	for _, e := range events {
+		if clusterOnly[e.Stage] {
+			continue
+		}
+		if e.Stage == "transfer" {
+			bytes, _, _ := strings.Cut(e.Detail, " to ")
+			e.Detail = bytes + " to <dest>"
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// TestLaunchParity: there is one launch — Run and RunCluster over the same
+// file set emit the same (Stage, Detail) sequence outside the scheduling
+// stage, for a clean boot and for a lenient partial boot.
+func TestLaunchParity(t *testing.T) {
+	for _, lenient := range []bool{false, true} {
+		fs := renderedLab(t)
+		wantErr := error(nil)
+		if lenient {
+			fs.Write("localhost/netkit/r3/etc/quagga/bgpd.conf", "router bgp 2\n  bgp router-id junk\n")
+			wantErr = emul.ErrPartialBoot
+		}
+		opts := Options{Lenient: lenient}
+		single, err := Run(fs, opts)
+		if !errors.Is(err, wantErr) {
+			t.Fatalf("lenient=%v: Run error = %v, want %v", lenient, err, wantErr)
+		}
+		multi, err := RunCluster(context.Background(), fs, sched.Uniform(2, 2), ClusterOptions{Options: opts, Seed: 1})
+		if !errors.Is(err, wantErr) {
+			t.Fatalf("lenient=%v: RunCluster error = %v, want %v", lenient, err, wantErr)
+		}
+		a, b := launchTrace(single.Events()), launchTrace(multi.Events())
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("lenient=%v: launch traces differ\nRun:        %v\nRunCluster: %v", lenient, a, b)
+		}
+		stages := eventStages(a)
+		if lenient && (stages["quarantine"] != 1 || a[len(a)-1] != (Event{"done", "lab running (partial)"})) {
+			t.Errorf("partial boot not reported: %v", a)
+		}
+		if stages["archive"] != 1 || stages["lstart"] != 1 || stages["done"] != 1 {
+			t.Errorf("lenient=%v: trace = %v", lenient, a)
+		}
 	}
 }

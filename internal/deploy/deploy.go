@@ -6,10 +6,15 @@
 // directories on disk), but the stages and artifacts are the same — the
 // archive produced here is byte-for-byte what would be shipped.
 //
-// Multi-host deployments (the §3.3 RPKI study placed 800+ VMs across
-// StarBed hosts) are modelled by HostPool: hosts with VM capacity, a
-// placement step, and cross-host link realisation (the paper's GRE-tunnel
-// connections between distributed vSwitches, §5.4).
+// There is one launch sequence — ship (archive → transfer → extract), then
+// launch (lstart → boot → monitor) — and two entry points onto it. Run
+// launches on the single host Options.Host names. RunCluster inserts a
+// scheduling stage between ship and launch for multi-host deployments (the
+// §3.3 RPKI study placed 800+ VMs across StarBed hosts): internal/sched
+// reserves capacity and places the VMs, each placed host boots under the
+// retry policy, and a dead host's VMs re-place onto survivors.
+// CrossHostLinks realises the paper's GRE-tunnel connections between
+// distributed vSwitches (§5.4) from the resulting placement.
 package deploy
 
 import (
@@ -22,7 +27,6 @@ import (
 	"path"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"autonetkit/internal/emul"
@@ -81,7 +85,7 @@ func Extract(bundle []byte) (*render.FileSet, error) {
 			return nil, fmt.Errorf("deploy: reading archive: %w", err)
 		}
 		clean := path.Clean(hdr.Name)
-		if strings.HasPrefix(clean, "../") || path.IsAbs(clean) {
+		if clean == "." || clean == ".." || strings.HasPrefix(clean, "../") || path.IsAbs(clean) {
 			return nil, fmt.Errorf("deploy: archive escapes extraction root: %q", hdr.Name)
 		}
 		var sb strings.Builder
@@ -99,18 +103,33 @@ type Event struct {
 	Detail string
 }
 
-// Deployment runs the archive → transfer → extract → launch sequence
-// against an in-process emulation host and exposes the running lab.
+// Placement maps VM names to host names.
+type Placement map[string]string
+
+// Deployment is the record of one archive → transfer → extract → launch
+// sequence: its event stream and the running lab. The placement fields
+// are filled by scheduled deployments (RunCluster) only.
 type Deployment struct {
+	// Host is the design-time host whose lab was launched.
 	Host     string
 	Platform string
-	events   []Event
-	lab      *emul.Lab
-	onEvent  func(Event)
+	// Placement is where the scheduler put every VM.
+	Placement Placement
+	// FailedHosts lists hosts that exhausted their boot attempts or were
+	// failed under the running lab, in failure order.
+	FailedHosts []string
+	// StrandedVMs lists VMs that could not be re-placed after their host
+	// failed.
+	StrandedVMs []string
+	events      []Event
+	lab         *emul.Lab
+	onEvent     func(Event)
 }
 
-// Options configures a deployment.
+// Options configures a deployment's launch.
 type Options struct {
+	// Host selects the emulation host ("localhost" when empty). RunCluster
+	// does not consult it: the scheduler chooses where VMs run.
 	Host     string
 	Platform string
 	// MaxBGPRounds bounds control-plane convergence (0 = default).
@@ -156,7 +175,25 @@ func Run(fs *render.FileSet, opts Options) (*Deployment, error) {
 		opts.Platform = "netkit"
 	}
 	d := &Deployment{Host: opts.Host, Platform: opts.Platform, onEvent: opts.OnEvent}
+	extracted, err := d.ship(fs, opts.Host)
+	if err != nil {
+		return nil, err
+	}
+	lab, err := emul.Load(extracted, opts.Host, opts.Platform)
+	if err != nil {
+		return nil, err
+	}
+	err = d.launch(lab, opts)
+	if d.lab == nil {
+		return nil, err
+	}
+	return d, err
+}
 
+// ship is the front half of every deployment: archive → transfer →
+// extract, one event each. dest names the receiving side in the transfer
+// event. The returned file set is what the emulation host unpacked.
+func (d *Deployment) ship(fs *render.FileSet, dest string) (*render.FileSet, error) {
 	bundle, err := Archive(fs)
 	if err != nil {
 		return nil, err
@@ -167,25 +204,31 @@ func Run(fs *render.FileSet, opts Options) (*Deployment, error) {
 	// the bundle crosses into the emulation host's address space.
 	received := make([]byte, len(bundle))
 	copy(received, bundle)
-	d.emit(Event{"transfer", fmt.Sprintf("%d bytes to %s", len(received), opts.Host)})
+	d.emit(Event{"transfer", fmt.Sprintf("%d bytes to %s", len(received), dest)})
 
 	extracted, err := Extract(received)
 	if err != nil {
 		return nil, err
 	}
 	d.emit(Event{"extract", fmt.Sprintf("%d files", extracted.Len())})
+	return extracted, nil
+}
 
-	lab, err := emul.Load(extracted, opts.Host, opts.Platform)
-	if err != nil {
-		return nil, err
-	}
+// launch is the back half of every deployment: lstart → boot → one
+// "machine" event per lab log line → optional watchdog supervision →
+// done. d.Lab() is set once the lab is up; a boot that fails outright
+// leaves it nil. A lenient partial boot is reported (quarantine event and
+// counter, "done (partial)") and returned as the emul.ErrPartialBoot error.
+func (d *Deployment) launch(lab *emul.Lab, opts Options) error {
 	d.emit(Event{"lstart", fmt.Sprintf("launching %d machines", len(lab.VMNames()))})
+	span := opts.Obs.StartSpan("Launch")
 	bootErr := lab.Boot(emul.BootOptions{
 		MaxBGPRounds: opts.MaxBGPRounds, ConvergeTimeout: opts.ConvergeTimeout, Lenient: opts.Lenient,
 		Incremental: opts.Incremental, Obs: opts.Obs, Shards: opts.Shards,
 	})
+	span.End()
 	if bootErr != nil && !errors.Is(bootErr, emul.ErrPartialBoot) {
-		return nil, bootErr
+		return bootErr
 	}
 	for _, ev := range lab.Events() {
 		d.emit(Event{"machine", ev})
@@ -193,21 +236,22 @@ func Run(fs *render.FileSet, opts Options) (*Deployment, error) {
 	d.lab = lab
 	if opts.Supervise {
 		if err := superviseBoot(lab, opts.Obs, d.emit); err != nil {
-			return d, err
+			return err
 		}
 	}
+	detail := "lab running"
 	if bootErr != nil {
 		q := lab.Quarantined()
 		opts.Obs.Add(obs.CounterDevicesQuarantined, int64(len(q)))
 		d.emit(Event{"quarantine", fmt.Sprintf("%d machines quarantined (%s)", len(q), strings.Join(q, ", "))})
-		d.emit(Event{"done", "lab running (partial)"})
-		return d, bootErr
+		detail = "lab running (partial)"
 	}
-	d.emit(Event{"done", "lab running"})
-	return d, nil
+	d.emit(Event{"done", detail})
+	return bootErr
 }
 
-// Lab returns the running lab.
+// Lab returns the running lab (nil when a scheduled deployment degraded
+// before launch).
 func (d *Deployment) Lab() *emul.Lab { return d.lab }
 
 // Events returns all progress events so far.
@@ -239,171 +283,6 @@ func superviseBoot(lab *emul.Lab, c *obs.Collector, emit func(Event)) error {
 		emit(Event{"watchdog", fmt.Sprintf("final verdict %s after %d escalations", rep.Final, rep.Escalations())})
 	}
 	return nil
-}
-
-// Host is one emulation server in a pool, with finite VM capacity (the
-// §3.2 observation: emulation scale is limited by host memory).
-type Host struct {
-	Name     string
-	Capacity int
-	assigned []string
-}
-
-// Assigned returns the VMs placed on this host.
-func (h *Host) Assigned() []string {
-	out := make([]string, len(h.assigned))
-	copy(out, h.assigned)
-	return out
-}
-
-// HostPool places VMs across emulation hosts. All methods are safe for
-// concurrent use; placement order is fixed at construction (ascending host
-// name), so results are independent of both call interleaving within one
-// placement and of any map iteration order in the caller.
-type HostPool struct {
-	mu      sync.Mutex
-	hosts   []*Host // sorted by name
-	events  []Event
-	onEvent func(Event)
-}
-
-// NewHostPool builds a pool; capacities must be positive. Hosts are
-// ordered by name regardless of the order given here — the tie-break
-// contract Place documents.
-func NewHostPool(hosts ...*Host) (*HostPool, error) {
-	if len(hosts) == 0 {
-		return nil, fmt.Errorf("deploy: empty host pool")
-	}
-	seen := map[string]bool{}
-	for _, h := range hosts {
-		if h.Capacity <= 0 {
-			return nil, fmt.Errorf("deploy: host %s has capacity %d", h.Name, h.Capacity)
-		}
-		if seen[h.Name] {
-			return nil, fmt.Errorf("deploy: duplicate host %s", h.Name)
-		}
-		seen[h.Name] = true
-	}
-	sorted := make([]*Host, len(hosts))
-	copy(sorted, hosts)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	return &HostPool{hosts: sorted}, nil
-}
-
-// SetOnEvent installs a callback receiving the pool's structured events
-// (currently host-failed) as they happen.
-func (p *HostPool) SetOnEvent(fn func(Event)) {
-	p.mu.Lock()
-	p.onEvent = fn
-	p.mu.Unlock()
-}
-
-// PoolEvents returns the pool's own structured events so far (distinct
-// from a deployment's event stream).
-func (p *HostPool) PoolEvents() []Event {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]Event, len(p.events))
-	copy(out, p.events)
-	return out
-}
-
-// emitLocked records an event (lock held); the callback runs without the
-// lock so it may call back into the pool.
-func (p *HostPool) emitLocked(ev Event) func() {
-	p.events = append(p.events, ev)
-	fn := p.onEvent
-	return func() {
-		if fn != nil {
-			fn(ev)
-		}
-	}
-}
-
-// TotalCapacity sums host capacities.
-func (p *HostPool) TotalCapacity() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, h := range p.hosts {
-		n += h.Capacity
-	}
-	return n
-}
-
-// Hosts returns a snapshot of the pool's hosts, in name order.
-func (p *HostPool) Hosts() []*Host {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*Host, len(p.hosts))
-	copy(out, p.hosts)
-	return out
-}
-
-// Fail removes a host from the pool (a dead emulation server), emitting a
-// structured host-failed event and returning the host's VMs sorted — the
-// orphan list reads the same in every log, whatever order they were
-// placed in — so the caller can re-place them onto the survivors.
-func (p *HostPool) Fail(name string) ([]string, error) {
-	p.mu.Lock()
-	for i, h := range p.hosts {
-		if h.Name != name {
-			continue
-		}
-		p.hosts = append(p.hosts[:i], p.hosts[i+1:]...)
-		orphans := h.Assigned()
-		sort.Strings(orphans)
-		notify := p.emitLocked(Event{"host-failed", fmt.Sprintf("%s removed from pool; %d VMs orphaned (%s)",
-			name, len(orphans), strings.Join(orphans, ", "))})
-		p.mu.Unlock()
-		notify()
-		return orphans, nil
-	}
-	p.mu.Unlock()
-	return nil, fmt.Errorf("deploy: no host %s in pool", name)
-}
-
-// Placement maps VM names to host names.
-type Placement map[string]string
-
-// Place assigns VMs to hosts first-fit in deterministic order, returning
-// an error when aggregate capacity is exceeded.
-//
-// Tie-breaking contract: VMs are considered in ascending name order, and
-// hosts are filled in ascending host-name order (fixed at NewHostPool).
-// Two hosts with equal capacity therefore always fill in stable name
-// order — placement is a pure function of (host set, VM set), immune to
-// map iteration order or the construction order of the pool.
-func (p *HostPool) Place(vms []string) (Placement, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	total := 0
-	for _, h := range p.hosts {
-		total += h.Capacity
-	}
-	used := 0
-	for _, h := range p.hosts {
-		used += len(h.assigned)
-	}
-	if len(vms) > total-used {
-		return nil, fmt.Errorf("deploy: %d VMs exceed pool capacity %d", len(vms), total-used)
-	}
-	sorted := make([]string, len(vms))
-	copy(sorted, vms)
-	sort.Strings(sorted)
-	out := Placement{}
-	hi := 0
-	for _, vm := range sorted {
-		for hi < len(p.hosts) && len(p.hosts[hi].assigned) >= p.hosts[hi].Capacity {
-			hi++
-		}
-		if hi >= len(p.hosts) {
-			return nil, fmt.Errorf("deploy: pool exhausted placing %s", vm)
-		}
-		p.hosts[hi].assigned = append(p.hosts[hi].assigned, vm)
-		out[vm] = p.hosts[hi].Name
-	}
-	return out, nil
 }
 
 // CrossHostLinks returns the (vmA, vmB) pairs whose endpoints landed on

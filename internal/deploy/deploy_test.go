@@ -1,9 +1,6 @@
 package deploy
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -13,7 +10,6 @@ import (
 	"autonetkit/internal/design"
 	"autonetkit/internal/graph"
 	"autonetkit/internal/ipalloc"
-	"autonetkit/internal/obs"
 	"autonetkit/internal/render"
 	"autonetkit/internal/retry"
 )
@@ -89,14 +85,16 @@ func TestArchiveDeterministic(t *testing.T) {
 }
 
 func TestExtractRejectsEscapes(t *testing.T) {
-	fs := render.NewFileSet()
-	fs.Write("../evil", "x")
-	bundle, err := Archive(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Extract(bundle); err == nil {
-		t.Error("path escape accepted")
+	for _, name := range []string{"../x", "/abs", "..", "./..", "a/../.."} {
+		fs := render.NewFileSet()
+		fs.Write(name, "x")
+		bundle, err := Archive(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Extract(bundle); err == nil {
+			t.Errorf("entry %q accepted, extracted as %v", name, got.Paths())
+		}
 	}
 	if _, err := Extract([]byte("not a gzip")); err == nil {
 		t.Error("garbage archive accepted")
@@ -147,48 +145,6 @@ func TestRunDefaults(t *testing.T) {
 	}
 }
 
-func TestHostPoolPlacement(t *testing.T) {
-	pool, err := NewHostPool(
-		&Host{Name: "h1", Capacity: 2},
-		&Host{Name: "h2", Capacity: 3},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool.TotalCapacity() != 5 {
-		t.Errorf("capacity = %d", pool.TotalCapacity())
-	}
-	placement, err := pool.Place([]string{"e", "d", "c", "b", "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deterministic: sorted fill order.
-	if placement["a"] != "h1" || placement["b"] != "h1" {
-		t.Errorf("placement = %v", placement)
-	}
-	if placement["c"] != "h2" || placement["e"] != "h2" {
-		t.Errorf("placement = %v", placement)
-	}
-	if got := pool.Hosts()[0].Assigned(); len(got) != 2 {
-		t.Errorf("h1 assigned = %v", got)
-	}
-	if _, err := pool.Place([]string{"overflow"}); err == nil {
-		t.Error("over-capacity placement accepted")
-	}
-}
-
-func TestHostPoolErrors(t *testing.T) {
-	if _, err := NewHostPool(); err == nil {
-		t.Error("empty pool accepted")
-	}
-	if _, err := NewHostPool(&Host{Name: "h", Capacity: 0}); err == nil {
-		t.Error("zero capacity accepted")
-	}
-	if _, err := NewHostPool(&Host{Name: "h", Capacity: 1}, &Host{Name: "h", Capacity: 1}); err == nil {
-		t.Error("duplicate host accepted")
-	}
-}
-
 func TestCrossHostLinks(t *testing.T) {
 	placement := Placement{"a": "h1", "b": "h1", "c": "h2"}
 	links := [][2]string{{"a", "b"}, {"b", "c"}, {"a", "c"}}
@@ -198,55 +154,6 @@ func TestCrossHostLinks(t *testing.T) {
 	}
 	if cross[0] != [2]string{"a", "c"} || cross[1] != [2]string{"b", "c"} {
 		t.Errorf("cross = %v (want sorted)", cross)
-	}
-}
-
-func TestHostPoolPlaceEdgeCases(t *testing.T) {
-	// Exact over-capacity error, reported before any assignment happens.
-	pool, err := NewHostPool(&Host{Name: "h1", Capacity: 2}, &Host{Name: "h2", Capacity: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = pool.Place([]string{"a", "b", "c", "d", "e", "f"})
-	if err == nil || err.Error() != "deploy: 6 VMs exceed pool capacity 5" {
-		t.Errorf("over-capacity error = %v", err)
-	}
-	if got := pool.Hosts()[0].Assigned(); len(got) != 0 {
-		t.Errorf("failed placement left assignments: %v", got)
-	}
-
-	// Determinism: input order never changes the outcome.
-	first, err := pool.Place([]string{"e", "a", "c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := NewHostPool(&Host{Name: "h1", Capacity: 2}, &Host{Name: "h2", Capacity: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := other.Place([]string{"c", "e", "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for vm, host := range first {
-		if second[vm] != host {
-			t.Errorf("placement of %s differs: %s vs %s", vm, host, second[vm])
-		}
-	}
-
-	// Incremental placement fills remaining per-host slots first-fit: a and
-	// c already filled h1, so b lands on h2's spare capacity.
-	more, err := pool.Place([]string{"b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if more["b"] != "h2" {
-		t.Errorf("incremental placement = %v (h1 is full)", more)
-	}
-	// A pool whose free slots are exhausted rejects further VMs even though
-	// the request alone is under the aggregate capacity.
-	if _, err := pool.Place([]string{"x", "y"}); err == nil {
-		t.Error("placement beyond free slots accepted")
 	}
 }
 
@@ -292,248 +199,10 @@ func TestRetryPolicyDelay(t *testing.T) {
 	}
 }
 
-func poolOf(t *testing.T, hosts ...*Host) *HostPool {
-	t.Helper()
-	pool, err := NewHostPool(hosts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pool
-}
-
 func eventStages(events []Event) map[string]int {
 	stages := map[string]int{}
 	for _, e := range events {
 		stages[e.Stage]++
 	}
 	return stages
-}
-
-func TestRunPoolHappyPath(t *testing.T) {
-	fs := renderedLab(t)
-	pool := poolOf(t, &Host{Name: "h1", Capacity: 2}, &Host{Name: "h2", Capacity: 2})
-	col := obs.NewCollector()
-	dep, err := RunPool(fs, pool, PoolOptions{Obs: col})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep.Lab() == nil || len(dep.Lab().VMNames()) != 3 {
-		t.Fatalf("lab = %v", dep.Lab())
-	}
-	if len(dep.Placement) != 3 || len(dep.FailedHosts) != 0 || len(dep.StrandedVMs) != 0 {
-		t.Errorf("deployment = %+v", dep)
-	}
-	stages := eventStages(dep.Events())
-	for _, want := range []string{"archive", "transfer", "extract", "place", "boot", "lstart", "done"} {
-		if stages[want] == 0 {
-			t.Errorf("missing stage %q in %v", want, dep.Events())
-		}
-	}
-	if stages["boot"] != 2 {
-		t.Errorf("boot events = %d, want one per host", stages["boot"])
-	}
-	if _, ok := col.Snapshot().Span("PoolDeploy"); !ok {
-		t.Error("no PoolDeploy span")
-	}
-}
-
-func TestRunPoolRetriesFlakyHost(t *testing.T) {
-	fs := renderedLab(t)
-	pool := poolOf(t, &Host{Name: "h1", Capacity: 2}, &Host{Name: "h2", Capacity: 2})
-	var slept []time.Duration
-	attempts := map[string]int{}
-	col := obs.NewCollector()
-	dep, err := RunPool(fs, pool, PoolOptions{
-		Obs: col,
-		Boot: func(host string, vms []string, attempt int) error {
-			attempts[host]++
-			if host == "h1" && attempt < 3 {
-				return fmt.Errorf("transient boot wedge")
-			}
-			return nil
-		},
-		Retry: retry.Policy{Sleep: func(d time.Duration) { slept = append(slept, d) }},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep.Lab() == nil {
-		t.Fatal("no lab after recovered boot")
-	}
-	if attempts["h1"] != 3 || attempts["h2"] != 1 {
-		t.Errorf("attempts = %v", attempts)
-	}
-	// Exponential backoff between the failed attempts, no sleep after success.
-	if len(slept) != 2 || slept[1] <= slept[0] {
-		t.Errorf("backoff sleeps = %v", slept)
-	}
-	stages := eventStages(dep.Events())
-	if stages["retry"] != 2 {
-		t.Errorf("retry events = %d", stages["retry"])
-	}
-	if got := col.Snapshot().Counters[CounterBootRetries]; got != 2 {
-		t.Errorf("retry counter = %d", got)
-	}
-	if len(dep.FailedHosts) != 0 {
-		t.Errorf("failed hosts = %v", dep.FailedHosts)
-	}
-}
-
-func TestRunPoolReplacesDeadHost(t *testing.T) {
-	fs := renderedLab(t)
-	pool := poolOf(t, &Host{Name: "h1", Capacity: 2}, &Host{Name: "h2", Capacity: 4})
-	col := obs.NewCollector()
-	dep, err := RunPool(fs, pool, PoolOptions{
-		Obs: col,
-		Boot: func(host string, vms []string, attempt int) error {
-			if host == "h1" {
-				return fmt.Errorf("host is on fire")
-			}
-			return nil
-		},
-		Retry: retry.Policy{MaxAttempts: 2, Sleep: func(time.Duration) {}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep.Lab() == nil {
-		t.Fatal("no lab after graceful re-placement")
-	}
-	if len(dep.FailedHosts) != 1 || dep.FailedHosts[0] != "h1" {
-		t.Errorf("failed hosts = %v", dep.FailedHosts)
-	}
-	// Every VM ended up on the survivor.
-	for vm, host := range dep.Placement {
-		if host != "h2" {
-			t.Errorf("%s placed on %s after h1 died", vm, host)
-		}
-	}
-	stages := eventStages(dep.Events())
-	if stages["host-failed"] != 1 || stages["replace"] != 2 {
-		t.Errorf("events = %v", dep.Events())
-	}
-	snap := col.Snapshot()
-	if snap.Counters[CounterHostsFailed] != 1 || snap.Counters[CounterVMsReplaced] != 2 {
-		t.Errorf("counters = %v", snap.Counters)
-	}
-	if len(pool.Hosts()) != 1 {
-		t.Errorf("dead host still in pool: %v", pool.Hosts())
-	}
-}
-
-func TestRunPoolDegradesWithoutCapacity(t *testing.T) {
-	fs := renderedLab(t)
-	pool := poolOf(t, &Host{Name: "h1", Capacity: 2}, &Host{Name: "h2", Capacity: 1})
-	dep, err := RunPool(fs, pool, PoolOptions{
-		Boot: func(host string, vms []string, attempt int) error {
-			if host == "h1" {
-				return fmt.Errorf("host is on fire")
-			}
-			return nil
-		},
-		Retry: retry.Policy{MaxAttempts: 2, Sleep: func(time.Duration) {}},
-	})
-	if !errors.Is(err, ErrDegraded) {
-		t.Fatalf("err = %v, want ErrDegraded", err)
-	}
-	if dep == nil {
-		t.Fatal("degraded deployment state discarded")
-	}
-	if dep.Lab() != nil {
-		t.Error("degraded deployment launched a partial lab")
-	}
-	if len(dep.StrandedVMs) != 2 {
-		t.Errorf("stranded = %v", dep.StrandedVMs)
-	}
-	if eventStages(dep.Events())["degraded"] != 1 {
-		t.Errorf("events = %v", dep.Events())
-	}
-}
-
-func TestRunPoolAttemptTimeout(t *testing.T) {
-	fs := renderedLab(t)
-	pool := poolOf(t, &Host{Name: "h1", Capacity: 4})
-	release := make(chan struct{})
-	defer close(release)
-	fired := make(chan time.Time, 8)
-	for i := 0; i < 8; i++ {
-		fired <- time.Time{}
-	}
-	dep, err := RunPool(fs, pool, PoolOptions{
-		Boot: func(host string, vms []string, attempt int) error {
-			<-release // a wedged host: never returns on its own
-			return fmt.Errorf("released")
-		},
-		Retry: retry.Policy{
-			MaxAttempts:    2,
-			AttemptTimeout: time.Millisecond,
-			Sleep:          func(time.Duration) {},
-			After:          func(time.Duration) <-chan time.Time { return fired },
-		},
-	})
-	if !errors.Is(err, ErrDegraded) {
-		t.Fatalf("err = %v, want ErrDegraded (sole host dead, nowhere to re-place)", err)
-	}
-	var sawTimeout bool
-	for _, e := range dep.Events() {
-		if e.Stage == "retry" && strings.Contains(e.Detail, "timed out") {
-			sawTimeout = true
-		}
-	}
-	if !sawTimeout {
-		t.Errorf("no timeout event in %v", dep.Events())
-	}
-}
-
-func TestRunPoolContextCancelledDuringBackoff(t *testing.T) {
-	fs := renderedLab(t)
-	pool, err := NewHostPool(&Host{Name: "h1", Capacity: 2}, &Host{Name: "h2", Capacity: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	dep, err := RunPoolContext(ctx, fs, pool, PoolOptions{
-		Boot: func(host string, vms []string, attempt int) error {
-			cancel() // caller gives up while the first attempt is failing
-			return fmt.Errorf("still booting")
-		},
-		// An hour-long backoff: only SleepCtx's cancellation path can let
-		// the test finish.
-		Retry: retry.Policy{MaxAttempts: 3, BaseDelay: time.Hour},
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// Cancellation aborts the deployment; it does not condemn the host.
-	if len(dep.FailedHosts) != 0 {
-		t.Errorf("failed hosts = %v, want none on cancellation", dep.FailedHosts)
-	}
-	if eventStages(dep.Events())["abort"] == 0 {
-		t.Errorf("no abort event: %v", dep.Events())
-	}
-}
-
-func TestRunPoolContextCancelledMidAttempt(t *testing.T) {
-	fs := renderedLab(t)
-	pool, err := NewHostPool(&Host{Name: "h1", Capacity: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	block := make(chan struct{})
-	defer close(block)
-	dep, err := RunPoolContext(ctx, fs, pool, PoolOptions{
-		Boot: func(host string, vms []string, attempt int) error {
-			cancel()
-			<-block // a wedged host: only the ctx.Done select can return
-			return nil
-		},
-		Retry: retry.Policy{MaxAttempts: 1},
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if dep.Lab() != nil {
-		t.Error("cancelled deployment launched a lab")
-	}
 }

@@ -92,7 +92,7 @@ type breaker struct {
 }
 
 // BreakerSet holds one circuit breaker per host. It is safe for
-// concurrent use; deploy pool boots and sched migrations share one set
+// concurrent use; deploy host boots and sched migrations share one set
 // so a host condemned by either stops burning both retry budgets.
 type BreakerSet struct {
 	cfg BreakerConfig

@@ -1,6 +1,6 @@
 // Package retry provides the shared bounded-retry policy used wherever
-// the system talks to flaky substrate: per-host boot attempts in pool
-// deployments (deploy.RunPool) and live VM re-placement during cluster
+// the system talks to flaky substrate: per-host boot attempts in scheduled
+// deployments (deploy.RunCluster) and live VM re-placement during cluster
 // drains (sched.Cluster.Drain). Exponential backoff with deterministic
 // jitter — the jitter is a hash of (host, attempt), so spreading retries
 // never costs reproducibility.
@@ -198,7 +198,7 @@ func (p Policy) AfterChan(d time.Duration) <-chan time.Time {
 }
 
 // SleepCtx sleeps the given backoff but aborts early when the context is
-// cancelled, returning ctx.Err(). A drain or pool boot mid-backoff stops
+// cancelled, returning ctx.Err(). A drain or host boot mid-backoff stops
 // within one select instead of finishing the sleep. The Sleep seam is
 // honoured when set (tests that stub Sleep stay instantaneous), but the
 // context is still checked before and after the stubbed sleep.

@@ -8,6 +8,7 @@ import (
 	"autonetkit/internal/chaos"
 	"autonetkit/internal/compile"
 	"autonetkit/internal/deploy"
+	"autonetkit/internal/obs"
 	"autonetkit/internal/render"
 	"autonetkit/internal/sched"
 )
@@ -90,5 +91,46 @@ func TestGoldenSchedDrainDrill(t *testing.T) {
 	}
 	if report != string(golden) {
 		t.Errorf("drill report differs from golden:\n--- got ---\n%s--- want ---\n%s", report, golden)
+	}
+}
+
+// TestDeployClusterBootsLabLikeDeploy: the scheduled path hands the lab the
+// same boot options as the single-host path, so the lab's own counters in
+// Stats() are identical whichever way the same tree was deployed, and a
+// Shards setting reaches the convergence engine.
+func TestDeployClusterBootsLabLikeDeploy(t *testing.T) {
+	build := func() *Network {
+		t.Helper()
+		net, err := Load(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Build(BuildOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	single, multi := build(), build()
+	if _, err := single.Deploy(deploy.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := multi.DeployCluster(sched.Uniform(4, 5), deploy.ClusterOptions{Seed: 2013}); err != nil {
+		t.Fatal(err)
+	}
+	want, got := single.Stats().Counters, multi.Stats().Counters
+	for _, name := range []string{obs.CounterBGPPrefixesDecided, obs.CounterBGPSpeakersSkipped} {
+		if want[name] == 0 || got[name] != want[name] {
+			t.Errorf("%s: DeployCluster = %d, Deploy = %d (want equal, non-zero)", name, got[name], want[name])
+		}
+	}
+
+	sharded := build()
+	if _, err := sharded.DeployCluster(sched.Uniform(4, 5), deploy.ClusterOptions{
+		Options: deploy.Options{Shards: 4}, Seed: 2013,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := sharded.Stats().Counters[obs.CounterShardRoundsParallel]; got == 0 {
+		t.Errorf("%s = 0 under Shards: 4: the setting never reached the lab", obs.CounterShardRoundsParallel)
 	}
 }

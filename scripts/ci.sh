@@ -5,6 +5,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== gofmt (root module and bench/; gofmt -l walks both from the repo root)"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "gofmt -l reports unformatted files:"
+  echo "$unformatted"
+  exit 1
+fi
+
 echo "== go vet"
 go vet ./...
 
