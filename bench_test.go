@@ -946,6 +946,14 @@ func BenchmarkP5_ConvergenceUnderLoss(b *testing.B) {
 // count (1 = sequential sweep).
 func benchDeployedLab(b *testing.B, routers int, incremental bool, shards int) *emul.Lab {
 	b.Helper()
+	_, lab := benchDeployedNet(b, routers, incremental, shards)
+	return lab
+}
+
+// benchDeployedNet is benchDeployedLab for benchmarks that also need the
+// network (its allocation table names the probe addresses).
+func benchDeployedNet(b *testing.B, routers int, incremental bool, shards int) (*Network, *emul.Lab) {
+	b.Helper()
 	g, err := topogen.NREN(topogen.NRENConfig{ASes: routers / 20, Routers: routers, Links: routers * 5 / 4, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
@@ -961,7 +969,7 @@ func benchDeployedLab(b *testing.B, routers int, incremental bool, shards int) *
 	if err != nil {
 		b.Fatal(err)
 	}
-	return dep.Lab()
+	return net, dep.Lab()
 }
 
 // benchPostIncident times one fail-link/restore-link round trip per
@@ -1044,6 +1052,44 @@ func BenchmarkP9_ShardedConvergence(b *testing.B) {
 				benchPostIncident(b, benchDeployedLab(b, routers, true, mode.shards))
 			})
 		}
+	}
+}
+
+// --- P14: the N×N reachability matrix (north-star number two ends in one).
+// Every probe is a `ping -c 1` through Lab.Exec, parsed from its loss line;
+// the lab answers from one hop tree per destination, memoised for the life
+// of a network generation. `fresh` reconverges (off the clock) before every
+// matrix, so each one builds its N hop trees; `unchanged` re-probes the same
+// generation and reads them back. ---
+
+func BenchmarkP14_ReachabilityMatrix(b *testing.B) {
+	const routers = 240
+	net, lab := benchDeployedNet(b, routers, true, 1)
+	client, names, addrOf := net.Measure(lab), lab.VMNames(), loopbackOf(net)
+	for _, mode := range []struct {
+		name  string
+		fresh bool
+	}{{"fresh", true}, {"unchanged", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if mode.fresh {
+					b.StopTimer()
+					if _, err := lab.Reconverge(); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				m, err := client.ReachabilityMatrix(names, addrOf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if want := routers * (routers - 1); m.Pairs() != want || m.Reachable() != want {
+					b.Fatalf("matrix reaches %d of %d pairs, want all %d", m.Reachable(), m.Pairs(), want)
+				}
+			}
+		})
 	}
 }
 

@@ -62,8 +62,19 @@ func (f *FIB) Insert(e FIBEntry) error {
 
 // Lookup returns the longest-prefix-match entry for addr.
 func (f *FIB) Lookup(addr netip.Addr) (FIBEntry, bool) {
-	if !addr.Is4() {
+	e := f.lookup(addr)
+	if e == nil {
 		return FIBEntry{}, false
+	}
+	return *e, true
+}
+
+// lookup is Lookup without the copy: the installed entry itself (nil for no
+// match). Entries are never mutated once inserted, so forwarding reads them
+// in place.
+func (f *FIB) lookup(addr netip.Addr) *FIBEntry {
+	if !addr.Is4() {
+		return nil
 	}
 	bits := addrBits(addr)
 	cur := f.root
@@ -81,10 +92,7 @@ func (f *FIB) Lookup(addr netip.Addr) (FIBEntry, bool) {
 		}
 		cur = next
 	}
-	if best == nil {
-		return FIBEntry{}, false
-	}
-	return *best, true
+	return best
 }
 
 // Len returns the number of installed prefixes.

@@ -68,29 +68,55 @@ func (net *Network) Owner(addr netip.Addr) (string, bool) {
 // next hop is reached via an IGP route).
 const maxResolveDepth = 4
 
+// deadEnd says why a node cannot forward towards an address; the zero value
+// says it can. Forward renders it into TraceResult.Reason; HopsTo only asks
+// whether there is one, so the ping path formats nothing.
+type deadEnd struct {
+	kind  int
+	addr  netip.Addr // the address that did not resolve (noRoute, tooDeep)
+	route *FIBEntry  // the route without a next hop (noNextHop)
+}
+
+const (
+	noRoute = iota + 1
+	noNextHop
+	tooDeep
+)
+
+func (d deadEnd) reason(host string) string {
+	switch d.kind {
+	case noRoute:
+		return fmt.Sprintf("dataplane: %s: no route to %v", host, d.addr)
+	case noNextHop:
+		return fmt.Sprintf("dataplane: %s: route %v has no next hop", host, d.route.Prefix)
+	}
+	return fmt.Sprintf("dataplane: %s: next-hop recursion too deep for %v", host, d.addr)
+}
+
 // resolveNextHop returns the immediate neighbour address a packet to dst
-// leaves towards, resolving recursive routes.
-func (net *Network) resolveNextHop(n *Node, dst netip.Addr, depth int) (netip.Addr, error) {
-	if depth > maxResolveDepth {
-		return netip.Addr{}, fmt.Errorf("dataplane: %s: next-hop recursion too deep for %v", n.Hostname, dst)
+// leaves n towards, resolving recursive routes (e.g. a BGP next hop reached
+// via an IGP route).
+func resolveNextHop(n *Node, dst netip.Addr) (netip.Addr, deadEnd) {
+	for depth := 0; depth <= maxResolveDepth; depth++ {
+		e := n.FIB.lookup(dst)
+		if e == nil {
+			return netip.Addr{}, deadEnd{kind: noRoute, addr: dst}
+		}
+		if e.Connected {
+			// Direct delivery on the attached subnet.
+			return dst, deadEnd{}
+		}
+		if !e.NextHop.IsValid() {
+			return netip.Addr{}, deadEnd{kind: noNextHop, route: e}
+		}
+		// If the next hop is itself directly reachable we are done;
+		// otherwise resolve it in turn.
+		if via := n.FIB.lookup(e.NextHop); via != nil && via.Connected {
+			return e.NextHop, deadEnd{}
+		}
+		dst = e.NextHop
 	}
-	e, ok := n.FIB.Lookup(dst)
-	if !ok {
-		return netip.Addr{}, fmt.Errorf("dataplane: %s: no route to %v", n.Hostname, dst)
-	}
-	if e.Connected {
-		// Direct delivery on the attached subnet.
-		return dst, nil
-	}
-	if !e.NextHop.IsValid() {
-		return netip.Addr{}, fmt.Errorf("dataplane: %s: route %v has no next hop", n.Hostname, e.Prefix)
-	}
-	// If the next hop is itself directly reachable we are done; otherwise
-	// recurse (e.g. BGP next hop via IGP).
-	if nhEntry, ok := n.FIB.Lookup(e.NextHop); ok && nhEntry.Connected {
-		return e.NextHop, nil
-	}
-	return net.resolveNextHop(n, e.NextHop, depth+1)
+	return netip.Addr{}, deadEnd{kind: tooDeep, addr: dst}
 }
 
 // Hop is one traceroute step.
@@ -126,16 +152,14 @@ func (net *Network) Forward(srcHost string, dst netip.Addr, maxTTL int) TraceRes
 		res.Reached = true
 		return res
 	}
-	visited := map[string]bool{}
 	for ttl := 0; ttl < maxTTL; ttl++ {
-		if visited[cur.Hostname] {
+		if res.revisits(srcHost, cur.Hostname) {
 			res.Reason = fmt.Sprintf("loop detected at %s", cur.Hostname)
 			return res
 		}
-		visited[cur.Hostname] = true
-		nh, err := net.resolveNextHop(cur, dst, 0)
-		if err != nil {
-			res.Reason = err.Error()
+		nh, dead := resolveNextHop(cur, dst)
+		if dead.kind != 0 {
+			res.Reason = dead.reason(cur.Hostname)
 			return res
 		}
 		nextHost, ok := net.owner[nh]
@@ -157,6 +181,74 @@ func (net *Network) Forward(srcHost string, dst netip.Addr, maxTTL int) TraceRes
 	}
 	res.Reason = "ttl exceeded"
 	return res
+}
+
+// revisits reports whether the node the last hop arrived at was already on
+// the path: the source, or an earlier hop. The path is at most maxTTL long,
+// so a scan beats a per-trace set.
+func (res *TraceResult) revisits(srcHost, cur string) bool {
+	n := len(res.Hops)
+	if n == 0 {
+		return false
+	}
+	if cur == srcHost {
+		return true
+	}
+	for _, h := range res.Hops[:n-1] {
+		if h.Node == cur {
+			return true
+		}
+	}
+	return false
+}
+
+// HopsTo resolves every node's next hop towards dst exactly once and returns
+// each node's hop count to the node that owns dst: 0 on the owner itself, -1
+// where the walk dead-ends (no route, a next hop owned by no device) or
+// loops. IP forwarding is destination-based, so the walks from all sources
+// form one tree rooted at dst and share their suffixes; a reachability
+// matrix needs one tree per destination, not one walk per pair. A count may
+// exceed a probe's TTL: Forward(src, dst, ttl).Reached iff 0 <= hops <= ttl,
+// and then len(Hops) == hops.
+func (net *Network) HopsTo(dst netip.Addr) map[string]int {
+	const walking = -2 // on the walk in progress; meeting it again is a loop
+	hops := make(map[string]int, len(net.nodes))
+	var walk []string
+	for _, start := range net.nodes {
+		walk = walk[:0]
+		count := -1
+		for cur := start; ; {
+			if h, seen := hops[cur.Hostname]; seen {
+				if h != walking {
+					count = h
+				}
+				break
+			}
+			if cur.IsLocal(dst) {
+				hops[cur.Hostname] = 0
+				count = 0
+				break
+			}
+			hops[cur.Hostname] = walking
+			walk = append(walk, cur.Hostname)
+			nh, dead := resolveNextHop(cur, dst)
+			if dead.kind != 0 {
+				break
+			}
+			nextHost, ok := net.owner[nh]
+			if !ok {
+				break
+			}
+			cur = net.nodes[nextHost]
+		}
+		for i := len(walk) - 1; i >= 0; i-- {
+			if count >= 0 {
+				count++
+			}
+			hops[walk[i]] = count
+		}
+	}
+	return hops
 }
 
 // Ping reports whether dst is reachable from srcHost.

@@ -212,6 +212,45 @@ func TestNetkitPingLoopbacks(t *testing.T) {
 	}
 }
 
+// TestExecPingArguments: -c takes its value with it (a count is never read
+// as the destination), every packet of one ping shares a fate, and the
+// `-c 1` line the measurement client parses stays what it was.
+func TestExecPingArguments(t *testing.T) {
+	lab, alloc := startedLab(t, "netkit", "quagga")
+	lb := alloc.Overlay.Node("r5").Get(ipalloc.AttrLoopback).(netip.Addr).String()
+	const nowhere = "203.0.113.1"
+	for _, tc := range []struct {
+		command, want, wantErr string
+	}{
+		{command: "ping -c 1 " + lb, want: "PING " + lb + ": 1 packets transmitted, 1 received, 0% packet loss\n"},
+		{command: "ping " + lb, want: "PING " + lb + ": 1 packets transmitted, 1 received, 0% packet loss\n"},
+		{command: "ping -c 3 " + lb, want: "PING " + lb + ": 3 packets transmitted, 3 received, 0% packet loss\n"},
+		{command: "ping -n -c 2 -q " + lb, want: "PING " + lb + ": 2 packets transmitted, 2 received, 0% packet loss\n"},
+		{command: "ping " + lb + " -c 12", want: "PING " + lb + ": 12 packets transmitted, 12 received, 0% packet loss\n"},
+		{command: "ping -c 1 " + nowhere, want: "PING " + nowhere + ": 1 packets transmitted, 0 received, 100% packet loss\n"},
+		{command: "ping -c 3 " + nowhere, want: "PING " + nowhere + ": 3 packets transmitted, 0 received, 100% packet loss\n"},
+		{command: "ping -c", wantErr: "option requires an argument"},
+		{command: "ping -c 0 " + lb, wantErr: `bad number of packets to transmit "0"`},
+		{command: "ping -c many " + lb, wantErr: `bad number of packets to transmit "many"`},
+		{command: "ping -c " + lb, wantErr: "bad number of packets to transmit"},
+		{command: "ping 3 " + lb, wantErr: `bad destination "3"`},
+		{command: "ping -c 1", wantErr: "no destination"},
+		{command: "ping -c 1 not-an-ip", wantErr: `bad destination "not-an-ip"`},
+	} {
+		got, err := lab.Exec("r1", tc.command)
+		switch {
+		case tc.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%q: err = %v, want %q", tc.command, err, tc.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%q: %v", tc.command, err)
+		case got != tc.want:
+			t.Errorf("%q:\n got %q\nwant %q", tc.command, got, tc.want)
+		}
+	}
+}
+
 func TestShowCommands(t *testing.T) {
 	lab, _ := startedLab(t, "netkit", "quagga")
 	ospf, err := lab.Exec("r1", "show ip ospf neighbor")

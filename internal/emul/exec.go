@@ -4,7 +4,11 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
+
+	"autonetkit/internal/obs"
 )
 
 // Exec runs a command on a machine and returns its textual output — the
@@ -15,7 +19,7 @@ import (
 // Supported commands:
 //
 //	traceroute -naU <dst>       Linux traceroute (numeric, no DNS)
-//	ping -c 1 <dst>             reachability probe
+//	ping [-c <n>] <dst>         reachability probe
 //	show ip ospf neighbor       Quagga vtysh
 //	show ip bgp                 Quagga vtysh
 //	show ip route               kernel/zebra table
@@ -78,8 +82,21 @@ func (l *Lab) execPing(vm *VM, args []string) (string, error) {
 		return "", fmt.Errorf("emul: platform %s has no data plane", l.Platform)
 	}
 	var dst netip.Addr
-	for _, a := range args {
-		if strings.HasPrefix(a, "-") || a == "1" {
+	count := "1"
+	for i := 0; i < len(args); i++ {
+		a := args[i]
+		if a == "-c" {
+			i++
+			if i == len(args) {
+				return "", fmt.Errorf("emul: ping: option requires an argument -- 'c'")
+			}
+			if n, err := strconv.Atoi(args[i]); err != nil || n <= 0 {
+				return "", fmt.Errorf("emul: ping: bad number of packets to transmit %q", args[i])
+			}
+			count = args[i]
+			continue
+		}
+		if strings.HasPrefix(a, "-") {
 			continue
 		}
 		d, err := netip.ParseAddr(a)
@@ -91,10 +108,56 @@ func (l *Lab) execPing(vm *VM, args []string) (string, error) {
 	if !dst.IsValid() {
 		return "", fmt.Errorf("emul: ping: no destination")
 	}
-	if l.net.Ping(vm.Name, dst) {
-		return fmt.Sprintf("PING %v: 1 packets transmitted, 1 received, 0%% packet loss\n", dst), nil
+	l.obs.Add(obs.CounterPingProbes, 1)
+	// Forwarding is deterministic, so every packet of one ping shares a
+	// fate. A probe leaves with TTL pingTTL and is answered when the
+	// destination's owner is at most that many hops away, which is what
+	// Forward's TTL and loop checks decide for a single walk.
+	received, loss := "0", "100%"
+	if hops, ok := l.hopsTo(dst)[vm.Name]; ok && hops >= 0 && hops <= pingTTL {
+		received, loss = count, "0%"
 	}
-	return fmt.Sprintf("PING %v: 1 packets transmitted, 0 received, 100%% packet loss\n", dst), nil
+	return "PING " + dst.String() + ": " + count + " packets transmitted, " + received + " received, " + loss + " packet loss\n", nil
+}
+
+// pingTTL is the hop limit of an emulated ping, the same as traceroute's.
+const pingTTL = 30
+
+// hopTrees memoises dataplane.HopsTo per destination for one network
+// generation. There is no invalidation: buildDataplane installs a new, empty
+// one with every new network.
+type hopTrees struct {
+	mu sync.Mutex
+	to map[netip.Addr]*hopTree
+}
+
+type hopTree struct {
+	once sync.Once
+	hops map[string]int
+}
+
+// hopsTo returns every machine's hop count towards dst on the current
+// network, building the destination's tree on first use. Probes that race
+// for a new destination wait on its Once, not on each other's trees. Callers
+// hold the lab's read lock, so net and trees belong to one generation.
+func (l *Lab) hopsTo(dst netip.Addr) map[string]int {
+	if _, owned := l.net.Owner(dst); !owned {
+		// No device answers for dst, so no walk can end: nothing to share,
+		// and nothing a client can make the memo grow with.
+		return nil
+	}
+	l.trees.mu.Lock()
+	t := l.trees.to[dst]
+	if t == nil {
+		t = new(hopTree)
+		l.trees.to[dst] = t
+	}
+	l.trees.mu.Unlock()
+	t.once.Do(func() {
+		t.hops = l.net.HopsTo(dst)
+		l.obs.Add(obs.CounterHopTreesBuilt, 1)
+	})
+	return t.hops
 }
 
 func (l *Lab) execShow(vm *VM, args []string) (string, error) {

@@ -8,7 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"autonetkit/internal/graph"
 	"autonetkit/internal/ipalloc"
+	"autonetkit/internal/measure"
+	"autonetkit/internal/obs"
 	"autonetkit/internal/routing"
 )
 
@@ -425,6 +428,75 @@ func TestIncidentMeasureRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestMatrixFollowsNetworkGeneration: pings are answered from hop trees
+// memoised per destination, and the memo lives exactly as long as the
+// network it describes. A matrix after an incident shows the losses, one
+// after the restore equals the baseline, and the counters say how many
+// trees each of them cost.
+func TestMatrixFollowsNetworkGeneration(t *testing.T) {
+	lab, alloc := buildLab(t, "netkit", "quagga")
+	c := obs.NewCollector()
+	if err := lab.Boot(BootOptions{Obs: c}); err != nil {
+		t.Fatal(err)
+	}
+	client := measure.NewClient(lab, nil)
+	matrix := func(wantProbes, wantTrees int64) measure.Reachability {
+		t.Helper()
+		m, err := client.ReachabilityMatrix(lab.VMNames(), func(name string) netip.Addr {
+			return alloc.Overlay.Node(graph.ID(name)).Get(ipalloc.AttrLoopback).(netip.Addr)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if probes, trees := c.Counter(obs.CounterPingProbes), c.Counter(obs.CounterHopTreesBuilt); probes != wantProbes || trees != wantTrees {
+			t.Errorf("after %d probes %d hop trees were built, want %d and %d", probes, trees, wantProbes, wantTrees)
+		}
+		return m
+	}
+	// Five machines: 20 probes share one tree per destination, and a second
+	// matrix on the same network builds none.
+	base := matrix(20, 5)
+	if base.Reachable() != 20 {
+		t.Fatalf("baseline reaches %d of 20 pairs", base.Reachable())
+	}
+	if again := matrix(40, 5); !measure.DiffReachability(base, again).OK() {
+		t.Error("two matrices of one network differ")
+	}
+	for _, far := range []string{"r3", "r4"} {
+		if err := lab.FailLink(far, "r5"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut := measure.DiffReachability(base, matrix(60, 10))
+	if len(cut.Lost) != 8 || len(cut.Gained) != 0 {
+		t.Errorf("cutting r5 off: %+v", cut)
+	}
+	for _, p := range cut.Lost {
+		if p[0] != "r5" && p[1] != "r5" {
+			t.Errorf("lost pair %v does not involve r5", p)
+		}
+	}
+	for _, far := range []string{"r3", "r4"} {
+		if err := lab.RestoreLink(far, "r5"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	healed := matrix(80, 15)
+	if d := measure.DiffReachability(base, healed); !d.OK() {
+		t.Errorf("restored lab vs baseline: %+v", d)
+	}
+	if d := measure.DiffReachability(healed, base); !d.OK() {
+		t.Errorf("baseline vs restored lab: %+v", d)
+	}
+	// An address no device owns is answered (with loss) without a tree.
+	if out, err := lab.Exec("r1", "ping -c 1 203.0.113.1"); err != nil || !strings.Contains(out, " 0 received") {
+		t.Errorf("unowned destination: %q, %v", out, err)
+	}
+	if probes, trees := c.Counter(obs.CounterPingProbes), c.Counter(obs.CounterHopTreesBuilt); probes != 81 || trees != 15 {
+		t.Errorf("unowned destination left %d probes, %d trees", probes, trees)
+	}
 }
 
 func TestIncidentUnsupportedOnCBGP(t *testing.T) {

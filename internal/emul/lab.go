@@ -55,6 +55,9 @@ type Lab struct {
 	bgp       *routing.BGPEngine
 	bgpResult routing.BGPResult
 	net       *dataplane.Network
+	// trees answers pings on net (exec.go). It is assigned only where net
+	// is, so a reconvergence drops it with the generation it described.
+	trees *hopTrees
 
 	flatParse flatParser
 	started   bool
@@ -475,7 +478,8 @@ type BootOptions struct {
 	// events.
 	Incremental bool
 	// Obs, when set, receives incremental-convergence counters
-	// (spf_delta_recomputes, bgp_dirty_prefixes, rounds_skipped, ...).
+	// (spf_delta_recomputes, bgp_dirty_prefixes, rounds_skipped, ...) and the
+	// measurement counters ping_probes and hop_trees_built.
 	Obs *obs.Collector
 	// Shards is the worker count for sharded BGP round evaluation (<= 1 =
 	// sequential sweep, the default). Any value produces byte-identical
@@ -861,6 +865,6 @@ func (l *Lab) buildDataplane(devices []*routing.DeviceConfig, reuse map[string]*
 			return err
 		}
 	}
-	l.net = net
+	l.net, l.trees = net, &hopTrees{to: map[netip.Addr]*hopTree{}}
 	return nil
 }

@@ -9,6 +9,7 @@ package measure
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -365,27 +366,46 @@ func (c *Client) MeasuredASGraph(machines []string, asnOf func(host string) int)
 // loss line, exactly as the paper's measurement client would against a
 // real lab.
 func (c *Client) Reachable(src string, dst netip.Addr) (bool, error) {
-	out, err := c.target.Exec(src, fmt.Sprintf("ping -c 1 %s", dst))
+	out, err := c.target.Exec(src, pingCommand(dst))
 	if err != nil {
 		return false, err
 	}
-	return strings.Contains(out, " 1 received"), nil
+	return pingAnswered(out), nil
 }
+
+func pingCommand(dst netip.Addr) string { return "ping -c 1 " + dst.String() }
+
+func pingAnswered(out string) bool { return strings.Contains(out, " 1 received") }
 
 // Reachability is an N×N reachability matrix over named nodes: the
 // post-incident ground truth a chaos scenario diffs against its baseline.
 type Reachability struct {
-	Nodes []string           // sorted probe sources/destinations
-	Reach map[[2]string]bool // [src, dst] -> ping succeeded
+	Nodes []string // sorted probe sources/destinations
+	reach []bool   // row-major len(Nodes)²: [src*N+dst] -> ping succeeded
+}
+
+// index returns a node's row/column, -1 if it was not probed.
+func (m Reachability) index(node string) int {
+	if i := sort.SearchStrings(m.Nodes, node); i < len(m.Nodes) && m.Nodes[i] == node {
+		return i
+	}
+	return -1
+}
+
+// Reach reports whether src's ping to dst succeeded; false for a pair that
+// was not probed (an unknown node, or src == dst).
+func (m Reachability) Reach(src, dst string) bool {
+	i, j := m.index(src), m.index(dst)
+	return i >= 0 && j >= 0 && m.reach[i*len(m.Nodes)+j]
 }
 
 // Pairs returns the number of probed (ordered) pairs.
-func (m Reachability) Pairs() int { return len(m.Reach) }
+func (m Reachability) Pairs() int { return len(m.Nodes) * (len(m.Nodes) - 1) }
 
 // Reachable counts the pairs that answered.
 func (m Reachability) Reachable() int {
 	n := 0
-	for _, ok := range m.Reach {
+	for _, ok := range m.reach {
 		if ok {
 			n++
 		}
@@ -394,7 +414,7 @@ func (m Reachability) Reachable() int {
 }
 
 // ReachabilityDiff lists the ordered pairs whose reachability changed
-// between two matrices.
+// between two matrices, each list in (src, dst) order.
 type ReachabilityDiff struct {
 	Lost   [][2]string // reachable before, not after
 	Gained [][2]string // unreachable before, reachable after
@@ -411,71 +431,79 @@ func (d ReachabilityDiff) String() string {
 	return fmt.Sprintf("reachability changed: %d pairs lost, %d pairs gained", len(d.Lost), len(d.Gained))
 }
 
-// DiffReachability compares two matrices probed over the same node set.
+// DiffReachability compares two matrices probed over the same node set. A
+// pair of before's that after did not probe counts as unreachable after.
 func DiffReachability(before, after Reachability) ReachabilityDiff {
 	var d ReachabilityDiff
-	for pair, was := range before.Reach {
-		now := after.Reach[pair]
-		switch {
-		case was && !now:
-			d.Lost = append(d.Lost, pair)
-		case !was && now:
-			d.Gained = append(d.Gained, pair)
+	n := len(before.Nodes)
+	in := make([]int, n) // before's index -> after's
+	for i, node := range before.Nodes {
+		in[i] = after.index(node)
+	}
+	for i, src := range before.Nodes {
+		for j, dst := range before.Nodes {
+			if i == j {
+				continue
+			}
+			was := before.reach[i*n+j]
+			now := in[i] >= 0 && in[j] >= 0 && after.reach[in[i]*len(after.Nodes)+in[j]]
+			switch {
+			case was && !now:
+				d.Lost = append(d.Lost, [2]string{src, dst})
+			case !was && now:
+				d.Gained = append(d.Gained, [2]string{src, dst})
+			}
 		}
 	}
-	sortPairList(d.Lost)
-	sortPairList(d.Gained)
 	return d
 }
 
-func sortPairList(ps [][2]string) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][0] != ps[j][0] {
-			return ps[i][0] < ps[j][0]
-		}
-		return ps[i][1] < ps[j][1]
-	})
-}
-
-// ReachabilityMatrix probes every ordered pair of the given nodes
-// concurrently (addrOf supplies each destination's probe address; nodes
-// whose address is invalid are skipped). Self-pairs are not probed.
+// ReachabilityMatrix probes every ordered pair of the given nodes (addrOf
+// supplies each destination's probe address; nodes whose address is invalid
+// are skipped). Self-pairs are not probed. One worker per source walks its
+// row in destination order, so the lab sees N concurrent clients; on a
+// failed probe the worker abandons its row, and the error returned is the
+// first failure in (src, dst) order whatever the scheduling was.
 func (c *Client) ReachabilityMatrix(nodes []string, addrOf func(string) netip.Addr) (Reachability, error) {
 	sorted := make([]string, 0, len(nodes))
-	for _, n := range nodes {
-		if addrOf(n).IsValid() {
-			sorted = append(sorted, n)
+	for _, node := range nodes {
+		if addrOf(node).IsValid() {
+			sorted = append(sorted, node)
 		}
 	}
 	sort.Strings(sorted)
-	m := Reachability{Nodes: sorted, Reach: map[[2]string]bool{}}
-	type probe struct {
-		pair [2]string
-		ok   bool
-		err  error
+	sorted = slices.Compact(sorted)
+	n := len(sorted)
+	commands := make([]string, n) // one per destination, shared by every row
+	for j, dst := range sorted {
+		commands[j] = pingCommand(addrOf(dst))
 	}
+	m := Reachability{Nodes: sorted, reach: make([]bool, n*n)}
+	failed := make([]error, n) // per row
 	var wg sync.WaitGroup
-	results := make(chan probe, len(sorted)*len(sorted))
-	for _, src := range sorted {
-		for _, dst := range sorted {
-			if src == dst {
-				continue
+	for i := range sorted {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			row := m.reach[i*n : (i+1)*n]
+			for j := range sorted {
+				if j == i {
+					continue
+				}
+				out, err := c.target.Exec(sorted[i], commands[j])
+				if err != nil {
+					failed[i] = fmt.Errorf("measure: probing %s -> %s: %w", sorted[i], sorted[j], err)
+					return
+				}
+				row[j] = pingAnswered(out)
 			}
-			wg.Add(1)
-			go func(src, dst string) {
-				defer wg.Done()
-				ok, err := c.Reachable(src, addrOf(dst))
-				results <- probe{[2]string{src, dst}, ok, err}
-			}(src, dst)
-		}
+		}(i)
 	}
 	wg.Wait()
-	close(results)
-	for p := range results {
-		if p.err != nil {
-			return Reachability{}, fmt.Errorf("measure: probing %s -> %s: %w", p.pair[0], p.pair[1], p.err)
+	for _, err := range failed {
+		if err != nil {
+			return Reachability{}, err
 		}
-		m.Reach[p.pair] = p.ok
 	}
 	return m, nil
 }

@@ -1,11 +1,14 @@
 package measure
 
 import (
+	"fmt"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"autonetkit/internal/compile"
@@ -475,5 +478,82 @@ func TestReachabilityMatrixAndDiff(t *testing.T) {
 	// Self-diff is clean and says so.
 	if d := DiffReachability(after, after); !d.OK() || d.String() != "reachability unchanged" {
 		t.Errorf("self diff = %+v (%q)", d, d.String())
+	}
+	// Reach answers per pair; a pair that was not probed did not answer.
+	for _, tc := range []struct {
+		m        Reachability
+		src, dst string
+		want     bool
+	}{
+		{before, "r1", "r5", true}, {before, "r5", "r1", true}, {before, "r1", "r1", false},
+		{after, "r1", "r5", false}, {after, "r5", "r1", false}, {after, "r1", "r4", true},
+		{partial, "r1", "r4", true}, {partial, "r1", "r5", false},
+		{before, "ghost", "r1", false}, {before, "r1", "ghost", false}, {Reachability{}, "r1", "r2", false},
+	} {
+		if got := tc.m.Reach(tc.src, tc.dst); got != tc.want {
+			t.Errorf("Reach(%s, %s) = %v, want %v", tc.src, tc.dst, got, tc.want)
+		}
+	}
+	// Over different node sets only the first matrix's pairs are compared,
+	// and a pair the second did not probe counts as lost.
+	if d := DiffReachability(before, partial); len(d.Lost) != 8 || len(d.Gained) != 0 {
+		t.Errorf("full vs partial = %+v", d)
+	}
+	if d := DiffReachability(partial, before); !d.OK() {
+		t.Errorf("partial vs full = %+v", d)
+	}
+	if d := DiffReachability(Reachability{}, before); !d.OK() {
+		t.Errorf("empty vs full = %+v", d)
+	}
+}
+
+// flakyTarget answers every ping except those from the machines in fail,
+// which error from the named destination address on (every destination when
+// the address is invalid). It records each probe it was asked for.
+type flakyTarget struct {
+	fail map[string]netip.Addr
+	mu   sync.Mutex
+	seen map[[2]string]bool
+}
+
+func (f *flakyTarget) VMNames() []string { return nil }
+
+func (f *flakyTarget) Exec(machine, command string) (string, error) {
+	dst := command[strings.LastIndexByte(command, ' ')+1:]
+	f.mu.Lock()
+	f.seen[[2]string{machine, dst}] = true
+	f.mu.Unlock()
+	runtime.Gosched()
+	if from, bad := f.fail[machine]; bad && (!from.IsValid() || from.String() == dst) {
+		return "", fmt.Errorf("%s is down", machine)
+	}
+	return "PING " + dst + ": 1 packets transmitted, 1 received, 0% packet loss\n", nil
+}
+
+// TestReachabilityMatrixErrorIsDeterministic: with two failing rows the
+// error names the first failed probe in (src, dst) order on every run,
+// whichever worker got there first, and a failed row is abandoned.
+func TestReachabilityMatrixErrorIsDeterministic(t *testing.T) {
+	nodes := []string{"f", "d", "b", "a", "e", "c"}
+	addrOf := func(name string) netip.Addr {
+		return netip.AddrFrom4([4]byte{10, 0, 0, name[0] - 'a' + 1})
+	}
+	for run := 0; run < 50; run++ {
+		target := &flakyTarget{
+			fail: map[string]netip.Addr{"b": addrOf("e"), "d": {}},
+			seen: map[[2]string]bool{},
+		}
+		_, err := NewClient(target, nil).ReachabilityMatrix(nodes, addrOf)
+		if err == nil || err.Error() != "measure: probing b -> e: b is down" {
+			t.Fatalf("run %d: err = %v", run, err)
+		}
+		for pair := range target.seen {
+			if pair == [2]string{"b", addrOf("f").String()} || (pair[0] == "d" && pair[1] != addrOf("a").String()) {
+				t.Fatalf("run %d: probe %v ran after its row had failed", run, pair)
+			}
+		}
+		if !target.seen[[2]string{"a", addrOf("f").String()}] || !target.seen[[2]string{"b", addrOf("d").String()}] {
+			t.Fatalf("run %d: healthy probes missing: %v", run, target.seen)
+		}
 	}
 }

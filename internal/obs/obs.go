@@ -80,6 +80,13 @@ const (
 	CounterShardRoundsParallel = "shard_rounds_parallel"
 	CounterCrossShardAdverts   = "cross_shard_adverts"
 
+	// Measurement counters, emitted by the lab where probes are answered:
+	// emulated pings served, and per-destination hop trees built to serve
+	// them (dataplane.HopsTo, at most one per destination and network
+	// generation). Their ratio is the number of probes that shared one walk.
+	CounterPingProbes    = "ping_probes"
+	CounterHopTreesBuilt = "hop_trees_built"
+
 	// Cluster-scheduler counters (internal/sched): cordon/drain lifecycle,
 	// fair-share queueing, and live re-placement. drain_duration accumulates
 	// milliseconds across drains.

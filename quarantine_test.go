@@ -93,7 +93,7 @@ func TestGoldenQuarantineDrill(t *testing.T) {
 	if len(matrix.Nodes) != len(survivors) {
 		t.Errorf("matrix covers %d nodes, want %d", len(matrix.Nodes), len(survivors))
 	}
-	if !matrix.Reach[[2]string{"as300r2", "as1r1"}] {
+	if !matrix.Reach("as300r2", "as1r1") {
 		t.Error("survivor as300r2 cannot reach as1r1 in the degraded lab")
 	}
 }

@@ -108,6 +108,9 @@ go test -race -run 'TestGoldenShardDrill|TestShardPartitionProperty' -count=1 .
 echo "== sharded convergence parity (-race; byte-identical reports/events/RIBs/FIBs across the shard x worker x incremental cross-product; ANK_SHARDS pins the wide shard count)"
 ANK_SHARDS="${ANK_SHARDS:-4}" go test -race -run 'TestShardedConvergenceParity|TestShardWatchdogMeasureRace' -count=1 .
 
+echo "== hop-tree parity (-race; HopsTo, which answers every ping, against Forward walked per pair: hand-built loops/blackholes/TTL boundary, Small-Internet and a 60-router lab through fail/restore)"
+go test -race -run 'TestHopsToMatchesForwardHandBuilt|TestHopsToTTLBoundary|TestHopsToMatchesForwardOnLabs' -count=1 ./internal/dataplane/
+
 echo "== incremental rebuild benchmark (cold vs warm)"
 go test -run 'NONE' -bench 'BenchmarkP4_IncrementalRebuild' -benchtime 3x .
 
@@ -116,6 +119,9 @@ go test -run 'NONE' -bench 'BenchmarkP6_IncrementalConvergence' -benchtime 1x .
 
 echo "== sharded convergence benchmark (serial vs sharded round evaluation, 240 routers)"
 go test -run 'NONE' -bench 'BenchmarkP9_ShardedConvergence/n240' -benchtime 1x .
+
+echo "== reachability matrix benchmark (240 routers; fresh = hop trees rebuilt after a reconvergence, unchanged = read back)"
+go test -run 'NONE' -bench 'BenchmarkP14_ReachabilityMatrix' -benchtime 1x .
 
 echo "== scheduler placement + drain benchmark (42-AS / 1158-router scale)"
 go test -run 'NONE' -bench 'BenchmarkP7_SchedulerDrain' -benchtime 1x .

@@ -272,7 +272,8 @@ func TestShardPartitionProperty(t *testing.T) {
 
 // Sharded convergence must be safe against concurrent watchdog supervision
 // and measurement reads: the mirror of TestWatchdogMeasureRace with the
-// parallel round driver active. Run under -race.
+// parallel round driver active, followed by fail/restore incidents under the
+// same readers. Run under -race.
 func TestShardWatchdogMeasureRace(t *testing.T) {
 	net, err := Load(fixture)
 	if err != nil {
@@ -339,10 +340,24 @@ func TestShardWatchdogMeasureRace(t *testing.T) {
 			t.Fatalf("re-supervise: %+v, %v", rep, err)
 		}
 	}
+	// The readers keep probing while incidents replace the network, and
+	// with it the hop trees their pings are answered from, under them.
+	link := lab.Links()[0]
+	for i := 0; i < 3; i++ {
+		if err := lab.FailLink(link[0], link[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := lab.RestoreLink(link[0], link[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	close(done)
 	wg.Wait()
 	if lab.Verdict() != emul.VerdictConverged {
 		t.Errorf("final verdict = %s", lab.Verdict())
+	}
+	if m, err := client.ReachabilityMatrix(lab.VMNames(), addrOf); err != nil || m.Reachable() != m.Pairs() {
+		t.Errorf("restored lab reaches %d of %d pairs, err %v", m.Reachable(), m.Pairs(), err)
 	}
 }
 
@@ -357,6 +372,11 @@ func runShardDrill(t *testing.T, shards int) string {
 	report, _, _, stats := runShardScenario(t, 1, shards, false, string(data))
 	if shards > 1 && stats.Counters[obs.CounterShardRoundsParallel] == 0 {
 		t.Fatalf("shards=%d: parallel driver never ran", shards)
+	}
+	// The baseline and the five reachability checks are six matrices over
+	// 14 machines, each on a network of its own: 13 probes share every walk.
+	if probes, trees := stats.Counters[obs.CounterPingProbes], stats.Counters[obs.CounterHopTreesBuilt]; probes != 6*14*13 || trees != 6*14 {
+		t.Errorf("shards=%d: %d ping probes answered from %d hop trees, want %d from %d", shards, probes, trees, 6*14*13, 6*14)
 	}
 	return report
 }
