@@ -784,10 +784,12 @@ func BenchmarkP1_CompileRender(b *testing.B) {
 	}
 }
 
-// --- P4: incremental content-addressed rebuild. Cold runs compile and
-// render every device into a fresh store; warm reuses a fully warmed store,
-// paying only digest computation and artifact decoding. The gap is the
-// speedup an unchanged rebuild gets from `ankbuild -cache`. ---
+// --- P4: incremental content-addressed rebuild, compile + render only.
+// cold fills a fresh store; warm rebuilds the unchanged model, paying one
+// digest, one lookup and one decode per device; edit changes one node
+// attribute per iteration, so it pays warm plus that device's compile and
+// render. The end-to-end form of edit (file to verified tree, on-disk
+// store) is the repository benchmark's rebuild_warm_s. ---
 
 func BenchmarkP4_IncrementalRebuild(b *testing.B) {
 	net := p1Input(b)
@@ -811,6 +813,26 @@ func BenchmarkP4_IncrementalRebuild(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			runOnce(b, store)
+		}
+	})
+	edits := 0 // across the calibration calls too: an edit repeated is no edit
+	b.Run("edit", func(b *testing.B) {
+		store := cache.NewMemory()
+		runOnce(b, store)
+		routers := net.ANM.Overlay(core.OverlayPhy).Routers()
+		missed := store.Stats().Misses
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			edits++
+			if err := routers[edits%len(routers)].Set("note", fmt.Sprintf("edit-%d", edits)); err != nil {
+				b.Fatal(err)
+			}
+			runOnce(b, store)
+			if m := store.Stats().Misses; m != missed+2 {
+				b.Fatalf("edit %d missed %d lookups, want that device's record and files", i, m-missed)
+			} else {
+				missed = m
+			}
 		}
 	})
 }

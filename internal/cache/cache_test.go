@@ -2,10 +2,12 @@ package cache
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"autonetkit/internal/graph"
@@ -240,5 +242,71 @@ func TestStoreByteBoundEviction(t *testing.T) {
 	s.Put(other, []byte{2})
 	if _, ok := s.Get(big); ok {
 		t.Error("oversized entry survived a second insert")
+	}
+}
+
+// TestStoreConcurrentPutGet drives one on-disk store from many goroutines,
+// every one writing a shared key, writing keys of its own and reading both
+// back. Disk I/O runs outside the store's lock, so this is the test the race
+// detector needs to see: payloads must come back whole and the counters
+// must still add up to the calls made.
+func TestStoreConcurrentPutGet(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{MaxEntries: 8}) // small LRU: most Gets go to disk
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, perWorker = 8, 20
+	shared := NewHasher("shared").Sum()
+	payload := func(w, i int) []byte { return []byte(fmt.Sprintf("payload-%d-%d", w, i)) }
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				s.Put(shared, []byte("same bytes from everyone"))
+				h := NewHasher("own")
+				h.Int(w, i)
+				key := h.Sum()
+				s.Put(key, payload(w, i))
+				if got, ok := s.Get(key); !ok || !bytes.Equal(got, payload(w, i)) {
+					t.Errorf("worker %d key %d read back %q, %v", w, i, got, ok)
+				}
+				if got, ok := s.Get(shared); !ok || string(got) != "same bytes from everyone" {
+					t.Errorf("shared key read back %q, %v", got, ok)
+				}
+				h.Str("never stored")
+				if _, ok := s.Get(h.Sum()); ok {
+					t.Error("hit on a key nobody stored")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := s.Stats()
+	const calls = workers * perWorker
+	if st.Hits != 2*calls || st.Misses != calls || st.DiskErrors != 0 {
+		t.Errorf("stats = %+v, want %d hits, %d misses, no disk errors", st, 2*calls, calls)
+	}
+	var wantWritten int64
+	for w := 0; w < workers; w++ {
+		for i := 0; i < perWorker; i++ {
+			wantWritten += int64(len(payload(w, i)) + len("same bytes from everyone"))
+		}
+	}
+	if st.BytesWritten != wantWritten {
+		t.Errorf("BytesWritten = %d, want %d", st.BytesWritten, wantWritten)
+	}
+	// A fresh store over the directory sees every entry, whole.
+	s2, err := Open(s.Dir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < workers; w++ {
+		h := NewHasher("own")
+		h.Int(w, perWorker-1)
+		if got, ok := s2.Get(h.Sum()); !ok || !bytes.Equal(got, payload(w, perWorker-1)) {
+			t.Errorf("reopened store: worker %d's last entry reads %q, %v", w, got, ok)
+		}
 	}
 }

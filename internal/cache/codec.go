@@ -123,7 +123,8 @@ func appendValue(b []byte, v any, lenient bool) ([]byte, error) {
 			b = append(b, tagNilMap)
 			return b, nil
 		}
-		keys := make([]string, 0, len(x))
+		var few [8]string // attribute maps are small: no allocation to sort their keys
+		keys := few[:0]
 		for k := range x {
 			keys = append(keys, k)
 		}
@@ -148,8 +149,12 @@ func appendValue(b []byte, v any, lenient bool) ([]byte, error) {
 
 // DecodeValue decodes one canonically-encoded value, rejecting trailing
 // garbage. Every error means "treat as a cache miss".
+//
+// The blob is copied into one string and every decoded string, map keys
+// included, is a slice of that copy: a device record is hundreds of short
+// strings that live and die together, so they share one allocation.
 func DecodeValue(data []byte) (any, error) {
-	v, rest, err := decodeValue(data, interner{})
+	v, rest, err := decodeValue(string(data))
 	if err != nil {
 		return nil, err
 	}
@@ -159,29 +164,9 @@ func DecodeValue(data []byte) (any, error) {
 	return v, nil
 }
 
-// interner deduplicates the strings of one decoded value. Cached build
-// blobs repeat the same small strings relentlessly — every device record
-// holds the same attribute keys, interface names and device types — and
-// decoding each occurrence into a fresh allocation dominates an otherwise
-// warm restore. Long strings (rendered file contents) pass through
-// untouched so the interner never pins large buffers.
-type interner map[string]string
-
-func (in interner) str(raw []byte) string {
-	if len(raw) > 64 {
-		return string(raw)
-	}
-	if s, ok := in[string(raw)]; ok {
-		return s
-	}
-	s := string(raw)
-	in[s] = s
-	return s
-}
-
-func decodeValue(b []byte, in interner) (any, []byte, error) {
+func decodeValue(b string) (any, string, error) {
 	if len(b) == 0 {
-		return nil, nil, fmt.Errorf("cache: truncated value")
+		return nil, "", fmt.Errorf("cache: truncated value")
 	}
 	tag, b := b[0], b[1:]
 	switch tag {
@@ -202,7 +187,7 @@ func decodeValue(b []byte, in interner) (any, []byte, error) {
 	case tagInt, tagInt64, tagFloat64:
 		u, rest, err := takeFixed64(b)
 		if err != nil {
-			return nil, nil, err
+			return nil, "", err
 		}
 		switch tag {
 		case tagInt:
@@ -215,39 +200,39 @@ func decodeValue(b []byte, in interner) (any, []byte, error) {
 	case tagString:
 		raw, rest, err := takeBytes(b)
 		if err != nil {
-			return nil, nil, err
+			return nil, "", err
 		}
-		return in.str(raw), rest, nil
+		return raw, rest, nil
 	case tagAddr:
 		raw, rest, err := takeBytes(b)
 		if err != nil {
-			return nil, nil, err
+			return nil, "", err
 		}
 		var a netip.Addr
-		if err := a.UnmarshalBinary(raw); err != nil {
-			return nil, nil, err
+		if err := a.UnmarshalBinary([]byte(raw)); err != nil {
+			return nil, "", err
 		}
 		return a, rest, nil
 	case tagPrefix:
 		raw, rest, err := takeBytes(b)
 		if err != nil {
-			return nil, nil, err
+			return nil, "", err
 		}
 		var p netip.Prefix
-		if err := p.UnmarshalBinary(raw); err != nil {
-			return nil, nil, err
+		if err := p.UnmarshalBinary([]byte(raw)); err != nil {
+			return nil, "", err
 		}
 		return p, rest, nil
 	case tagList:
 		n, rest, err := takeUvarint(b)
 		if err != nil {
-			return nil, nil, err
+			return nil, "", err
 		}
 		list := make([]any, 0, min(int(n), len(rest)))
 		for i := uint64(0); i < n; i++ {
 			var el any
-			if el, rest, err = decodeValue(rest, in); err != nil {
-				return nil, nil, err
+			if el, rest, err = decodeValue(rest); err != nil {
+				return nil, "", err
 			}
 			list = append(list, el)
 		}
@@ -255,31 +240,31 @@ func decodeValue(b []byte, in interner) (any, []byte, error) {
 	case tagStrings:
 		n, rest, err := takeUvarint(b)
 		if err != nil {
-			return nil, nil, err
+			return nil, "", err
 		}
 		list := make([]string, 0, min(int(n), len(rest)))
 		for i := uint64(0); i < n; i++ {
-			var raw []byte
+			var raw string
 			if raw, rest, err = takeBytes(rest); err != nil {
-				return nil, nil, err
+				return nil, "", err
 			}
-			list = append(list, in.str(raw))
+			list = append(list, raw)
 		}
 		return list, rest, nil
 	case tagPrefixes:
 		n, rest, err := takeUvarint(b)
 		if err != nil {
-			return nil, nil, err
+			return nil, "", err
 		}
 		list := make([]netip.Prefix, 0, min(int(n), len(rest)))
 		for i := uint64(0); i < n; i++ {
-			var raw []byte
+			var raw string
 			if raw, rest, err = takeBytes(rest); err != nil {
-				return nil, nil, err
+				return nil, "", err
 			}
 			var p netip.Prefix
-			if err := p.UnmarshalBinary(raw); err != nil {
-				return nil, nil, err
+			if err := p.UnmarshalBinary([]byte(raw)); err != nil {
+				return nil, "", err
 			}
 			list = append(list, p)
 		}
@@ -287,23 +272,23 @@ func decodeValue(b []byte, in interner) (any, []byte, error) {
 	case tagMap:
 		n, rest, err := takeUvarint(b)
 		if err != nil {
-			return nil, nil, err
+			return nil, "", err
 		}
 		m := make(map[string]any, min(int(n), len(rest)))
 		for i := uint64(0); i < n; i++ {
-			var key []byte
+			var key string
 			if key, rest, err = takeBytes(rest); err != nil {
-				return nil, nil, err
+				return nil, "", err
 			}
 			var val any
-			if val, rest, err = decodeValue(rest, in); err != nil {
-				return nil, nil, err
+			if val, rest, err = decodeValue(rest); err != nil {
+				return nil, "", err
 			}
-			m[in.str(key)] = val
+			m[key] = val
 		}
 		return m, rest, nil
 	default:
-		return nil, nil, fmt.Errorf("cache: unknown value tag %q", tag)
+		return nil, "", fmt.Errorf("cache: unknown value tag %q", tag)
 	}
 }
 
@@ -314,9 +299,9 @@ func appendFixed64(b []byte, v uint64) []byte {
 	return b
 }
 
-func takeFixed64(b []byte) (uint64, []byte, error) {
+func takeFixed64(b string) (uint64, string, error) {
 	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("cache: truncated fixed64")
+		return 0, "", fmt.Errorf("cache: truncated fixed64")
 	}
 	var v uint64
 	for i := 0; i < 8; i++ {
@@ -330,18 +315,18 @@ func appendBytes(b, raw []byte) []byte {
 	return append(b, raw...)
 }
 
-func takeBytes(b []byte) ([]byte, []byte, error) {
+func takeBytes(b string) (string, string, error) {
 	n, rest, err := takeUvarint(b)
 	if err != nil {
-		return nil, nil, err
+		return "", "", err
 	}
 	if uint64(len(rest)) < n {
-		return nil, nil, fmt.Errorf("cache: truncated bytes (want %d, have %d)", n, len(rest))
+		return "", "", fmt.Errorf("cache: truncated bytes (want %d, have %d)", n, len(rest))
 	}
 	return rest[:n], rest[n:], nil
 }
 
-func takeUvarint(b []byte) (uint64, []byte, error) {
+func takeUvarint(b string) (uint64, string, error) {
 	var v uint64
 	for i := 0; i < len(b) && i < 10; i++ {
 		v |= uint64(b[i]&0x7f) << (7 * i)
@@ -349,5 +334,5 @@ func takeUvarint(b []byte) (uint64, []byte, error) {
 			return v, b[i+1:], nil
 		}
 	}
-	return 0, nil, fmt.Errorf("cache: truncated uvarint")
+	return 0, "", fmt.Errorf("cache: truncated uvarint")
 }

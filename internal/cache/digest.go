@@ -18,7 +18,6 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
-	"sort"
 
 	"autonetkit/internal/graph"
 )
@@ -42,12 +41,11 @@ type Hasher struct {
 	h hash.Hash
 	// buf accumulates framed tokens and is flushed to the hash in large
 	// chunks: SHA-256 digests long writes far faster than the thousands of
-	// few-byte writes a whole-model signature would otherwise issue.
+	// few-byte writes a device's model slice would otherwise issue.
 	buf []byte
-	// vbuf and keys are reused across Value/Attrs calls so hashing an
+	// vbuf is reused across Value/Attrs calls so hashing an
 	// attribute-heavy model slice doesn't allocate per token.
 	vbuf []byte
-	keys []string
 }
 
 // flushThreshold bounds the token buffer; crossing it drains to the hash.
@@ -68,13 +66,22 @@ func (h *Hasher) write(p []byte) {
 }
 
 // NewHasher returns a hasher seeded with a domain tag. Distinct tags (for
-// example "ank/compile/v1" vs "ank/render/v1") partition the digest space,
+// example "ank/compile/v2" vs "ank/render/v1") partition the digest space,
 // and bumping a tag's version invalidates every existing entry for that
 // stage.
 func NewHasher(tag string) *Hasher {
 	h := &Hasher{h: sha256.New()}
 	h.Str(tag)
 	return h
+}
+
+// Reset restarts the hasher under tag as NewHasher would, keeping its
+// buffers: a caller taking thousands of digests reuses one hasher instead
+// of regrowing a token buffer for each.
+func (h *Hasher) Reset(tag string) {
+	h.h.Reset()
+	h.buf = h.buf[:0]
+	h.Str(tag)
 }
 
 func (h *Hasher) frame(kind byte, n int) {
@@ -140,21 +147,16 @@ func (h *Hasher) Value(v any) {
 // Attrs hashes an attribute map with sorted keys, so the digest is
 // independent of map iteration order.
 func (h *Hasher) Attrs(a graph.Attrs) {
-	if a == nil {
-		h.frame('n', 0)
-		return
-	}
-	keys := h.keys[:0]
-	for k := range a {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	h.keys = keys
-	h.frame('M', len(keys))
-	for _, k := range keys {
-		h.Str(k)
-		h.Value(a[k])
-	}
+	h.vbuf = AppendAttrs(h.vbuf[:0], a)
+	h.Bytes(h.vbuf)
+}
+
+// AppendAttrs appends the canonical encoding Attrs hashes — sorted keys,
+// lenient values — to dst. A caller that hashes one map into many digests
+// encodes it once and passes the result to Bytes.
+func AppendAttrs(dst []byte, a graph.Attrs) []byte {
+	dst, _ = appendValue(dst, map[string]any(a), true)
+	return dst
 }
 
 // Float hashes a float64 by bit pattern.

@@ -2,7 +2,9 @@ package cache
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -77,38 +79,55 @@ func (s *Store) Dir() string { return s.dir }
 
 // Get returns the payload stored under key, consulting memory first and
 // then disk. The returned slice must not be modified by the caller.
+//
+// The lock covers the LRU and the counters only; file I/O runs outside it,
+// so workers reading or storing different keys overlap. Content addressing
+// plus temp-and-rename makes racing writers of one key idempotent, and a
+// reader sees a whole entry or none.
 func (s *Store) Get(key Digest) ([]byte, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if data, ok := s.mem.get(key); ok {
 		s.stats.Hits++
 		s.stats.MemoryHits++
 		s.stats.BytesRead += int64(len(data))
+		s.mu.Unlock()
 		return data, true
 	}
-	if s.dir != "" {
-		if data, ok := s.readDisk(key); ok {
-			s.mem.put(key, data)
-			s.stats.Evictions = s.mem.evictions
-			s.stats.Hits++
-			s.stats.BytesRead += int64(len(data))
-			return data, true
+	s.mu.Unlock()
+
+	data, err := s.readDisk(key)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		if !errors.Is(err, fs.ErrNotExist) {
+			s.stats.DiskErrors++
 		}
+		s.stats.Misses++
+		return nil, false
 	}
-	s.stats.Misses++
-	return nil, false
+	s.mem.put(key, data)
+	s.stats.Evictions = s.mem.evictions
+	s.stats.Hits++
+	s.stats.BytesRead += int64(len(data))
+	return data, true
 }
 
 // Put stores payload under key in memory and, when configured, on disk.
 // The store takes ownership of data; callers must not modify it afterwards.
 func (s *Store) Put(key Digest, data []byte) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.mem.put(key, data)
 	s.stats.Evictions = s.mem.evictions
 	s.stats.BytesWritten += int64(len(data))
-	if s.dir != "" {
-		s.writeDisk(key, data)
+	s.mu.Unlock()
+	if s.dir == "" {
+		return
+	}
+	if err := s.writeDisk(key, data); err != nil {
+		s.mu.Lock()
+		s.stats.DiskErrors++
+		s.mu.Unlock()
 	}
 }
 
@@ -133,41 +152,34 @@ func (s *Store) path(key Digest) string {
 	return filepath.Join(s.dir, hex[:2], hex[2:]+".bin")
 }
 
-func (s *Store) readDisk(key Digest) ([]byte, bool) {
+// readDisk returns the verified payload of key's entry. A missing entry
+// (every entry of a memory-only store) is fs.ErrNotExist; a torn or
+// bit-flipped one is removed and reported.
+func (s *Store) readDisk(key Digest) ([]byte, error) {
+	if s.dir == "" {
+		return nil, fs.ErrNotExist
+	}
 	path := s.path(key)
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		if !os.IsNotExist(err) {
-			s.stats.DiskErrors++
-		}
-		return nil, false
+		return nil, err
 	}
 	headerLen := len(diskMagic) + sha256.Size
-	if len(raw) < headerLen || [8]byte(raw[:len(diskMagic)]) != diskMagic {
-		s.dropCorrupt(path)
-		return nil, false
+	if len(raw) < headerLen || [8]byte(raw[:len(diskMagic)]) != diskMagic ||
+		sha256.Sum256(raw[headerLen:]) != [sha256.Size]byte(raw[len(diskMagic):headerLen]) {
+		os.Remove(path)
+		return nil, fmt.Errorf("cache: corrupt entry %s", path)
 	}
-	payload := raw[headerLen:]
-	if sha256.Sum256(payload) != [sha256.Size]byte(raw[len(diskMagic):headerLen]) {
-		s.dropCorrupt(path)
-		return nil, false
-	}
-	return payload, true
+	return raw[headerLen:], nil
 }
 
-func (s *Store) dropCorrupt(path string) {
-	s.stats.DiskErrors++
-	os.Remove(path)
-}
-
-func (s *Store) writeDisk(key Digest, data []byte) {
+func (s *Store) writeDisk(key Digest, data []byte) error {
 	path := s.path(key)
 	if _, err := os.Stat(path); err == nil {
-		return // content-addressed: an existing entry is already identical
+		return nil // content-addressed: an existing entry is already identical
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		s.stats.DiskErrors++
-		return
+		return err
 	}
 	sum := sha256.Sum256(data)
 	buf := make([]byte, 0, len(diskMagic)+len(sum)+len(data))
@@ -180,28 +192,23 @@ func (s *Store) writeDisk(key Digest, data []byte) {
 	// on disk first, and the directory entry flushed after).
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
-		s.stats.DiskErrors++
-		return
+		return err
 	}
 	_, werr := tmp.Write(buf)
 	serr := tmp.Sync()
 	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
+	if err := errors.Join(werr, serr, cerr); err != nil {
 		os.Remove(tmp.Name())
-		s.stats.DiskErrors++
-		return
+		return err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		s.stats.DiskErrors++
-		return
+		return err
 	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		if err := dir.Sync(); err != nil {
-			s.stats.DiskErrors++
-		}
-		dir.Close()
-	} else {
-		s.stats.DiskErrors++
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
 	}
+	defer dir.Close()
+	return dir.Sync()
 }

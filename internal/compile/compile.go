@@ -90,27 +90,10 @@ func CompileContext(ctx context.Context, anm *core.ANM, alloc *ipalloc.Result, o
 		return nil, fmt.Errorf("compile: IP allocation result required")
 	}
 
-	// Whole-build fast path: one linear hash of the entire model, and on a
-	// hit the finished (post-finalisation) database is restored from a
-	// single blob — no per-device digests, compilation or lab finalisation.
-	// A miss falls through to the per-device incremental path below, which
-	// still reuses every unchanged device, then stores the finished build.
-	var modelDig cache.Digest
-	if opts.Cache != nil {
-		modelDig = ModelDigest(anm, alloc, opts)
-		if db, ok := lookupBuild(opts.Cache, modelDig, opts.Obs); ok {
-			return db, nil
-		}
-	}
-
 	db := nidb.New()
 	c := &compiler{anm: anm, alloc: alloc, opts: opts, db: db}
 	if err := c.run(ctx); err != nil {
 		return nil, err
-	}
-	if opts.Cache != nil {
-		db.ModelDigest = modelDig
-		storeBuild(opts.Cache, modelDig, db)
 	}
 	return db, nil
 }
@@ -126,6 +109,8 @@ type compiler struct {
 	neighborIP map[graph.ID]map[graph.ID]netip.Addr
 	// sharedCD[a][b] is that collision domain's id.
 	sharedCD map[graph.ID]map[graph.ID]graph.ID
+	// digests keys the incremental cache; nil without one.
+	digests *digester
 }
 
 func (c *compiler) run(ctx context.Context) error {
@@ -145,6 +130,11 @@ func (c *compiler) run(ctx context.Context) error {
 		}
 	}
 
+	if c.opts.Cache != nil {
+		digSpan := c.opts.Obs.StartSpan("digest-table")
+		c.digests = newDigester(c.anm, c.alloc, c.opts)
+		digSpan.End()
+	}
 	devSpan := c.opts.Obs.StartSpan("devices")
 	devices, err := c.compileDevices(ctx, nodes)
 	devSpan.End()

@@ -27,7 +27,7 @@ func (c *compiler) compileOrReuse(n core.NodeView) (*nidb.Device, error) {
 		}
 		return d, err
 	}
-	dig := DeviceDigest(c.anm, c.alloc, c.opts, n.ID())
+	dig := c.digests.device(n.ID())
 	if data, ok := store.Get(dig); ok {
 		if d, err := decodeDevice(n.ID(), data); err == nil {
 			d.Digest = dig

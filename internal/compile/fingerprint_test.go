@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"net/netip"
 	"testing"
 
 	"autonetkit/internal/cache"
@@ -113,5 +114,182 @@ func TestCompileCacheHitProducesIdenticalDB(t *testing.T) {
 	}
 	if string(jc) != string(jw) {
 		t.Error("cached compile produced a different Resource Database")
+	}
+}
+
+// TestCorruptDeviceEntryDegradesToRecompile poisons one device's stored
+// record: the store's checksum cannot see a payload that was written
+// wrong, so the decode failure must read as a miss, recompile that device
+// alone and give the database a cold compile gives.
+func TestCorruptDeviceEntryDegradesToRecompile(t *testing.T) {
+	store := cache.NewMemory()
+	anm, alloc, dbCold := pipeline(t, nil, Options{Cache: store}, design.Options{})
+	store.Put(DeviceDigest(anm, alloc, Options{}, "r3"), []byte("not a device record"))
+
+	col := obs.NewCollector()
+	dbWarm, err := Compile(anm, alloc, Options{Cache: store, Obs: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := col.Snapshot().Counters
+	if hits, misses := c[obs.CounterCompileCacheHits], c[obs.CounterCompileCacheMisses]; hits != int64(dbWarm.Len())-1 || misses != 1 {
+		t.Errorf("hits/misses = %d/%d, want %d/1", hits, misses, dbWarm.Len()-1)
+	}
+	if c[obs.CounterDevicesCompiled] != 1 {
+		t.Errorf("compiled %d devices, want the corrupt one only", c[obs.CounterDevicesCompiled])
+	}
+	wantJSON, _ := dbCold.MarshalJSON()
+	gotJSON, _ := dbWarm.MarshalJSON()
+	if string(wantJSON) != string(gotJSON) {
+		t.Error("build over a corrupt entry serialises differently from the cold build")
+	}
+}
+
+// streamHasher is the sink the reference digest writes to: every attribute
+// map is sorted and encoded where it is read, as DeviceDigest did before
+// the per-build table.
+type streamHasher struct{ *cache.Hasher }
+
+func (h streamHasher) Node(n *graph.Node) { h.Attrs(n.Attrs()) }
+func (h streamHasher) Edge(e *graph.Edge) { h.Attrs(e.Attrs()) }
+
+// streamedSliceDigest is the test-only reference for DeviceDigest: the
+// same slice — own node and incident edges per overlay, directed-overlay
+// peers and their loopbacks, the two-hop collision-domain closure — read
+// straight off the model with no table.
+func streamedSliceDigest(anm *core.ANM, alloc *ipalloc.Result, opts Options, id graph.ID) cache.Digest {
+	opts.fill()
+	h := streamHasher{cache.NewHasher(compileDigestTag)}
+	h.Str(opts.ZebraPassword, opts.DefaultPlatform, opts.DefaultSyntax, opts.DefaultHost)
+	h.Int(opts.OSPFProcessID)
+	h.Str(string(id))
+	phy := anm.Overlay(core.OverlayPhy)
+	asn := phy.Node(id).ASN()
+	h.Int(asn)
+	if block, ok := alloc.InfraBlocks[asn]; ok {
+		h.Str("infra")
+		h.Value(block)
+	}
+	ipg := alloc.Overlay.Graph()
+	names := anm.OverlayNames()
+	for _, name := range names {
+		g := anm.Overlay(name).Graph()
+		h.Str("overlay", name)
+		h.Bool(g.Directed())
+		h.Attrs(g.Attrs())
+		graph.WriteNodeSignature(h, g, id)
+		if !g.Directed() {
+			continue
+		}
+		for _, peer := range g.Neighbors(id) {
+			h.Str("peer", string(peer))
+			if pn := g.Node(peer); pn != nil {
+				h.Attrs(pn.Attrs())
+			}
+			if lo := ipg.Node(peer); lo != nil {
+				h.Str("peer-lo")
+				h.Value(lo.Attrs()[ipalloc.AttrLoopback])
+			}
+		}
+	}
+	h.Str("overlay", "ipv4-alloc")
+	h.Attrs(ipg.Attrs())
+	graph.WriteNodeSignature(h, ipg, id)
+	for _, cdID := range ipg.Neighbors(id) {
+		cdNode := ipg.Node(cdID)
+		if cdNode == nil {
+			continue
+		}
+		if dt, _ := cdNode.Get(core.AttrDeviceType).(string); dt != core.DeviceCollisionDomain {
+			continue
+		}
+		h.Str("cd", string(cdID))
+		h.Attrs(cdNode.Attrs())
+		for _, m := range ipg.Neighbors(cdID) {
+			if m == id {
+				continue
+			}
+			h.Str("member", string(m))
+			if e := ipg.Edge(cdID, m); e != nil {
+				h.Attrs(e.Attrs())
+			}
+			if mn := ipg.Node(m); mn != nil {
+				h.Attrs(mn.Attrs())
+			}
+			if pn := phy.Graph().Node(m); pn != nil {
+				h.Value(pn.Attrs()[core.AttrASN])
+				h.Value(pn.Attrs()[core.AttrDeviceType])
+			}
+			for _, name := range names {
+				og := anm.Overlay(name).Graph()
+				if e := og.Edge(id, m); e != nil {
+					h.Str("cd-edge", name)
+					h.Attrs(e.Attrs())
+				}
+				if og.Directed() {
+					if e := og.Edge(m, id); e != nil {
+						h.Str("cd-edge-in", name)
+						h.Attrs(e.Attrs())
+					}
+				}
+			}
+		}
+	}
+	return h.Sum()
+}
+
+// TestDeviceDigestMatchesSliceReference walks the mutation classes of the
+// root TestCacheInvalidationMatrix (node, edge, IP block, overlay
+// attribute) plus a peer loopback and a compile option, and after each one
+// requires the table-folded digest of every device to equal the streamed
+// reference's: the table may change what a digest costs, never which
+// devices an edit moves.
+func TestDeviceDigestMatchesSliceReference(t *testing.T) {
+	anm, alloc, _ := pipeline(t, nil, Options{}, design.Options{})
+	opts := Options{}
+	routers := anm.Overlay(core.OverlayPhy).Routers()
+	snapshot := func() (folded, streamed map[graph.ID]cache.Digest) {
+		folded, streamed = map[graph.ID]cache.Digest{}, map[graph.ID]cache.Digest{}
+		filled := opts
+		filled.fill()
+		dg := newDigester(anm, alloc, filled) // one table for every device, as the compile stage has
+		for _, n := range routers {
+			folded[n.ID()] = dg.device(n.ID())
+			streamed[n.ID()] = streamedSliceDigest(anm, alloc, opts, n.ID())
+		}
+		return folded, streamed
+	}
+	ospf := anm.Overlay(design.OverlayOSPF)
+	ibgp := anm.Overlay(design.OverlayIBGP)
+	steps := []struct {
+		name   string
+		mutate func()
+		moves  int // devices whose digest must move
+	}{
+		{"nothing", func() {}, 0},
+		{"node-attribute", func() { ospf.Node("r3").Set("probe", 1) }, 1},
+		{"edge-attribute", func() { ospf.Edge("r1", "r2").Set(design.AttrCost, 42) }, 2},
+		{"directed-peer-attribute", func() { ibgp.Node("r2").Set("probe", 1) }, 4},
+		{"peer-loopback", func() {
+			alloc.Overlay.Graph().Node("r4").Set(ipalloc.AttrLoopback, netip.MustParseAddr("192.0.2.99"))
+		}, 5},
+		{"ip-block", func() { alloc.InfraBlocks[2] = netip.MustParsePrefix("172.16.0.0/16") }, 1},
+		{"overlay-attribute", func() { ospf.Set("probe", 1) }, len(routers)},
+		{"option", func() { opts.ZebraPassword = "sekrit" }, len(routers)},
+	}
+	prevFolded, prevStreamed := snapshot()
+	for _, step := range steps {
+		step.mutate()
+		folded, streamed := snapshot()
+		for id, d := range folded {
+			if d != streamed[id] {
+				t.Errorf("%s: folded digest of %s differs from the streamed slice's", step.name, id)
+			}
+		}
+		moved, movedRef := changedSet(prevFolded, folded), changedSet(prevStreamed, streamed)
+		if len(moved) != step.moves || len(movedRef) != step.moves {
+			t.Errorf("%s moved %v (reference %v), want %d devices", step.name, moved, movedRef, step.moves)
+		}
+		prevFolded, prevStreamed = folded, streamed
 	}
 }

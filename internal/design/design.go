@@ -147,11 +147,20 @@ func IBGPFullMesh(anm *core.ANM) (*core.Overlay, error) {
 	}
 	rtrs := in.Routers()
 	ibgp.AddNodesFrom(rtrs, core.AttrASN)
+	// Bucket by ASN once; walking each source's own bucket emits the pairs
+	// in the (s in router order, d in router order) sequence an N×N scan
+	// would, so the overlay's edge order does not depend on the bucketing.
+	asnOf := make([]int, len(rtrs))
+	byASN := map[int][]graph.ID{}
+	for i, n := range rtrs {
+		asnOf[i] = n.ASN()
+		byASN[asnOf[i]] = append(byASN[asnOf[i]], n.ID())
+	}
 	var pairs [][2]graph.ID
-	for _, s := range rtrs {
-		for _, d := range rtrs {
-			if s.ID() != d.ID() && s.ASN() == d.ASN() {
-				pairs = append(pairs, [2]graph.ID{s.ID(), d.ID()})
+	for i, s := range rtrs {
+		for _, d := range byASN[asnOf[i]] {
+			if d != s.ID() {
+				pairs = append(pairs, [2]graph.ID{s.ID(), d})
 			}
 		}
 	}

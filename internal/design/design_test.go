@@ -1,6 +1,8 @@
 package design
 
 import (
+	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -431,5 +433,66 @@ func TestRouteReflectorBetweennessSelection(t *testing.T) {
 	}
 	if ibgp2.Node("mid").GetBool(AttrRR) {
 		t.Error("degree centrality unexpectedly selected the cut vertex")
+	}
+}
+
+// TestIBGPFullMeshMatchesQuadraticReference holds IBGPFullMesh to eq. (2)
+// read literally — scan N×N, keep i != j with asn(i) == asn(j) — on a
+// seeded input whose router order interleaves the ASes, with a
+// single-router AS, routers carrying no asn at all (they read as AS 0 and
+// mesh with each other) and servers scattered between them. The edge
+// *sequence* must match, not just the set: it fixes neighbor order in
+// every rendered bgpd.conf.
+func TestIBGPFullMeshMatchesQuadraticReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	anm := core.NewANM()
+	in, err := anm.AddOverlay(core.OverlayInput)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.AddNode("lonely", graph.Attrs{core.AttrASN: 99, core.AttrDeviceType: core.DeviceRouter})
+	for i := 0; i < 60; i++ {
+		attrs := graph.Attrs{core.AttrDeviceType: core.DeviceRouter}
+		if asn := rng.Intn(5); asn > 0 { // 0: no asn attribute
+			attrs[core.AttrASN] = asn
+		}
+		if rng.Intn(6) == 0 {
+			attrs[core.AttrDeviceType] = core.DeviceServer
+		}
+		in.AddNode(graph.ID(fmt.Sprintf("n%02d", i)), attrs)
+	}
+	ibgp, err := IBGPFullMesh(anm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][2]graph.ID
+	rtrs := in.Routers()
+	for _, s := range rtrs {
+		for _, d := range rtrs {
+			if s.ID() != d.ID() && s.ASN() == d.ASN() {
+				want = append(want, [2]graph.ID{s.ID(), d.ID()})
+			}
+		}
+	}
+	edges := ibgp.Edges()
+	if len(edges) != len(want) || len(want) == 0 {
+		t.Fatalf("ibgp sessions = %d, reference has %d", len(edges), len(want))
+	}
+	for i, e := range edges {
+		if got := [2]graph.ID{e.SrcID(), e.DstID()}; got != want[i] {
+			t.Fatalf("session %d = %v, reference has %v", i, got, want[i])
+		}
+	}
+	if ibgp.Graph().Degree("lonely") != 0 {
+		t.Error("single-router AS got a session")
+	}
+	unnumbered := 0
+	for _, n := range rtrs {
+		if n.ASN() == 0 {
+			unnumbered++
+		}
+	}
+	if unnumbered < 2 {
+		t.Fatalf("seed gives %d routers without an asn; the AS-0 mesh is not exercised", unnumbered)
 	}
 }

@@ -45,10 +45,16 @@ func (a Attrs) Merge(src Attrs) {
 type Node struct {
 	id    ID
 	attrs Attrs
+	idx   int // position in the graph's node order
 }
 
 // ID returns the node's identifier.
 func (n *Node) ID() ID { return n.id }
+
+// Index returns the node's position in its graph's insertion order, the
+// position it has in Nodes(): a dense key for per-node tables. Removing an
+// earlier node shifts it.
+func (n *Node) Index() int { return n.idx }
 
 // Attrs returns the node's attribute map. Mutating it mutates the node.
 func (n *Node) Attrs() Attrs { return n.attrs }
@@ -67,7 +73,12 @@ func (n *Node) Has(key string) bool { _, ok := n.attrs[key]; return ok }
 type Edge struct {
 	src, dst ID
 	attrs    Attrs
+	idx      int // position in the graph's edge order
 }
+
+// Index returns the edge's position in its graph's insertion order, the
+// position it has in Edges(); see Node.Index.
+func (e *Edge) Index() int { return e.idx }
 
 // Src returns the edge's source (first) endpoint.
 func (e *Edge) Src() ID { return e.src }
@@ -167,7 +178,7 @@ func (g *Graph) Node(id ID) *Node { return g.nodes[id] }
 func (g *Graph) AddNode(id ID, attrs ...Attrs) *Node {
 	n, ok := g.nodes[id]
 	if !ok {
-		n = &Node{id: id, attrs: Attrs{}}
+		n = &Node{id: id, attrs: Attrs{}, idx: len(g.order)}
 		g.nodes[id] = n
 		g.order = append(g.order, id)
 		g.adj[id] = map[ID]*Edge{}
@@ -197,6 +208,9 @@ func (g *Graph) RemoveNode(id ID) {
 	for i, nid := range g.order {
 		if nid == id {
 			g.order = append(g.order[:i], g.order[i+1:]...)
+			for j := i; j < len(g.order); j++ {
+				g.nodes[g.order[j]].idx = j
+			}
 			break
 		}
 	}
@@ -255,7 +269,7 @@ func (g *Graph) AddEdge(u, v ID, attrs ...Attrs) *Edge {
 		}
 		return e
 	}
-	e := &Edge{src: u, dst: v, attrs: Attrs{}}
+	e := &Edge{src: u, dst: v, attrs: Attrs{}, idx: len(g.edgeOrder)}
 	for _, a := range attrs {
 		e.attrs.Merge(a)
 	}
@@ -291,6 +305,9 @@ func (g *Graph) removeEdgePtr(e *Edge) {
 	for i, cur := range g.edgeOrder {
 		if cur == e {
 			g.edgeOrder = append(g.edgeOrder[:i], g.edgeOrder[i+1:]...)
+			for j := i; j < len(g.edgeOrder); j++ {
+				g.edgeOrder[j].idx = j
+			}
 			break
 		}
 	}

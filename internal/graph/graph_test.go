@@ -417,3 +417,39 @@ func TestBetweennessCentrality(t *testing.T) {
 	tiny.AddEdge("x", "y")
 	_ = tiny.BetweennessCentrality()
 }
+
+// TestIndexTracksInsertionOrderAcrossRemovals: Node.Index and Edge.Index
+// are the element's position in Nodes() and Edges(), also after elements
+// before it were removed — per-element tables are sized by NumNodes and
+// NumEdges and indexed by these.
+func TestIndexTracksInsertionOrderAcrossRemovals(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		g := newGraph(directed)
+		for _, e := range [][2]ID{{"a", "b"}, {"b", "c"}, {"c", "d"}, {"d", "a"}, {"b", "d"}, {"e", "a"}} {
+			g.AddEdge(e[0], e[1])
+		}
+		check := func(when string) {
+			t.Helper()
+			for i, n := range g.Nodes() {
+				if n.Index() != i {
+					t.Errorf("directed=%v %s: node %s has index %d at position %d", directed, when, n.ID(), n.Index(), i)
+				}
+			}
+			for i, e := range g.Edges() {
+				if e.Index() != i {
+					t.Errorf("directed=%v %s: edge %s-%s has index %d at position %d", directed, when, e.Src(), e.Dst(), e.Index(), i)
+				}
+			}
+		}
+		check("as built")
+		g.RemoveEdge("b", "c")
+		check("after removing an edge")
+		g.RemoveNode("a") // takes three edges with it
+		check("after removing a node")
+		g.AddEdge("c", "f")
+		check("after adding again")
+		sub := g.Subgraph([]ID{"b", "d", "f"})
+		g = sub
+		check("in a subgraph")
+	}
+}

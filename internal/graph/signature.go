@@ -1,48 +1,29 @@
 package graph
 
-// AttrHasher is the token sink used for stable sub-graph hashing. It is
-// satisfied by cache.Hasher; declaring the interface here keeps the
-// dependency pointing from cache to graph, not the other way around.
+// AttrHasher is the token sink used for stable sub-graph hashing. Node and
+// Edge commit to the element's attribute map (sorted keys); taking the
+// element rather than the map lets a sink that hashes one element into many
+// signatures look up an encoding it made once. internal/compile supplies
+// the implementations; declaring the interface here keeps the dependency
+// pointing at graph, not the other way around.
 type AttrHasher interface {
 	Str(ss ...string)
 	Bool(b bool)
-	Attrs(a Attrs)
+	Node(n *Node)
+	Edge(e *Edge)
 }
 
 // WriteNodeSignature writes a stable signature of id's local neighbourhood
 // in g: the node's presence and attributes plus every incident edge (both
 // directions for directed graphs) with its orientation, far endpoint and
-// attributes. Attribute maps are hashed with sorted keys and edges in
-// deterministic edge-insertion order, so two graphs that agree on this
-// slice produce identical signatures regardless of how they were built up
-// elsewhere.
+// attributes. Edges come in deterministic edge-insertion order, so two
+// graphs that agree on this slice produce identical signatures regardless
+// of how they were built up elsewhere.
 //
 // The signature deliberately covers only the one-hop slice: a change two
 // hops away must be captured by the caller hashing additional tokens (as
 // internal/compile does for collision-domain closures), keeping
 // invalidation proportional to real dependencies.
-// WriteGraphSignature writes a stable signature of the entire graph: its
-// direction and graph-level attributes, then every node (id and attributes)
-// in insertion order, then every edge (endpoints and attributes) in
-// insertion order. Because insertion order defines the pipeline's iteration
-// order everywhere downstream, two graphs with equal signatures are
-// interchangeable as compile inputs. One pass over the whole structure is
-// far cheaper than the union of per-node signatures, which revisit shared
-// edges and neighbourhoods once per node — this is the build-level digest
-// the whole-build cache keys on.
-func WriteGraphSignature(h AttrHasher, g *Graph) {
-	h.Bool(g.directed)
-	h.Attrs(g.attrs)
-	for _, id := range g.order {
-		h.Str("n", string(id))
-		h.Attrs(g.nodes[id].attrs)
-	}
-	for _, e := range g.edgeOrder {
-		h.Str("e", string(e.src), string(e.dst))
-		h.Attrs(e.attrs)
-	}
-}
-
 func WriteNodeSignature(h AttrHasher, g *Graph, id ID) {
 	h.Str("node", string(id))
 	n := g.Node(id)
@@ -51,16 +32,16 @@ func WriteNodeSignature(h AttrHasher, g *Graph, id ID) {
 		return
 	}
 	h.Bool(true)
-	h.Attrs(n.Attrs())
-	for _, e := range g.EdgesOf(id) {
+	h.Node(n)
+	for _, e := range g.incident[id] {
 		h.Str("edge", string(e.Other(id)))
 		h.Bool(e.Src() == id)
-		h.Attrs(e.Attrs())
+		h.Edge(e)
 	}
 	if g.Directed() {
-		for _, e := range g.InEdgesOf(id) {
+		for _, e := range g.incoming[id] {
 			h.Str("in-edge", string(e.Src()))
-			h.Attrs(e.Attrs())
+			h.Edge(e)
 		}
 	}
 }

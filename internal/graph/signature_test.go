@@ -12,7 +12,9 @@ type recordingHasher struct{ tokens []string }
 
 func (r *recordingHasher) Str(ss ...string) { r.tokens = append(r.tokens, ss...) }
 func (r *recordingHasher) Bool(b bool)      { r.tokens = append(r.tokens, fmt.Sprint(b)) }
-func (r *recordingHasher) Attrs(a Attrs) {
+func (r *recordingHasher) Node(n *Node)     { r.attrs(n.Attrs()) }
+func (r *recordingHasher) Edge(e *Edge)     { r.attrs(e.Attrs()) }
+func (r *recordingHasher) attrs(a Attrs) {
 	keys := make([]string, 0, len(a))
 	for k := range a {
 		keys = append(keys, k)

@@ -120,14 +120,6 @@ type Link struct {
 // DB is the Resource Database: every compiled device plus the device-level
 // topology, in deterministic order.
 type DB struct {
-	// ModelDigest, when non-zero, is the content address of the complete
-	// compile input (every overlay, the IP allocation and the compile
-	// options) this database was built — or restored — from. The compile
-	// stage sets it when its cache is enabled; downstream whole-build caches
-	// (the render stage's file-set cache) key on it, because equal model
-	// digests guarantee an identical database.
-	ModelDigest [32]byte
-
 	devices map[graph.ID]*Device
 	order   []graph.ID
 	links   []Link

@@ -44,50 +44,6 @@ func deviceRenderKey(d *nidb.Device) (cache.Digest, error) {
 	return h.Sum(), nil
 }
 
-// renderSetTag versions the whole-build render cache: the blob stored
-// under a (model digest, template registry) key holds the complete
-// rendered file tree, lab-level files included.
-const renderSetTag = "ank/render-fs/v1"
-
-// fileSetKey content-addresses a complete render of db: the compile
-// stage's model digest (equal digests guarantee an identical database)
-// plus the fingerprint of the whole template registry. ok is false when
-// the database carries no model digest — compiled without the cache — in
-// which case only the per-device tier applies.
-func fileSetKey(db *nidb.DB) (cache.Digest, bool) {
-	if db.ModelDigest == ([32]byte{}) {
-		return cache.Digest{}, false
-	}
-	h := cache.NewHasher(renderSetTag)
-	h.Bytes(db.ModelDigest[:])
-	h.Str(RegistryFingerprint())
-	return h.Sum(), true
-}
-
-// lookupFileSet restores a complete rendered tree into fs, or reports a
-// miss. A hit counts one render-cache hit per device, matching the
-// per-device tier's observable counter contract.
-func lookupFileSet(db *nidb.DB, fs *FileSet, key cache.Digest, opts Options) bool {
-	blob, ok := opts.Cache.Get(key)
-	if !ok {
-		return false
-	}
-	files, err := decodeFiles(blob)
-	if err != nil {
-		return false
-	}
-	n := int64(db.Len())
-	opts.Obs.Add(obs.CounterCacheHits, n)
-	opts.Obs.Add(obs.CounterRenderCacheHits, n)
-	opts.Obs.Add(obs.CounterCacheBytes, int64(len(blob)))
-	for _, f := range files {
-		fs.Write(f.path, f.content)
-		opts.Obs.Add(obs.CounterFilesRendered, 1)
-		opts.Obs.Add(obs.CounterBytesWritten, int64(len(f.content)))
-	}
-	return true
-}
-
 // renderDeviceCached wraps renderDevice with the incremental cache: a hit
 // decodes the stored file list, a miss renders and stores it. Lab-level
 // files are never cached — they depend on the whole device set and are

@@ -57,21 +57,6 @@ func RenderInto(db *nidb.DB, fs *FileSet) error {
 type renderedFile struct{ path, content string }
 
 func renderInto(ctx context.Context, db *nidb.DB, fs *FileSet, opts Options) error {
-	// Whole-build fast path: when the database carries a compile-stage
-	// model digest, the complete file tree — lab-level output included —
-	// is restored from (or stored as) a single blob, skipping per-device
-	// key computation and template execution entirely.
-	var setKey cache.Digest
-	haveSetKey := false
-	if opts.Cache != nil {
-		if key, ok := fileSetKey(db); ok {
-			if lookupFileSet(db, fs, key, opts) {
-				return nil
-			}
-			setKey, haveSetKey = key, true
-		}
-	}
-
 	devices := db.Devices()
 	labKeys := db.LabKeys()
 
@@ -97,20 +82,11 @@ func renderInto(ctx context.Context, db *nidb.DB, fs *FileSet, opts Options) err
 
 	merge := opts.Obs.StartSpan("merge")
 	defer merge.End()
-	var flat []renderedFile
 	for _, files := range results {
 		for _, f := range files {
 			fs.Write(f.path, f.content)
 			opts.Obs.Add(obs.CounterFilesRendered, 1)
 			opts.Obs.Add(obs.CounterBytesWritten, int64(len(f.content)))
-		}
-		if haveSetKey {
-			flat = append(flat, files...)
-		}
-	}
-	if haveSetKey {
-		if blob, err := encodeFiles(flat); err == nil {
-			opts.Cache.Put(setKey, blob)
 		}
 	}
 	return nil

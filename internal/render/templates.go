@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"sync"
 
 	"autonetkit/internal/tmpl"
@@ -86,54 +85,7 @@ var (
 func invalidateSyntaxFingerprint(syntax string) {
 	syntaxFPMu.Lock()
 	delete(syntaxFPCache, syntax)
-	registryFPCache = ""
 	syntaxFPMu.Unlock()
-}
-
-// registryFPCache memoises RegistryFingerprint; any registration operation
-// clears it.
-var registryFPCache string
-
-// RegistryFingerprint hashes the identity of the entire template registry —
-// every syntax's device templates and every platform's lab templates, in
-// name order. The whole-build render cache folds it into its key: restored
-// file sets include lab-level output, so any template change anywhere must
-// invalidate them.
-func RegistryFingerprint() string {
-	syntaxFPMu.Lock()
-	defer syntaxFPMu.Unlock()
-	if registryFPCache != "" {
-		return registryFPCache
-	}
-	h := sha256.New()
-	syntaxes := make([]string, 0, len(syntaxTemplates))
-	for s := range syntaxTemplates {
-		syntaxes = append(syntaxes, s)
-	}
-	sort.Strings(syntaxes)
-	for _, s := range syntaxes {
-		fmt.Fprintf(h, "syntax:%s|", s)
-		for _, t := range syntaxTemplates[s] {
-			for _, field := range []string{t.RelPath, t.When, fmt.Sprint(t.AtLabRoot), t.Template.Fingerprint()} {
-				fmt.Fprintf(h, "%d:%s|", len(field), field)
-			}
-		}
-	}
-	platforms := make([]string, 0, len(labTemplates))
-	for p := range labTemplates {
-		platforms = append(platforms, p)
-	}
-	sort.Strings(platforms)
-	for _, p := range platforms {
-		fmt.Fprintf(h, "platform:%s|", p)
-		for _, t := range labTemplates[p] {
-			for _, field := range []string{t.RelPath, t.Template.Fingerprint()} {
-				fmt.Fprintf(h, "%d:%s|", len(field), field)
-			}
-		}
-	}
-	registryFPCache = hex.EncodeToString(h.Sum(nil))
-	return registryFPCache
 }
 
 // SyntaxFingerprint hashes the identity of a syntax's full template set —
@@ -160,9 +112,6 @@ func SyntaxFingerprint(syntax string) string {
 
 // RegisterLabTemplate appends a lab-level file to a platform.
 func RegisterLabTemplate(platform string, t labTemplate) {
-	syntaxFPMu.Lock()
-	registryFPCache = ""
-	syntaxFPMu.Unlock()
 	labTemplates[platform] = append(labTemplates[platform], t)
 }
 

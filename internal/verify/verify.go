@@ -190,21 +190,23 @@ func checkSubnetConsistency(db *nidb.DB, r *Report) {
 // statement on the addressed peer with the correct remote-as — the
 // point-to-point consistency burden of §1.
 func checkBGPSessionSymmetry(db *nidb.DB, r *Report) {
-	// Address ownership across interfaces and loopbacks.
-	owner := map[netip.Addr]*nidb.Device{}
-	asnOf := map[string]int{}
-	for _, d := range db.Devices() {
+	// Address ownership across interfaces and loopbacks; devices are
+	// numbered in database order so a claim is one integer pair.
+	devices := db.Devices()
+	owner := map[netip.Addr]int{}
+	asnOf := make([]int, len(devices))
+	for i, d := range devices {
 		for _, ifc := range deviceInterfaces(d) {
 			if a, ok := ifc["ip_address"].(netip.Addr); ok {
-				owner[a] = d
+				owner[a] = i
 			}
 		}
 		if v, ok := d.Get("loopback.ip"); ok {
 			if a, ok := v.(netip.Addr); ok {
-				owner[a] = d
+				owner[a] = i
 			}
 		}
-		asnOf[string(d.ID)] = d.GetInt("bgp.asn", 0)
+		asnOf[i] = d.GetInt("bgp.asn", 0)
 	}
 	neighbors := func(d *nidb.Device) []map[string]any {
 		var out []map[string]any
@@ -222,10 +224,10 @@ func checkBGPSessionSymmetry(db *nidb.DB, r *Report) {
 		return out
 	}
 	// Collect (local device, peer device) claims.
-	type claim struct{ local, peer string }
+	type claim struct{ local, peer int }
 	claims := map[claim]bool{}
-	for _, d := range db.Devices() {
-		myASN := asnOf[string(d.ID)]
+	var ordered []claim
+	for i, d := range devices {
 		for _, nbr := range neighbors(d) {
 			addr, ok := nbr["ip"].(netip.Addr)
 			if !ok {
@@ -239,35 +241,38 @@ func checkBGPSessionSymmetry(db *nidb.DB, r *Report) {
 				continue
 			}
 			remote, _ := nbr["remote_asn"].(int)
-			actual := asnOf[string(peer.ID)]
-			if remote != actual {
+			if remote != asnOf[peer] {
 				r.add("bgp-session", Error, string(d.ID),
-					"neighbor %s configured as remote-as %d but %s is AS%d", addr, remote, peer.ID, actual)
+					"neighbor %s configured as remote-as %d but %s is AS%d", addr, remote, devices[peer].ID, asnOf[peer])
 			}
-			if myASN == 0 {
+			if asnOf[i] == 0 {
 				r.add("bgp-session", Error, string(d.ID), "has neighbors but no BGP ASN")
 			}
-			claims[claim{string(d.ID), string(peer.ID)}] = true
+			if c := (claim{i, peer}); !claims[c] {
+				claims[c] = true
+				ordered = append(ordered, c)
+			}
 		}
 	}
-	// Sort the claim set before emitting findings: map iteration order is
-	// random, and the report's finding order must be byte-stable across
-	// repeated builds.
-	ordered := make([]claim, 0, len(claims))
-	for c := range claims {
-		ordered = append(ordered, c)
-	}
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].local != ordered[j].local {
-			return ordered[i].local < ordered[j].local
-		}
-		return ordered[i].peer < ordered[j].peer
-	})
+	// Findings come out in (local, peer) id order whatever the database
+	// order; only the claims lacking a reverse are sorted, and a consistent
+	// build has none.
+	var missing []claim
 	for _, c := range ordered {
 		if !claims[claim{c.peer, c.local}] {
-			r.add("bgp-session", Error, c.local,
-				"session to %s has no reverse neighbor statement", c.peer)
+			missing = append(missing, c)
 		}
+	}
+	sort.Slice(missing, func(i, j int) bool {
+		a, b := missing[i], missing[j]
+		if a.local != b.local {
+			return devices[a.local].ID < devices[b.local].ID
+		}
+		return devices[a.peer].ID < devices[b.peer].ID
+	})
+	for _, c := range missing {
+		r.add("bgp-session", Error, string(devices[c.local].ID),
+			"session to %s has no reverse neighbor statement", devices[c.peer].ID)
 	}
 }
 

@@ -281,3 +281,52 @@ func TestCostSymmetryWarning(t *testing.T) {
 		t.Errorf("asymmetric cost not flagged:\n%s", rep)
 	}
 }
+
+// TestBGPSessionSymmetryFindingOrder pins the order of "no reverse neighbor
+// statement" findings to (local, peer) hostname order, whatever order the
+// database holds the devices in and a device lists its neighbors in — the
+// check sorts only the dangling claims, so the order must not have come to
+// depend on which claims those are.
+func TestBGPSessionSymmetryFindingOrder(t *testing.T) {
+	lo := map[string]netip.Addr{
+		"zeta":  netip.MustParseAddr("10.0.0.1"),
+		"mid":   netip.MustParseAddr("10.0.0.2"),
+		"alpha": netip.MustParseAddr("10.0.0.3"),
+	}
+	dbOrder := []string{"zeta", "mid", "alpha"}
+	cases := []struct {
+		name  string
+		nbrs  map[string][]string // device -> neighbors as declared
+		wants []string
+	}{
+		{"symmetric", map[string][]string{"zeta": {"alpha"}, "alpha": {"zeta"}}, nil},
+		{"one local, peers declared out of order", map[string][]string{"zeta": {"mid", "alpha"}},
+			[]string{"zeta: session to alpha", "zeta: session to mid"}},
+		{"two locals, database out of order", map[string][]string{"zeta": {"alpha"}, "mid": {"alpha"}},
+			[]string{"mid: session to alpha", "zeta: session to alpha"}},
+		{"a claim made twice is one finding", map[string][]string{"zeta": {"alpha", "alpha"}, "alpha": {"mid"}},
+			[]string{"alpha: session to mid", "zeta: session to alpha"}},
+	}
+	for _, tc := range cases {
+		db := nidb.New()
+		for _, name := range dbOrder {
+			d := db.AddDevice(graph.ID(name))
+			d.MustSet("loopback.ip", lo[name])
+			d.MustSet("bgp.asn", 1)
+			var list []any
+			for _, peer := range tc.nbrs[name] {
+				list = append(list, map[string]any{"ip": lo[peer], "remote_asn": 1})
+			}
+			d.MustSet("bgp.ibgp_neighbors", list)
+		}
+		var r Report
+		checkBGPSessionSymmetry(db, &r)
+		var got []string
+		for _, f := range r.Findings {
+			got = append(got, f.Device+": "+strings.TrimSuffix(f.Detail, " has no reverse neighbor statement"))
+		}
+		if strings.Join(got, "\n") != strings.Join(tc.wants, "\n") {
+			t.Errorf("%s: findings\n%s\nwant\n%s", tc.name, strings.Join(got, "\n"), strings.Join(tc.wants, "\n"))
+		}
+	}
+}

@@ -87,6 +87,13 @@ echo "== cache-warm pass (go test -count=2: second run rebuilds against warm sta
 go test -count=2 -run 'TestCachePipelineProperty|TestCacheInvalidationMatrix|TestLenientBootDoesNotPoisonCache|TestRepeatedBuildByteDeterminism|TestCompileCacheHitProducesIdenticalDB|TestRenderCacheWarmIsByteIdentical' \
   . ./internal/compile/ ./internal/render/ ./internal/cache/
 
+echo "== one cache tier (-race; an edit writes only the entries it missed, the table-folded digest equals the streamed slice's, a corrupt entry recompiles, the store's I/O runs outside its lock, and the two reordered scans keep their output order)"
+go test -race -count=1 -run 'TestEditRebuildWritesOnlyWhatChanged' .
+go test -race -count=1 -run 'TestDeviceDigestMatchesSliceReference|TestCorruptDeviceEntryDegradesToRecompile' ./internal/compile/
+go test -race -count=10 -run 'TestStoreConcurrentPutGet' ./internal/cache/
+go test -race -count=1 -run 'TestIBGPFullMeshMatchesQuadraticReference' ./internal/design/
+go test -race -count=1 -run 'TestBGPSessionSymmetryFindingOrder' ./internal/verify/
+
 echo "== coverage gate (floor 80%)"
 go test -count=1 -coverprofile=/tmp/ci_cover.$$ ./... > /dev/null
 total=$(go tool cover -func=/tmp/ci_cover.$$ | awk '/^total:/ { gsub(/%/, "", $3); print $3 }')
@@ -111,8 +118,8 @@ ANK_SHARDS="${ANK_SHARDS:-4}" go test -race -run 'TestShardedConvergenceParity|T
 echo "== hop-tree parity (-race; HopsTo, which answers every ping, against Forward walked per pair: hand-built loops/blackholes/TTL boundary, Small-Internet and a 60-router lab through fail/restore)"
 go test -race -run 'TestHopsToMatchesForwardHandBuilt|TestHopsToTTLBoundary|TestHopsToMatchesForwardOnLabs' -count=1 ./internal/dataplane/
 
-echo "== incremental rebuild benchmark (cold vs warm)"
-go test -run 'NONE' -bench 'BenchmarkP4_IncrementalRebuild' -benchtime 3x .
+echo "== incremental rebuild benchmark (cold vs warm vs one-node edit; the edit run fails unless each edit misses exactly two lookups)"
+go test -run 'NONE' -bench 'BenchmarkP4_IncrementalRebuild' -benchtime 1x .
 
 echo "== incremental convergence benchmark (full vs incremental reconvergence)"
 go test -run 'NONE' -bench 'BenchmarkP6_IncrementalConvergence' -benchtime 1x .
