@@ -1115,6 +1115,74 @@ func BenchmarkP14_ReachabilityMatrix(b *testing.B) {
 	}
 }
 
+// --- P16: one data-plane generation, the layer between a converged control
+// plane and the first probe. `build` is Reconverge's last step on its own:
+// every FIB merged from the engines' routes, every node registered and its
+// next hops resolved. `fresh-matrix` is the first reachability matrix on a
+// new generation (rebuilt off the clock), so it pays for every hop tree.
+// B/op over the entries metric is the bytes a FIB entry costs. The
+// 1158-router lab takes ~5 s and ~1.8 GB to boot, once. ---
+
+func BenchmarkP16_DataplaneGeneration(b *testing.B) {
+	for _, routers := range []int{240, 1158} {
+		var net *Network
+		var lab *emul.Lab
+		deployed := func(b *testing.B) (*Network, *emul.Lab) {
+			if lab == nil {
+				net, lab = benchDeployedNet(b, routers, false, 1)
+			}
+			return net, lab
+		}
+		b.Run(fmt.Sprintf("n%d/build", routers), func(b *testing.B) {
+			_, lab := deployed(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := lab.RebuildDataplane(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			entries, plane := 0, lab.Network()
+			for _, name := range plane.NodeNames() {
+				node, _ := plane.Node(name)
+				entries += node.FIB.Len()
+			}
+			b.ReportMetric(float64(entries), "entries")
+		})
+		b.Run(fmt.Sprintf("n%d/fresh-matrix", routers), func(b *testing.B) {
+			net, lab := deployed(b)
+			client, names, addrOf := net.Measure(lab), lab.VMNames(), loopbackOf(net)
+			// Every generation is built from the same engines, so each matrix
+			// must repeat the first; at 240 routers that is every pair (the
+			// 1158-router shape has paths beyond a ping's 30 hops).
+			base, err := client.ReachabilityMatrix(names, addrOf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if pairs := routers * (routers - 1); base.Pairs() != pairs || (routers == 240 && base.Reachable() != pairs) {
+				b.Fatalf("matrix reaches %d of %d pairs, want %d", base.Reachable(), base.Pairs(), pairs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := lab.RebuildDataplane(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				m, err := client.ReachabilityMatrix(names, addrOf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if m.Pairs() != base.Pairs() || m.Reachable() != base.Reachable() {
+					b.Fatalf("matrix reaches %d of %d pairs, the first generation's reached %d", m.Reachable(), m.Pairs(), base.Reachable())
+				}
+			}
+		})
+	}
+}
+
 // --- P3: resilient boot (strict vs lenient quarantine) ---
 
 // BenchmarkP3_Boot measures a full lab boot of the Small-Internet tree in

@@ -2,7 +2,9 @@ package dataplane
 
 import (
 	"fmt"
+	"math/rand"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -115,8 +117,67 @@ func TestPropertyFIBMostSpecific(t *testing.T) {
 	}
 }
 
-// lineNet builds a -- b -- c with /30 links and static FIBs.
-func lineNet(t *testing.T) *Network {
+// TestFIBAscendingInsertsMatchShuffled: Insert resumes from the trie path of
+// the prefix before it, which pays off on an ascending run; the table it
+// leaves must not depend on the order. A seeded set with nested, adjacent and
+// repeated prefixes, inserted ascending, descending and shuffled, yields the
+// same entries, the same Len and the same match for every probed address as
+// a linear scan for the longest containing prefix.
+func TestFIBAscendingInsertsMatchShuffled(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var set []FIBEntry
+	for i := 0; i < 400; i++ {
+		bits := []int{0, 8, 16, 24, 30, 32}[rng.Intn(6)]
+		base := netip.AddrFrom4([4]byte{byte(10 + rng.Intn(3)), byte(rng.Intn(4)), byte(rng.Intn(4)), byte(rng.Intn(256))})
+		p, _ := base.Prefix(bits)
+		set = append(set, FIBEntry{Prefix: p, NextHop: addr("192.168.0.1"), OutIf: fmt.Sprint(p)})
+	}
+	byPrefix := func(a, b FIBEntry) int {
+		if c := a.Prefix.Addr().Compare(b.Prefix.Addr()); c != 0 {
+			return c
+		}
+		return a.Prefix.Bits() - b.Prefix.Bits()
+	}
+	ascending := slices.Clone(set)
+	slices.SortStableFunc(ascending, byPrefix)
+	descending := slices.Clone(ascending)
+	slices.Reverse(descending)
+	build := func(order []FIBEntry) *FIB {
+		f := NewFIB()
+		for _, e := range order {
+			if err := f.Insert(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
+	}
+	want := build(ascending)
+	if !slices.IsSortedFunc(want.Entries(), byPrefix) {
+		t.Errorf("Entries() not in ascending prefix order: %v", want.Entries())
+	}
+	for label, order := range map[string][]FIBEntry{"descending": descending, "shuffled": set} {
+		got := build(order)
+		if got.Len() != want.Len() || !slices.Equal(got.Entries(), want.Entries()) {
+			t.Errorf("%s: %d entries %v, ascending inserts gave %d %v", label, got.Len(), got.Entries(), want.Len(), want.Entries())
+		}
+		for i := 0; i < 2000; i++ {
+			a := netip.AddrFrom4([4]byte{byte(9 + rng.Intn(5)), byte(rng.Intn(5)), byte(rng.Intn(5)), byte(rng.Intn(256))})
+			var longest netip.Prefix
+			for _, e := range set {
+				if e.Prefix.Contains(a) && (!longest.IsValid() || e.Prefix.Bits() > longest.Bits()) {
+					longest = e.Prefix
+				}
+			}
+			if e, ok := got.Lookup(a); ok != longest.IsValid() || (ok && e.Prefix != longest) {
+				t.Fatalf("%s: Lookup(%v) = %v, %v; the longest containing prefix is %v", label, a, e.Prefix, ok, longest)
+			}
+		}
+	}
+}
+
+// lineNet builds a -- b -- c with /30 links and static FIBs, plus any extra
+// routes on a (tables close at AddNode).
+func lineNet(t *testing.T, extraA ...FIBEntry) *Network {
 	t.Helper()
 	net := NewNetwork()
 	a := NewNode("a")
@@ -146,6 +207,9 @@ func lineNet(t *testing.T) *Network {
 	mustInsert(b, FIBEntry{Prefix: pfx("10.255.0.3/32"), NextHop: addr("10.0.0.6"), OutIf: "eth1"})
 	// c's return routes (unused by forward trace but realistic).
 	mustInsert(c, FIBEntry{Prefix: pfx("10.0.0.0/30"), NextHop: addr("10.0.0.5"), OutIf: "eth0"})
+	for _, e := range extraA {
+		mustInsert(a, e)
+	}
 
 	for _, n := range []*Node{a, b, c} {
 		if err := net.AddNode(n); err != nil {
@@ -229,9 +293,7 @@ func TestForwardLoopDetection(t *testing.T) {
 
 func TestRecursiveNextHop(t *testing.T) {
 	// a's BGP route points at a loopback reachable via an IGP route.
-	net := lineNet(t)
-	a, _ := net.Node("a")
-	_ = a.FIB.Insert(FIBEntry{Prefix: pfx("203.0.113.0/24"), NextHop: addr("10.255.0.3")})
+	net := lineNet(t, FIBEntry{Prefix: pfx("203.0.113.0/24"), NextHop: addr("10.255.0.3")})
 	// c owns 203.0.113.1? No — but c owns the loopback; the probe should
 	// march toward c and fail there (c has no route), proving recursion
 	// moved the packet.
@@ -244,6 +306,18 @@ func TestRecursiveNextHop(t *testing.T) {
 	}
 	if !strings.Contains(res.Reason, "b: no route") {
 		t.Errorf("reason = %q", res.Reason)
+	}
+}
+
+// TestInsertAfterAddNodeRejected: next hops are resolved when a node is
+// registered, so a later route would forward on stale resolutions.
+func TestInsertAfterAddNodeRejected(t *testing.T) {
+	a, _ := lineNet(t).Node("a")
+	if err := a.FIB.Insert(FIBEntry{Prefix: pfx("203.0.113.0/24"), NextHop: addr("10.0.0.2")}); err == nil {
+		t.Fatal("insert into a registered node's FIB succeeded")
+	}
+	if _, ok := a.FIB.Lookup(addr("203.0.113.1")); ok || a.FIB.Len() != 3 {
+		t.Errorf("rejected insert changed the table: %v", a.FIB.Entries())
 	}
 }
 

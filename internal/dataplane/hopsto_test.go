@@ -2,12 +2,15 @@ package dataplane_test
 
 // HopsTo is what every emulated ping is answered from; Forward, one walk per
 // pair with its own TTL and loop checks, is the oracle it is held to. The
-// two share resolveNextHop and nothing else.
+// two share next-hop resolution and nothing else, and that is held to
+// refForward: the walk as it was when every hop resolved its next hop afresh,
+// before AddNode resolved each distinct one once.
 
 import (
 	"fmt"
 	"net/netip"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -75,8 +78,69 @@ func (b *builder) network() *dataplane.Network {
 	return net
 }
 
-// checkParity holds HopsTo to Forward for every source towards every given
-// destination plus every address the network owns.
+// refResolve is next-hop resolution as Forward and HopsTo did it per call:
+// follow recursive next hops through the node's own FIB, at most four deep.
+func refResolve(n *dataplane.Node, dst netip.Addr) (netip.Addr, string) {
+	for depth := 0; depth <= 4; depth++ {
+		e, ok := n.FIB.Lookup(dst)
+		if !ok {
+			return netip.Addr{}, fmt.Sprintf("dataplane: %s: no route to %v", n.Hostname, dst)
+		}
+		if e.Connected {
+			return dst, ""
+		}
+		if !e.NextHop.IsValid() {
+			return netip.Addr{}, fmt.Sprintf("dataplane: %s: route %v has no next hop", n.Hostname, e.Prefix)
+		}
+		if via, ok := n.FIB.Lookup(e.NextHop); ok && via.Connected {
+			return e.NextHop, ""
+		}
+		dst = e.NextHop
+	}
+	return netip.Addr{}, fmt.Sprintf("dataplane: %s: next-hop recursion too deep for %v", n.Hostname, dst)
+}
+
+// refForward is Forward over refResolve and the exported accessors.
+func refForward(net *dataplane.Network, srcHost string, dst netip.Addr, maxTTL int) dataplane.TraceResult {
+	res := dataplane.TraceResult{Dst: dst}
+	cur, _ := net.Node(srcHost)
+	if cur.IsLocal(dst) {
+		res.Reached = true
+		return res
+	}
+	seen := map[string]bool{}
+	for ttl := 0; ttl < maxTTL; ttl++ {
+		if seen[cur.Hostname] {
+			res.Reason = fmt.Sprintf("loop detected at %s", cur.Hostname)
+			return res
+		}
+		seen[cur.Hostname] = true
+		nh, reason := refResolve(cur, dst)
+		if reason != "" {
+			res.Reason = reason
+			return res
+		}
+		nextHost, ok := net.Owner(nh)
+		if !ok {
+			res.Reason = fmt.Sprintf("next hop %v owned by no device", nh)
+			return res
+		}
+		next, _ := net.Node(nextHost)
+		if next.IsLocal(dst) {
+			res.Hops = append(res.Hops, dataplane.Hop{Addr: dst, Node: nextHost})
+			res.Reached = true
+			return res
+		}
+		res.Hops = append(res.Hops, dataplane.Hop{Addr: nh, Node: nextHost})
+		cur = next
+	}
+	res.Reason = "ttl exceeded"
+	return res
+}
+
+// checkParity holds HopsTo to Forward, and Forward hop for hop and reason for
+// reason to refForward, for every source towards every given destination
+// plus every address the network owns.
 func checkParity(t *testing.T, label string, net *dataplane.Network, extra ...netip.Addr) {
 	t.Helper()
 	names := net.NodeNames()
@@ -98,7 +162,9 @@ func checkParity(t *testing.T, label string, net *dataplane.Network, extra ...ne
 		for _, src := range names {
 			h, ok := hops[src]
 			res := net.Forward(src, dst, 30)
-			switch {
+			switch ref := refForward(net, src, dst, 30); {
+			case !reflect.DeepEqual(res, ref):
+				t.Errorf("%s: %s -> %v: Forward = %+v, per-call resolution gives %+v", label, src, dst, res, ref)
 			case !ok || h < -1:
 				t.Errorf("%s: HopsTo(%v)[%s] = %d, %v", label, dst, src, h, ok)
 			case (h >= 0 && h <= 30) != res.Reached:
@@ -157,6 +223,12 @@ func TestHopsToMatchesForwardHandBuilt(t *testing.T) {
 	for i := 11; i <= 17; i++ {
 		b.route("deep", dataplane.FIBEntry{Prefix: pfx(fmt.Sprintf("%d.0.0.0/8", i)), NextHop: addr(fmt.Sprintf("%d.0.0.1", i+1))})
 	}
+	// shared has two prefixes on one next hop, which dead-ends two levels
+	// down: both must name the address that did not resolve.
+	b.link("shared", "shared2", "10.0.12.0/30")
+	via("shared", "20.0.0.1")
+	b.route("shared", dataplane.FIBEntry{Prefix: pfx("203.0.113.0/24"), NextHop: addr("20.0.0.1")})
+	b.route("shared", dataplane.FIBEntry{Prefix: pfx("20.0.0.0/8"), NextHop: addr("21.0.0.1")})
 	net := b.network()
 
 	want := map[string]struct {
@@ -164,19 +236,21 @@ func TestHopsToMatchesForwardHandBuilt(t *testing.T) {
 		reason string
 	}{
 		"t": {0, ""}, "a": {1, ""}, "b": {2, ""}, "c": {3, ""},
-		"l1":     {-1, "loop detected at l1"},
-		"l2":     {-1, "loop detected at l2"},
-		"l3":     {-1, "loop detected at l1"},
-		"hole":   {-1, "dataplane: hole: no route to 10.255.0.9"},
-		"tail":   {-1, "dataplane: hole: no route to 10.255.0.9"},
-		"ghost":  {-1, "next hop 10.0.8.5 owned by no device"},
-		"nonh":   {-1, "dataplane: nonh: route 10.255.0.9/32 has no next hop"},
-		"self":   {-1, "loop detected at self"},
-		"deep":   {-1, "dataplane: deep: next-hop recursion too deep for 15.0.0.1"},
-		"ghost2": {-1, "dataplane: ghost2: no route to 10.255.0.9"},
-		"nonh2":  {-1, "dataplane: nonh2: no route to 10.255.0.9"},
-		"self2":  {-1, "dataplane: self2: no route to 10.255.0.9"},
-		"deep2":  {-1, "dataplane: deep2: no route to 10.255.0.9"},
+		"l1":      {-1, "loop detected at l1"},
+		"l2":      {-1, "loop detected at l2"},
+		"l3":      {-1, "loop detected at l1"},
+		"hole":    {-1, "dataplane: hole: no route to 10.255.0.9"},
+		"tail":    {-1, "dataplane: hole: no route to 10.255.0.9"},
+		"ghost":   {-1, "next hop 10.0.8.5 owned by no device"},
+		"nonh":    {-1, "dataplane: nonh: route 10.255.0.9/32 has no next hop"},
+		"self":    {-1, "loop detected at self"},
+		"deep":    {-1, "dataplane: deep: next-hop recursion too deep for 15.0.0.1"},
+		"ghost2":  {-1, "dataplane: ghost2: no route to 10.255.0.9"},
+		"nonh2":   {-1, "dataplane: nonh2: no route to 10.255.0.9"},
+		"self2":   {-1, "dataplane: self2: no route to 10.255.0.9"},
+		"deep2":   {-1, "dataplane: deep2: no route to 10.255.0.9"},
+		"shared":  {-1, "dataplane: shared: no route to 21.0.0.1"},
+		"shared2": {-1, "dataplane: shared2: no route to 10.255.0.9"},
 	}
 	hops := net.HopsTo(target)
 	if len(hops) != len(want) {
@@ -189,6 +263,9 @@ func TestHopsToMatchesForwardHandBuilt(t *testing.T) {
 		if res := net.Forward(name, target, 30); res.Reason != w.reason || res.Reached != (w.hops >= 0) {
 			t.Errorf("Forward(%s) = reached %v, reason %q; want %q", name, res.Reached, res.Reason, w.reason)
 		}
+	}
+	if res := net.Forward("shared", addr("203.0.113.1"), 30); res.Reason != want["shared"].reason {
+		t.Errorf("Forward(shared) on the second prefix: reason %q, want %q", res.Reason, want["shared"].reason)
 	}
 	// An address no device owns: every walk dead-ends.
 	checkParity(t, "gadgets", net, addr("203.0.113.1"), addr("10.0.8.5"))

@@ -25,43 +25,64 @@ func (n *Node) AddAddr(a netip.Addr, iface string) { n.Addrs[a] = iface }
 // IsLocal reports whether addr terminates at this node.
 func (n *Node) IsLocal(addr netip.Addr) bool { _, ok := n.Addrs[addr]; return ok }
 
-// Network is the emulated forwarding plane: all nodes plus the global
-// address ownership map (which models L2 delivery on shared subnets).
+// Network is the emulated forwarding plane: all nodes, numbered densely in
+// AddNode order, plus the global address ownership map (which models L2
+// delivery on shared subnets).
 type Network struct {
-	nodes map[string]*Node
-	owner map[netip.Addr]string
+	nodes []*Node
+	index map[string]int32
+	owner map[netip.Addr]int32
 }
 
 // NewNetwork returns an empty plane.
 func NewNetwork() *Network {
-	return &Network{nodes: map[string]*Node{}, owner: map[netip.Addr]string{}}
+	return &Network{index: map[string]int32{}, owner: map[netip.Addr]int32{}}
 }
 
-// AddNode registers a node and indexes its addresses.
+// AddNode registers a node, indexes its addresses and freezes it: every
+// distinct next hop of its FIB is resolved to the neighbour it leaves
+// through, and neither the FIB nor Addrs may change afterwards. What is
+// frozen depends on the node alone, so a node may be registered with a later
+// Network as it is; who owns the neighbour's address is looked up per Network.
 func (net *Network) AddNode(n *Node) error {
-	if _, dup := net.nodes[n.Hostname]; dup {
+	if _, dup := net.index[n.Hostname]; dup {
 		return fmt.Errorf("dataplane: duplicate node %q", n.Hostname)
 	}
-	net.nodes[n.Hostname] = n
+	at := int32(len(net.nodes))
+	net.index[n.Hostname] = at
+	net.nodes = append(net.nodes, n)
 	for a := range n.Addrs {
 		if prev, dup := net.owner[a]; dup {
-			return fmt.Errorf("dataplane: address %v on both %s and %s", a, prev, n.Hostname)
+			return fmt.Errorf("dataplane: address %v on both %s and %s", a, net.nodes[prev].Hostname, n.Hostname)
 		}
-		net.owner[a] = n.Hostname
+		net.owner[a] = at
 	}
+	n.FIB.freeze()
 	return nil
 }
 
 // Node returns a registered node.
 func (net *Network) Node(hostname string) (*Node, bool) {
-	n, ok := net.nodes[hostname]
-	return n, ok
+	at, ok := net.index[hostname]
+	if !ok {
+		return nil, false
+	}
+	return net.nodes[at], true
+}
+
+// Index returns a registered node's number, its position in HopCounts.
+func (net *Network) Index(hostname string) (int, bool) {
+	at, ok := net.index[hostname]
+	return int(at), ok
 }
 
 // Owner returns the node owning an address.
 func (net *Network) Owner(addr netip.Addr) (string, bool) {
-	h, ok := net.owner[addr]
-	return h, ok
+	at, ok := net.owner[addr]
+	if !ok {
+		return "", false
+	}
+	return net.nodes[at].Hostname, true
 }
 
 // maxResolveDepth bounds recursive next-hop resolution (BGP routes whose
@@ -69,8 +90,8 @@ func (net *Network) Owner(addr netip.Addr) (string, bool) {
 const maxResolveDepth = 4
 
 // deadEnd says why a node cannot forward towards an address; the zero value
-// says it can. Forward renders it into TraceResult.Reason; HopsTo only asks
-// whether there is one, so the ping path formats nothing.
+// says it can. Forward renders it into TraceResult.Reason; HopCounts only
+// asks whether there is one, so the ping path formats nothing.
 type deadEnd struct {
 	kind  int
 	addr  netip.Addr // the address that did not resolve (noRoute, tooDeep)
@@ -93,30 +114,61 @@ func (d deadEnd) reason(host string) string {
 	return fmt.Sprintf("dataplane: %s: next-hop recursion too deep for %v", host, d.addr)
 }
 
-// resolveNextHop returns the immediate neighbour address a packet to dst
-// leaves n towards, resolving recursive routes (e.g. a BGP next hop reached
-// via an IGP route).
-func resolveNextHop(n *Node, dst netip.Addr) (netip.Addr, deadEnd) {
-	for depth := 0; depth <= maxResolveDepth; depth++ {
-		e := n.FIB.lookup(dst)
-		if e == nil {
-			return netip.Addr{}, deadEnd{kind: noRoute, addr: dst}
-		}
-		if e.Connected {
-			// Direct delivery on the attached subnet.
-			return dst, deadEnd{}
-		}
-		if !e.NextHop.IsValid() {
-			return netip.Addr{}, deadEnd{kind: noNextHop, route: e}
-		}
-		// If the next hop is itself directly reachable we are done;
-		// otherwise resolve it in turn.
-		if via := n.FIB.lookup(e.NextHop); via != nil && via.Connected {
-			return e.NextHop, deadEnd{}
-		}
-		dst = e.NextHop
+// resolution is where a packet for one next hop leaves the device: the
+// immediate neighbour's address, or why there is none.
+type resolution struct {
+	addr netip.Addr
+	dead deadEnd
+}
+
+// resolve returns the immediate neighbour address a packet to dst leaves a
+// frozen table towards: dst itself on an attached subnet, otherwise what its
+// route's next hop resolved to.
+func (f *FIB) resolve(dst netip.Addr) (netip.Addr, deadEnd) {
+	at := f.lookup(dst)
+	if at == none {
+		return netip.Addr{}, deadEnd{kind: noRoute, addr: dst}
 	}
-	return netip.Addr{}, deadEnd{kind: tooDeep, addr: dst}
+	switch via := f.via[at]; via {
+	case attached:
+		// Direct delivery on the attached subnet.
+		return dst, deadEnd{}
+	case none:
+		return netip.Addr{}, deadEnd{kind: noNextHop, route: &f.entries[at]}
+	default:
+		return f.resolved[via].addr, f.resolved[via].dead
+	}
+}
+
+// freeze resolves each distinct next hop once and closes the table.
+func (f *FIB) freeze() {
+	if f.resolved != nil {
+		return
+	}
+	f.resolved = make([]resolution, len(f.hops))
+	for s, nh := range f.hops {
+		f.resolved[s] = f.resolveHop(nh)
+	}
+}
+
+// resolveHop follows a recursive next hop (e.g. a BGP next hop reached via
+// an IGP route) until it is directly reachable. The route that named nh was
+// the first level of maxResolveDepth.
+func (f *FIB) resolveHop(nh netip.Addr) resolution {
+	for depth := 1; ; depth++ {
+		at := f.lookup(nh)
+		switch {
+		case at != none && f.via[at] == attached:
+			return resolution{addr: nh}
+		case depth > maxResolveDepth:
+			return resolution{dead: deadEnd{kind: tooDeep, addr: nh}}
+		case at == none:
+			return resolution{dead: deadEnd{kind: noRoute, addr: nh}}
+		case f.via[at] == none:
+			return resolution{dead: deadEnd{kind: noNextHop, route: &f.entries[at]}}
+		}
+		nh = f.entries[at].NextHop
+	}
 }
 
 // Hop is one traceroute step.
@@ -143,7 +195,7 @@ func (net *Network) Forward(srcHost string, dst netip.Addr, maxTTL int) TraceRes
 		maxTTL = 30
 	}
 	res := TraceResult{Dst: dst}
-	cur, ok := net.nodes[srcHost]
+	cur, ok := net.Node(srcHost)
 	if !ok {
 		res.Reason = fmt.Sprintf("unknown source host %q", srcHost)
 		return res
@@ -157,26 +209,26 @@ func (net *Network) Forward(srcHost string, dst netip.Addr, maxTTL int) TraceRes
 			res.Reason = fmt.Sprintf("loop detected at %s", cur.Hostname)
 			return res
 		}
-		nh, dead := resolveNextHop(cur, dst)
+		nh, dead := cur.FIB.resolve(dst)
 		if dead.kind != 0 {
 			res.Reason = dead.reason(cur.Hostname)
 			return res
 		}
-		nextHost, ok := net.owner[nh]
+		at, ok := net.owner[nh]
 		if !ok {
 			res.Reason = fmt.Sprintf("next hop %v owned by no device", nh)
 			return res
 		}
-		next := net.nodes[nextHost]
+		next := net.nodes[at]
 		if next.IsLocal(dst) {
 			// Final hop: the destination answers with the probed address.
-			res.Hops = append(res.Hops, Hop{Addr: dst, Node: nextHost})
+			res.Hops = append(res.Hops, Hop{Addr: dst, Node: next.Hostname})
 			res.Reached = true
 			return res
 		}
 		// Transit hop: the probe arrives on nh; that address answers the
 		// TTL-exceeded.
-		res.Hops = append(res.Hops, Hop{Addr: nh, Node: nextHost})
+		res.Hops = append(res.Hops, Hop{Addr: nh, Node: next.Hostname})
 		cur = next
 	}
 	res.Reason = "ttl exceeded"
@@ -202,44 +254,48 @@ func (res *TraceResult) revisits(srcHost, cur string) bool {
 	return false
 }
 
-// HopsTo resolves every node's next hop towards dst exactly once and returns
-// each node's hop count to the node that owns dst: 0 on the owner itself, -1
-// where the walk dead-ends (no route, a next hop owned by no device) or
-// loops. IP forwarding is destination-based, so the walks from all sources
-// form one tree rooted at dst and share their suffixes; a reachability
-// matrix needs one tree per destination, not one walk per pair. A count may
-// exceed a probe's TTL: Forward(src, dst, ttl).Reached iff 0 <= hops <= ttl,
-// and then len(Hops) == hops.
-func (net *Network) HopsTo(dst netip.Addr) map[string]int {
-	const walking = -2 // on the walk in progress; meeting it again is a loop
-	hops := make(map[string]int, len(net.nodes))
-	var walk []string
-	for _, start := range net.nodes {
+// HopCounts resolves every node's next hop towards dst exactly once and
+// returns, by node number, each node's hop count to the node that owns dst:
+// 0 on the owner itself, -1 where the walk dead-ends (no route, a next hop
+// owned by no device) or loops. IP forwarding is destination-based, so the
+// walks from all sources form one tree rooted at dst and share their
+// suffixes; a reachability matrix needs one tree per destination, not one
+// walk per pair. A count may exceed a probe's TTL: Forward(src, dst,
+// ttl).Reached iff 0 <= hops <= ttl, and then len(Hops) == hops.
+func (net *Network) HopCounts(dst netip.Addr) []int32 {
+	const (
+		unseen  = -3
+		walking = -2 // on the walk in progress; meeting it again is a loop
+	)
+	hops := make([]int32, len(net.nodes))
+	for i := range hops {
+		hops[i] = unseen
+	}
+	if at, owned := net.owner[dst]; owned {
+		hops[at] = 0
+	}
+	var walk []int32
+	for start := range net.nodes {
 		walk = walk[:0]
-		count := -1
-		for cur := start; ; {
-			if h, seen := hops[cur.Hostname]; seen {
+		count := int32(-1)
+		for cur := int32(start); ; {
+			if h := hops[cur]; h != unseen {
 				if h != walking {
 					count = h
 				}
 				break
 			}
-			if cur.IsLocal(dst) {
-				hops[cur.Hostname] = 0
-				count = 0
-				break
-			}
-			hops[cur.Hostname] = walking
-			walk = append(walk, cur.Hostname)
-			nh, dead := resolveNextHop(cur, dst)
+			hops[cur] = walking
+			walk = append(walk, cur)
+			nh, dead := net.nodes[cur].FIB.resolve(dst)
 			if dead.kind != 0 {
 				break
 			}
-			nextHost, ok := net.owner[nh]
+			next, ok := net.owner[nh]
 			if !ok {
 				break
 			}
-			cur = net.nodes[nextHost]
+			cur = next
 		}
 		for i := len(walk) - 1; i >= 0; i-- {
 			if count >= 0 {
@@ -247,6 +303,15 @@ func (net *Network) HopsTo(dst netip.Addr) map[string]int {
 			}
 			hops[walk[i]] = count
 		}
+	}
+	return hops
+}
+
+// HopsTo is HopCounts keyed by hostname.
+func (net *Network) HopsTo(dst netip.Addr) map[string]int {
+	hops := make(map[string]int, len(net.nodes))
+	for at, h := range net.HopCounts(dst) {
+		hops[net.nodes[at].Hostname] = int(h)
 	}
 	return hops
 }
@@ -275,9 +340,9 @@ func (res TraceResult) TracerouteText() string {
 
 // NodeNames returns the hostnames of all registered nodes (unordered).
 func (net *Network) NodeNames() []string {
-	out := make([]string, 0, len(net.nodes))
-	for h := range net.nodes {
-		out = append(out, h)
+	out := make([]string, len(net.nodes))
+	for at, n := range net.nodes {
+		out[at] = n.Hostname
 	}
 	return out
 }

@@ -76,6 +76,9 @@ func Extract(bundle []byte) (*render.FileSet, error) {
 	defer gz.Close()
 	tr := tar.NewReader(gz)
 	fs := render.NewFileSet()
+	// One buffer serves every entry and grows with the bytes the reader
+	// yields, never with what a header claims.
+	var entry bytes.Buffer
 	for {
 		hdr, err := tr.Next()
 		if err == io.EOF {
@@ -88,11 +91,11 @@ func Extract(bundle []byte) (*render.FileSet, error) {
 		if clean == "." || clean == ".." || strings.HasPrefix(clean, "../") || path.IsAbs(clean) {
 			return nil, fmt.Errorf("deploy: archive escapes extraction root: %q", hdr.Name)
 		}
-		var sb strings.Builder
-		if _, err := io.Copy(&sb, tr); err != nil { //nolint:gosec // sizes bounded by archive
+		entry.Reset()
+		if _, err := entry.ReadFrom(tr); err != nil { //nolint:gosec // sizes bounded by archive
 			return nil, fmt.Errorf("deploy: extracting %s: %w", hdr.Name, err)
 		}
-		fs.Write(clean, sb.String())
+		fs.Write(clean, entry.String())
 	}
 	return fs, nil
 }

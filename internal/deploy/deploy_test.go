@@ -1,6 +1,11 @@
 package deploy
 
 import (
+	"archive/tar"
+	"bytes"
+	"compress/gzip"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -98,6 +103,66 @@ func TestExtractRejectsEscapes(t *testing.T) {
 	}
 	if _, err := Extract([]byte("not a gzip")); err == nil {
 		t.Error("garbage archive accepted")
+	}
+}
+
+// TestExtractLyingSize: an entry whose header promises more than the stream
+// holds is an error, and costs what the stream held, not what was promised.
+func TestExtractLyingSize(t *testing.T) {
+	var bundle bytes.Buffer
+	gz := gzip.NewWriter(&bundle)
+	tw := tar.NewWriter(gz)
+	if err := tw.WriteHeader(&tar.Header{Name: "localhost/netkit/lab.conf", Mode: 0o644, Size: 1 << 30}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tw.Write([]byte("LAB_DESCRIPTION=truncated\n")); err != nil {
+		t.Fatal(err)
+	}
+	// No tw.Close: it would refuse the short entry. The stream just ends.
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := Extract(bundle.Bytes())
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "deploy: extracting localhost/netkit/lab.conf") {
+		t.Errorf("truncated entry: err = %v, extracted %v", err, got)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("a 26-byte entry claiming 1 GiB made Extract allocate %d bytes", grew)
+	}
+}
+
+// raceDetector is set by race_test.go in -race builds.
+var raceDetector bool
+
+// TestExtractAllocatesPerByteNotPerFile: unpacking costs a small multiple of
+// the payload, however many files it is split into (a copy buffer per entry
+// once made a 0.8 MB tree cost 37 MB).
+func TestExtractAllocatesPerByteNotPerFile(t *testing.T) {
+	fs, payload := render.NewFileSet(), 0
+	for i := 0; i < 1000; i++ {
+		content := strings.Repeat(fmt.Sprintf("interface eth%d\n ip address 10.0.%d.1/30\n", i%8, i%250), 16)
+		fs.Write(fmt.Sprintf("localhost/netkit/r%04d/etc/quagga/zebra.conf", i), content)
+		payload += len(content)
+	}
+	bundle, err := Archive(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			got, err := Extract(bundle)
+			if err != nil || got.Len() != fs.Len() {
+				b.Fatalf("extracted %v files, err %v", got.Len(), err)
+			}
+		}
+	})
+	t.Logf("Extract: %d bytes/op, %d allocs/op for %d payload bytes", res.AllocedBytesPerOp(), res.AllocsPerOp(), payload)
+	if perOp := res.AllocedBytesPerOp(); perOp > 3*int64(payload) && !raceDetector {
+		t.Errorf("Extract allocates %d bytes for a %d-byte payload in %d files (over 3x)", perOp, payload, fs.Len())
 	}
 }
 

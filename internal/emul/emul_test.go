@@ -34,6 +34,13 @@ func buildLab(t *testing.T, platform, syntax string) (*Lab, *ipalloc.Result) {
 	for _, e := range [][2]graph.ID{{"r1", "r2"}, {"r1", "r3"}, {"r2", "r4"}, {"r3", "r4"}, {"r3", "r5"}, {"r4", "r5"}} {
 		in.AddEdge(e[0], e[1], graph.Attrs{"type": "physical"})
 	}
+	return labFromInput(t, anm, platform)
+}
+
+// labFromInput takes a model holding only its input overlay through design,
+// allocation, compile and render, and loads the lab of one platform, un-booted.
+func labFromInput(t testing.TB, anm *core.ANM, platform string) (*Lab, *ipalloc.Result) {
+	t.Helper()
 	if err := design.BuildAll(anm, design.Options{}); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package emul
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -114,8 +113,10 @@ func (l *Lab) execPing(vm *VM, args []string) (string, error) {
 	// destination's owner is at most that many hops away, which is what
 	// Forward's TTL and loop checks decide for a single walk.
 	received, loss := "0", "100%"
-	if hops, ok := l.hopsTo(dst)[vm.Name]; ok && hops >= 0 && hops <= pingTTL {
-		received, loss = count, "0%"
+	if hops := l.hopsTo(dst); hops != nil {
+		if at, ok := l.net.Index(vm.Name); ok && hops[at] >= 0 && hops[at] <= pingTTL {
+			received, loss = count, "0%"
+		}
 	}
 	return "PING " + dst.String() + ": " + count + " packets transmitted, " + received + " received, " + loss + " packet loss\n", nil
 }
@@ -123,38 +124,28 @@ func (l *Lab) execPing(vm *VM, args []string) (string, error) {
 // pingTTL is the hop limit of an emulated ping, the same as traceroute's.
 const pingTTL = 30
 
-// hopTrees memoises dataplane.HopsTo per destination for one network
-// generation. There is no invalidation: buildDataplane installs a new, empty
-// one with every new network.
-type hopTrees struct {
-	mu sync.Mutex
-	to map[netip.Addr]*hopTree
-}
-
+// hopTree memoises dataplane.HopCounts towards one destination for one
+// network generation. There is no invalidation: buildDataplane installs a
+// new, empty set with every new network.
 type hopTree struct {
 	once sync.Once
-	hops map[string]int
+	hops []int32
 }
 
 // hopsTo returns every machine's hop count towards dst on the current
-// network, building the destination's tree on first use. Probes that race
-// for a new destination wait on its Once, not on each other's trees. Callers
-// hold the lab's read lock, so net and trees belong to one generation.
-func (l *Lab) hopsTo(dst netip.Addr) map[string]int {
-	if _, owned := l.net.Owner(dst); !owned {
+// network, by node number, building the destination's tree on first use.
+// Probes that race for a new destination wait on its Once, not on each
+// other's trees. Callers hold the lab's read lock, so net and trees belong
+// to one generation.
+func (l *Lab) hopsTo(dst netip.Addr) []int32 {
+	t := l.trees[dst]
+	if t == nil {
 		// No device answers for dst, so no walk can end: nothing to share,
 		// and nothing a client can make the memo grow with.
 		return nil
 	}
-	l.trees.mu.Lock()
-	t := l.trees.to[dst]
-	if t == nil {
-		t = new(hopTree)
-		l.trees.to[dst] = t
-	}
-	l.trees.mu.Unlock()
 	t.once.Do(func() {
-		t.hops = l.net.HopsTo(dst)
+		t.hops = l.net.HopCounts(dst)
 		l.obs.Add(obs.CounterHopTreesBuilt, 1)
 	})
 	return t.hops
@@ -224,15 +215,8 @@ func (l *Lab) showRoutes(vm *VM) string {
 	if !ok {
 		return ""
 	}
-	entries := node.FIB.Entries()
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Prefix.Addr() != entries[j].Prefix.Addr() {
-			return entries[i].Prefix.Addr().Less(entries[j].Prefix.Addr())
-		}
-		return entries[i].Prefix.Bits() < entries[j].Prefix.Bits()
-	})
 	var sb strings.Builder
-	for _, e := range entries {
+	for _, e := range node.FIB.Entries() {
 		switch {
 		case e.Connected:
 			fmt.Fprintf(&sb, "C>* %s is directly connected, %s\n", e.Prefix, e.OutIf)

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"autonetkit/internal/dataplane"
@@ -55,9 +58,11 @@ type Lab struct {
 	bgp       *routing.BGPEngine
 	bgpResult routing.BGPResult
 	net       *dataplane.Network
-	// trees answers pings on net (exec.go). It is assigned only where net
-	// is, so a reconvergence drops it with the generation it described.
-	trees *hopTrees
+	// trees answers pings on net (exec.go): one hop tree, built on first
+	// use, per address a device of net owns. It is assigned only where net
+	// is, so a reconvergence drops it with the generation it described, and
+	// never written in between, so probes read it without a lock.
+	trees map[netip.Addr]*hopTree
 
 	flatParse flatParser
 	started   bool
@@ -805,66 +810,113 @@ func (l *Lab) bootVM(vm *VM) (*routing.DeviceConfig, Diagnostics) {
 		Message: fmt.Sprintf("cannot boot on platform %q", l.Platform)}}
 }
 
-// buildDataplane installs connected, OSPF and BGP routes into per-VM FIBs.
+// buildDataplane installs connected, IGP and BGP routes into per-VM FIBs.
 // reuse (may be nil) maps hostnames to nodes from the previous network
 // generation whose inputs are provably unchanged; those are re-added as-is
-// instead of being rebuilt.
+// instead of being rebuilt. A node depends on its own device and the
+// converged engines only, so the builds fan out; nodes, errors and counters
+// are then gathered in device order, as a serial build would produce them.
 func (l *Lab) buildDataplane(devices []*routing.DeviceConfig, reuse map[string]*dataplane.Node) error {
-	net := dataplane.NewNetwork()
-	for _, dc := range devices {
-		if old, ok := reuse[dc.Hostname]; ok {
-			if err := net.AddNode(old); err != nil {
-				return err
-			}
-			l.obs.Add(obs.CounterFIBNodesReused, 1)
-			continue
-		}
-		node := dataplane.NewNode(dc.Hostname)
-		// Collect candidate routes into a RIB so administrative distance is
-		// honoured (connected < OSPF < BGP): a BGP-originated loopback /32
-		// must not shadow the OSPF route that actually resolves it.
-		rib := routing.NewRIB()
-		for _, ic := range dc.Interfaces {
-			node.AddAddr(ic.Addr, ic.Name)
-			rib.Install(routing.Route{Prefix: ic.Prefix, Origin: routing.OriginConnected, OutIf: ic.Name})
-		}
-		if dc.Gateway.IsValid() {
-			rib.Install(routing.Route{
-				Prefix:  netip.MustParsePrefix("0.0.0.0/0"),
-				NextHop: dc.Gateway,
-				Origin:  routing.OriginBGP, // static default: lowest preference
-				Metric:  1,
-			})
-		}
-		if l.domain != nil {
-			for _, rt := range l.domain.Routes(dc.Hostname) {
-				rib.Install(rt)
-			}
-		}
-		if l.isis != nil {
-			for _, rt := range l.isis.Routes(dc.Hostname) {
-				rib.Install(rt)
-			}
-		}
-		if l.bgp != nil {
-			for _, rt := range l.bgp.BestRoutes(dc.Hostname) {
-				if rt.Local || !rt.NextHop.IsValid() {
-					continue
+	nodes := make([]*dataplane.Node, len(devices))
+	errs := make([]error, len(devices))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(devices)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var bgp []routing.Route // one worker's scratch, reused across its nodes
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(devices) {
+					return
 				}
-				rib.Install(routing.Route{Prefix: rt.Prefix, Origin: routing.OriginBGP, NextHop: rt.NextHop})
+				if nodes[i] = reuse[devices[i].Hostname]; nodes[i] == nil {
+					nodes[i], bgp, errs[i] = l.buildNode(devices[i], bgp[:0])
+				}
 			}
+		}()
+	}
+	wg.Wait()
+	net, addrs := dataplane.NewNetwork(), 0
+	for i, dc := range devices {
+		if errs[i] != nil {
+			return fmt.Errorf("emul: %s: %w", dc.Hostname, errs[i])
 		}
-		for _, p := range rib.Prefixes() {
-			best, _ := rib.Best(p)
-			entry := dataplane.FIBEntry{Prefix: best.Prefix, NextHop: best.NextHop, OutIf: best.OutIf, Connected: best.Origin == routing.OriginConnected}
-			if err := node.FIB.Insert(entry); err != nil {
-				return fmt.Errorf("emul: %s: %w", dc.Hostname, err)
-			}
-		}
-		if err := net.AddNode(node); err != nil {
+		if err := net.AddNode(nodes[i]); err != nil {
 			return err
 		}
+		if reuse[dc.Hostname] != nil {
+			l.obs.Add(obs.CounterFIBNodesReused, 1)
+		}
+		addrs += len(nodes[i].Addrs)
 	}
-	l.net, l.trees = net, &hopTrees{to: map[netip.Addr]*hopTree{}}
+	// One empty tree per address a device owns: probes then only read the map.
+	trees, slab := make(map[netip.Addr]*hopTree, addrs), make([]hopTree, addrs)
+	for _, n := range nodes {
+		for a := range n.Addrs {
+			trees[a], slab = &slab[0], slab[1:]
+		}
+	}
+	l.net, l.trees = net, trees
 	return nil
+}
+
+// buildNode merges one device's candidate routes into a FIB by
+// administrative distance (connected < OSPF/IS-IS < BGP < static default): a
+// BGP-originated loopback /32 must not shadow the OSPF route that actually
+// resolves it. Every source is already ascending by prefix, the engines'
+// lists are read where they lie, and bgp is scratch for the one that needs
+// converting, handed back for the next node.
+func (l *Lab) buildNode(dc *routing.DeviceConfig, bgp []routing.Route) (*dataplane.Node, []routing.Route, error) {
+	node := dataplane.NewNode(dc.Hostname)
+	conn := make([]routing.Route, len(dc.Interfaces))
+	for i, ic := range dc.Interfaces {
+		node.AddAddr(ic.Addr, ic.Name)
+		conn[i] = routing.Route{Prefix: ic.Prefix, Origin: routing.OriginConnected, OutIf: ic.Name}
+	}
+	slices.SortStableFunc(conn, func(a, b routing.Route) int { return routing.ComparePrefix(a.Prefix, b.Prefix) })
+	var static, ospf, isis []routing.Route
+	if dc.Gateway.IsValid() {
+		static = []routing.Route{{Prefix: netip.MustParsePrefix("0.0.0.0/0"), NextHop: dc.Gateway}}
+	}
+	if l.domain != nil {
+		ospf = l.domain.Routes(dc.Hostname)
+	}
+	if l.isis != nil {
+		isis = l.isis.Routes(dc.Hostname)
+	}
+	if l.bgp != nil {
+		selected := l.bgp.Selected(dc.Hostname)
+		for i := range selected {
+			if rt := &selected[i]; !rt.Local && rt.NextHop.IsValid() {
+				bgp = append(bgp, routing.Route{Prefix: rt.Prefix, NextHop: rt.NextHop})
+			}
+		}
+	}
+	// Ascending preference: where lists share a prefix the last one wins.
+	lists := [...][]routing.Route{static, bgp, ospf, isis, conn}
+	node.FIB.Grow(len(static) + len(bgp) + len(ospf) + len(isis) + len(conn))
+	for {
+		var p netip.Prefix
+		more := false
+		for _, rts := range lists {
+			if len(rts) > 0 && (!more || routing.ComparePrefix(rts[0].Prefix, p) < 0) {
+				p, more = rts[0].Prefix, true
+			}
+		}
+		if !more {
+			return node, bgp, nil
+		}
+		var best *routing.Route
+		for k := range lists {
+			for ; len(lists[k]) > 0 && lists[k][0].Prefix == p; lists[k] = lists[k][1:] {
+				best = &lists[k][0]
+			}
+		}
+		entry := dataplane.FIBEntry{Prefix: p, NextHop: best.NextHop, OutIf: best.OutIf, Connected: best.Origin == routing.OriginConnected}
+		if err := node.FIB.Insert(entry); err != nil {
+			return nil, bgp, err
+		}
+	}
 }

@@ -107,6 +107,18 @@ func (l *Lab) Reconverge() (routing.BGPResult, error) {
 	return l.bgpResult, nil
 }
 
+// RebuildDataplane derives a new network generation from the converged
+// engines as they stand: the last step of Reconverge on its own, which is
+// how benchmarks time the data-plane layer.
+func (l *Lab) RebuildDataplane() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.started || l.net == nil {
+		return fmt.Errorf("emul: lab has no data plane to rebuild")
+	}
+	return l.buildDataplane(l.liveDevices(), nil)
+}
+
 // ReconvergeWith installs a new budget and re-runs the control plane under
 // it — the watchdog's budget-escalation rung.
 func (l *Lab) ReconvergeWith(b routing.ConvergenceBudget) (routing.BGPResult, error) {

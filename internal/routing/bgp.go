@@ -1012,11 +1012,17 @@ func (e *BGPEngine) stateHash() uint64 {
 // BestRoutes returns a speaker's selected routes, sorted by prefix (the
 // emulated `show ip bgp`).
 func (e *BGPEngine) BestRoutes(host string) []BGPRoute {
+	return append([]BGPRoute(nil), e.Selected(host)...)
+}
+
+// Selected is BestRoutes without the copy: the speaker's own list, ascending
+// by (address, length), to be read only and not kept across a run.
+func (e *BGPEngine) Selected(host string) []BGPRoute {
 	sp, ok := e.speakers[host]
 	if !ok {
 		return nil
 	}
-	return append([]BGPRoute(nil), sp.rib...)
+	return sp.rib
 }
 
 // Speakers returns the hostnames running BGP, sorted.

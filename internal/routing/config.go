@@ -139,14 +139,7 @@ const (
 	OriginBGP       RouteOrigin = "bgp"
 )
 
-// adminDistance mirrors the conventional preferences.
-var adminDistance = map[RouteOrigin]int{
-	OriginConnected: 0,
-	OriginOSPF:      110,
-	OriginBGP:       200, // iBGP; eBGP handled inside the BGP process
-}
-
-// Route is one RIB entry.
+// Route is one candidate route for a device's forwarding table.
 type Route struct {
 	Prefix  netip.Prefix
 	NextHop netip.Addr // zero for connected routes
@@ -154,67 +147,3 @@ type Route struct {
 	Origin  RouteOrigin
 	Metric  int
 }
-
-// RIB is a device's routing table: best route per prefix per origin, with
-// protocol preference applied on FIB selection.
-type RIB struct {
-	routes map[netip.Prefix]map[RouteOrigin]Route
-}
-
-// NewRIB returns an empty routing table.
-func NewRIB() *RIB { return &RIB{routes: map[netip.Prefix]map[RouteOrigin]Route{}} }
-
-// Install adds or replaces the route for (prefix, origin).
-func (r *RIB) Install(rt Route) {
-	m, ok := r.routes[rt.Prefix]
-	if !ok {
-		m = map[RouteOrigin]Route{}
-		r.routes[rt.Prefix] = m
-	}
-	m[rt.Origin] = rt
-}
-
-// Remove deletes the route for (prefix, origin).
-func (r *RIB) Remove(prefix netip.Prefix, origin RouteOrigin) {
-	if m, ok := r.routes[prefix]; ok {
-		delete(m, origin)
-		if len(m) == 0 {
-			delete(r.routes, prefix)
-		}
-	}
-}
-
-// Best returns the preferred route for a prefix (lowest administrative
-// distance, then lowest metric).
-func (r *RIB) Best(prefix netip.Prefix) (Route, bool) {
-	m, ok := r.routes[prefix]
-	if !ok {
-		return Route{}, false
-	}
-	var best Route
-	found := false
-	for _, rt := range m {
-		if !found {
-			best = rt
-			found = true
-			continue
-		}
-		da, db := adminDistance[rt.Origin], adminDistance[best.Origin]
-		if da < db || (da == db && rt.Metric < best.Metric) {
-			best = rt
-		}
-	}
-	return best, found
-}
-
-// Prefixes returns every prefix with at least one route.
-func (r *RIB) Prefixes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(r.routes))
-	for p := range r.routes {
-		out = append(out, p)
-	}
-	return out
-}
-
-// Len returns the number of distinct prefixes.
-func (r *RIB) Len() int { return len(r.routes) }

@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 )
 
@@ -313,7 +314,8 @@ func (d *OSPFDomain) spf(src string, adj map[string][]nbrLink) (map[string]int, 
 }
 
 // buildRoutes installs one route per advertised prefix of every reachable
-// router, deduplicated to the lowest metric per prefix and sorted.
+// router, deduplicated to the lowest metric per prefix and sorted by
+// (address, length): a total order, which the FIB merge relies on.
 func (d *OSPFDomain) buildRoutes(src string, dist map[string]int, first map[string]firstHop) []Route {
 	var routes []Route
 	srcDC := d.devices[src]
@@ -352,7 +354,7 @@ func (d *OSPFDomain) buildRoutes(src string, dist map[string]int, first map[stri
 	for p := range best {
 		prefixes = append(prefixes, p)
 	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].Addr().Less(prefixes[j].Addr()) })
+	slices.SortFunc(prefixes, ComparePrefix)
 	for _, p := range prefixes {
 		final = append(final, best[p])
 	}

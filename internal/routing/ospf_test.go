@@ -180,29 +180,34 @@ func TestDeviceConfigValidate(t *testing.T) {
 	}
 }
 
-func TestRIB(t *testing.T) {
-	r := NewRIB()
-	p := mustPfx("10.0.0.0/30")
-	r.Install(Route{Prefix: p, Origin: OriginOSPF, Metric: 20, NextHop: mustAddr("10.0.0.2")})
-	r.Install(Route{Prefix: p, Origin: OriginConnected, OutIf: "eth0"})
-	best, ok := r.Best(p)
-	if !ok || best.Origin != OriginConnected {
-		t.Errorf("best = %+v (connected must win)", best)
-	}
-	r.Remove(p, OriginConnected)
-	best, _ = r.Best(p)
-	if best.Origin != OriginOSPF {
-		t.Error("fallback to OSPF failed")
-	}
-	if r.Len() != 1 {
-		t.Errorf("len = %d", r.Len())
-	}
-	r.Remove(p, OriginOSPF)
-	if _, ok := r.Best(p); ok {
-		t.Error("route survived removal")
-	}
-	if r.Len() != 0 || len(r.Prefixes()) != 0 {
-		t.Error("RIB not empty")
+// TestOSPFRoutesTotalOrder: a /24 and a /30 on one base address come out
+// shorter first on every converge. The FIB merge consumes these lists as
+// sorted by (address, length); ordered by address alone the pair fell in map
+// order.
+func TestOSPFRoutesTotalOrder(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		devs := lineTopo(1)
+		c := devs[2]
+		for _, ic := range []InterfaceConfig{
+			{Name: "eth1", Addr: mustAddr("172.16.0.129"), Prefix: mustPfx("172.16.0.0/24"), Cost: 1},
+			{Name: "eth2", Addr: mustAddr("172.16.0.1"), Prefix: mustPfx("172.16.0.0/30"), Cost: 1},
+		} {
+			c.Interfaces = append(c.Interfaces, ic)
+			c.OSPF.Networks = append(c.OSPF.Networks, OSPFNetwork{Prefix: ic.Prefix, Area: 0})
+		}
+		routes := converge(t, devs).Routes("a")
+		var got []netip.Prefix
+		for i, rt := range routes {
+			if i > 0 && ComparePrefix(routes[i-1].Prefix, rt.Prefix) >= 0 {
+				t.Fatalf("run %d: routes not strictly ascending at %d: %v then %v", run, i, routes[i-1].Prefix, rt.Prefix)
+			}
+			if rt.Prefix.Addr() == mustAddr("172.16.0.0") {
+				got = append(got, rt.Prefix)
+			}
+		}
+		if len(got) != 2 || got[0] != mustPfx("172.16.0.0/24") || got[1] != mustPfx("172.16.0.0/30") {
+			t.Fatalf("run %d: routes at 172.16.0.0 = %v, want the /24 then the /30", run, got)
+		}
 	}
 }
 

@@ -55,7 +55,9 @@ type ribIn struct {
 	sorted bool // routes ascend by prefix, so lookups may search
 }
 
-func cmpPrefix(a, b netip.Prefix) int {
+// ComparePrefix orders prefixes by (address, length): the order every route
+// list a device's forwarding table is merged from ascends in.
+func ComparePrefix(a, b netip.Prefix) int {
 	if c := a.Addr().Compare(b.Addr()); c != 0 {
 		return c
 	}
@@ -67,7 +69,7 @@ func seek(list []BGPRoute, from int, p netip.Prefix) int {
 	lo, hi := from, len(list)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if cmpPrefix(list[mid].Prefix, p) < 0 {
+		if ComparePrefix(list[mid].Prefix, p) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -77,7 +79,7 @@ func seek(list []BGPRoute, from int, p netip.Prefix) int {
 }
 
 func isSorted(list []BGPRoute) bool {
-	return slices.IsSortedFunc(list, func(a, b BGPRoute) int { return cmpPrefix(a.Prefix, b.Prefix) })
+	return slices.IsSortedFunc(list, func(a, b BGPRoute) int { return ComparePrefix(a.Prefix, b.Prefix) })
 }
 
 // patch stages changes against a sorted, duplicate-free list. set must be
@@ -155,7 +157,7 @@ func diffPrefixes(old, next []BGPRoute, sorted bool, dirty []netip.Prefix) []net
 	}
 	for i, j := 0, 0; i < len(old) || j < len(next); {
 		var p netip.Prefix
-		if j == len(next) || i < len(old) && cmpPrefix(old[i].Prefix, next[j].Prefix) <= 0 {
+		if j == len(next) || i < len(old) && ComparePrefix(old[i].Prefix, next[j].Prefix) <= 0 {
 			p = old[i].Prefix
 		} else {
 			p = next[j].Prefix
@@ -278,7 +280,7 @@ func (e *BGPEngine) turn(sp *speaker, hist replayRound, t *turnResult, sc *scrat
 		dirty = e.consume(sp, k, dirty, t, sc)
 	}
 	if t.skipped = len(dirty) == 0; !t.skipped {
-		slices.SortFunc(dirty, cmpPrefix)
+		slices.SortFunc(dirty, ComparePrefix)
 		e.reselect(sp, slices.Compact(dirty), t, sc)
 	}
 	sc.dirty = dirty
@@ -438,6 +440,6 @@ func (sp *speaker) allPrefixes(buf []netip.Prefix) []netip.Prefix {
 			buf = append(buf, sp.in[k].routes[i].Prefix)
 		}
 	}
-	slices.SortFunc(buf, cmpPrefix)
+	slices.SortFunc(buf, ComparePrefix)
 	return slices.Compact(buf)
 }

@@ -118,6 +118,14 @@ ANK_SHARDS="${ANK_SHARDS:-4}" go test -race -run 'TestShardedConvergenceParity|T
 echo "== hop-tree parity (-race; HopsTo, which answers every ping, against Forward walked per pair: hand-built loops/blackholes/TTL boundary, Small-Internet and a 60-router lab through fail/restore)"
 go test -race -run 'TestHopsToMatchesForwardHandBuilt|TestHopsToTTLBoundary|TestHopsToMatchesForwardOnLabs' -count=1 ./internal/dataplane/
 
+echo "== data-plane generation (-race; merged FIBs against the RIB-then-Insert reference on three platforms through incidents and a degraded boot, frozen next-hop tables against per-call resolution, identical output at GOMAXPROCS 1/2/8, OSPF routes in a total order, Extract allocating per byte)"
+go test -race -count=1 -run 'TestDataplaneMatchesRIBReference|TestDataplaneBuildIdenticalAcrossProcs' ./internal/emul/
+go test -race -count=1 -run 'TestInsertAfterAddNodeRejected|TestFIBAscendingInsertsMatchShuffled' ./internal/dataplane/
+go test -race -count=20 -run 'TestOSPFRoutesTotalOrder' ./internal/routing/
+go test -race -count=1 -run 'TestExtractLyingSize' ./internal/deploy/
+# Without -race: the detector makes sync.Pool lossy, and archive/tar's pooled discard buffer then costs more than the payload.
+go test -count=1 -run 'TestExtractAllocatesPerByteNotPerFile' ./internal/deploy/
+
 echo "== incremental rebuild benchmark (cold vs warm vs one-node edit; the edit run fails unless each edit misses exactly two lookups)"
 go test -run 'NONE' -bench 'BenchmarkP4_IncrementalRebuild' -benchtime 1x .
 
@@ -129,6 +137,9 @@ go test -run 'NONE' -bench 'BenchmarkP9_ShardedConvergence/n240' -benchtime 1x .
 
 echo "== reachability matrix benchmark (240 routers; fresh = hop trees rebuilt after a reconvergence, unchanged = read back)"
 go test -run 'NONE' -bench 'BenchmarkP14_ReachabilityMatrix' -benchtime 1x .
+
+echo "== data-plane generation benchmark (240 routers; build = every FIB merged and registered, fresh-matrix = first matrix on a new generation)"
+go test -run 'NONE' -bench 'BenchmarkP16_DataplaneGeneration/n240' -benchtime 1x .
 
 echo "== scheduler placement + drain benchmark (42-AS / 1158-router scale)"
 go test -run 'NONE' -bench 'BenchmarkP7_SchedulerDrain' -benchtime 1x .

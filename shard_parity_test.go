@@ -275,6 +275,9 @@ func TestShardPartitionProperty(t *testing.T) {
 // parallel round driver active, followed by fail/restore incidents under the
 // same readers. Run under -race.
 func TestShardWatchdogMeasureRace(t *testing.T) {
+	// At least four workers on any host, so every reconvergence below builds
+	// its data plane on several goroutines while the readers probe.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
 	net, err := Load(fixture)
 	if err != nil {
 		t.Fatal(err)
