@@ -110,6 +110,18 @@ func LoadGraph(g *graph.Graph) (*Network, error) {
 	return &Network{ANM: anm, obs: obs.NewCollector()}, nil
 }
 
+// Retarget routes every device of the input overlay onto one emulation
+// platform (with the syntax that platform runs) on one host, whatever the
+// topology file asked for. Call it before Build.
+func (n *Network) Retarget(platform, host string) {
+	syntax := emul.PlatformSyntax(platform)
+	for _, node := range n.ANM.Overlay(core.OverlayInput).Nodes() {
+		node.MustSet(core.AttrPlatform, platform)
+		node.MustSet(core.AttrSyntax, syntax)
+		node.MustSet(core.AttrHost, host)
+	}
+}
+
 // BuildOptions parameterises the design-through-render chain.
 type BuildOptions struct {
 	Design  design.Options

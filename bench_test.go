@@ -939,9 +939,9 @@ func BenchmarkP5_ConvergenceUnderLoss(b *testing.B) {
 		})
 	}
 
-	// Post-incident reconvergence at 240 routers, full recompute versus the
-	// incremental paths (delta SPF + BGP trajectory replay + data-plane node
-	// reuse) — the headline case of the P6 performance model.
+	// Post-incident reconvergence at 240 routers, every BGP round recomputed
+	// versus BGP trajectory replay — the headline case of the P6 performance
+	// model.
 	for _, mode := range []struct {
 		name        string
 		incremental bool
@@ -952,14 +952,15 @@ func BenchmarkP5_ConvergenceUnderLoss(b *testing.B) {
 	}
 }
 
-// --- P6: incremental reconvergence (delta SPF + BGP trajectory replay +
-// data-plane node reuse). Each iteration injects and repairs one link
-// failure on a deployed NREN-shaped lab, so every pass pays two
-// reconvergences whose outcome is overwhelmingly unchanged state.
-// Sub-benchmarks compare full recompute against incremental mode at three
-// scales; the two modes are byte-equivalent by construction (see
-// TestIncrementalConvergenceParity), so the gap is purely the cost of
-// re-deriving state the incident provably did not touch. ---
+// --- P6: incremental reconvergence (BGP trajectory replay). Each iteration
+// injects and repairs one link failure on a deployed NREN-shaped lab, so
+// every pass pays two reconvergences whose outcome is overwhelmingly
+// unchanged state. Sub-benchmarks compare recomputing every BGP round
+// (`full`) against replay (`incremental`) at three scales; delta SPF and the
+// FIB build are the same on both sides, and the two modes are
+// byte-equivalent by construction (see TestIncrementalConvergenceParity),
+// so the gap is purely the cost of re-deriving BGP state the incident
+// provably did not touch. ---
 
 // benchDeployedLab builds and deploys an NREN-shaped lab of the given size
 // in the requested convergence mode — the one topology-build helper shared
@@ -1036,8 +1037,8 @@ func BenchmarkP6_IncrementalConvergence(b *testing.B) {
 // in canonical order). The serial/sharded pairs are byte-equivalent by
 // construction (see TestShardedConvergenceParity), so the gap is purely
 // the parallel round evaluation. `cold` measures a full reconvergence of
-// the whole lab; `postincident` composes sharding with the incremental
-// paths (delta SPF + BGP trajectory replay) on a fail/restore round trip. ---
+// the whole lab; `postincident` composes sharding with BGP trajectory
+// replay on a fail/restore round trip. ---
 
 func BenchmarkP9_ShardedConvergence(b *testing.B) {
 	// At least 4 shard workers even on small hosts, so the parallel driver

@@ -25,7 +25,6 @@ func main() {
 	isis := flag.Bool("isis", false, "additionally build IS-IS (§7)")
 	doVerify := flag.Bool("verify", false, "run pre-deployment static verification (§8)")
 	dumpNIDB := flag.String("dump-nidb", "", "write one device's Resource-Database tree as JSON (the paper's §5.4 listing); device id or 'all'")
-	workers := flag.Int("workers", 0, "compile/render worker count (0 = GOMAXPROCS, 1 = serial)")
 	useCache := flag.Bool("cache", false, "enable the incremental content-addressed build cache")
 	cacheDir := flag.String("cache-dir", ".ankcache", "cache directory for -cache (always safe to delete)")
 	trace := flag.Bool("trace", false, "print the pipeline trace (per-stage timings and work counters) to stderr")
@@ -47,8 +46,6 @@ func main() {
 		RROptions:       design.RROptions{PerAS: *rrPerAS},
 		ISIS:            *isis,
 	}}
-	opts.Compile.Workers = *workers
-	opts.Render.Workers = *workers
 	var store *cache.Store
 	if *useCache {
 		store, err = cache.Open(*cacheDir, cache.Options{})

@@ -40,13 +40,12 @@ import (
 func main() {
 	in := flag.String("in", "", "input topology file")
 	scenarioPath := flag.String("scenario", "", "scenario script file")
-	platform := flag.String("platform", "netkit", "emulation platform")
+	platform := flag.String("platform", "netkit", "emulation platform (netkit/dynagen/junosphere)")
 	budget := flag.Int("budget", 0, "default per-step BGP convergence budget in rounds (0 = engine default)")
 	lenient := flag.Bool("lenient", false, "quarantine devices with config errors and run against the survivors (exit 3 on partial boot)")
 	supervise := flag.Bool("supervise", false, "run the convergence watchdog on every step, even for unseeded scenarios")
 	trace := flag.Bool("trace", false, "print the pipeline + chaos span trace after the report")
-	incremental := flag.Bool("incremental", false, "enable incremental reconvergence between scenario steps (delta SPF, BGP trajectory replay, FIB node reuse); reports stay byte-identical to full recompute")
-	shards := flag.Int("shards", runtime.NumCPU(), "worker count for sharded BGP convergence (per-AS shards evaluate concurrently; 1 = sequential sweep; reports are byte-identical at any value)")
+	incremental := flag.Bool("incremental", false, "reconverge between scenario steps by BGP trajectory replay (restore the recorded speaker-rounds a change cannot have touched); reports stay byte-identical to recomputing every round")
 	flag.Parse()
 	if *in == "" || *scenarioPath == "" {
 		fmt.Fprintln(os.Stderr, "ankchaos: -in and -scenario are required")
@@ -69,10 +68,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	net.Retarget(*platform, "localhost") // deploy.Options' default host
 	if err := net.Build(autonetkit.BuildOptions{}); err != nil {
 		fatal(err)
 	}
-	dep, err := net.Deploy(deploy.Options{Platform: *platform, Lenient: *lenient, Incremental: *incremental, Shards: *shards})
+	dep, err := net.Deploy(deploy.Options{
+		Platform: *platform, Lenient: *lenient,
+		Incremental: *incremental, Shards: runtime.GOMAXPROCS(0),
+	})
 	partial := err != nil && errors.Is(err, emul.ErrPartialBoot)
 	if err != nil && !partial {
 		var derr *emul.DiagnosticError

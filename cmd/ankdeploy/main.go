@@ -33,8 +33,7 @@ func main() {
 	lenient := flag.Bool("lenient", false, "quarantine devices with config errors and boot the survivors (exit 3 on partial boot)")
 	supervise := flag.Bool("supervise", false, "run the convergence watchdog after boot (escalate budget, soft-reset, quarantine on non-convergence)")
 	convergeTimeout := flag.Duration("converge-timeout", 0, "wall-clock bound per control-plane convergence run (0 = unbounded)")
-	incremental := flag.Bool("incremental", false, "enable incremental reconvergence (delta SPF, BGP trajectory replay, FIB node reuse); results stay byte-identical to full recompute")
-	shards := flag.Int("shards", runtime.NumCPU(), "worker count for sharded BGP convergence (per-AS shards evaluate concurrently; 1 = sequential sweep; results are byte-identical at any value)")
+	incremental := flag.Bool("incremental", false, "reconverge by BGP trajectory replay (restore the recorded speaker-rounds a change cannot have touched); results stay byte-identical to recomputing every round")
 	flag.Parse()
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "ankdeploy: -in is required")
@@ -44,19 +43,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Route every device onto the requested platform.
-	for _, n := range net.ANM.Overlay("input").Nodes() {
-		n.MustSet("platform", *platform)
-		n.MustSet("syntax", syntaxFor(*platform))
-		n.MustSet("host", *host)
-	}
+	net.Retarget(*platform, *host)
 	if err := net.Build(autonetkit.BuildOptions{}); err != nil {
 		fatal(err)
 	}
 	dep, err := net.Deploy(deploy.Options{
 		Host: *host, Platform: *platform, Lenient: *lenient,
 		Supervise: *supervise, ConvergeTimeout: *convergeTimeout,
-		Incremental: *incremental, Shards: *shards,
+		Incremental: *incremental, Shards: runtime.GOMAXPROCS(0),
 		OnEvent: func(e deploy.Event) { fmt.Printf("[%s] %s\n", e.Stage, e.Detail) },
 	})
 	partial := err != nil && errors.Is(err, emul.ErrPartialBoot)
@@ -92,19 +86,6 @@ func main() {
 func reportDiagnostics(diags emul.Diagnostics) {
 	for _, d := range diags.Sorted() {
 		fmt.Fprintln(os.Stderr, d.String())
-	}
-}
-
-func syntaxFor(platform string) string {
-	switch platform {
-	case "dynagen":
-		return "ios"
-	case "junosphere":
-		return "junos"
-	case "cbgp":
-		return "cbgp"
-	default:
-		return "quagga"
 	}
 }
 

@@ -56,9 +56,12 @@ func TestCmdAnkbuild(t *testing.T) {
 	if _, err := runCmd(t, bin); err == nil {
 		t.Error("ankbuild without -in succeeded")
 	}
-	// -trace prints the pipeline span tree and counters; -workers picks the
-	// pool size without changing output.
-	out, err = runCmd(t, bin, "-in", fixture, "-out", t.TempDir(), "-workers", "4", "-trace")
+	// -trace prints the pipeline span tree and counters; GOMAXPROCS picks
+	// the pool size without changing output.
+	cmd := exec.Command(bin, "-in", fixture, "-out", t.TempDir(), "-trace")
+	cmd.Env = append(os.Environ(), "GOMAXPROCS=4")
+	traced, err := cmd.CombinedOutput()
+	out = string(traced)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -147,6 +150,14 @@ func TestCmdAnkchaos(t *testing.T) {
 	}
 	if out != string(golden) {
 		t.Errorf("report differs from golden:\n--- got ---\n%s--- want ---\n%s", out, golden)
+	}
+	// -platform retargets the topology before it is built, so the same
+	// scenario runs (to the same report) on the other router platforms.
+	for _, platform := range []string{"dynagen", "junosphere"} {
+		out, err := runCmd(t, bin, "-in", fixture, "-scenario", scenario, "-platform", platform)
+		if err != nil || out != string(golden) {
+			t.Errorf("-platform %s: %v; report differs from golden:\n--- got ---\n%s--- want ---\n%s", platform, err, out, golden)
+		}
 	}
 	// A violated assertion exits 1 with an error finding.
 	bad := filepath.Join(t.TempDir(), "bad.chaos")

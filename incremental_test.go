@@ -15,9 +15,10 @@ import (
 
 // End-to-end determinism harness for incremental reconvergence: the PR 5
 // byte-oracle (scenario reports and lab event logs) must be identical
-// whether the lab reconverges with full recompute or with the incremental
-// paths (delta SPF, BGP trajectory replay, FIB node reuse), at any build
-// worker count and under any perturbation seed.
+// whether the lab recomputes every BGP round or replays the recorded
+// trajectory, at any build worker count and under any perturbation seed.
+// Delta SPF runs on both sides (its oracle is TestDeltaSPFMatchesFreshDomain
+// in internal/emul), so its counters must agree across the modes.
 
 // incrementalParityScenario mixes incidents (replay-eligible reconverges)
 // with seeded perturbation storms (replay-ineligible, watchdog-supervised)
@@ -92,7 +93,10 @@ func TestIncrementalConvergenceParity(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			scenario := incrementalParityScenario(seed)
-			wantReport, wantEvents, _ := runIncrementalScenario(t, 1, false, scenario)
+			wantReport, wantEvents, wantStats := runIncrementalScenario(t, 1, false, scenario)
+			if wantStats.Counters[obs.CounterSPFSourcesSkipped] == 0 {
+				t.Error("spf_sources_skipped = 0, delta SPF never engaged")
+			}
 			for _, workers := range []int{1, 8} {
 				for _, incremental := range []bool{false, true} {
 					if workers == 1 && !incremental {
@@ -108,18 +112,17 @@ func TestIncrementalConvergenceParity(t *testing.T) {
 						t.Errorf("%s: lab events differ from full baseline:\n--- got ---\n%s\n--- want ---\n%s",
 							label, events, wantEvents)
 					}
-					// The incremental paths must actually engage (the parity
-					// would hold vacuously if replay never armed).
-					if incremental {
-						if stats.Counters[obs.CounterBGPSpeakersRestored] == 0 {
-							t.Errorf("%s: bgp_speakers_restored = 0, replay never engaged", label)
+					for _, c := range []string{obs.CounterSPFDeltaRecomputes, obs.CounterSPFSourcesSkipped} {
+						if got, want := stats.Counters[c], wantStats.Counters[c]; got != want {
+							t.Errorf("%s: %s = %d, the baseline's is %d", label, c, got, want)
 						}
-						if stats.Counters[obs.CounterSPFSourcesSkipped] == 0 {
-							t.Errorf("%s: spf_sources_skipped = 0, delta SPF never engaged", label)
-						}
-					} else if stats.Counters[obs.CounterBGPSpeakersRestored] != 0 {
-						t.Errorf("%s: full mode restored %d speaker-rounds", label,
-							stats.Counters[obs.CounterBGPSpeakersRestored])
+					}
+					// Replay must actually engage (the parity would hold
+					// vacuously if it never armed), and only where asked for.
+					if restored := stats.Counters[obs.CounterBGPSpeakersRestored]; incremental && restored == 0 {
+						t.Errorf("%s: bgp_speakers_restored = 0, replay never engaged", label)
+					} else if !incremental && restored != 0 {
+						t.Errorf("%s: full mode restored %d speaker-rounds", label, restored)
 					}
 				}
 			}

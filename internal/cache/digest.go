@@ -17,7 +17,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"hash"
-	"math"
 
 	"autonetkit/internal/graph"
 )
@@ -157,12 +156,6 @@ func (h *Hasher) Attrs(a graph.Attrs) {
 func AppendAttrs(dst []byte, a graph.Attrs) []byte {
 	dst, _ = appendValue(dst, map[string]any(a), true)
 	return dst
-}
-
-// Float hashes a float64 by bit pattern.
-func (h *Hasher) Float(f float64) {
-	h.frame('d', 8)
-	h.writeUint64(math.Float64bits(f))
 }
 
 // Sum finalises and returns the digest. The hasher remains usable; further

@@ -121,10 +121,10 @@ type Report struct {
 	Baseline measure.Reachability
 	Steps    []StepResult
 	// Shards is the structural shard count of the lab's BGP topology (its
-	// distinct ASes) — deliberately a topology property, not the -shards
-	// worker knob, so the rendered header stays byte-identical across
-	// worker counts while still pinning the partition the sharded driver
-	// evaluates. 0 (omitted from the header) when unknown.
+	// distinct ASes) — deliberately a topology property, not the worker
+	// count of deploy.Options.Shards, so the rendered header stays
+	// byte-identical across worker counts while still pinning the partition
+	// the sharded driver evaluates. 0 (omitted from the header) when unknown.
 	Shards int
 }
 

@@ -153,11 +153,11 @@ type Options struct {
 	// OnEvent, when set, receives progress events as they happen.
 	OnEvent func(Event)
 	// Obs, when set, collects deployment counters (e.g. quarantined
-	// devices) and, under Incremental, the incremental-convergence counters.
+	// devices) and the lab's reconvergence counters.
 	Obs *obs.Collector
-	// Incremental enables incremental reconvergence in the booted lab:
-	// delta SPF, BGP trajectory replay and data-plane node reuse. Routing
-	// tables, verdicts and events stay byte-identical to full recompute.
+	// Incremental makes the booted lab record each BGP run's trajectory and
+	// replay it in the next reconvergence. Routing tables, verdicts and
+	// events stay byte-identical to recomputing every round.
 	Incremental bool
 	// Shards is the worker count for sharded BGP round evaluation (<= 1 =
 	// sequential sweep). Per-AS shards evaluate concurrently inside each

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"autonetkit/internal/design"
 )
 
 // TestDataplaneBuildIdenticalAcrossProcs: the per-node FIB builds fan out
@@ -18,7 +20,7 @@ func TestDataplaneBuildIdenticalAcrossProcs(t *testing.T) {
 	var want string
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		lab := nrenLab(t, 60, "netkit", "quagga")
+		lab := nrenLab(t, 60, "netkit", "quagga", design.IGPOSPF)
 		if err := lab.Boot(BootOptions{}); err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +54,7 @@ func TestDataplaneBuildIdenticalAcrossProcs(t *testing.T) {
 			ifaces[len(ifaces)-1].Prefix = netip.MustParsePrefix("2001:db8::/64")
 		}
 		for i := 0; i < 20; i++ {
-			err := lab.buildDataplane(lab.liveDevices(), nil)
+			err := lab.buildDataplane(lab.liveDevices())
 			if err == nil || !strings.HasPrefix(err.Error(), "emul: "+first+": dataplane: FIB is IPv4-only") {
 				t.Fatalf("GOMAXPROCS=%d: build error = %v, want the IPv4-only error of %s", procs, err, first)
 			}

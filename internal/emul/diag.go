@@ -167,10 +167,3 @@ func (s *diagSink) errorf(line int, format string, args ...any) {
 		Message: fmt.Sprintf(format, args...),
 	})
 }
-
-func (s *diagSink) warnf(line int, format string, args ...any) {
-	s.diags = append(s.diags, Diagnostic{
-		Severity: SevWarning, Device: s.device, File: s.file, Line: line,
-		Message: fmt.Sprintf(format, args...),
-	})
-}

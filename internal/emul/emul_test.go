@@ -34,14 +34,14 @@ func buildLab(t *testing.T, platform, syntax string) (*Lab, *ipalloc.Result) {
 	for _, e := range [][2]graph.ID{{"r1", "r2"}, {"r1", "r3"}, {"r2", "r4"}, {"r3", "r4"}, {"r3", "r5"}, {"r4", "r5"}} {
 		in.AddEdge(e[0], e[1], graph.Attrs{"type": "physical"})
 	}
-	return labFromInput(t, anm, platform)
+	return labFromInput(t, anm, platform, design.IGPOSPF)
 }
 
 // labFromInput takes a model holding only its input overlay through design,
 // allocation, compile and render, and loads the lab of one platform, un-booted.
-func labFromInput(t testing.TB, anm *core.ANM, platform string) (*Lab, *ipalloc.Result) {
+func labFromInput(t testing.TB, anm *core.ANM, platform string, igp design.IGP) (*Lab, *ipalloc.Result) {
 	t.Helper()
-	if err := design.BuildAll(anm, design.Options{}); err != nil {
+	if err := design.BuildAll(anm, design.Options{IGP: igp}); err != nil {
 		t.Fatal(err)
 	}
 	alloc, err := ipalloc.NewDefault().Allocate(anm)

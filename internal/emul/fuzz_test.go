@@ -40,6 +40,7 @@ func FuzzParseIOS(f *testing.F) {
 		"router bgp\ninterface\n ip address junk junk\n ip ospf cost x\n",
 		"router ospf 1\n network 10.0.0.0 3.0.0.3 area 0\n network 10.0.0.0 0.0.0.3 area z\n",
 		"interface lo0\n ip address 192.168.0.1 255.255.255.255\nrouter bgp 65536\n",
+		"router ospf x\n network 10.0.0.0 0.0.0.3 area 0\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -60,6 +61,7 @@ func FuzzParseJunos(f *testing.F) {
 		"}\n}\nprotocols {\n ospf {\n area x {\n}\n}\n",
 		"a {\nb {\nc {\nunterminated\n",
 		"protocols {\n bgp {\n group g {\n peer-as x;\n neighbor junk;\n}\n}\n}\n",
+		"routing-options {\n autonomous-system 1;\n advertise 10.0.0.0/33;\n}\nprotocols {\n bgp {\n group g {\n metric-out x;\n local-preference 1e2;\n neighbor 10.0.0.2;\n}\n}\n}\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

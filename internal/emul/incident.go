@@ -26,7 +26,7 @@ func (l *Lab) incidentPrecheck() error {
 	if !l.started {
 		return fmt.Errorf("emul: lab not started")
 	}
-	if l.Platform == "cbgp" {
+	if platforms[l.Platform].solver {
 		return fmt.Errorf("emul: incident injection is not supported on the C-BGP route solver")
 	}
 	return nil

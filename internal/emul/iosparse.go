@@ -82,7 +82,12 @@ func parseIOSConfig(hostname, conf string) (*routing.DeviceConfig, Diagnostics) 
 				case "ospf":
 					pid := 1
 					if len(fields) >= 3 {
-						pid, _ = strconv.Atoi(fields[2])
+						n, err := strconv.Atoi(fields[2])
+						if err != nil {
+							fail("bad OSPF process id")
+							continue
+						}
+						pid = n
 					}
 					ospf = &routing.OSPFConfig{ProcessID: pid}
 					section = "ospf"

@@ -3,6 +3,7 @@ package emul
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net/netip"
 	"runtime"
 	"slices"
@@ -64,26 +65,20 @@ type Lab struct {
 	// never written in between, so probes read it without a lock.
 	trees map[netip.Addr]*hopTree
 
-	flatParse flatParser
-	started   bool
-	budget    routing.ConvergenceBudget
-	events    []string
+	started bool
+	budget  routing.ConvergenceBudget
+	events  []string
 
 	// pert, when non-nil, is threaded into every engine the lab builds
 	// (OSPF, IS-IS, BGP) so reconvergence runs under scripted control-plane
 	// perturbation; nil keeps the zero-perturbation fast path.
 	pert routing.Perturber
 
-	// Incremental-reconvergence state. When incremental is on, the IGP
-	// domains persist across converges (delta SPF diffs the link state),
-	// bgpReplay carries the previous run's recorded trajectory into the next
-	// engine, and prevSigs + the engines' changed-source/speaker sets decide
-	// which data-plane nodes can be reused verbatim. All of it is advisory:
-	// the converge output is byte-identical to a full recompute, incremental
-	// mode only skips work whose result is provably unchanged.
+	// incremental selects BGP trajectory replay: bgpReplay carries the
+	// previous run's recorded trajectory into the next engine. Advisory: a
+	// replayed converge is byte-identical to a recomputed one (replay.go).
 	incremental bool
 	bgpReplay   *routing.BGPReplay
-	prevSigs    map[string]uint64
 	obs         *obs.Collector
 
 	// shards is the worker count for sharded BGP round evaluation; <= 1
@@ -187,45 +182,9 @@ func (l *Lab) Budget() routing.ConvergenceBudget {
 	return l.budget
 }
 
-// SetIncremental switches incremental reconvergence on or off for
-// subsequent converges. Turning it off discards all cached convergence
-// state, so the next converge is a guaranteed-full recompute.
-func (l *Lab) SetIncremental(on bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.incremental = on
-	if !on {
-		l.bgpReplay = nil
-		l.prevSigs = nil
-	}
-}
-
-// Incremental reports whether incremental reconvergence is enabled.
-func (l *Lab) Incremental() bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.incremental
-}
-
-// SetShards sets the worker count for sharded BGP round evaluation in
-// subsequent converges. n <= 1 (the default) keeps the sequential sweep;
-// any value produces byte-identical routing tables, verdicts and events.
-func (l *Lab) SetShards(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.shards = n
-}
-
-// Shards returns the configured shard worker count.
-func (l *Lab) Shards() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.shards
-}
-
 // BGPShardCount returns the structural shard count of the converged BGP
 // topology — the number of distinct ASes among its speakers. It is a
-// property of the topology, not of the SetShards knob, so reports that
+// property of the topology, not of BootOptions.Shards, so reports that
 // print it stay byte-identical across worker counts. 0 before boot.
 func (l *Lab) BGPShardCount() int {
 	l.mu.RLock()
@@ -327,6 +286,48 @@ func (l *Lab) Links() [][2]string {
 	return out
 }
 
+// platform is what a lab needs to know about one emulation platform.
+type platform struct {
+	syntax string // configuration language the platform's devices are rendered in
+	// load reads the platform's files under root into the lab's machines.
+	load func(l *Lab, sub *render.FileSet, root string) error
+	// parse recovers one machine's config at boot; nil where load has
+	// already parsed every device.
+	parse func(vm *VM) (*routing.DeviceConfig, Diagnostics)
+	// solver marks a route solver: its IGP comes pre-parsed from load, and it
+	// has no data plane and takes no incidents.
+	solver bool
+}
+
+var platforms = map[string]platform{
+	"netkit": {syntax: "quagga", load: (*Lab).loadNetkit,
+		parse: func(vm *VM) (*routing.DeviceConfig, Diagnostics) { return parseQuaggaVM(vm.Name, vm.Files) }},
+	"dynagen":    flatPlatform("ios", ".cfg", parseIOSConfig),
+	"junosphere": flatPlatform("junos", ".conf", parseJunosConfig),
+	"cbgp":       {syntax: "cbgp", load: (*Lab).loadCBGP, solver: true},
+}
+
+// flatPlatform is a single-file-per-router platform (Dynagen IOS,
+// Junosphere JunOS): <name><ext> under the lab root is the whole machine.
+func flatPlatform(syntax, ext string, parse func(name, conf string) (*routing.DeviceConfig, Diagnostics)) platform {
+	return platform{
+		syntax: syntax,
+		load:   func(l *Lab, sub *render.FileSet, root string) error { return l.loadFlatConfigs(sub, root, ext) },
+		parse: func(vm *VM) (*routing.DeviceConfig, Diagnostics) {
+			return parse(vm.Name, vm.Files[vm.Name+ext])
+		},
+	}
+}
+
+// PlatformSyntax returns the configuration syntax a platform's devices are
+// rendered in; a platform Load would reject reads "quagga".
+func PlatformSyntax(name string) string {
+	if p, ok := platforms[name]; ok {
+		return p.syntax
+	}
+	return "quagga"
+}
+
 // Load parses a rendered configuration tree for one (host, platform) lab
 // and returns the un-started lab. Supported platforms: netkit, dynagen,
 // junosphere, cbgp.
@@ -337,25 +338,12 @@ func Load(fs *render.FileSet, host, platform string) (*Lab, error) {
 	if sub.Len() == 0 {
 		return nil, fmt.Errorf("emul: no files under %s", root)
 	}
-	switch platform {
-	case "netkit":
-		if err := l.loadNetkit(sub, root); err != nil {
-			return nil, err
-		}
-	case "dynagen":
-		if err := l.loadFlatConfigs(sub, root, ".cfg", parseIOSConfig); err != nil {
-			return nil, err
-		}
-	case "junosphere":
-		if err := l.loadFlatConfigs(sub, root, ".conf", parseJunosConfig); err != nil {
-			return nil, err
-		}
-	case "cbgp":
-		if err := l.loadCBGP(sub, root); err != nil {
-			return nil, err
-		}
-	default:
+	p, ok := platforms[platform]
+	if !ok {
 		return nil, fmt.Errorf("emul: unsupported platform %q", platform)
+	}
+	if err := p.load(l, sub, root); err != nil {
+		return nil, err
 	}
 	if len(l.order) == 0 {
 		return nil, fmt.Errorf("emul: lab %s/%s has no machines", host, platform)
@@ -413,9 +401,8 @@ func (l *Lab) loadNetkit(sub *render.FileSet, root string) error {
 	return nil
 }
 
-// loadFlatConfigs handles single-file-per-router platforms (Dynagen IOS,
-// Junosphere JunOS).
-func (l *Lab) loadFlatConfigs(sub *render.FileSet, root, ext string, parse flatParser) error {
+// loadFlatConfigs lists the machines of a flatPlatform.
+func (l *Lab) loadFlatConfigs(sub *render.FileSet, root, ext string) error {
 	var names []string
 	for _, p := range sub.Paths() {
 		rel := strings.TrimPrefix(p, root)
@@ -430,7 +417,6 @@ func (l *Lab) loadFlatConfigs(sub *render.FileSet, root, ext string, parse flatP
 		l.vms[name] = &VM{Name: name, Files: map[string]string{name + ext: conf}}
 		l.order = append(l.order, name)
 	}
-	l.flatParse = parse
 	return nil
 }
 
@@ -453,9 +439,6 @@ func (l *Lab) loadCBGP(sub *render.FileSet, root string) error {
 	return nil
 }
 
-// flatParse is the per-file parser for flat-config platforms.
-type flatParser = func(name, conf string) (*routing.DeviceConfig, Diagnostics)
-
 // ErrPartialBoot is returned (wrapped) by a lenient Boot that quarantined
 // at least one device: the surviving topology is up and measurable, but
 // the lab is degraded. Inspect Quarantined() and Diagnostics() for the
@@ -476,15 +459,15 @@ type BootOptions struct {
 	// error-level diagnostic fails the boot with a *DiagnosticError that
 	// lists every problem found in the pass.
 	Lenient bool
-	// Incremental enables incremental reconvergence: delta SPF in the IGP
-	// domains, BGP trajectory replay, and data-plane node reuse. Off by
-	// default (full recompute is the correctness oracle); when on, every
-	// converge still produces byte-identical routing tables, verdicts and
-	// events.
+	// Incremental enables BGP trajectory replay: each run is recorded and
+	// the next reconvergence restores the speaker-rounds the change cannot
+	// have touched. Off by default (recomputing every round is the
+	// correctness oracle); when on, every converge still produces
+	// byte-identical routing tables, verdicts and events.
 	Incremental bool
-	// Obs, when set, receives incremental-convergence counters
-	// (spf_delta_recomputes, bgp_dirty_prefixes, rounds_skipped, ...) and the
-	// measurement counters ping_probes and hop_trees_built.
+	// Obs, when set, receives the reconvergence counters
+	// (spf_delta_recomputes, bgp_prefixes_decided, rounds_skipped, ...) and
+	// the measurement counters ping_probes and hop_trees_built.
 	Obs *obs.Collector
 	// Shards is the worker count for sharded BGP round evaluation (<= 1 =
 	// sequential sweep, the default). Any value produces byte-identical
@@ -605,43 +588,33 @@ func (l *Lab) converge() error {
 	// Quarantined machines (nil Config) are not part of the running
 	// topology: the control plane and data plane build over the survivors.
 	devices := l.liveDevices()
-	// Changed-source sets harvested from the incremental engines; nil means
-	// "unknown — treat everything as changed".
-	var ospfChanged, isisChanged, bgpChanged map[string]bool
-	// IGP convergence. C-BGP labs carry a pre-parsed link-graph IGP that
-	// is preserved across reconvergence. OSPF and IS-IS devices each get
-	// their own link-state domain (§7: IS-IS as the substituted IGP).
-	if l.Platform != "cbgp" {
-		// Incremental mode keeps the domains alive across converges so the
-		// delta-SPF path can diff link state against the previous run.
-		if l.incremental && l.domain != nil && l.domain.Incremental() {
+	solver := platforms[l.Platform].solver
+	// IGP convergence. A route solver carries a pre-parsed link-graph IGP
+	// that is preserved across reconvergence. OSPF and IS-IS devices each get
+	// their own link-state domain (§7: IS-IS as the substituted IGP), which
+	// lives as long as the lab so that each converge after the first diffs
+	// its link state against the previous one (delta SPF).
+	var igpChanged map[string]bool
+	if !solver {
+		if l.domain == nil {
+			l.domain, l.isis = routing.NewOSPFDomain(devices), routing.NewISISDomain(devices)
+		} else {
 			l.domain.Rebind(devices)
-		} else {
-			l.domain = routing.NewOSPFDomain(devices)
-			l.domain.SetIncremental(l.incremental)
-		}
-		l.domain.SetPerturber(l.pert)
-		if err := l.domain.Converge(); err != nil {
-			return fmt.Errorf("emul: ospf: %w", err)
-		}
-		if l.incremental && l.isis != nil && l.isis.Incremental() {
 			l.isis.RebindISIS(devices)
-		} else {
-			l.isis = routing.NewISISDomain(devices)
-			l.isis.SetIncremental(l.incremental)
 		}
-		l.isis.SetPerturber(l.pert)
-		if err := l.isis.Converge(); err != nil {
-			return fmt.Errorf("emul: isis: %w", err)
-		}
-		if l.incremental {
-			ospfChanged = l.domain.ChangedSources()
-			isisChanged = l.isis.ChangedSources()
-			for _, d := range []*routing.OSPFDomain{l.domain, l.isis} {
-				if rec, skip, delta := d.DeltaStats(); delta {
-					l.obs.Add(obs.CounterSPFDeltaRecomputes, int64(rec))
-					l.obs.Add(obs.CounterSPFSourcesSkipped, int64(skip))
-				}
+		igpChanged = map[string]bool{}
+		for _, igp := range [...]struct {
+			name string
+			d    *routing.OSPFDomain
+		}{{"ospf", l.domain}, {"isis", l.isis}} {
+			igp.d.SetPerturber(l.pert)
+			if err := igp.d.Converge(); err != nil {
+				return fmt.Errorf("emul: %s: %w", igp.name, err)
+			}
+			maps.Copy(igpChanged, igp.d.ChangedSources())
+			if rec, skip, delta := igp.d.DeltaStats(); delta {
+				l.obs.Add(obs.CounterSPFDeltaRecomputes, int64(rec))
+				l.obs.Add(obs.CounterSPFSourcesSkipped, int64(skip))
 			}
 		}
 		comp := routing.NewCompositeIGP()
@@ -659,7 +632,7 @@ func (l *Lab) converge() error {
 		l.logf("igp converged")
 	}
 	// BGP.
-	profile := routing.ProfileFor(syntaxOfPlatform(l.Platform))
+	profile := routing.ProfileFor(PlatformSyntax(l.Platform))
 	bgp, err := routing.NewBGPEngine(devices, func(string) routing.VendorProfile { return profile }, l.igp)
 	if err != nil {
 		return fmt.Errorf("emul: bgp: %w", err)
@@ -673,14 +646,7 @@ func (l *Lab) converge() error {
 	if l.incremental {
 		// Speakers whose IGP routes moved see different next-hop costs, so
 		// they must recompute even if their own configs are untouched.
-		extraDirty := map[string]bool{}
-		for h := range ospfChanged {
-			extraDirty[h] = true
-		}
-		for h := range isisChanged {
-			extraDirty[h] = true
-		}
-		bgp.EnableIncremental(l.bgpReplay, extraDirty)
+		bgp.EnableIncremental(l.bgpReplay, igpChanged)
 	}
 	l.bgp = bgp
 	ctx, cancel := l.budget.Context()
@@ -699,7 +665,6 @@ func (l *Lab) converge() error {
 		l.obs.Add(obs.CounterBGPSpeakersRestored, restored)
 		l.obs.Add(obs.CounterBGPDirtyPrefixes, dirtyPfx)
 		l.obs.Add(obs.CounterRoundsSkipped, skipped)
-		bgpChanged = bgp.ChangedSpeakers()
 		l.bgpReplay = bgp.ReplayLog()
 	}
 	if l.shards > 1 {
@@ -708,52 +673,14 @@ func (l *Lab) converge() error {
 		l.obs.Add(obs.CounterShardRoundsParallel, parallelRounds)
 		l.obs.Add(obs.CounterCrossShardAdverts, crossAdverts)
 	}
-	// Data plane (not for C-BGP, which is a route solver).
-	if l.Platform != "cbgp" {
-		reuse := l.reusableNodes(devices, ospfChanged, isisChanged, bgpChanged)
-		if err := l.buildDataplane(devices, reuse); err != nil {
+	// Data plane (a route solver has none).
+	if !solver {
+		if err := l.buildDataplane(devices); err != nil {
 			return err
 		}
 		l.logf("data plane ready")
 	}
-	if l.incremental {
-		sigs := make(map[string]uint64, len(devices))
-		for _, dc := range devices {
-			sigs[dc.Hostname] = routing.ConfigSignature(dc)
-		}
-		l.prevSigs = sigs
-	}
 	return nil
-}
-
-// reusableNodes decides which data-plane nodes can carry over from the
-// previous converge unchanged: a node is reusable only when its device
-// config hashes identically AND none of the three route sources (OSPF,
-// IS-IS, BGP) reported a changed selection for it. nil changed-sets mean
-// "unknown" and veto reuse for every node, as does full (non-incremental)
-// mode. Nodes are immutable after construction, so sharing them across
-// network generations is safe for concurrent readers.
-func (l *Lab) reusableNodes(devices []*routing.DeviceConfig, ospfChanged, isisChanged, bgpChanged map[string]bool) map[string]*dataplane.Node {
-	if !l.incremental || l.net == nil || l.prevSigs == nil || bgpChanged == nil {
-		return nil
-	}
-	if (l.domain != nil && ospfChanged == nil) || (l.isis != nil && isisChanged == nil) {
-		return nil
-	}
-	reuse := map[string]*dataplane.Node{}
-	for _, dc := range devices {
-		h := dc.Hostname
-		if ospfChanged[h] || isisChanged[h] || bgpChanged[h] {
-			continue
-		}
-		if sig, ok := l.prevSigs[h]; !ok || sig != routing.ConfigSignature(dc) {
-			continue
-		}
-		if node, ok := l.net.Node(h); ok {
-			reuse[h] = node
-		}
-	}
-	return reuse
 }
 
 // liveDevices lists the configs of every machine that is part of the
@@ -782,41 +709,21 @@ func (l *Lab) logBGPResult() {
 	}
 }
 
-func syntaxOfPlatform(platform string) string {
-	switch platform {
-	case "dynagen":
-		return "ios"
-	case "junosphere":
-		return "junos"
-	case "cbgp":
-		return "cbgp"
-	default:
-		return "quagga"
-	}
-}
-
 // bootVM parses a machine's configuration files per platform, returning
 // the recovered config plus every diagnostic found in the machine's files.
 func (l *Lab) bootVM(vm *VM) (*routing.DeviceConfig, Diagnostics) {
-	switch l.Platform {
-	case "netkit":
-		return parseQuaggaVM(vm.Name, vm.Files)
-	case "dynagen":
-		return l.flatParse(vm.Name, vm.Files[vm.Name+".cfg"])
-	case "junosphere":
-		return l.flatParse(vm.Name, vm.Files[vm.Name+".conf"])
+	if p := platforms[l.Platform]; p.parse != nil {
+		return p.parse(vm)
 	}
 	return nil, Diagnostics{{Severity: SevError, Device: vm.Name,
 		Message: fmt.Sprintf("cannot boot on platform %q", l.Platform)}}
 }
 
 // buildDataplane installs connected, IGP and BGP routes into per-VM FIBs.
-// reuse (may be nil) maps hostnames to nodes from the previous network
-// generation whose inputs are provably unchanged; those are re-added as-is
-// instead of being rebuilt. A node depends on its own device and the
-// converged engines only, so the builds fan out; nodes, errors and counters
-// are then gathered in device order, as a serial build would produce them.
-func (l *Lab) buildDataplane(devices []*routing.DeviceConfig, reuse map[string]*dataplane.Node) error {
+// A node depends on its own device and the converged engines only, so the
+// builds fan out; nodes and errors are then gathered in device order, as a
+// serial build would produce them.
+func (l *Lab) buildDataplane(devices []*routing.DeviceConfig) error {
 	nodes := make([]*dataplane.Node, len(devices))
 	errs := make([]error, len(devices))
 	var next atomic.Int64
@@ -831,9 +738,7 @@ func (l *Lab) buildDataplane(devices []*routing.DeviceConfig, reuse map[string]*
 				if i >= len(devices) {
 					return
 				}
-				if nodes[i] = reuse[devices[i].Hostname]; nodes[i] == nil {
-					nodes[i], bgp, errs[i] = l.buildNode(devices[i], bgp[:0])
-				}
+				nodes[i], bgp, errs[i] = l.buildNode(devices[i], bgp[:0])
 			}
 		}()
 	}
@@ -845,9 +750,6 @@ func (l *Lab) buildDataplane(devices []*routing.DeviceConfig, reuse map[string]*
 		}
 		if err := net.AddNode(nodes[i]); err != nil {
 			return err
-		}
-		if reuse[dc.Hostname] != nil {
-			l.obs.Add(obs.CounterFIBNodesReused, 1)
 		}
 		addrs += len(nodes[i].Addrs)
 	}

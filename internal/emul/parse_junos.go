@@ -233,14 +233,19 @@ func parseJunosConfig(hostname, conf string) (*routing.DeviceConfig, Diagnostics
 						}
 						peerAS = n
 					}
-					med := 0
-					if v, ok := grp.leafValue("metric-out"); ok {
-						med, _ = strconv.Atoi(v)
+					// groupInt reads an optional integer leaf, 0 when absent.
+					groupInt := func(key string) int {
+						v, ok := grp.leafValue(key)
+						if !ok {
+							return 0
+						}
+						n, err := strconv.Atoi(v)
+						if err != nil {
+							sink.errorf(grp.line, "group %q: bad %s %q", strings.TrimPrefix(grp.name, "group "), key, v)
+						}
+						return n
 					}
-					lp := 0
-					if v, ok := grp.leafValue("local-preference"); ok {
-						lp, _ = strconv.Atoi(v)
-					}
+					med, lp := groupInt("metric-out"), groupInt("local-preference")
 					_, isRRGroup := grp.leafValue("cluster")
 					updateSource := ""
 					if _, ok := grp.leafValue("local-address"); ok {
@@ -268,7 +273,7 @@ func parseJunosConfig(hostname, conf string) (*routing.DeviceConfig, Diagnostics
 						})
 					}
 				}
-				cfg.Networks = junosAdvertisedNetworks(root, dc)
+				cfg.Networks = junosAdvertisedNetworks(root, sink)
 				dc.BGP = cfg
 			}
 		}
@@ -284,17 +289,20 @@ func parseJunosConfig(hostname, conf string) (*routing.DeviceConfig, Diagnostics
 // junosAdvertisedNetworks reads the routing-options static advertisements
 // rendered by the template (the JunOS equivalent of `network` statements is
 // an export policy; the template renders them as annotated statics).
-func junosAdvertisedNetworks(root *junosNode, dc *routing.DeviceConfig) []netip.Prefix {
+func junosAdvertisedNetworks(root *junosNode, sink *diagSink) []netip.Prefix {
 	var out []netip.Prefix
 	ro := root.child("routing-options")
 	if ro == nil {
 		return nil
 	}
-	for _, l := range ro.leaves {
-		if strings.HasPrefix(l, "advertise ") {
-			if p, err := netip.ParsePrefix(strings.TrimPrefix(l, "advertise ")); err == nil {
-				out = append(out, p.Masked())
+	for li, l := range ro.leaves {
+		if pStr, ok := strings.CutPrefix(l, "advertise "); ok {
+			p, err := netip.ParsePrefix(pStr)
+			if err != nil {
+				sink.errorf(ro.leafLine[li], "bad advertise prefix %q", pStr)
+				continue
 			}
+			out = append(out, p.Masked())
 		}
 	}
 	return out

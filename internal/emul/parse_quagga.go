@@ -12,13 +12,14 @@
 // next stanza, so one boot reports every problem in a device's
 // configuration at once instead of dying on the first bad byte.
 //
-// Reconvergence after incident injection is full-recompute by default.
-// BootOptions.Incremental (or Lab.SetIncremental) switches the lab to
-// incremental reconvergence — delta SPF in the IGP domains, BGP trajectory
-// replay, and data-plane node reuse — which produces byte-identical
-// routing tables, verdicts and event logs while skipping the recomputation
-// of state the incident provably did not touch. See the routing package
-// for the per-engine mechanics and ARCHITECTURE.md ("Incremental
+// Reconvergence after incident injection goes through one pipeline: the
+// OSPF and IS-IS domains live as long as the lab and re-run SPF only for
+// the sources a diffed link-state change can touch (delta SPF), BGP runs
+// in a fresh engine, and every data-plane node is rebuilt.
+// BootOptions.Incremental adds BGP trajectory replay, which restores the
+// speaker-rounds an incident provably did not touch and produces
+// byte-identical routing tables, verdicts and event logs. See the routing
+// package for the per-engine mechanics and ARCHITECTURE.md ("Incremental
 // convergence") for the invariants and the determinism argument.
 package emul
 

@@ -178,6 +178,7 @@ func TestParseIOSErrors(t *testing.T) {
 		{"bad cost", "interface f0/0\n ip address 10.0.0.1 255.255.255.0\n ip ospf cost x\n"},
 		{"bad wildcard", "router ospf 1\n network 10.0.0.0 3.0.0.3 area 0\n"},
 		{"bad area", "router ospf 1\n network 10.0.0.0 0.0.0.3 area z\n"},
+		{"bad ospf process id", "router ospf x\n network 10.0.0.0 0.0.0.3 area 0\n"},
 		{"router bgp bare", "router bgp\n"},
 		{"bad bgp asn", "router bgp x\n"},
 		{"bad bgp network", "router bgp 1\n network junk mask 255.0.0.0\n"},
@@ -191,6 +192,13 @@ func TestParseIOSErrors(t *testing.T) {
 	}
 }
 
+// junosBGPGroup is a JunOS config with one eBGP group holding the given
+// extra statement and one neighbor.
+func junosBGPGroup(stmt string) string {
+	return "routing-options {\n autonomous-system 1;\n}\n" +
+		"protocols {\n bgp {\n group ext {\n type external;\n peer-as 2;\n " + stmt + "\n neighbor 10.0.0.2;\n}\n}\n}\n"
+}
+
 func TestParseJunosErrors(t *testing.T) {
 	cases := []struct{ name, conf string }{
 		{"unbalanced close", "}\n"},
@@ -199,6 +207,9 @@ func TestParseJunosErrors(t *testing.T) {
 		{"bad iface addr", "interfaces {\n em0 {\n unit 0 {\n family inet {\n address junk;\n}\n}\n}\n}\n"},
 		{"bgp without asn", "protocols {\n bgp {\n group x {\n type external;\n neighbor 10.0.0.1;\n}\n}\n}\n"},
 		{"bad area", "protocols {\n ospf {\n area x {\n interface 10.0.0.0/30 {\n metric 1;\n}\n}\n}\n}\n"},
+		{"bad metric-out", junosBGPGroup("metric-out x;")},
+		{"bad local-preference", junosBGPGroup("local-preference 1e2;")},
+		{"bad advertise prefix", "routing-options {\n autonomous-system 1;\n advertise 10.0.0.0/33;\n}\n" + junosBGPGroup("")},
 	}
 	for _, c := range cases {
 		if _, diags := parseJunosConfig("x", c.conf); !diags.HasErrors() {

@@ -87,6 +87,21 @@ var junosCases = []struct {
 		wantSubstr: "unterminated statement",
 		wantIfaces: 1,
 	},
+	{
+		name:       "malformed numbers in a group, its neighbor survives",
+		conf:       junosBGPGroup("metric-out x;\n local-preference 1e2;"),
+		wantErrs:   2,
+		wantSubstr: `group "ext": bad local-preference "1e2"`,
+		wantNbrs:   1,
+	},
+	{
+		name: "malformed advertise prefix, the next one survives",
+		conf: "routing-options {\n autonomous-system 1;\n advertise 10.0.0.0/33;\n advertise 10.1.0.0/16;\n}\n" +
+			junosBGPGroup(""),
+		wantErrs:   1,
+		wantSubstr: `bad advertise prefix "10.0.0.0/33"`,
+		wantNbrs:   1,
+	},
 }
 
 func TestCBGPRecovery(t *testing.T) {

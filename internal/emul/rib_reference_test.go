@@ -17,6 +17,7 @@ import (
 
 	"autonetkit/internal/core"
 	"autonetkit/internal/dataplane"
+	"autonetkit/internal/design"
 	"autonetkit/internal/routing"
 	"autonetkit/internal/topogen"
 	"autonetkit/internal/topoio"
@@ -221,9 +222,9 @@ func checkAgainstReference(t *testing.T, label string, l *Lab) (ospfOverBGP, bgp
 	return ospfOverBGP, bgpOverStatic
 }
 
-// nrenLab renders a seeded NREN-shaped topology for one platform and loads
-// it, un-booted.
-func nrenLab(t testing.TB, routers int, platform, syntax string) *Lab {
+// nrenLab renders a seeded NREN-shaped topology for one platform and IGP and
+// loads it, un-booted.
+func nrenLab(t testing.TB, routers int, platform, syntax string, igp design.IGP) *Lab {
 	t.Helper()
 	g, err := topogen.NREN(topogen.NRENConfig{ASes: max(3, routers/20), Routers: routers, Links: routers * 5 / 4, Seed: 16})
 	if err != nil {
@@ -238,7 +239,7 @@ func nrenLab(t testing.TB, routers int, platform, syntax string) *Lab {
 	if _, err := anm.AddOverlayGraph(core.OverlayInput, g); err != nil {
 		t.Fatal(err)
 	}
-	lab, _ := labFromInput(t, anm, platform)
+	lab, _ := labFromInput(t, anm, platform, igp)
 	return lab
 }
 
@@ -256,52 +257,72 @@ func corruptConfig(t *testing.T, lab *Lab, name string) {
 	}
 }
 
+// nrenShape is one nrenLab; the zero igp is design's default, OSPF.
+type nrenShape struct {
+	routers          int
+	platform, syntax string
+	igp              design.IGP
+}
+
+// nrenShapes are the labs the data-plane and SPF oracles walk through
+// incidentSteps.
+var nrenShapes = []nrenShape{
+	{60, "netkit", "quagga", ""}, {60, "dynagen", "ios", ""}, {60, "junosphere", "junos", ""},
+	{120, "netkit", "quagga", ""}, {120, "dynagen", "ios", ""}, {120, "junosphere", "junos", ""},
+}
+
+type labStep struct {
+	label string
+	do    func() error
+}
+
+// incidentSteps is a booted lab's walk through each kind of incident and its
+// restore, starting with a step that does nothing (the boot state itself).
+func incidentSteps(lab *Lab) []labStep {
+	links, names := lab.Links(), lab.VMNames()
+	link, victim, island := links[len(links)/2], names[len(names)/3], names[:len(names)/4]
+	return []labStep{
+		{"boot", func() error { return nil }},
+		{"fail-link", func() error { return lab.FailLink(link[0], link[1]) }},
+		{"restore-link", func() error { return lab.RestoreLink(link[0], link[1]) }},
+		{"fail-node", func() error { return lab.FailNode(victim) }},
+		{"restore-node", func() error { return lab.RestoreNode(victim) }},
+		{"partition", func() error { return lab.Partition(island) }},
+		{"heal", func() error {
+			for _, name := range island {
+				if err := lab.RestoreNode(name); err != nil && !strings.Contains(err.Error(), "is not failed") {
+					return err
+				}
+			}
+			return nil
+		}},
+	}
+}
+
 // TestDataplaneMatchesRIBReference: at boot, across each kind of incident
 // and its restore, on a degraded boot and with a static default against a
 // BGP one, the merged FIBs are the ones the RIB-then-Insert build yields.
 func TestDataplaneMatchesRIBReference(t *testing.T) {
-	for _, tc := range []struct {
-		routers          int
-		platform, syntax string
-	}{
-		{60, "netkit", "quagga"}, {60, "dynagen", "ios"}, {60, "junosphere", "junos"},
-		{120, "netkit", "quagga"}, {120, "dynagen", "ios"}, {120, "junosphere", "junos"},
-	} {
+	for _, tc := range nrenShapes {
 		t.Run(fmt.Sprintf("%s%d", tc.platform, tc.routers), func(t *testing.T) {
-			lab := nrenLab(t, tc.routers, tc.platform, tc.syntax)
-			// The smaller shape runs incrementally, so reused nodes are held
-			// to the reference too.
+			lab := nrenLab(t, tc.routers, tc.platform, tc.syntax, tc.igp)
+			// The smaller shape replays its BGP trajectory, so restored
+			// selections are held to the reference too.
 			if err := lab.Boot(BootOptions{Incremental: tc.routers == 60}); err != nil {
 				t.Fatal(err)
 			}
 			contested := 0
-			step := func(label string, do func() error) {
-				t.Helper()
-				if err := do(); err != nil {
-					t.Fatalf("%s: %v", label, err)
+			for _, st := range incidentSteps(lab) {
+				if err := st.do(); err != nil {
+					t.Fatalf("%s: %v", st.label, err)
 				}
-				n, _ := checkAgainstReference(t, label, lab)
-				contested += n
-			}
-			links, names := lab.Links(), lab.VMNames()
-			link, victim, island := links[len(links)/2], names[len(names)/3], names[:len(names)/4]
-			step("boot", func() error { return nil })
-			if contested == 0 {
-				t.Error("no prefix had both an OSPF and a BGP candidate: the preference case is not exercised")
-			}
-			step("fail-link", func() error { return lab.FailLink(link[0], link[1]) })
-			step("restore-link", func() error { return lab.RestoreLink(link[0], link[1]) })
-			step("fail-node", func() error { return lab.FailNode(victim) })
-			step("restore-node", func() error { return lab.RestoreNode(victim) })
-			step("partition", func() error { return lab.Partition(island) })
-			step("heal", func() error {
-				for _, name := range island {
-					if err := lab.RestoreNode(name); err != nil && !strings.Contains(err.Error(), "is not failed") {
-						return err
-					}
+				n, _ := checkAgainstReference(t, st.label, lab)
+				if contested += n; contested == 0 {
+					t.Fatal("no prefix had both an OSPF and a BGP candidate: the preference case is not exercised")
 				}
-				return nil
-			})
+			}
+			links := lab.Links()
+			link := links[len(links)/2]
 
 			// A static default must lose to a BGP 0.0.0.0/0 where one is
 			// heard, and stand where the only one is the device's own.
@@ -329,7 +350,7 @@ func TestDataplaneMatchesRIBReference(t *testing.T) {
 	}
 	t.Run("quarantine", func(t *testing.T) {
 		for _, platform := range [][2]string{{"netkit", "quagga"}, {"dynagen", "ios"}, {"junosphere", "junos"}} {
-			lab := nrenLab(t, 60, platform[0], platform[1])
+			lab := nrenLab(t, 60, platform[0], platform[1], design.IGPOSPF)
 			bad := lab.VMNames()[7]
 			corruptConfig(t, lab, bad)
 			if err := lab.Boot(BootOptions{Lenient: true}); !errors.Is(err, ErrPartialBoot) {

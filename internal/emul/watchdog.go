@@ -2,7 +2,6 @@ package emul
 
 import (
 	"fmt"
-	"net/netip"
 	"sort"
 	"strings"
 
@@ -93,8 +92,8 @@ func (l *Lab) Perturber() routing.Perturber {
 	return l.pert
 }
 
-// Reconverge re-runs the control plane from scratch under the current
-// budget (fresh engines over the current configs) and returns the outcome.
+// Reconverge re-runs the control plane over the current configs under the
+// current budget and returns the outcome.
 func (l *Lab) Reconverge() (routing.BGPResult, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -116,7 +115,7 @@ func (l *Lab) RebuildDataplane() error {
 	if !l.started || l.net == nil {
 		return fmt.Errorf("emul: lab has no data plane to rebuild")
 	}
-	return l.buildDataplane(l.liveDevices(), nil)
+	return l.buildDataplane(l.liveDevices())
 }
 
 // ReconvergeWith installs a new budget and re-runs the control plane under
@@ -158,8 +157,8 @@ func (l *Lab) SoftResetSpeakers(hosts []string) (routing.BGPResult, error) {
 	l.bgpResult = l.bgp.RunContext(ctx, l.budget.MaxBGPRounds)
 	cancel()
 	l.logBGPResult()
-	if l.Platform != "cbgp" {
-		if err := l.buildDataplane(l.liveDevices(), nil); err != nil {
+	if !platforms[l.Platform].solver {
+		if err := l.buildDataplane(l.liveDevices()); err != nil {
 			return l.bgpResult, err
 		}
 	}
@@ -228,19 +227,8 @@ func (l *Lab) UnstableSpeakers(window int) []string {
 	return l.bgp.UnstableSpeakers(window)
 }
 
-// RouteChurn returns the per-prefix best-route change counts accumulated
-// by the most recent convergence — the route-churn metric experiments
-// report alongside rounds-to-quiescence.
-func (l *Lab) RouteChurn() map[netip.Prefix]int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if l.bgp == nil {
-		return nil
-	}
-	return l.bgp.RouteChurn()
-}
-
-// TotalChurn sums RouteChurn over all prefixes.
+// TotalChurn counts the best-route changes of the most recent convergence,
+// over all prefixes and speakers.
 func (l *Lab) TotalChurn() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()

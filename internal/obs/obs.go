@@ -54,9 +54,11 @@ const (
 	CounterWatchdogSoftResets        = "watchdog_soft_resets"
 	CounterWatchdogQuarantines       = "watchdog_quarantines"
 
-	// Incremental-convergence counters (delta SPF + BGP trajectory replay +
-	// data-plane node reuse). Emitted by the lab's converge loop when a boot
-	// opted into incremental mode; all zero under full recompute.
+	// Reconvergence counters, emitted by the lab's converge loop: the delta
+	// SPF pair on every converge after a lab's first, the BGP trajectory
+	// replay three only when a boot opted into Incremental. fib_nodes_reused
+	// is retired (nothing emits it): bench/ still names the constant, and it
+	// leaves with the benchmark change that drops dataplane.fib_reuse_ratio.
 	CounterSPFDeltaRecomputes  = "spf_delta_recomputes"
 	CounterSPFSourcesSkipped   = "spf_sources_skipped"
 	CounterBGPDirtyPrefixes    = "bgp_dirty_prefixes"

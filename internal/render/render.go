@@ -47,12 +47,6 @@ func RenderWith(ctx context.Context, db *nidb.DB, opts Options) (*FileSet, error
 	return fs, nil
 }
 
-// RenderInto renders into an existing file set (so callers can merge
-// several databases, e.g. cross-platform experiments).
-func RenderInto(db *nidb.DB, fs *FileSet) error {
-	return renderInto(context.Background(), db, fs, Options{})
-}
-
 // renderedFile is one output file from a render job, in emit order.
 type renderedFile struct{ path, content string }
 

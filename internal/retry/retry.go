@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"time"
 )
 
@@ -221,28 +220,4 @@ func (p Policy) SleepCtx(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// AfterChanCtx is the context-aware AfterChan variant: the returned stop
-// function releases the timer early, and the channel also fires when the
-// context is cancelled (so a select on it wakes on either expiry or
-// cancellation). The After seam is honoured when set.
-func (p Policy) AfterChanCtx(ctx context.Context, d time.Duration) (<-chan time.Time, func()) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make(chan time.Time, 1)
-	done := make(chan struct{})
-	src := p.AfterChan(d)
-	go func() {
-		select {
-		case t := <-src:
-			out <- t
-		case <-ctx.Done():
-			out <- time.Time{}
-		case <-done:
-		}
-	}()
-	var once sync.Once
-	return out, func() { once.Do(func() { close(done) }) }
 }

@@ -6,18 +6,17 @@ import (
 	"net/netip"
 )
 
-// Incremental-convergence support: content signatures for device
-// configurations and the canonical link-state bookkeeping the delta-SPF
-// path diffs between Converge calls. The correctness bar for everything in
-// this file is byte-identity: a converge that consults these signatures
-// must produce exactly the state a from-scratch converge would.
+// Reconvergence support: content signatures for device configurations and
+// the canonical link-state bookkeeping delta SPF diffs between Converge
+// calls. The correctness bar for everything in this file is byte-identity:
+// a converge that consults these signatures must produce exactly the state
+// a from-scratch converge would.
 
 // ConfigSignature hashes every field of a device configuration that any
 // routing engine or the data plane reads: hostname, interfaces (all
 // fields), loopback, gateway, and the OSPF/BGP/IS-IS stanzas. Two configs
-// with equal signatures drive every engine identically; the incremental
-// converge path uses this to decide which speakers' cached state is still
-// trustworthy.
+// with equal signatures drive every engine identically; trajectory replay
+// uses this to decide which speakers' recorded state is still trustworthy.
 func ConfigSignature(dc *DeviceConfig) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "h%s|lo%v|gw%v|", dc.Hostname, dc.Loopback, dc.Gateway)

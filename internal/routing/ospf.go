@@ -18,12 +18,13 @@ import (
 // designated-router election (collision domains are modelled directly);
 // timers are not simulated (the engine computes the converged state).
 //
-// With SetIncremental(true) the domain keeps the previous converge's
-// canonical edge set, per-router advertisement signatures and per-source
-// distance vectors, and a re-Converge runs Dijkstra only for the sources
-// whose shortest-path tree a diffed change can touch (delta SPF). The
+// A domain keeps the previous Converge's canonical edge set, per-router
+// advertisement signatures and per-source distance vectors, and a
+// re-Converge (after Rebind) runs Dijkstra only for the sources whose
+// shortest-path tree a diffed change can touch (delta SPF). The
 // recomputation itself is the exact same Dijkstra, so the surviving and
-// recomputed route tables are byte-identical to a full recompute.
+// recomputed route tables are byte-identical to those of a freshly built
+// domain, whose first Converge is a full SPF.
 
 // OSPFNeighbor is one adjacency, as reported by `show ip ospf neighbor`.
 type OSPFNeighbor struct {
@@ -48,15 +49,13 @@ type OSPFDomain struct {
 	// flooding path perfect.
 	pert Perturber
 
-	// Delta-SPF state (SetIncremental). prevEdges/prevAdvert are the
-	// canonical link-state view of the previous Converge; dist holds each
+	// Delta-SPF state. prevEdges/prevAdvert are the canonical link-state
+	// view of the previous Converge (nil before the first); dist holds each
 	// source's full distance vector so affected-source tests and future
 	// diffs stay O(changes × sources).
-	incremental bool
-	prevEdges   map[edgeKey]edgeVal
-	prevAdvert  map[string]uint64
-	dist        map[string]map[string]int
-	hasState    bool
+	prevEdges  map[edgeKey]edgeVal
+	prevAdvert map[string]uint64
+	dist       map[string]map[string]int
 
 	// Per-Converge outcome: which sources' route tables changed, and the
 	// recompute/skip split for observability.
@@ -70,19 +69,6 @@ type OSPFDomain struct {
 // during Converge; nil restores perfect hello delivery. Install before
 // Converge.
 func (d *OSPFDomain) SetPerturber(p Perturber) { d.pert = p }
-
-// SetIncremental switches the domain into delta-SPF mode: the first
-// Converge is a full run, subsequent ones recompute only affected sources.
-// Off (the default) keeps every Converge a full recompute.
-func (d *OSPFDomain) SetIncremental(on bool) {
-	d.incremental = on
-	if !on {
-		d.prevEdges, d.prevAdvert, d.dist, d.hasState = nil, nil, nil, false
-	}
-}
-
-// Incremental reports whether delta-SPF mode is on.
-func (d *OSPFDomain) Incremental() bool { return d.incremental }
 
 // NewOSPFDomain builds the domain from the participating devices.
 func NewOSPFDomain(devices []*DeviceConfig) *OSPFDomain {
@@ -110,8 +96,8 @@ func (d *OSPFDomain) bind(devices []*DeviceConfig) {
 
 // Rebind replaces the domain's device set (after an incident mutated the
 // configs or the live-device list changed) while keeping the delta-SPF
-// state, so the next Converge can diff against the previous one. The
-// device configs are matched by content, not pointer identity.
+// state, so the next Converge diffs against the previous one. The device
+// configs are matched by content, not pointer identity.
 func (d *OSPFDomain) Rebind(devices []*DeviceConfig) { d.bind(devices) }
 
 // ospfIfaces returns the interfaces of a device that fall inside one of its
@@ -149,9 +135,9 @@ type nbrLink struct {
 
 // Converge computes adjacencies and per-router routes. Adjacency
 // formation (including perturber consultation) always runs in full, so
-// the edge set and neighbor tables are identical in both modes; only the
-// per-source Dijkstra + route-install work is skipped for sources the
-// diffed changes cannot affect.
+// the edge set and neighbor tables never depend on the previous Converge;
+// only the per-source Dijkstra + route-install work is skipped for sources
+// the diffed changes cannot affect.
 func (d *OSPFDomain) Converge() error {
 	// Neighbor tables are rebuilt from scratch every converge (a reused
 	// domain must not accumulate duplicates).
@@ -262,7 +248,6 @@ func (d *OSPFDomain) Converge() error {
 		}
 	}
 	d.prevEdges, d.prevAdvert = newEdges, newAdvert
-	d.hasState = true
 	return nil
 }
 
@@ -274,8 +259,8 @@ type firstHop struct {
 }
 
 // spf runs the domain's deterministic Dijkstra from one source, returning
-// the distance vector and first-hop map. This is the single SPF
-// implementation both the full and the delta path use.
+// the distance vector and first-hop map: the one SPF, whether every source
+// runs it or only the affected ones.
 func (d *OSPFDomain) spf(src string, adj map[string][]nbrLink) (map[string]int, map[string]firstHop) {
 	dist := map[string]int{src: 0}
 	first := map[string]firstHop{}
@@ -363,7 +348,7 @@ func (d *OSPFDomain) buildRoutes(src string, dist map[string]int, first map[stri
 
 // affectedSources diffs the new canonical link-state view against the
 // previous converge's and returns the set of sources whose SPF must
-// re-run. nil means "no previous state / delta off" — recompute everyone.
+// re-run. nil means "no previous Converge" — recompute everyone.
 //
 // A source S is affected by an edge (u,v) appearing, disappearing or
 // changing value when the edge is (or was) tight enough to matter from
@@ -374,7 +359,7 @@ func (d *OSPFDomain) buildRoutes(src string, dist map[string]int, first map[stri
 // signature on router R affects every source that reaches R (and R
 // itself, whose own srcAttached suppression set may have changed).
 func (d *OSPFDomain) affectedSources(newEdges map[edgeKey]edgeVal, newAdvert map[string]uint64) map[string]bool {
-	if !d.incremental || !d.hasState {
+	if d.prevEdges == nil {
 		return nil
 	}
 	affected := map[string]bool{}
@@ -431,8 +416,8 @@ func (d *OSPFDomain) affectedSources(newEdges map[edgeKey]edgeVal, newAdvert map
 }
 
 // ChangedSources returns the sources whose route tables changed during the
-// most recent Converge (including sources that left the domain). The
-// incremental BGP path seeds its dirty set from this.
+// most recent Converge (including sources that left the domain). BGP
+// trajectory replay seeds its dirty set from this.
 func (d *OSPFDomain) ChangedSources() map[string]bool {
 	out := make(map[string]bool, len(d.changedSrc))
 	for h := range d.changedSrc {
@@ -443,7 +428,7 @@ func (d *OSPFDomain) ChangedSources() map[string]bool {
 
 // DeltaStats reports the most recent Converge's SPF split: how many
 // sources were recomputed, how many skipped, and whether the run actually
-// took the delta path (false for full recomputes).
+// took the delta path (false for a domain's first Converge).
 func (d *OSPFDomain) DeltaStats() (recomputed, skipped int, delta bool) {
 	return d.statRecomputed, d.statSkipped, d.statDelta
 }

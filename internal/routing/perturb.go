@@ -184,11 +184,6 @@ func NewScheduledPerturber(seed uint64, rules []PerturbRule) *ScheduledPerturber
 // Seed returns the perturber's seed.
 func (p *ScheduledPerturber) Seed() uint64 { return p.seed }
 
-// Rules returns a copy of the rule list.
-func (p *ScheduledPerturber) Rules() []PerturbRule {
-	return append([]PerturbRule(nil), p.rules...)
-}
-
 // Reset clears delay queues and session-state tracking; healed sessions
 // stay healed (a soft reset is a repair, not a reboot of the fault).
 func (p *ScheduledPerturber) Reset() {

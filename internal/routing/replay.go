@@ -202,25 +202,6 @@ func (sp *speaker) canRestore() bool {
 // EnableIncremental.
 func (e *BGPEngine) ReplayLog() *BGPReplay { return e.record }
 
-// ChangedSpeakers returns the set of speakers whose final selection
-// differs from the replayed trajectory's final state — the speakers whose
-// data-plane nodes must be rebuilt. nil means "treat every speaker as
-// changed" (no replay was active, or the run outran the recorded
-// trajectory).
-func (e *BGPEngine) ChangedSpeakers() map[string]bool {
-	if e.replay == nil || len(e.replay.rounds) == 0 {
-		return nil
-	}
-	last := e.replay.rounds[len(e.replay.rounds)-1]
-	out := map[string]bool{}
-	for _, sp := range e.sp {
-		if h, ok := last[sp.host]; !ok || !routeSlicesEqual(sp.rib, h.rib) {
-			out[sp.host] = true
-		}
-	}
-	return out
-}
-
 // IncrementalStats reports the most recent run's replay effectiveness:
 // speaker-rounds restored from the trajectory, prefixes re-evaluated for
 // recomputed speakers, and whole rounds in which every speaker restored.

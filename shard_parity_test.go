@@ -29,7 +29,7 @@ import (
 
 // shardTestCounts returns the shard worker counts the parity tests sweep:
 // 1 (the sequential baseline), 4, and NumCPU — the last overridable with
-// ANK_SHARDS, the CI knob for pinning a specific width.
+// ANK_SHARDS, the knob for pinning a specific width.
 func shardTestCounts(t *testing.T) []int {
 	t.Helper()
 	wide := runtime.NumCPU()
