@@ -908,7 +908,7 @@ func BenchmarkP5_ConvergenceUnderLoss(b *testing.B) {
 	lab := dep.Lab()
 	defer func() {
 		lab.SetPerturber(nil)
-		if _, err := lab.Reconverge(); err != nil {
+		if _, err := lab.Apply(emul.Change{}); err != nil {
 			b.Fatal(err)
 		}
 	}()
@@ -925,7 +925,7 @@ func BenchmarkP5_ConvergenceUnderLoss(b *testing.B) {
 			b.ResetTimer()
 			var rounds, churn int
 			for i := 0; i < b.N; i++ {
-				res, err := lab.Reconverge()
+				res, err := lab.Apply(emul.Change{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1060,7 +1060,7 @@ func BenchmarkP9_ShardedConvergence(b *testing.B) {
 				b.ResetTimer()
 				var rounds int
 				for i := 0; i < b.N; i++ {
-					res, err := lab.Reconverge()
+					res, err := lab.Apply(emul.Change{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -1099,7 +1099,7 @@ func BenchmarkP14_ReachabilityMatrix(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if mode.fresh {
 					b.StopTimer()
-					if _, err := lab.Reconverge(); err != nil {
+					if _, err := lab.Apply(emul.Change{}); err != nil {
 						b.Fatal(err)
 					}
 					b.StartTimer()
@@ -1117,7 +1117,7 @@ func BenchmarkP14_ReachabilityMatrix(b *testing.B) {
 }
 
 // --- P16: one data-plane generation, the layer between a converged control
-// plane and the first probe. `build` is Reconverge's last step on its own:
+// plane and the first probe. `build` is a converge's last step on its own:
 // every FIB merged from the engines' routes, every node registered and its
 // next hops resolved. `fresh-matrix` is the first reachability matrix on a
 // new generation (rebuilt off the clock), so it pays for every hop tree.

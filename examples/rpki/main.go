@@ -112,13 +112,13 @@ func main() {
 
 	// Origin validation: a legitimate route and a hijack.
 	roaSet := h.ROAs()
-	var anyASN int
-	var anyBlock = net.Alloc.InfraBlocks
-	for asn := range anyBlock {
-		anyASN = asn
-		break
+	anyASN := -1 // the lowest ASN, so the output is reproducible
+	for asn := range net.Alloc.InfraBlocks {
+		if anyASN < 0 || asn < anyASN {
+			anyASN = asn
+		}
 	}
-	block := anyBlock[anyASN]
+	block := net.Alloc.InfraBlocks[anyASN]
 	fmt.Printf("\norigin validation against the ROA set:\n")
 	fmt.Printf("  %v from AS%-5d -> %s (legitimate)\n", block, anyASN,
 		rpki.ValidateOrigin(roaSet, block, anyASN))

@@ -265,34 +265,34 @@ func (e *Engine) runStep(idx int, st Step, base measure.Reachability) (StepResul
 		e.runFlakyHost(&res, addFinding)
 		return res, nil
 	}
+	link := []emul.Link{{A: st.A, B: st.B}}
+	var change emul.Change
+	switch st.Op {
+	case OpFailLink, OpFlap:
+		change.FailLinks = link
+	case OpRestoreLink:
+		change.RestoreLinks = link
+	case OpFailNode:
+		change.FailNodes = []string{st.Node}
+	case OpRestoreNode:
+		change.RestoreNodes = []string{st.Node}
+	case OpPartition:
+		change.Partition = st.Nodes
+	default:
+		return res, fmt.Errorf("chaos: unknown operation %q", st.Op)
+	}
 	times := 1
 	if st.Op == OpFlap {
 		times = st.Times
 	}
 	for round := 0; round < times; round++ {
-		var err error
-		switch st.Op {
-		case OpFailLink:
-			err = e.lab.FailLink(st.A, st.B)
-		case OpRestoreLink:
-			err = e.lab.RestoreLink(st.A, st.B)
-		case OpFailNode:
-			err = e.lab.FailNode(st.Node)
-		case OpRestoreNode:
-			err = e.lab.RestoreNode(st.Node)
-		case OpPartition:
-			err = e.lab.Partition(st.Nodes)
-		case OpFlap:
-			if err = e.lab.FailLink(st.A, st.B); err == nil {
-				bgp := e.lab.BGPResult()
-				if !bgp.Converged {
-					addFinding("chaos-convergence", verify.Error,
-						"flap %d down: %s", round+1, budget.Describe(bgp))
-				}
-				err = e.lab.RestoreLink(st.A, st.B)
+		bgp, err := e.lab.Apply(change)
+		if err == nil && st.Op == OpFlap {
+			if !bgp.Converged {
+				addFinding("chaos-convergence", verify.Error,
+					"flap %d down: %s", round+1, budget.Describe(bgp))
 			}
-		default:
-			return res, fmt.Errorf("chaos: unknown operation %q", st.Op)
+			_, err = e.lab.Apply(emul.Change{RestoreLinks: link})
 		}
 		if err != nil {
 			addFinding("chaos-step", verify.Error, "injection failed: %v", err)
@@ -393,7 +393,7 @@ func (e *Engine) runPerturb(res *StepResult, budget routing.ConvergenceBudget, a
 		e.rules = append(e.rules, *res.Step.Rule)
 		e.lab.SetPerturber(routing.NewScheduledPerturber(e.seed, e.rules))
 	}
-	if _, err := e.lab.Reconverge(); err != nil {
+	if _, err := e.lab.Apply(emul.Change{}); err != nil {
 		addFinding("chaos-step", verify.Error, "reconverge failed: %v", err)
 		res.Verdict = fmt.Sprintf("FAILED: %v", err)
 		return nil
@@ -449,7 +449,7 @@ func (e *Engine) clearPerturbation() {
 		return
 	}
 	e.lab.SetPerturber(nil)
-	_, _ = e.lab.Reconverge()
+	_, _ = e.lab.Apply(emul.Change{})
 }
 
 func (e *Engine) runCheck(res *StepResult, base measure.Reachability, addFinding func(string, verify.Severity, string, ...any)) error {

@@ -352,7 +352,7 @@ func TestHopsToMatchesForwardOnLabs(t *testing.T) {
 			step("restore-link", func() error { return lab.RestoreLink(link[0], link[1]) })
 			step("fail-node", func() error { return lab.FailNode(victim) })
 			step("restore-node", func() error { return lab.RestoreNode(victim) })
-			step("partition", func() error { return lab.Partition(island) })
+			step("partition", func() error { _, err := lab.Apply(emul.Change{Partition: island}); return err })
 			step("heal", func() error { return restoreAll(lab, island) })
 		})
 	}

@@ -357,7 +357,7 @@ func (d *ClusterDeployment) rehome(res sched.DrainResult, dark bool) ([]string, 
 		sort.Strings(d.StrandedVMs)
 	}
 	if reboot := d.labOnly(moved); len(reboot) > 0 {
-		if err := d.lab.RebootVMs(reboot); err != nil {
+		if _, err := d.lab.Apply(emul.Change{Reboot: reboot}); err != nil {
 			return moved, fmt.Errorf("deploy: re-booting re-placed VMs: %w", err)
 		}
 	}
@@ -368,7 +368,7 @@ func (d *ClusterDeployment) rehome(res sched.DrainResult, dark bool) ([]string, 
 // one incident id): the visible half of a host failure.
 func (d *ClusterDeployment) darken(host string) error {
 	if victims := d.labOnly(d.Cluster.VMsOn(host)); len(victims) > 0 {
-		if err := d.lab.FailNodes(victims); err != nil {
+		if _, err := d.lab.Apply(emul.Change{HostDown: victims}); err != nil {
 			return fmt.Errorf("deploy: failing %s's VMs: %w", host, err)
 		}
 	}

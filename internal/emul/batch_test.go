@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// TestFailNodesBatchConvergesOnce pins the batch primitive: a whole host's
-// worth of machines goes down under a single re-convergence, and RebootVMs
+// TestFailNodesBatchConvergesOnce pins the host batches: a whole host's
+// worth of machines goes down under a single re-convergence, and a Reboot
 // brings them all back byte-identical to their boot-time configs.
 func TestFailNodesBatchConvergesOnce(t *testing.T) {
 	lab, _ := incidentLab(t)
 	before := lab.LastIncidentID()
-	if err := lab.FailNodes([]string{"r2", "r1"}); err != nil {
+	if _, err := lab.Apply(Change{HostDown: []string{"r2", "r1"}}); err != nil {
 		t.Fatal(err)
 	}
 	// One incident id for the whole batch (one converge).
@@ -38,7 +38,7 @@ func TestFailNodesBatchConvergesOnce(t *testing.T) {
 	}
 
 	// Re-boot the batch: one more converge, configs restored.
-	if err := lab.RebootVMs([]string{"r2", "r1"}); err != nil {
+	if _, err := lab.Apply(Change{Reboot: []string{"r2", "r1"}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := lab.LastIncidentID(); got != before+2 {
@@ -60,31 +60,27 @@ func TestFailNodesBatchConvergesOnce(t *testing.T) {
 
 func TestFailNodesBatchErrors(t *testing.T) {
 	lab, _ := incidentLab(t)
-	if err := lab.FailNodes(nil); err == nil {
-		t.Fatal("empty batch should error")
-	}
-	if err := lab.FailNodes([]string{"ghost"}); err == nil {
+	hostDown := func(names ...string) error { _, err := lab.Apply(Change{HostDown: names}); return err }
+	reboot := func(names ...string) error { _, err := lab.Apply(Change{Reboot: names}); return err }
+	if err := hostDown("ghost"); err == nil {
 		t.Fatal("unknown machine should error")
 	}
-	if err := lab.FailNodes([]string{"r1"}); err != nil {
+	if err := hostDown("r1"); err != nil {
 		t.Fatal(err)
 	}
 	// Failing an already-down machine again (alone) is an error; mixed
 	// batches skip the already-down ones.
-	if err := lab.FailNodes([]string{"r1"}); err == nil {
+	if err := hostDown("r1"); err == nil {
 		t.Fatal("all-down batch should error")
 	}
-	if err := lab.FailNodes([]string{"r1", "r2"}); err != nil {
+	if err := hostDown("r1", "r2"); err != nil {
 		t.Fatalf("mixed batch should skip the downed machine: %v", err)
 	}
-	if err := lab.RebootVMs(nil); err == nil {
-		t.Fatal("empty reboot batch should error")
-	}
-	if err := lab.RebootVMs([]string{"ghost"}); err == nil {
+	if err := reboot("ghost"); err == nil {
 		t.Fatal("unknown machine in reboot should error")
 	}
 	// Re-boot is idempotent: intact machines re-install as a no-op.
-	if err := lab.RebootVMs([]string{"r1", "r2", "r3"}); err != nil {
+	if err := reboot("r1", "r2", "r3"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -31,12 +31,9 @@ func (l *Lab) Exec(machine, command string) (string, error) {
 	if !l.started {
 		return "", fmt.Errorf("emul: lab not started")
 	}
-	vm, ok := l.vms[machine]
-	if !ok {
-		return "", fmt.Errorf("emul: no machine %q", machine)
-	}
-	if vm.Config == nil {
-		return "", fmt.Errorf("emul: machine %q was quarantined at boot", machine)
+	vm, err := l.liveVM(machine)
+	if err != nil {
+		return "", err
 	}
 	fields := strings.Fields(command)
 	if len(fields) == 0 {

@@ -128,6 +128,20 @@ func TestIncidentErrors(t *testing.T) {
 	if err := lab.FailNode("ghost"); err == nil {
 		t.Error("unknown machine accepted")
 	}
+	// A link needs two machines: r1 -- r1 would strip every interface of r1.
+	if err := lab.FailLink("r1", "r1"); err == nil {
+		t.Error("failing a link from a machine to itself accepted")
+	}
+	if err := lab.RestoreLink("r1", "r1"); err == nil {
+		t.Error("restoring a link from a machine to itself accepted")
+	}
+	// A partition group must be known and must have links to the outside.
+	if _, err := lab.Apply(Change{Partition: []string{"ghost"}}); err == nil {
+		t.Error("unknown machine accepted")
+	}
+	if _, err := lab.Apply(Change{Partition: lab.VMNames()}); err == nil {
+		t.Error("whole-lab partition accepted")
+	}
 	// Double failure of the same link: the subnet is gone.
 	if err := lab.FailLink("r1", "r2"); err != nil {
 		t.Fatal(err)
@@ -206,7 +220,10 @@ func TestFailLinkAllSharedSubnets(t *testing.T) {
 func TestFailLinkSubnet(t *testing.T) {
 	lab := multiSubnetLab(t)
 	// Fail only one of the two parallel circuits.
-	if err := lab.FailLinkSubnet("r1", "r2", netip.MustParsePrefix("10.0.1.0/24")); err != nil {
+	circuit := func(subnet string) Change {
+		return Change{FailLinks: []Link{{A: "r1", B: "r2", Subnet: netip.MustParsePrefix(subnet)}}}
+	}
+	if _, err := lab.Apply(circuit("10.0.1.0/24")); err != nil {
 		t.Fatal(err)
 	}
 	vm, _ := lab.VM("r1")
@@ -218,11 +235,8 @@ func TestFailLinkSubnet(t *testing.T) {
 		t.Errorf("neighbors = %+v, want one surviving adjacency", lab.OSPFNeighbors("r1"))
 	}
 	// A subnet the pair does not share is rejected.
-	if err := lab.FailLinkSubnet("r1", "r2", netip.MustParsePrefix("10.9.9.0/24")); err == nil {
+	if _, err := lab.Apply(circuit("10.9.9.0/24")); err == nil {
 		t.Error("unshared subnet accepted")
-	}
-	if err := lab.FailLinkSubnet("r1", "r2", netip.Prefix{}); err == nil {
-		t.Error("invalid subnet accepted")
 	}
 	// RestoreLink re-installs only the failed circuit.
 	if err := lab.RestoreLink("r1", "r2"); err != nil {
@@ -234,48 +248,100 @@ func TestFailLinkSubnet(t *testing.T) {
 	}
 }
 
-// labSnapshot captures everything the acceptance criterion compares: OSPF
-// neighbor tables, selected BGP routes, and per-VM interface lists.
-type labSnapshot struct {
-	neighbors map[string][]routing.OSPFNeighbor
-	bgp       map[string][]routing.BGPRoute
-	ifaces    map[string][]routing.InterfaceConfig
+// routingDump is every machine's OSPF neighbor table, BGP table and FIB as
+// `show` prints them.
+func routingDump(t *testing.T, lab *Lab) string {
+	t.Helper()
+	var sb strings.Builder
+	for _, name := range lab.LiveVMNames() {
+		for _, cmd := range []string{"show ip ospf neighbor", "show ip bgp", "show ip route"} {
+			out, err := lab.Exec(name, cmd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&sb, "%s# %s\n%s\n", name, cmd, out)
+		}
+	}
+	return sb.String()
 }
 
-func snapshotLab(lab *Lab) labSnapshot {
-	s := labSnapshot{
-		neighbors: map[string][]routing.OSPFNeighbor{},
-		bgp:       map[string][]routing.BGPRoute{},
-		ifaces:    map[string][]routing.InterfaceConfig{},
+// TestIncidentRoundTrip applies each kind of incident and then its inverse.
+// Afterwards every machine's config equals its boot snapshot and every
+// routing table dump equals the pre-incident one. An inverse applied in
+// several steps must not look healed before its last step.
+func TestIncidentRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		fail   Change
+		logged string
+		heal   []Change
+	}{
+		{"link", Change{FailLinks: []Link{{A: "r1", B: "r3"}}}, "INCIDENT #1: link r1 -- r3 (",
+			[]Change{{RestoreLinks: []Link{{A: "r1", B: "r3"}}}}},
+		{"link healed one end at a time", Change{FailLinks: []Link{{A: "r3", B: "r4"}}}, "INCIDENT #1: link r3 -- r4 (",
+			[]Change{{RestoreNodes: []string{"r3"}}, {RestoreNodes: []string{"r4"}}}},
+		{"node", Change{FailNodes: []string{"r3"}}, "INCIDENT #1: machine r3 down",
+			[]Change{{RestoreNodes: []string{"r3"}}}},
+		{"host batch", Change{HostDown: []string{"r2", "r1"}}, "INCIDENT #1: host failure downed 2 machines",
+			[]Change{{Reboot: []string{"r2", "r1"}}}},
+		{"partition", Change{Partition: []string{"r5"}}, "INCIDENT #1: partition isolated [r5] (2 boundary subnets cut)",
+			[]Change{{RestoreNodes: []string{"r5"}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lab, _ := incidentLab(t)
+			before := routingDump(t, lab)
+			if _, err := lab.Apply(tc.fail); err != nil {
+				t.Fatal(err)
+			}
+			if events := strings.Join(lab.Events(), "\n"); !strings.Contains(events, tc.logged) {
+				t.Errorf("event log lacks %q:\n%s", tc.logged, events)
+			}
+			for i, heal := range tc.heal {
+				if routingDump(t, lab) == before {
+					t.Fatalf("lab looks healed before heal step %d", i+1)
+				}
+				if _, err := lab.Apply(heal); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkHealed(t, lab, before)
+			if got, want := lab.LastIncidentID(), 1+len(tc.heal); got != want {
+				t.Errorf("incident id %d after the round trip, want %d", got, want)
+			}
+		})
 	}
+}
+
+// checkHealed fails the test unless every machine's config equals its boot
+// snapshot and the routing dump equals before.
+func checkHealed(t *testing.T, lab *Lab, before string) {
+	t.Helper()
 	for _, name := range lab.VMNames() {
-		s.neighbors[name] = lab.OSPFNeighbors(name)
-		s.bgp[name] = lab.BGPRoutes(name)
-		vm, _ := lab.VM(name)
-		s.ifaces[name] = append([]routing.InterfaceConfig(nil), vm.Config.Interfaces...)
+		if vm, _ := lab.VM(name); !reflect.DeepEqual(vm.Config, lab.baseline[name]) {
+			t.Errorf("%s differs from its boot snapshot:\n got %+v\nwant %+v", name, vm.Config, lab.baseline[name])
+		}
 	}
-	return s
+	if after := routingDump(t, lab); after != before {
+		t.Errorf("healed lab differs from the pre-incident one:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
 }
 
 // The acceptance criterion: fail -> restore returns the lab to a state
-// identical to the pre-incident one — OSPF neighbor tables, BGP routes and
-// interface lists all reflect.DeepEqual.
+// identical to the pre-incident one.
 func TestRestoreLinkRoundTrip(t *testing.T) {
 	lab, _ := incidentLab(t)
-	before := snapshotLab(lab)
+	before := routingDump(t, lab)
+	nbrs := len(lab.OSPFNeighbors("r1"))
 	if err := lab.FailLink("r1", "r3"); err != nil {
 		t.Fatal(err)
 	}
-	if len(lab.OSPFNeighbors("r1")) == len(before.neighbors["r1"]) {
+	if len(lab.OSPFNeighbors("r1")) == nbrs {
 		t.Fatal("failure did not change adjacency state")
 	}
 	if err := lab.RestoreLink("r1", "r3"); err != nil {
 		t.Fatal(err)
 	}
-	after := snapshotLab(lab)
-	if !reflect.DeepEqual(before, after) {
-		t.Errorf("restored lab differs from pre-incident state:\nbefore: %+v\nafter:  %+v", before, after)
-	}
+	checkHealed(t, lab, before)
 	events := strings.Join(lab.Events(), "\n")
 	if !strings.Contains(events, "INCIDENT #1: link r1 -- r3") || !strings.Contains(events, "restored") {
 		t.Errorf("restore not logged:\n%s", events)
@@ -284,16 +350,14 @@ func TestRestoreLinkRoundTrip(t *testing.T) {
 
 func TestRestoreNodeRoundTrip(t *testing.T) {
 	lab, _ := incidentLab(t)
-	before := snapshotLab(lab)
+	before := routingDump(t, lab)
 	if err := lab.FailNode("r3"); err != nil {
 		t.Fatal(err)
 	}
 	if err := lab.RestoreNode("r3"); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(before, snapshotLab(lab)) {
-		t.Error("restored lab differs from pre-incident state")
-	}
+	checkHealed(t, lab, before)
 	// RestoreNode also repairs this node's side of a failed link...
 	if err := lab.FailLink("r3", "r4"); err != nil {
 		t.Fatal(err)
@@ -311,16 +375,14 @@ func TestRestoreNodeRoundTrip(t *testing.T) {
 	if err := lab.RestoreNode("r4"); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(before, snapshotLab(lab)) {
-		t.Error("lab differs after both ends restored")
-	}
+	checkHealed(t, lab, before)
 }
 
 func TestPartitionAndRestore(t *testing.T) {
 	lab, alloc := incidentLab(t)
-	before := snapshotLab(lab)
+	before := routingDump(t, lab)
 	// Isolate AS2 (r5): both inter-AS links are cut from r5's side.
-	if err := lab.Partition([]string{"r5"}); err != nil {
+	if _, err := lab.Apply(Change{Partition: []string{"r5"}}); err != nil {
 		t.Fatal(err)
 	}
 	lb5 := alloc.Overlay.Node("r5").Get(ipalloc.AttrLoopback).(netip.Addr)
@@ -338,18 +400,51 @@ func TestPartitionAndRestore(t *testing.T) {
 	if err := lab.RestoreNode("r5"); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(before, snapshotLab(lab)) {
-		t.Error("lab differs after partition restore")
-	}
-	// Errors: empty group, unknown machine, group with no outside links.
-	if err := lab.Partition(nil); err == nil {
-		t.Error("empty partition group accepted")
-	}
-	if err := lab.Partition([]string{"ghost"}); err == nil {
+	checkHealed(t, lab, before)
+	// Errors: unknown machine, group with no outside links.
+	if _, err := lab.Apply(Change{Partition: []string{"ghost"}}); err == nil {
 		t.Error("unknown machine accepted")
 	}
-	if err := lab.Partition([]string{"r1", "r2", "r3", "r4", "r5"}); err == nil {
+	if _, err := lab.Apply(Change{Partition: []string{"r1", "r2", "r3", "r4", "r5"}}); err == nil {
 		t.Error("whole-lab partition accepted")
+	}
+}
+
+// TestRejectedChangeLeavesLabUnchanged: Apply validates a whole change
+// before it touches the lab, so a change it rejects leaves no trace, even
+// when its first parts were valid.
+func TestRejectedChangeLeavesLabUnchanged(t *testing.T) {
+	lab, _ := incidentLab(t)
+	if err := lab.FailLink("r1", "r3"); err != nil { // something to restore
+		t.Fatal(err)
+	}
+	type state struct {
+		quarantined, live, events []string
+		dump                      string
+	}
+	snap := func() state { return state{lab.Quarantined(), lab.LiveVMNames(), lab.Events(), routingDump(t, lab)} }
+	before := snap()
+	for _, c := range []Change{
+		{Quarantine: []string{"r5", "nosuch"}},
+		{Quarantine: []string{"r5", "r5"}},
+		{Quarantine: lab.LiveVMNames()},
+		{FailLinks: []Link{{A: "r1", B: "r2"}, {A: "r1", B: "r1"}}},
+		{FailNodes: []string{"r2", "ghost"}},
+		{RestoreLinks: []Link{{A: "r1", B: "r3"}, {A: "r1", B: "r2"}}},
+		{HostDown: []string{"r4"}, Partition: lab.VMNames()},
+		{Reboot: []string{"r1"}, SoftReset: []string{"r2"}},
+		{SoftReset: []string{"r2", "ghost"}},
+	} {
+		if _, err := lab.Apply(c); err == nil {
+			t.Errorf("%+v accepted", c)
+			continue
+		}
+		if after := snap(); !reflect.DeepEqual(before, after) {
+			t.Errorf("rejected %+v changed the lab:\nbefore %+v\nafter  %+v", c, before, after)
+		}
+	}
+	if got := lab.LastIncidentID(); got != 1 {
+		t.Errorf("rejected changes took incident ids: last is %d, want 1", got)
 	}
 }
 
@@ -379,7 +474,7 @@ func TestRestoreErrors(t *testing.T) {
 	if err := cbgp.RestoreLink(names[0], names[1]); err == nil {
 		t.Error("cbgp restore accepted")
 	}
-	if err := cbgp.Partition(names[:1]); err == nil {
+	if _, err := cbgp.Apply(Change{Partition: names[:1]}); err == nil {
 		t.Error("cbgp partition accepted")
 	}
 }

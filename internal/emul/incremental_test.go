@@ -112,10 +112,10 @@ func twinLabs(t *testing.T) (full, inc *Lab, col *obs.Collector) {
 // recompute.
 func TestIncrementalNoopReconvergeParity(t *testing.T) {
 	full, inc, col := twinLabs(t)
-	if _, err := full.Reconverge(); err != nil {
+	if _, err := full.Apply(Change{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inc.Reconverge(); err != nil {
+	if _, err := inc.Apply(Change{}); err != nil {
 		t.Fatal(err)
 	}
 	checkLabsIdentical(t, "noop reconverge", full, inc)
@@ -170,7 +170,7 @@ func TestIncrementalLinkIncidentParity(t *testing.T) {
 func TestIncrementalPartitionHealParity(t *testing.T) {
 	full, inc, _ := twinLabs(t)
 	for _, lab := range []*Lab{full, inc} {
-		if err := lab.Partition([]string{"r5"}); err != nil {
+		if _, err := lab.Apply(Change{Partition: []string{"r5"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,7 +193,7 @@ func TestIncrementalFlapStormParity(t *testing.T) {
 		lab.SetPerturber(routing.NewScheduledPerturber(7, []routing.PerturbRule{
 			{Kind: routing.PerturbFlap, A: "r1", B: "r2", Every: 1, Recover: true},
 		}))
-		if res, err := lab.Reconverge(); err != nil || res.Converged {
+		if res, err := lab.Apply(Change{}); err != nil || res.Converged {
 			t.Fatalf("perturbed reconverge: res=%+v err=%v", res, err)
 		}
 	}
@@ -236,7 +236,7 @@ func TestIncrementalQuarantineParity(t *testing.T) {
 		lab.SetPerturber(routing.NewScheduledPerturber(21, []routing.PerturbRule{
 			{Kind: routing.PerturbFlap, A: "r1", B: "r2", Every: 1}, // no Recover
 		}))
-		if res, err := lab.Reconverge(); err != nil || res.Converged {
+		if res, err := lab.Apply(Change{}); err != nil || res.Converged {
 			t.Fatalf("perturbed reconverge: res=%+v err=%v", res, err)
 		}
 	}
@@ -283,7 +283,7 @@ func TestIncidentIDThreading(t *testing.T) {
 	lab.SetPerturber(routing.NewScheduledPerturber(7, []routing.PerturbRule{
 		{Kind: routing.PerturbFlap, A: "r1", B: "r2", Every: 1, Recover: true},
 	}))
-	if res, err := lab.Reconverge(); err != nil || res.Converged {
+	if res, err := lab.Apply(Change{}); err != nil || res.Converged {
 		t.Fatalf("perturbed reconverge: res=%+v err=%v", res, err)
 	}
 	rep, err := (&Watchdog{}).Supervise(lab)

@@ -32,14 +32,14 @@ type VM struct {
 // Lab is a running emulation: a set of VMs, the converged protocol engines
 // and the data plane.
 //
-// Incident injection (FailLink, FailNode, Partition, Restore*) and the
+// A started lab changes only through Apply (incident.go), and Apply and the
 // read-side API (Exec, the neighbor/route accessors, Events) may be called
-// from different goroutines: mutation takes the write lock, reads take the
-// read lock, so a measurement client probing the lab while an incident
+// from different goroutines: Apply takes the write lock, reads take the read
+// lock, so a measurement client probing the lab while an incident
 // re-converges it observes either the pre- or post-incident network, never
 // a half-rebuilt one. The *VM values returned by VM() are snapshots of
 // pointers into lab state; their Config field is owned by the lab and must
-// not be read concurrently with incident injection.
+// not be read concurrently with Apply.
 type Lab struct {
 	Host     string
 	Platform string
@@ -48,9 +48,9 @@ type Lab struct {
 	vms   map[string]*VM
 	order []string
 
-	// baseline holds a deep copy of every machine's boot-time DeviceConfig,
-	// captured at Start, so incidents are reversible: RestoreLink and
-	// RestoreNode re-install interfaces from these snapshots.
+	// baseline holds a copy of every machine's boot-time DeviceConfig,
+	// captured at Boot, so incidents are reversible: a Change's restore and
+	// reboot parts re-install interfaces from these snapshots.
 	baseline map[string]*routing.DeviceConfig
 
 	domain    *routing.OSPFDomain
@@ -86,9 +86,9 @@ type Lab struct {
 	// builds; results are byte-identical at any value (shard.go).
 	shards int
 
-	// incidentSeq numbers injected incidents (FailLink, FailNode, Partition
-	// and their restores) so watchdog escalations and chaos reports can name
-	// the incident that triggered them. 0 = no incident injected yet.
+	// incidentSeq numbers the incidents Apply injected (a Change's link,
+	// machine and partition parts) so watchdog escalations and chaos reports
+	// can name the incident that triggered them. 0 = no incident yet.
 	incidentSeq int
 
 	// diags accumulates every Diagnostic found while ingesting this lab's
@@ -129,16 +129,6 @@ func (l *Lab) Events() []string {
 
 func (l *Lab) logf(format string, args ...any) {
 	l.events = append(l.events, fmt.Sprintf(format, args...))
-}
-
-// incidentNote renders the " (incident #N)" suffix watchdog event lines
-// carry once incidents have been injected; empty before the first one, so
-// incident-free labs log exactly as they always did. Callers hold the lock.
-func (l *Lab) incidentNote() string {
-	if l.incidentSeq == 0 {
-		return ""
-	}
-	return fmt.Sprintf(" (incident #%d)", l.incidentSeq)
 }
 
 // VMNames returns machine names in lab.conf order.
@@ -268,7 +258,7 @@ func (l *Lab) Links() [][2]string {
 			if l.vms[a].Config == nil || l.vms[b].Config == nil {
 				continue
 			}
-			if len(sharedSubnets(l.vms[a].Config, l.vms[b].Config)) > 0 {
+			if len(sharedSubnets(l.vms[a].Config.Interfaces, l.vms[b].Config.Interfaces)) > 0 {
 				pair := [2]string{a, b}
 				if b < a {
 					pair = [2]string{b, a}
@@ -559,11 +549,14 @@ func (l *Lab) Boot(opts BootOptions) error {
 		l.logf("machine %s booted (%d interfaces)", name, len(vm.Config.Interfaces))
 	}
 	// Snapshot every surviving machine's boot-time config so incidents are
-	// reversible (RestoreLink/RestoreNode re-install from these).
+	// reversible (Apply's restore parts re-install from these). A struct copy
+	// suffices: Apply replaces interface lists and never writes into one, so
+	// the snapshot may share every slice with the live config.
 	l.baseline = make(map[string]*routing.DeviceConfig, len(l.order))
 	for _, name := range l.order {
-		if l.vms[name].Config != nil {
-			l.baseline[name] = cloneDeviceConfig(l.vms[name].Config)
+		if dc := l.vms[name].Config; dc != nil {
+			snapshot := *dc
+			l.baseline[name] = &snapshot
 		}
 	}
 	l.budget = routing.ConvergenceBudget{MaxBGPRounds: opts.MaxBGPRounds, Timeout: opts.ConvergeTimeout}
@@ -582,8 +575,7 @@ func (l *Lab) Boot(opts BootOptions) error {
 }
 
 // converge (re)runs the control plane and rebuilds the data plane over the
-// machines' current configurations; called at Start and after incident
-// injection (FailLink/FailNode).
+// machines' current configurations; called by Boot and by Apply only.
 func (l *Lab) converge() error {
 	// Quarantined machines (nil Config) are not part of the running
 	// topology: the control plane and data plane build over the survivors.
@@ -649,10 +641,7 @@ func (l *Lab) converge() error {
 		bgp.EnableIncremental(l.bgpReplay, igpChanged)
 	}
 	l.bgp = bgp
-	ctx, cancel := l.budget.Context()
-	l.bgpResult = bgp.RunContext(ctx, l.budget.MaxBGPRounds)
-	cancel()
-	l.logBGPResult()
+	l.runBGP()
 	for _, down := range bgp.SessionsDown() {
 		l.logf("bgp session down: %s", down)
 	}
@@ -696,9 +685,12 @@ func (l *Lab) liveDevices() []*routing.DeviceConfig {
 	return devices
 }
 
-// logBGPResult records the outcome of the most recent BGP run in the event
-// log. Callers hold the write lock.
-func (l *Lab) logBGPResult() {
+// runBGP runs the lab's BGP engine, from whatever state it holds, under the
+// current budget and logs the outcome. Callers hold the write lock.
+func (l *Lab) runBGP() {
+	ctx, cancel := l.budget.Context()
+	l.bgpResult = l.bgp.RunContext(ctx, l.budget.MaxBGPRounds)
+	cancel()
 	switch {
 	case l.bgpResult.Cancelled:
 		l.logf("bgp run CANCELLED after %d rounds (budget timeout %v)", l.bgpResult.Rounds, l.budget.Timeout)

@@ -287,7 +287,7 @@ func incidentSteps(lab *Lab) []labStep {
 		{"restore-link", func() error { return lab.RestoreLink(link[0], link[1]) }},
 		{"fail-node", func() error { return lab.FailNode(victim) }},
 		{"restore-node", func() error { return lab.RestoreNode(victim) }},
-		{"partition", func() error { return lab.Partition(island) }},
+		{"partition", func() error { _, err := lab.Apply(Change{Partition: island}); return err }},
 		{"heal", func() error {
 			for _, name := range island {
 				if err := lab.RestoreNode(name); err != nil && !strings.Contains(err.Error(), "is not failed") {
@@ -332,7 +332,7 @@ func TestDataplaneMatchesRIBReference(t *testing.T) {
 			}
 			origin.BGP.Networks = append(origin.BGP.Networks, netip.MustParsePrefix("0.0.0.0/0"))
 			origin.Gateway, hearer.Gateway = netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.1")
-			if _, err := lab.Reconverge(); err != nil {
+			if _, err := lab.Apply(Change{}); err != nil {
 				t.Fatal(err)
 			}
 			if _, overStatic := checkAgainstReference(t, "static-default", lab); overStatic == 0 {

@@ -67,7 +67,7 @@ func TestDeltaSPFMatchesFreshDomain(t *testing.T) {
 			perturb := func(rules ...routing.PerturbRule) func() error {
 				return func() error {
 					lab.SetPerturber(routing.NewScheduledPerturber(1337, rules))
-					_, err := lab.Reconverge()
+					_, err := lab.Apply(Change{})
 					return err
 				}
 			}
@@ -85,7 +85,7 @@ func TestDeltaSPFMatchesFreshDomain(t *testing.T) {
 				labStep{"perturb-flap", perturb(routing.PerturbRule{Kind: routing.PerturbFlap, A: lossy[0], B: lossy[1], Every: 1, Recover: true})},
 				labStep{"perturb-clear", func() error {
 					lab.SetPerturber(nil)
-					_, err := lab.Reconverge()
+					_, err := lab.Apply(Change{})
 					return err
 				}},
 			)

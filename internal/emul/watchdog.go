@@ -92,22 +92,8 @@ func (l *Lab) Perturber() routing.Perturber {
 	return l.pert
 }
 
-// Reconverge re-runs the control plane over the current configs under the
-// current budget and returns the outcome.
-func (l *Lab) Reconverge() (routing.BGPResult, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.started {
-		return routing.BGPResult{}, fmt.Errorf("emul: lab not started")
-	}
-	if err := l.converge(); err != nil {
-		return routing.BGPResult{}, err
-	}
-	return l.bgpResult, nil
-}
-
 // RebuildDataplane derives a new network generation from the converged
-// engines as they stand: the last step of Reconverge on its own, which is
+// engines as they stand: the last step of a converge on its own, which is
 // how benchmarks time the data-plane layer.
 func (l *Lab) RebuildDataplane() error {
 	l.mu.Lock()
@@ -116,92 +102,6 @@ func (l *Lab) RebuildDataplane() error {
 		return fmt.Errorf("emul: lab has no data plane to rebuild")
 	}
 	return l.buildDataplane(l.liveDevices())
-}
-
-// ReconvergeWith installs a new budget and re-runs the control plane under
-// it — the watchdog's budget-escalation rung.
-func (l *Lab) ReconvergeWith(b routing.ConvergenceBudget) (routing.BGPResult, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.started {
-		return routing.BGPResult{}, fmt.Errorf("emul: lab not started")
-	}
-	l.budget = b
-	l.logf("WATCHDOG: budget escalated to %d rounds%s", b.BGPRounds(), l.incidentNote())
-	if err := l.converge(); err != nil {
-		return routing.BGPResult{}, err
-	}
-	return l.bgpResult, nil
-}
-
-// SoftResetSpeakers performs the supervisor's `clear ip bgp` rung: the
-// named speakers' RIBs are flushed, the perturbation layer is notified (so
-// session-state-local faults heal), and the engine continues from the
-// flushed state under the current budget. The data plane is rebuilt from
-// the new selections.
-func (l *Lab) SoftResetSpeakers(hosts []string) (routing.BGPResult, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.started {
-		return routing.BGPResult{}, fmt.Errorf("emul: lab not started")
-	}
-	if l.bgp == nil {
-		return routing.BGPResult{}, fmt.Errorf("emul: lab has no BGP engine")
-	}
-	l.logf("WATCHDOG: soft reset of %s (RIB flush + re-exchange)%s", strings.Join(hosts, ", "), l.incidentNote())
-	l.bgp.SoftReset(hosts)
-	// A reset discards the engine's trajectory recording, so the lab's
-	// cached replay is stale too; the next converge recomputes in full.
-	l.bgpReplay = nil
-	ctx, cancel := l.budget.Context()
-	l.bgpResult = l.bgp.RunContext(ctx, l.budget.MaxBGPRounds)
-	cancel()
-	l.logBGPResult()
-	if !platforms[l.Platform].solver {
-		if err := l.buildDataplane(l.liveDevices()); err != nil {
-			return l.bgpResult, err
-		}
-	}
-	return l.bgpResult, nil
-}
-
-// QuarantineSpeakers is the ladder's last rung: the named machines are
-// removed from the running topology (PR 3 quarantine semantics — nil
-// Config, listed in Quarantined) and the survivors re-converge from
-// scratch. Quarantining every remaining machine is refused.
-func (l *Lab) QuarantineSpeakers(hosts []string, reason string) (routing.BGPResult, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.started {
-		return routing.BGPResult{}, fmt.Errorf("emul: lab not started")
-	}
-	live := 0
-	for _, name := range l.order {
-		if l.vms[name].Config != nil {
-			live++
-		}
-	}
-	if len(hosts) >= live {
-		return l.bgpResult, fmt.Errorf("emul: refusing to quarantine all %d remaining machines", live)
-	}
-	for _, name := range hosts {
-		vm, ok := l.vms[name]
-		if !ok {
-			return l.bgpResult, fmt.Errorf("emul: no machine %q", name)
-		}
-		if vm.Config == nil {
-			return l.bgpResult, fmt.Errorf("emul: machine %q already quarantined", name)
-		}
-		vm.Config = nil
-		vm.Booted = false
-		l.quarantined = append(l.quarantined, name)
-		l.logf("machine %s QUARANTINED by watchdog (%s)%s", name, reason, l.incidentNote())
-	}
-	sort.Strings(l.quarantined)
-	if err := l.converge(); err != nil {
-		return routing.BGPResult{}, err
-	}
-	return l.bgpResult, nil
 }
 
 // FlappingSessions exposes the engine's session up↔down transition log:
@@ -392,7 +292,7 @@ func (w *Watchdog) Supervise(lab *Lab) (SupervisionReport, error) {
 	// little and double-checks the cycle verdict from scratch.)
 	cur = base.Escalated(w.factor())
 	w.Obs.Add(obs.CounterWatchdogBudgetEscalations, 1)
-	res, err := lab.ReconvergeWith(cur)
+	res, err := lab.Apply(Change{Budget: &cur})
 	if err != nil {
 		return rep, err
 	}
@@ -406,7 +306,7 @@ func (w *Watchdog) Supervise(lab *Lab) (SupervisionReport, error) {
 	// to everyone — a full `clear ip bgp *`).
 	targets := w.resetTargets(lab, res)
 	w.Obs.Add(obs.CounterWatchdogSoftResets, 1)
-	res, err = lab.SoftResetSpeakers(targets)
+	res, err = lab.Apply(Change{SoftReset: targets})
 	if err != nil {
 		return rep, err
 	}
@@ -422,7 +322,7 @@ func (w *Watchdog) Supervise(lab *Lab) (SupervisionReport, error) {
 		return rep, nil
 	}
 	w.Obs.Add(obs.CounterWatchdogQuarantines, int64(len(victims)))
-	res, err = lab.QuarantineSpeakers(victims, "persistent oscillation")
+	res, err = lab.Apply(Change{Quarantine: victims, Reason: "persistent oscillation"})
 	if err != nil {
 		return rep, err
 	}

@@ -110,7 +110,7 @@ func TestWatchdogRecoversFromFlap(t *testing.T) {
 	lab.SetPerturber(routing.NewScheduledPerturber(21, []routing.PerturbRule{
 		{Kind: routing.PerturbFlap, A: "r1", B: "r2", Every: 1, Recover: true},
 	}))
-	if res, err := lab.Reconverge(); err != nil || res.Converged {
+	if res, err := lab.Apply(Change{}); err != nil || res.Converged {
 		t.Fatalf("perturbed reconverge: res=%+v err=%v", res, err)
 	}
 
@@ -176,7 +176,7 @@ func TestWatchdogQuarantinesPersistentFlap(t *testing.T) {
 	lab.SetPerturber(routing.NewScheduledPerturber(21, []routing.PerturbRule{
 		{Kind: routing.PerturbFlap, A: "r1", B: "r2", Every: 1}, // no Recover
 	}))
-	if res, err := lab.Reconverge(); err != nil || res.Converged {
+	if res, err := lab.Apply(Change{}); err != nil || res.Converged {
 		t.Fatalf("perturbed reconverge: res=%+v err=%v", res, err)
 	}
 
@@ -221,14 +221,10 @@ func TestWatchdogQuarantinesPersistentFlap(t *testing.T) {
 // Supervising an unstarted lab errors cleanly at the first mutating rung.
 func TestWatchdogLabGuards(t *testing.T) {
 	lab, _ := buildLab(t, "netkit", "quagga")
-	if _, err := lab.Reconverge(); err == nil {
-		t.Error("Reconverge on unstarted lab succeeded")
-	}
-	if _, err := lab.SoftResetSpeakers([]string{"r1"}); err == nil {
-		t.Error("SoftResetSpeakers on unstarted lab succeeded")
-	}
-	if _, err := lab.QuarantineSpeakers([]string{"r1"}, "test"); err == nil {
-		t.Error("QuarantineSpeakers on unstarted lab succeeded")
+	for _, c := range []Change{{}, {SoftReset: []string{"r1"}}, {Quarantine: []string{"r1"}, Reason: "test"}} {
+		if _, err := lab.Apply(c); err == nil {
+			t.Errorf("Apply(%+v) on unstarted lab succeeded", c)
+		}
 	}
 }
 
@@ -236,17 +232,20 @@ func TestWatchdogLabGuards(t *testing.T) {
 // already-quarantined machines.
 func TestQuarantineSpeakersGuards(t *testing.T) {
 	lab, _ := startedLab(t, "netkit", "quagga")
-	all := lab.LiveVMNames()
-	if _, err := lab.QuarantineSpeakers(all, "test"); err == nil || !strings.Contains(err.Error(), "refusing") {
+	quarantine := func(names ...string) error {
+		_, err := lab.Apply(Change{Quarantine: names, Reason: "test"})
+		return err
+	}
+	if err := quarantine(lab.LiveVMNames()...); err == nil || !strings.Contains(err.Error(), "refusing") {
 		t.Errorf("quarantine-all err = %v", err)
 	}
-	if _, err := lab.QuarantineSpeakers([]string{"nosuch"}, "test"); err == nil {
+	if err := quarantine("nosuch"); err == nil {
 		t.Error("unknown machine accepted")
 	}
-	if _, err := lab.QuarantineSpeakers([]string{"r5"}, "test"); err != nil {
+	if err := quarantine("r5"); err != nil {
 		t.Fatalf("first quarantine: %v", err)
 	}
-	if _, err := lab.QuarantineSpeakers([]string{"r5"}, "test"); err == nil {
+	if err := quarantine("r5"); err == nil {
 		t.Error("double quarantine accepted")
 	}
 }

@@ -34,6 +34,9 @@ go run ./cmd/ankchaos -in testdata/small_internet.graphml \
 diff -u testdata/chaos/link_outage.report /tmp/ci_chaos_report.$$
 rm -f /tmp/ci_chaos_report.$$
 
+echo "== examples (every examples/ program end to end, whatif drives incidents through emul.Lab.Apply)"
+sh scripts/run_examples.sh > /dev/null
+
 echo "== golden scheduler drill (testdata/sched/drill)"
 go run ./cmd/anksched -script testdata/sched/drill.sched -seed 2013 > /tmp/ci_sched_report.$$
 diff -u testdata/sched/drill.report /tmp/ci_sched_report.$$

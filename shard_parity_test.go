@@ -293,7 +293,7 @@ func TestShardWatchdogMeasureRace(t *testing.T) {
 	lab.SetPerturber(routing.NewScheduledPerturber(5, []routing.PerturbRule{
 		{Kind: routing.PerturbFlap, A: "as1r1", B: "as20r3", Every: 1, Recover: true},
 	}))
-	if res, err := lab.Reconverge(); err != nil || res.Converged {
+	if res, err := lab.Apply(emul.Change{}); err != nil || res.Converged {
 		t.Fatalf("perturbed reconverge: res=%+v err=%v", res, err)
 	}
 
