@@ -171,8 +171,8 @@ func (n *Network) Allocate(cfg ipalloc.Config) error {
 }
 
 // Compile condenses the overlays into the Resource Database (§5.4).
-// Per-device compilation fans out across opts.Workers goroutines
-// (GOMAXPROCS when zero) with byte-identical output at any worker count.
+// Devices compile on GOMAXPROCS goroutines with byte-identical output at
+// any GOMAXPROCS; an error is the first failing device's in node order.
 func (n *Network) Compile(opts compile.Options) error {
 	if n.Alloc == nil {
 		return stageErr("Allocate", "Compile")
@@ -194,9 +194,9 @@ func (n *Network) Compile(opts compile.Options) error {
 // default render options.
 func (n *Network) Render() error { return n.RenderWith(render.Options{}) }
 
-// RenderWith renders with explicit options. Per-device and per-lab template
-// execution fans out across opts.Workers goroutines (GOMAXPROCS when zero)
-// with byte-identical output at any worker count.
+// RenderWith renders with explicit options. Devices and labs render on
+// GOMAXPROCS goroutines with byte-identical output at any GOMAXPROCS; an
+// error is the first failing device's (or lab's) in output order.
 func (n *Network) RenderWith(opts render.Options) error {
 	if n.DB == nil {
 		return stageErr("Compile", "Render")

@@ -701,10 +701,10 @@ func BenchmarkSubstrate_GraphMLLoad(b *testing.B) {
 	}
 }
 
-// --- P1: parallel compile/render scale-out (this repo's worker pool; the
-// paper's Fig. 9 argues artifact generation must stay tractable at
-// thousands of routers). Sub-benchmarks compare Workers=1 (serial) against
-// Workers=GOMAXPROCS on a 240-router topology. ---
+// --- P1: compile/render scale-out (the par fan-out; the paper's Fig. 9
+// argues artifact generation must stay tractable at thousands of routers)
+// on a 240-router topology. Run with -cpu 1,2 to compare one goroutine
+// against two. ---
 
 // p1Input builds a 240-router NREN-shaped model through Allocate, ready for
 // repeated Compile/Render runs.
@@ -729,18 +729,11 @@ func p1Input(b *testing.B) *Network {
 
 func BenchmarkP1_Compile(b *testing.B) {
 	net := p1Input(b)
-	for _, workers := range []int{1, 0} {
-		name := "serial"
-		if workers == 0 {
-			name = "parallel"
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := net.Compile(compile.Options{}); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := net.Compile(compile.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -749,38 +742,24 @@ func BenchmarkP1_Render(b *testing.B) {
 	if err := net.Compile(compile.Options{}); err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, 0} {
-		name := "serial"
-		if workers == 0 {
-			name = "parallel"
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := net.Render(); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := net.RenderWith(render.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
 func BenchmarkP1_CompileRender(b *testing.B) {
 	net := p1Input(b)
-	for _, workers := range []int{1, 0} {
-		name := "serial"
-		if workers == 0 {
-			name = "parallel"
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := net.Compile(compile.Options{}); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := net.Compile(compile.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-				if err := net.RenderWith(render.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		if err := net.Render(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

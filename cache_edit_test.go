@@ -44,7 +44,7 @@ func TestEditRebuildWritesOnlyWhatChanged(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	populate := buildCached(t, g.Copy(), store, 0)
+	populate := buildCached(t, g.Copy(), store)
 	devices := populate.DB.Len()
 	files0, bytes0 := storeDirUsage(t, dir)
 	written0 := store.Stats().BytesWritten
@@ -61,7 +61,7 @@ func TestEditRebuildWritesOnlyWhatChanged(t *testing.T) {
 	ids := edited.SortedNodeIDs()
 	edited.Node(ids[len(ids)/2]).Set("note", "edited")
 	for i, wantMisses := range []int64{2, 0} {
-		net := buildCached(t, edited.Copy(), store, 0)
+		net := buildCached(t, edited.Copy(), store)
 		c := net.Stats().Counters
 		if c[obs.CounterCacheMisses] != wantMisses || c[obs.CounterCacheHits] != int64(2*devices)-wantMisses {
 			t.Fatalf("rebuild %d: %d hits, %d misses, want %d misses of %d lookups",

@@ -36,7 +36,7 @@ func movedDevices(before, after map[graph.ID]cache.Digest) []string {
 // compile (or render) cache while everything else hits.
 func TestCacheInvalidationMatrix(t *testing.T) {
 	store := cache.NewMemory()
-	net := buildCached(t, topogen.SmallInternet(), store, 1)
+	net := buildCached(t, topogen.SmallInternet(), store)
 	n := int64(net.DB.Len())
 	digests := compileDigests(net)
 

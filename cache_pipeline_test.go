@@ -16,20 +16,15 @@ import (
 )
 
 // buildCached runs the design-through-render chain over g with the given
-// store (nil disables caching) and worker count, returning the built
-// network. Counters are read back through net.Stats().
-func buildCached(t *testing.T, g *graph.Graph, store *cache.Store, workers int) *Network {
+// store (nil disables caching), returning the built network. Counters are
+// read back through net.Stats().
+func buildCached(t *testing.T, g *graph.Graph, store *cache.Store) *Network {
 	t.Helper()
 	net, err := LoadGraph(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = net.Build(BuildOptions{
-		Cache:   store,
-		Compile: compile.Options{Workers: workers},
-		Render:  render.Options{Workers: workers},
-	})
-	if err != nil {
+	if err := net.Build(BuildOptions{Cache: store}); err != nil {
 		t.Fatal(err)
 	}
 	return net
@@ -47,11 +42,11 @@ func compileDigests(net *Network) map[graph.ID]cache.Digest {
 
 // TestCachePipelineProperty is the property-based regression harness over
 // the incremental build cache: for a table of bounded random topologies
-// (seeded generators), a cold cached build, a fully warm cached build at
-// Workers 1 and 8, and a post-single-edit partial rebuild must all be
-// byte-for-byte identical to the cache-disabled build of the same model,
-// with the obs counters proving exactly which devices were reused. Failures
-// log the generator/seed/workers row that produced them.
+// (seeded generators), a cold cached build, a fully warm cached build and
+// a post-single-edit partial rebuild must all be byte-for-byte identical
+// to the cache-disabled build of the same model, with the obs counters
+// proving exactly which devices were reused. Failures log the
+// generator/seed row that produced them.
 func TestCachePipelineProperty(t *testing.T) {
 	type tcase struct {
 		name string
@@ -89,64 +84,60 @@ func TestCachePipelineProperty(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(fmt.Sprintf("%s/seed=%d", tc.name, tc.seed), func(t *testing.T) {
-			row := func(workers int) string {
-				return fmt.Sprintf("generator=%s seed=%d workers=%d", tc.name, tc.seed, workers)
-			}
+			row := fmt.Sprintf("generator=%s seed=%d", tc.name, tc.seed)
 			g, err := tc.gen(tc.seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			baseline := buildCached(t, g.Copy(), nil, 1)
+			baseline := buildCached(t, g.Copy(), nil)
 			refHash := fileSetHash(t, baseline.Files)
 			n := int64(baseline.DB.Len())
 			if n == 0 {
-				t.Fatalf("%s: empty build", row(1))
+				t.Fatalf("%s: empty build", row)
 			}
 
 			store := cache.NewMemory()
-			cold := buildCached(t, g.Copy(), store, 1)
+			cold := buildCached(t, g.Copy(), store)
 			cc := cold.Stats().Counters
 			if cc[obs.CounterCompileCacheMisses] != n || cc[obs.CounterCompileCacheHits] != 0 {
 				t.Errorf("%s: cold compile hits/misses = %d/%d, want 0/%d",
-					row(1), cc[obs.CounterCompileCacheHits], cc[obs.CounterCompileCacheMisses], n)
+					row, cc[obs.CounterCompileCacheHits], cc[obs.CounterCompileCacheMisses], n)
 			}
 			if h := fileSetHash(t, cold.Files); h != refHash {
-				t.Errorf("%s: cold cached build differs from cache-disabled build", row(1))
+				t.Errorf("%s: cold cached build differs from cache-disabled build", row)
 			}
 
-			// Fully warm builds at both worker counts: zero misses, zero
-			// devices compiled, bytes reused, identical tree.
-			for _, workers := range []int{8, 1} {
-				warm := buildCached(t, g.Copy(), store, workers)
-				wc := warm.Stats().Counters
-				if wc[obs.CounterCompileCacheHits] != n || wc[obs.CounterCompileCacheMisses] != 0 {
-					t.Errorf("%s: warm compile hits/misses = %d/%d, want %d/0",
-						row(workers), wc[obs.CounterCompileCacheHits], wc[obs.CounterCompileCacheMisses], n)
-				}
-				if wc[obs.CounterRenderCacheHits] != n || wc[obs.CounterRenderCacheMisses] != 0 {
-					t.Errorf("%s: warm render hits/misses = %d/%d, want %d/0",
-						row(workers), wc[obs.CounterRenderCacheHits], wc[obs.CounterRenderCacheMisses], n)
-				}
-				if wc[obs.CounterDevicesCompiled] != 0 {
-					t.Errorf("%s: warm build compiled %d devices", row(workers), wc[obs.CounterDevicesCompiled])
-				}
-				if wc[obs.CounterCacheBytes] == 0 {
-					t.Errorf("%s: warm build reused zero cached bytes", row(workers))
-				}
-				if h := fileSetHash(t, warm.Files); h != refHash {
-					t.Errorf("%s: warm cached build differs from cache-disabled build", row(workers))
-				}
+			// A fully warm build: zero misses, zero devices compiled, bytes
+			// reused, identical tree.
+			warm := buildCached(t, g.Copy(), store)
+			wc := warm.Stats().Counters
+			if wc[obs.CounterCompileCacheHits] != n || wc[obs.CounterCompileCacheMisses] != 0 {
+				t.Errorf("%s: warm compile hits/misses = %d/%d, want %d/0",
+					row, wc[obs.CounterCompileCacheHits], wc[obs.CounterCompileCacheMisses], n)
+			}
+			if wc[obs.CounterRenderCacheHits] != n || wc[obs.CounterRenderCacheMisses] != 0 {
+				t.Errorf("%s: warm render hits/misses = %d/%d, want %d/0",
+					row, wc[obs.CounterRenderCacheHits], wc[obs.CounterRenderCacheMisses], n)
+			}
+			if wc[obs.CounterDevicesCompiled] != 0 {
+				t.Errorf("%s: warm build compiled %d devices", row, wc[obs.CounterDevicesCompiled])
+			}
+			if wc[obs.CounterCacheBytes] == 0 {
+				t.Errorf("%s: warm build reused zero cached bytes", row)
+			}
+			if h := fileSetHash(t, warm.Files); h != refHash {
+				t.Errorf("%s: warm cached build differs from cache-disabled build", row)
 			}
 
 			// Post-single-edit partial rebuild: bump the cost of the first
 			// OSPF adjacency. The digest diff is the oracle for exactly
 			// which devices may recompile.
-			edit := buildCached(t, g.Copy(), store, 1)
+			edit := buildCached(t, g.Copy(), store)
 			ospf := edit.ANM.Overlay(design.OverlayOSPF)
 			edges := ospf.Edges()
 			if len(edges) == 0 {
-				t.Fatalf("%s: no OSPF adjacency to edit", row(1))
+				t.Fatalf("%s: no OSPF adjacency to edit", row)
 			}
 			before := compileDigests(edit)
 			if err := edges[0].Set(design.AttrCost, 99); err != nil {
@@ -161,7 +152,7 @@ func TestCachePipelineProperty(t *testing.T) {
 			}
 			if affected == 0 || affected == n {
 				t.Fatalf("%s: cost edit on %s moved %d/%d digests — not a partial rebuild",
-					row(1), edges[0], affected, n)
+					row, edges[0], affected, n)
 			}
 
 			// The cache-disabled rebuild of the edited model is ground truth.
@@ -176,16 +167,16 @@ func TestCachePipelineProperty(t *testing.T) {
 			editHash := fileSetHash(t, fsRef)
 
 			// First edited rebuild: exactly the affected devices miss.
-			// Second (any worker count): the store is warm for the new state.
-			for i, workers := range []int{1, 8} {
+			// Second: the store is warm for the new state.
+			for i := range 2 {
 				col := obs.NewCollector()
 				db, err := compile.Compile(edit.ANM, edit.Alloc,
-					compile.Options{Workers: workers, Cache: store, Obs: col})
+					compile.Options{Cache: store, Obs: col})
 				if err != nil {
 					t.Fatal(err)
 				}
 				fs, err := render.RenderWith(context.Background(), db,
-					render.Options{Workers: workers, Cache: store, Obs: col})
+					render.Options{Cache: store, Obs: col})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -197,17 +188,17 @@ func TestCachePipelineProperty(t *testing.T) {
 				if c[obs.CounterCompileCacheMisses] != wantMiss ||
 					c[obs.CounterCompileCacheHits] != n-wantMiss {
 					t.Errorf("%s: edited rebuild #%d compile hits/misses = %d/%d, want %d/%d",
-						row(workers), i+1, c[obs.CounterCompileCacheHits],
+						row, i+1, c[obs.CounterCompileCacheHits],
 						c[obs.CounterCompileCacheMisses], n-wantMiss, wantMiss)
 				}
 				// Render may reuse more than compile (an invalidated device
 				// can compile to unchanged data) but never less.
 				if c[obs.CounterRenderCacheMisses] > wantMiss {
 					t.Errorf("%s: edited rebuild #%d render misses = %d > %d affected",
-						row(workers), i+1, c[obs.CounterRenderCacheMisses], wantMiss)
+						row, i+1, c[obs.CounterRenderCacheMisses], wantMiss)
 				}
 				if h := fileSetHash(t, fs); h != editHash {
-					t.Errorf("%s: edited cached rebuild differs from cache-disabled rebuild", row(workers))
+					t.Errorf("%s: edited cached rebuild differs from cache-disabled rebuild", row)
 				}
 			}
 		})

@@ -21,7 +21,7 @@ import (
 // the quarantined device's model afterwards must rebuild it as a miss.
 func TestLenientBootDoesNotPoisonCache(t *testing.T) {
 	store := cache.NewMemory()
-	net := buildCached(t, topogen.SmallInternet(), store, 1)
+	net := buildCached(t, topogen.SmallInternet(), store)
 	refHash := fileSetHash(t, net.Files)
 	n := int64(net.DB.Len())
 
@@ -51,7 +51,7 @@ func TestLenientBootDoesNotPoisonCache(t *testing.T) {
 	// Rebuild the same model from the same store: every device hits both
 	// caches and the tree is the healthy one — the corruption and the
 	// diagnostics never entered the content-addressed store.
-	rebuilt := buildCached(t, topogen.SmallInternet(), store, 1)
+	rebuilt := buildCached(t, topogen.SmallInternet(), store)
 	c := rebuilt.Stats().Counters
 	if c[obs.CounterCompileCacheHits] != n || c[obs.CounterCompileCacheMisses] != 0 {
 		t.Errorf("rebuild compile hits/misses = %d/%d, want %d/0",

@@ -18,7 +18,7 @@ func TestRepeatedBuildByteDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return buildCached(t, g, nil, 1)
+		return buildCached(t, g, nil)
 	}
 	ref := build()
 	refTree := fileSetHash(t, ref.Files)
@@ -52,7 +52,7 @@ func TestRepeatedBuildByteDeterminism(t *testing.T) {
 // when many findings fire at once — its checks aggregate claims in maps, and
 // an unsorted range there would reorder the report run to run.
 func TestVerifyFindingsOrderStable(t *testing.T) {
-	net := buildCached(t, topogen.SmallInternet(), nil, 1)
+	net := buildCached(t, topogen.SmallInternet(), nil)
 	// Break iBGP symmetry on one device: its former peers each raise an
 	// unmatched-session finding, giving the report enough entries for
 	// ordering to matter.

@@ -7,10 +7,8 @@ import (
 	"testing"
 
 	"autonetkit/internal/chaos"
-	"autonetkit/internal/compile"
 	"autonetkit/internal/deploy"
 	"autonetkit/internal/obs"
-	"autonetkit/internal/render"
 )
 
 // End-to-end determinism harness for incremental reconvergence: the PR 5
@@ -51,16 +49,13 @@ check baseline
 // with or without incremental reconvergence, runs the scenario text, and
 // returns the rendered report, the lab's full event log, and the
 // network's counters.
-func runIncrementalScenario(t *testing.T, workers int, incremental bool, scenario string) (string, string, obs.Stats) {
+func runIncrementalScenario(t *testing.T, incremental bool, scenario string) (string, string, obs.Stats) {
 	t.Helper()
 	net, err := Load(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.Build(BuildOptions{
-		Compile: compile.Options{Workers: workers},
-		Render:  render.Options{Workers: workers},
-	}); err != nil {
+	if err := net.Build(BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	dep, err := net.Deploy(deploy.Options{Incremental: incremental})
@@ -86,45 +81,37 @@ func runIncrementalScenario(t *testing.T, workers int, incremental bool, scenari
 }
 
 // The tentpole's correctness bar: incremental ≡ full, byte for byte, on
-// reports and event logs, across Workers∈{1,8} and three perturbation
-// seeds.
+// reports and event logs, across three perturbation seeds.
 func TestIncrementalConvergenceParity(t *testing.T) {
 	for _, seed := range []uint64{1337, 2024, 777} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			scenario := incrementalParityScenario(seed)
-			wantReport, wantEvents, wantStats := runIncrementalScenario(t, 1, false, scenario)
+			wantReport, wantEvents, wantStats := runIncrementalScenario(t, false, scenario)
 			if wantStats.Counters[obs.CounterSPFSourcesSkipped] == 0 {
 				t.Error("spf_sources_skipped = 0, delta SPF never engaged")
 			}
-			for _, workers := range []int{1, 8} {
-				for _, incremental := range []bool{false, true} {
-					if workers == 1 && !incremental {
-						continue // the baseline itself
-					}
-					report, events, stats := runIncrementalScenario(t, workers, incremental, scenario)
-					label := fmt.Sprintf("workers=%d incremental=%v", workers, incremental)
-					if report != wantReport {
-						t.Errorf("%s: report differs from full baseline:\n--- got ---\n%s--- want ---\n%s",
-							label, report, wantReport)
-					}
-					if events != wantEvents {
-						t.Errorf("%s: lab events differ from full baseline:\n--- got ---\n%s\n--- want ---\n%s",
-							label, events, wantEvents)
-					}
-					for _, c := range []string{obs.CounterSPFDeltaRecomputes, obs.CounterSPFSourcesSkipped} {
-						if got, want := stats.Counters[c], wantStats.Counters[c]; got != want {
-							t.Errorf("%s: %s = %d, the baseline's is %d", label, c, got, want)
-						}
-					}
-					// Replay must actually engage (the parity would hold
-					// vacuously if it never armed), and only where asked for.
-					if restored := stats.Counters[obs.CounterBGPSpeakersRestored]; incremental && restored == 0 {
-						t.Errorf("%s: bgp_speakers_restored = 0, replay never engaged", label)
-					} else if !incremental && restored != 0 {
-						t.Errorf("%s: full mode restored %d speaker-rounds", label, restored)
-					}
+			if restored := wantStats.Counters[obs.CounterBGPSpeakersRestored]; restored != 0 {
+				t.Errorf("full mode restored %d speaker-rounds", restored)
+			}
+			report, events, stats := runIncrementalScenario(t, true, scenario)
+			if report != wantReport {
+				t.Errorf("incremental report differs from full baseline:\n--- got ---\n%s--- want ---\n%s",
+					report, wantReport)
+			}
+			if events != wantEvents {
+				t.Errorf("incremental lab events differ from full baseline:\n--- got ---\n%s\n--- want ---\n%s",
+					events, wantEvents)
+			}
+			for _, c := range []string{obs.CounterSPFDeltaRecomputes, obs.CounterSPFSourcesSkipped} {
+				if got, want := stats.Counters[c], wantStats.Counters[c]; got != want {
+					t.Errorf("incremental: %s = %d, the baseline's is %d", c, got, want)
 				}
+			}
+			// Replay must actually engage: the parity would hold vacuously
+			// if it never armed.
+			if stats.Counters[obs.CounterBGPSpeakersRestored] == 0 {
+				t.Error("incremental: bgp_speakers_restored = 0, replay never engaged")
 			}
 		})
 	}
@@ -132,27 +119,24 @@ func TestIncrementalConvergenceParity(t *testing.T) {
 
 // runIncrementalDrill runs testdata/incremental/drill.chaos end-to-end and
 // returns the rendered report.
-func runIncrementalDrill(t *testing.T, workers int, incremental bool) string {
+func runIncrementalDrill(t *testing.T, incremental bool) string {
 	t.Helper()
 	data, err := os.ReadFile("testdata/incremental/drill.chaos")
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, _, _ := runIncrementalScenario(t, workers, incremental, string(data))
+	report, _, _ := runIncrementalScenario(t, incremental, string(data))
 	return report
 }
 
 // Golden incremental drill: the supervised incident sequence's report is
-// byte-reproducible across runs, worker counts and convergence modes, and
+// byte-reproducible across runs and convergence modes, and
 // matches testdata/incremental/drill.report (regenerate deliberately with
 // UPDATE_INCREMENTAL_GOLDEN=1 go test -run TestGoldenIncrementalDrill).
 func TestGoldenIncrementalDrill(t *testing.T) {
-	report := runIncrementalDrill(t, 1, true)
-	if full := runIncrementalDrill(t, 1, false); full != report {
+	report := runIncrementalDrill(t, true)
+	if full := runIncrementalDrill(t, false); full != report {
 		t.Fatalf("incremental report differs from full recompute:\n--- incremental ---\n%s--- full ---\n%s", report, full)
-	}
-	if wide := runIncrementalDrill(t, 8, true); wide != report {
-		t.Fatalf("report differs between Workers=1 and Workers=8:\n--- 1 ---\n%s--- 8 ---\n%s", report, wide)
 	}
 
 	// Structural assertions first, so a stale golden cannot mask a broken

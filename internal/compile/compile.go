@@ -11,10 +11,8 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"autonetkit/internal/cache"
 	"autonetkit/internal/core"
@@ -23,6 +21,7 @@ import (
 	"autonetkit/internal/ipalloc"
 	"autonetkit/internal/nidb"
 	"autonetkit/internal/obs"
+	"autonetkit/internal/par"
 )
 
 // Options parameterises compilation.
@@ -38,11 +37,6 @@ type Options struct {
 	DefaultSyntax string
 	// DefaultHost applies to nodes lacking a host attribute.
 	DefaultHost string
-	// Workers bounds the per-device compile fan-out. 0 (the default) uses
-	// GOMAXPROCS; 1 compiles serially. Output is byte-identical at every
-	// setting: devices compile independently and are merged into the
-	// Resource Database in physical-overlay node order.
-	Workers int
 	// Cache, when non-nil, is the incremental build store: devices whose
 	// input digest (DeviceDigest) matches a stored entry reuse their prior
 	// Resource-Database record instead of recompiling. Output is
@@ -77,9 +71,9 @@ func Compile(anm *core.ANM, alloc *ipalloc.Result, opts Options) (*nidb.DB, erro
 	return CompileContext(context.Background(), anm, alloc, opts)
 }
 
-// CompileContext is Compile with cancellation: per-device compilation fans
-// out across opts.Workers goroutines, and the first error (or ctx
-// cancellation) cancels the remaining work.
+// CompileContext is Compile with cancellation. Devices compile on GOMAXPROCS
+// goroutines; the error is the first failing device's in physical-overlay
+// order, and cancelling ctx stops devices not yet started.
 func CompileContext(ctx context.Context, anm *core.ANM, alloc *ipalloc.Result, opts Options) (*nidb.DB, error) {
 	opts.fill()
 	phy := anm.Overlay(core.OverlayPhy)
@@ -121,7 +115,7 @@ func (c *compiler) run(ctx context.Context) error {
 
 	// Collect the compilable devices in physical-overlay order — this order
 	// defines the Resource Database's (and so every downstream artifact's)
-	// iteration order, regardless of worker count.
+	// iteration order, regardless of GOMAXPROCS.
 	var nodes []core.NodeView
 	for _, n := range phy.Nodes() {
 		dt := n.DeviceType()
@@ -179,67 +173,20 @@ func (c *compiler) run(ctx context.Context) error {
 	return nil
 }
 
-// workerCount resolves a Workers option against the job count.
-func workerCount(workers, jobs int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > jobs {
-		workers = jobs
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// compileDevices fans the per-device compilation out across the worker
-// pool. Results land in a slice indexed like nodes, so the caller merges
-// them in deterministic order; the first error cancels the remaining work.
+// compileDevices compiles every node on the par fan-out. Results land in a
+// slice indexed like nodes, so the caller merges them in deterministic
+// order; the error is the first failing node's, or ctx's once cancelled.
 func (c *compiler) compileDevices(ctx context.Context, nodes []core.NodeView) ([]*nidb.Device, error) {
 	out := make([]*nidb.Device, len(nodes))
-	workers := workerCount(c.opts.Workers, len(nodes))
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var errOnce sync.Once
-	var firstErr error
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				d, err := c.compileOrReuse(nodes[i])
-				if err != nil {
-					fail(err)
-					return
-				}
-				out[i] = d
-			}
-		}()
-	}
-feed:
-	for i := range nodes {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
+	err := par.Do(len(nodes), func(_, i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+		d, err := c.compileOrReuse(nodes[i])
+		out[i] = d
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -433,28 +434,27 @@ func TestServersCompiledWithoutProtocols(t *testing.T) {
 	}
 }
 
-// Compiling with one worker and with many yields the same Resource
+// Compiling on one goroutine and on many yields the same Resource
 // Database: same device order, same serialised trees, same links.
 func TestCompileWorkersDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	anm, alloc, _ := pipeline(t, nil, Options{}, design.Options{})
-	serial, err := Compile(anm, alloc, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Compile(anm, alloc, Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, err := serial.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj, err := parallel.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(sj) != string(pj) {
-		t.Error("Workers=1 and Workers=8 databases differ")
+	var want []byte
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		db, err := Compile(anm, alloc, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := db.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if string(got) != string(want) {
+			t.Errorf("GOMAXPROCS=%d and GOMAXPROCS=1 databases differ", procs)
+		}
 	}
 }
 
@@ -463,17 +463,37 @@ func TestCompileContextCancelled(t *testing.T) {
 	anm, alloc, _ := pipeline(t, nil, Options{}, design.Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CompileContext(ctx, anm, alloc, Options{Workers: 4}); err == nil {
+	if _, err := CompileContext(ctx, anm, alloc, Options{}); err == nil {
 		t.Fatal("cancelled compile succeeded")
 	}
 }
 
-// The first failing device cancels the rest and surfaces its error.
+// The failing device stops the rest and surfaces its error.
 func TestCompileFirstErrorWins(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	anm, alloc, _ := pipeline(t, nil, Options{}, design.Options{})
 	anm.Overlay(core.OverlayPhy).Node("r2").Set(core.AttrSyntax, "bogus")
-	_, err := Compile(anm, alloc, Options{Workers: 8})
-	if err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("got %v, want bogus-syntax error", err)
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		_, err := Compile(anm, alloc, Options{})
+		if err == nil || !strings.Contains(err.Error(), "bogus") {
+			t.Fatalf("GOMAXPROCS=%d: got %v, want bogus-syntax error", procs, err)
+		}
+	}
+}
+
+// With two failing devices the error is always the first's in
+// physical-overlay order, whichever goroutine fails first.
+func TestCompileErrorInDeviceOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	anm, alloc, _ := pipeline(t, nil, Options{}, design.Options{})
+	phy := anm.Overlay(core.OverlayPhy)
+	phy.Node("r1").Set(core.AttrSyntax, "bogusA")
+	phy.Node("r4").Set(core.AttrSyntax, "bogusB")
+	for range 50 {
+		_, err := Compile(anm, alloc, Options{})
+		if err == nil || !strings.Contains(err.Error(), "bogusA") {
+			t.Fatalf("got %v, want r1's bogusA-syntax error", err)
+		}
 	}
 }

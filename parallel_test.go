@@ -3,6 +3,7 @@ package autonetkit
 import (
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -29,8 +30,10 @@ func fileSetHash(t *testing.T, fs *render.FileSet) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-func buildWithWorkers(t *testing.T, workers int) *Network {
+// buildAtProcs builds a 96-router topology at the given GOMAXPROCS.
+func buildAtProcs(t *testing.T, procs int) *Network {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	g, err := topogen.NREN(topogen.NRENConfig{ASes: 8, Routers: 96, Links: 120, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -39,29 +42,25 @@ func buildWithWorkers(t *testing.T, workers int) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = net.Build(BuildOptions{
-		Compile: compile.Options{Workers: workers},
-		Render:  render.Options{Workers: workers},
-	})
-	if err != nil {
+	if err := net.Build(BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	return net
 }
 
-// The worker pool must not change a single output byte: serial (Workers=1)
-// and fanned-out (Workers=8) builds of the same topology produce identical
-// file trees in identical order. CI runs this under -race, which also
-// exercises the pool for data races.
+// The fan-out must not change a single output byte: builds of the same
+// topology at GOMAXPROCS 1 and 8 produce identical file trees in identical
+// order. CI runs this under -race, which also exercises the fan-out for
+// data races.
 func TestParallelBuildDeterminism(t *testing.T) {
-	serial := buildWithWorkers(t, 1)
-	parallel := buildWithWorkers(t, 8)
+	serial := buildAtProcs(t, 1)
+	parallel := buildAtProcs(t, 8)
 	if serial.Files.Len() == 0 {
 		t.Fatal("nothing rendered")
 	}
 	hs, hp := fileSetHash(t, serial.Files), fileSetHash(t, parallel.Files)
 	if hs != hp {
-		t.Fatalf("Workers=1 and Workers=8 trees differ: %s vs %s", hs, hp)
+		t.Fatalf("GOMAXPROCS=1 and GOMAXPROCS=8 trees differ: %s vs %s", hs, hp)
 	}
 }
 
@@ -144,17 +143,21 @@ func TestNetworkStats(t *testing.T) {
 	}
 }
 
-// A compile error on one device cancels the fan-out and surfaces the error.
+// A compile error on one device stops the fan-out and surfaces the error.
 func TestParallelCompileErrorWins(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	g := topogen.SmallInternet()
 	// An unknown syntax makes exactly one device fail to compile.
 	g.Node("as100r2").Set("syntax", "no-such-syntax")
-	net, err := LoadGraph(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = net.Build(BuildOptions{Compile: compile.Options{Workers: 8}})
-	if err == nil || !strings.Contains(err.Error(), "no-such-syntax") {
-		t.Fatalf("got %v, want syntax error", err)
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		net, err := LoadGraph(g.Copy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = net.Build(BuildOptions{})
+		if err == nil || !strings.Contains(err.Error(), "no-such-syntax") {
+			t.Fatalf("GOMAXPROCS=%d: got %v, want syntax error", procs, err)
+		}
 	}
 }

@@ -6,28 +6,22 @@ import (
 	"testing"
 
 	"autonetkit/internal/chaos"
-	"autonetkit/internal/compile"
 	"autonetkit/internal/deploy"
 	"autonetkit/internal/obs"
-	"autonetkit/internal/render"
 	"autonetkit/internal/sched"
 )
 
-// runSchedDrainDrill builds the Small-Internet fixture with the given
-// worker count, deploys it through the cluster scheduler onto four
-// emulated substrate hosts, runs testdata/sched/drain_drill.chaos (a
-// drain-host maintenance drill against the running lab) and returns the
-// rendered report.
-func runSchedDrainDrill(t *testing.T, workers int) string {
+// runSchedDrainDrill builds the Small-Internet fixture, deploys it through
+// the cluster scheduler onto four emulated substrate hosts, runs
+// testdata/sched/drain_drill.chaos (a drain-host maintenance drill against
+// the running lab) and returns the rendered report.
+func runSchedDrainDrill(t *testing.T) string {
 	t.Helper()
 	net, err := Load(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.Build(BuildOptions{
-		Compile: compile.Options{Workers: workers},
-		Render:  render.Options{Workers: workers},
-	}); err != nil {
+	if err := net.Build(BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	dep, err := net.DeployCluster(sched.Uniform(4, 5), deploy.ClusterOptions{Seed: 2013})
@@ -59,14 +53,11 @@ func runSchedDrainDrill(t *testing.T, workers int) string {
 
 // Golden scheduler drain drill: draining a substrate host under a running
 // lab live re-places its VMs, re-boots them, and the network reconverges —
-// byte-reproducibly across runs and across build worker counts, matching
+// byte-reproducibly across runs, matching
 // testdata/sched/drain_drill.report (regenerate deliberately with
 // UPDATE_SCHED_GOLDEN=1 go test -run TestGoldenSchedDrainDrill).
 func TestGoldenSchedDrainDrill(t *testing.T) {
-	report := runSchedDrainDrill(t, 1)
-	if wide := runSchedDrainDrill(t, 8); wide != report {
-		t.Fatalf("report differs between Workers=1 and Workers=8:\n--- 1 ---\n%s--- 8 ---\n%s", report, wide)
-	}
+	report := runSchedDrainDrill(t)
 
 	// Structural assertions first, so a stale golden cannot mask a broken
 	// drill: VMs must actually move and the post-drain check must pass.

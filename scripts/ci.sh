@@ -85,8 +85,15 @@ awk -v t="$total" 'BEGIN {
 echo "== OSPF routes in a total order (-race -count=20: a /24 and a /30 on one address must not swap between runs)"
 go test -race -count=20 -run 'TestOSPFRoutesTotalOrder' ./internal/routing/
 
+echo "== first error in input order (-race -count=20: two failing devices, whichever goroutine fails first, and the par fan-out's contract)"
+go test -race -count=20 -run 'TestCompileErrorInDeviceOrder|TestRenderErrorInDeviceOrder' ./internal/compile/ ./internal/render/
+go test -race -count=20 ./internal/par/
+
 echo "== Extract allocates per byte (without -race: the detector makes sync.Pool lossy, and archive/tar's pooled discard buffer then costs more than the payload)"
 go test -count=1 -run 'TestExtractAllocatesPerByteNotPerFile' ./internal/deploy/
+
+echo "== compile + render benchmark at one and two goroutines (240 routers; -cpu sets GOMAXPROCS)"
+go test -run 'NONE' -bench 'BenchmarkP1_CompileRender' -cpu 1,2 -benchtime 1x .
 
 echo "== incremental rebuild benchmark (cold vs warm vs one-node edit; the edit run fails unless each edit misses exactly two lookups)"
 go test -run 'NONE' -bench 'BenchmarkP4_IncrementalRebuild' -benchtime 1x .

@@ -12,11 +12,9 @@ import (
 	"testing"
 
 	"autonetkit/internal/chaos"
-	"autonetkit/internal/compile"
 	"autonetkit/internal/deploy"
 	"autonetkit/internal/emul"
 	"autonetkit/internal/obs"
-	"autonetkit/internal/render"
 	"autonetkit/internal/routing"
 )
 
@@ -81,19 +79,16 @@ perturb clear
 }
 
 // runShardScenario builds the Small-Internet fixture, deploys it with the
-// given build-worker count, shard worker count and convergence mode, runs
-// the scenario, and returns the rendered report, the lab event log, a
-// combined RIB+FIB dump of every machine, and the network's counters.
-func runShardScenario(t *testing.T, workers, shards int, incremental bool, scenario string) (report, events, tables string, stats obs.Stats) {
+// given shard worker count and convergence mode, runs the scenario, and
+// returns the rendered report, the lab event log, a combined RIB+FIB dump
+// of every machine, and the network's counters.
+func runShardScenario(t *testing.T, shards int, incremental bool, scenario string) (report, events, tables string, stats obs.Stats) {
 	t.Helper()
 	net, err := Load(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.Build(BuildOptions{
-		Compile: compile.Options{Workers: workers},
-		Render:  render.Options{Workers: workers},
-	}); err != nil {
+	if err := net.Build(BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	dep, err := net.Deploy(deploy.Options{Incremental: incremental, Shards: shards})
@@ -138,8 +133,8 @@ func ribFibDump(lab *emul.Lab) string {
 
 // The tentpole's correctness bar: sharded ≡ sequential, byte for byte, on
 // reports, event logs, RIBs and FIBs, across the full cross-product
-// Shards∈{1,4,NumCPU} × build Workers∈{1,8} × three perturbation seeds,
-// with incremental × sharded composition checked at every sharded width.
+// Shards∈{1,4,NumCPU} × three perturbation seeds, with incremental ×
+// sharded composition checked at every width.
 // Obs counters prove the parallel path actually ran (and stayed off for
 // the shards=1 runs).
 func TestShardedConvergenceParity(t *testing.T) {
@@ -148,44 +143,39 @@ func TestShardedConvergenceParity(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			scenario := shardParityScenario(seed)
-			wantReport, wantEvents, wantTables, _ := runShardScenario(t, 1, 1, false, scenario)
+			wantReport, wantEvents, wantTables, _ := runShardScenario(t, 1, false, scenario)
 			for _, shards := range shardCounts {
-				for _, workers := range []int{1, 8} {
-					for _, incremental := range []bool{false, true} {
-						if shards == 1 && workers == 1 && !incremental {
-							continue // the baseline itself
-						}
-						if incremental && workers == 1 && shards != 1 {
-							continue // incremental × sharded is covered at workers=8
-						}
-						label := fmt.Sprintf("shards=%d workers=%d incremental=%v", shards, workers, incremental)
-						report, events, tables, stats := runShardScenario(t, workers, shards, incremental, scenario)
-						if report != wantReport {
-							t.Errorf("%s: report differs from sequential baseline:\n--- got ---\n%s--- want ---\n%s",
-								label, report, wantReport)
-						}
-						if events != wantEvents {
-							t.Errorf("%s: lab events differ from sequential baseline:\n--- got ---\n%s\n--- want ---\n%s",
-								label, events, wantEvents)
-						}
-						if tables != wantTables {
-							t.Errorf("%s: RIB/FIB dump differs from sequential baseline:\n--- got ---\n%s\n--- want ---\n%s",
-								label, tables, wantTables)
-						}
-						// The parity would hold vacuously if the parallel
-						// driver never engaged.
-						if shards > 1 {
-							for _, c := range []string{obs.CounterBGPShards, obs.CounterShardRoundsParallel, obs.CounterCrossShardAdverts} {
-								if stats.Counters[c] == 0 {
-									t.Errorf("%s: counter %s = 0, sharded path never ran", label, c)
-								}
+				for _, incremental := range []bool{false, true} {
+					if shards == 1 && !incremental {
+						continue // the baseline itself
+					}
+					label := fmt.Sprintf("shards=%d incremental=%v", shards, incremental)
+					report, events, tables, stats := runShardScenario(t, shards, incremental, scenario)
+					if report != wantReport {
+						t.Errorf("%s: report differs from sequential baseline:\n--- got ---\n%s--- want ---\n%s",
+							label, report, wantReport)
+					}
+					if events != wantEvents {
+						t.Errorf("%s: lab events differ from sequential baseline:\n--- got ---\n%s\n--- want ---\n%s",
+							label, events, wantEvents)
+					}
+					if tables != wantTables {
+						t.Errorf("%s: RIB/FIB dump differs from sequential baseline:\n--- got ---\n%s\n--- want ---\n%s",
+							label, tables, wantTables)
+					}
+					// The parity would hold vacuously if the parallel
+					// driver never engaged.
+					if shards > 1 {
+						for _, c := range []string{obs.CounterBGPShards, obs.CounterShardRoundsParallel, obs.CounterCrossShardAdverts} {
+							if stats.Counters[c] == 0 {
+								t.Errorf("%s: counter %s = 0, sharded path never ran", label, c)
 							}
-						} else if n := stats.Counters[obs.CounterShardRoundsParallel]; n != 0 {
-							t.Errorf("%s: sequential run evaluated %d parallel rounds", label, n)
 						}
-						if incremental && stats.Counters[obs.CounterBGPSpeakersRestored] == 0 {
-							t.Errorf("%s: bgp_speakers_restored = 0, replay never engaged", label)
-						}
+					} else if n := stats.Counters[obs.CounterShardRoundsParallel]; n != 0 {
+						t.Errorf("%s: sequential run evaluated %d parallel rounds", label, n)
+					}
+					if incremental && stats.Counters[obs.CounterBGPSpeakersRestored] == 0 {
+						t.Errorf("%s: bgp_speakers_restored = 0, replay never engaged", label)
 					}
 				}
 			}
@@ -372,7 +362,7 @@ func runShardDrill(t *testing.T, shards int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, _, _, stats := runShardScenario(t, 1, shards, false, string(data))
+	report, _, _, stats := runShardScenario(t, shards, false, string(data))
 	if shards > 1 && stats.Counters[obs.CounterShardRoundsParallel] == 0 {
 		t.Fatalf("shards=%d: parallel driver never ran", shards)
 	}
