@@ -109,9 +109,10 @@ type speaker struct {
 	// engine build; in runs parallel to it.
 	sorted []session
 	in     []ribIn
-	// outs holds one adj-RIB-out per peer host, in configuration order of
-	// the first session toward it; outTo indexes them by peer hostname (the
-	// first-match reverseSession semantics).
+	// outs holds one adj-RIB-out per export group (exportKey), in
+	// configuration order of the group's first session; outTo maps each peer
+	// hostname to the group of its first session (the first-match
+	// reverseSession semantics), so peers sent identical routes share a list.
 	outs  []*ribOut
 	outTo map[string]*ribOut
 	peers []*speaker // distinct session peers
@@ -289,17 +290,24 @@ func NewBGPEngine(devices []*DeviceConfig, profileOf func(host string) VendorPro
 	// every entry names the peer address, so golden diffs are stable.
 	sort.Strings(e.sessionsDown)
 	// Second pass: precompute per-session local addresses, the sorted
-	// processing order and one adj-RIB-out per peer; third, point every
-	// adj-RIB-in at the peer's adj-RIB-out toward it.
+	// processing order and one adj-RIB-out per export group; third, point
+	// every adj-RIB-in at the peer's adj-RIB-out toward it.
 	for _, sp := range e.sp {
+		groups := map[exportKey]*ribOut{}
 		for i := range sp.sessions {
 			s := &sp.sessions[i]
 			s.myAddr = e.myAddressOn(sp, *s)
-			if sp.outTo[s.peerHost] == nil {
-				sp.outTo[s.peerHost] = &ribOut{sess: *s}
-				sp.outs = append(sp.outs, sp.outTo[s.peerHost])
-				sp.peers = append(sp.peers, e.speakers[s.peerHost])
+			if sp.outTo[s.peerHost] != nil {
+				continue
 			}
+			k := sp.exportKey(s)
+			if groups[k] == nil {
+				groups[k] = &ribOut{sess: *s}
+				sp.outs = append(sp.outs, groups[k])
+			}
+			groups[k].members++
+			sp.outTo[s.peerHost] = groups[k]
+			sp.peers = append(sp.peers, e.speakers[s.peerHost])
 		}
 		sp.sorted = append([]session(nil), sp.sessions...)
 		sort.SliceStable(sp.sorted, func(i, j int) bool { return sp.sorted[i].peerAddr.Less(sp.sorted[j].peerAddr) })
@@ -554,8 +562,10 @@ type BGPRound struct {
 	Evaluated, Skipped, Restored int // speakers
 	Sessions                     int // sessions whose changes were consumed
 	Decided                      int // prefixes whose selection was re-decided
-	Adverts                      int // adj-RIB-out entries changed
-	Churned                      int // prefixes whose best route moved
+	// Adverts counts adj-RIB-out entry changes per peer: a change to an
+	// export group's list counts once for each peer in the group.
+	Adverts int
+	Churned int // prefixes whose best route moved
 }
 
 // RoundLog returns the per-round work records of the most recent Run.
@@ -612,6 +622,26 @@ func filterReceived(sp *speaker, s *session, routes []BGPRoute) []BGPRoute {
 		}
 	}
 	return out
+}
+
+// exportKey is every session field advertise reads, so sessions with equal
+// keys are sent identical routes and share one adj-RIB-out.
+type exportKey struct {
+	ebgp        bool
+	asn, med    int
+	rrClient    bool
+	nextHopSelf netip.Addr
+}
+
+func (sp *speaker) exportKey(s *session) exportKey {
+	if s.ebgp {
+		return exportKey{ebgp: true, asn: s.cfg.RemoteASN, med: s.cfg.MEDOut, nextHopSelf: s.myAddr}
+	}
+	k := exportKey{rrClient: s.cfg.RRClient}
+	if !sp.dc.HasLoopback() {
+		k.nextHopSelf = s.myAddr
+	}
+	return k
 }
 
 // advertise applies outbound policy for one route on one session. It

@@ -64,9 +64,9 @@ type replayRound map[string]replayState
 
 // replayState is one speaker's post-processing state at one round: its
 // adj-RIB-ins (parallel to speaker.sorted), selection and adj-RIB-outs
-// (parallel to speaker.outs) — both index spaces are functions of the
-// session set, which a speaker that is not statically dirty shares with
-// the recording.
+// (parallel to speaker.outs, one per export group) — both index spaces are
+// functions of the session set and the loopback, which a speaker that is
+// not statically dirty shares with the recording.
 type replayState struct {
 	in      [][]BGPRoute
 	rib     []BGPRoute

@@ -8,13 +8,15 @@ import (
 
 // Delta evaluation. A speaker's protocol state is three kinds of route
 // list, each sorted by prefix: one adj-RIB-in per session (ribIn), the
-// selection (speaker.rib) and one adj-RIB-out per peer (ribOut). A
-// Gauss–Seidel turn (turn, below) moves only what changed through them:
-// it consumes the changes its peers published since it last looked,
-// re-decides the prefixes those touched, and runs outbound policy for the
-// prefixes whose selection moved. A turn with no dirty session does no
-// work. This is the only evaluation path; the naive full-table pull it
-// replaced survives as the test oracle in reference_test.go.
+// selection (speaker.rib) and one adj-RIB-out per export group (ribOut),
+// shared by the peers outbound policy treats alike — in an iBGP full mesh,
+// every peer. A Gauss–Seidel turn (turn, below) moves only what changed
+// through them: it consumes the changes its peers published since it last
+// looked, re-decides the prefixes those touched, and runs outbound policy
+// once per export group for the prefixes whose selection moved. A turn
+// with no dirty session does no work. This is the only evaluation path;
+// the naive full-table pull it replaced survives as the test oracle in
+// reference_test.go.
 //
 // Lists are never patched in place: a change builds a new slice
 // (patch.apply), so a list that a recorded trajectory (replay.go) or a
@@ -28,13 +30,17 @@ type routeChange struct {
 	withdrawn bool
 }
 
-// ribOut is a speaker's adj-RIB-out toward one peer: the routes outbound
-// policy lets through, a version that bumps exactly when that content
-// changes, and the last bump's changes. Only the owner writes it and only
-// the peer reads it; session endpoints never run concurrently (shard.go),
-// so it needs no lock.
+// ribOut is a speaker's adj-RIB-out toward one export group, the peers
+// whose sessions agree on every field outbound policy reads (exportKey): the
+// routes policy lets through, a version that bumps exactly when that
+// content changes, and the last bump's changes. Each member keeps its own
+// adj-RIB-in and seen version against it. Only the owner writes it and only
+// the members read it; the owner never runs concurrently with a session
+// peer (shard.go), and members in different shards only read, so it needs
+// no lock.
 type ribOut struct {
-	sess    session
+	sess    session // the group's first session; advertise reads only its key
+	members int     // peers in the group
 	routes  []BGPRoute
 	version uint64
 	// delta takes version-1 to version; nil after the content was replaced
@@ -392,8 +398,8 @@ func (e *BGPEngine) reselect(sp *speaker, dirty []netip.Prefix, t *turnResult, s
 	}
 }
 
-// publish runs outbound policy once per (changed prefix, peer) and bumps
-// the adj-RIB-outs whose content moved.
+// publish runs outbound policy once per (changed prefix, export group) and
+// bumps the adj-RIB-outs whose content moved.
 func (sp *speaker) publish(moved []routeChange, t *turnResult, sc *scratch) {
 	for _, o := range sp.outs {
 		pt := patch{list: o.routes, chg: sc.adv[:0]}
@@ -410,7 +416,7 @@ func (sp *speaker) publish(moved []routeChange, t *turnResult, sc *scratch) {
 		}
 		o.routes, o.delta = pt.apply(), append(o.delta[:0], pt.chg...)
 		o.version++
-		t.adverts += len(pt.chg)
+		t.adverts += len(pt.chg) * o.members
 	}
 }
 

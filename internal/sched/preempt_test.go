@@ -259,3 +259,36 @@ func TestMigrateBreakerShortCircuits(t *testing.T) {
 	}
 	checkInvariant(t, c)
 }
+
+// TestMigrateBreakerOpenedCounted: a migration whose failures trip the
+// target's breaker mid-retry counts breaker_opened once per trip; failures
+// that exhaust the attempts without tripping it count nothing.
+func TestMigrateBreakerOpenedCounted(t *testing.T) {
+	for _, tc := range []struct {
+		failAfter int
+		opened    bool
+	}{{2, true}, {100, false}} {
+		fb := NewFlakyBackend(Uniform(3, 4), 1)
+		opts := Options{Seed: 2013, Obs: obs.NewCollector()}
+		opts.Retry = fastRetry(3)
+		opts.Retry.Breaker = retry.NewBreakerSet(retry.BreakerConfig{FailAfter: tc.failAfter, OpenFor: time.Hour})
+		c := newTestCluster(t, fb, opts)
+		if _, err := c.Reserve(Spec{Name: "web", Count: 9, Tenant: "ops", Policy: PolicySpread}); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range []string{"h02", "h03"} {
+			fb.SetMigrateFailRate(h, 1)
+		}
+		if _, err := c.Drain("h01"); err == nil {
+			t.Fatalf("failAfter=%d: drain with every target failing succeeded", tc.failAfter)
+		}
+		got := opts.Obs.Counter(obs.CounterBreakerOpened)
+		if tc.opened && got == 0 || !tc.opened && got != 0 {
+			t.Errorf("failAfter=%d: breaker_opened = %d, want opened=%v", tc.failAfter, got, tc.opened)
+		}
+		if tc.opened && got > 2 {
+			t.Errorf("failAfter=%d: breaker_opened = %d for two failing targets", tc.failAfter, got)
+		}
+		checkInvariant(t, c)
+	}
+}

@@ -844,6 +844,9 @@ func (c *Cluster) migrateVM(ctx context.Context, r *reservation, vm string, from
 	default:
 		var ex *retry.ExhaustedError
 		if errors.As(err, &ex) {
+			if ex.Opened {
+				c.count(obs.CounterBreakerOpened, 1)
+			}
 			c.emit("stranded", "%s: migration to %s failed after %d attempts: %v", vm, target, ex.Attempts, ex.Last)
 		} else {
 			c.emit("stranded", "%s: migration to %s failed: %v", vm, target, err)

@@ -85,6 +85,10 @@ awk -v t="$total" 'BEGIN {
 echo "== OSPF routes in a total order (-race -count=20: a /24 and a /30 on one address must not swap between runs)"
 go test -race -count=20 -run 'TestOSPFRoutesTotalOrder' ./internal/routing/
 
+echo "== shared adj-RIB-outs under the race detector (-race -count: one export group's list is read by member peers in several shards at once)"
+go test -race -count=5 -run 'TestExportGroupsMatchPerPeerPolicy' ./internal/routing/
+go test -race -count=3 -run 'TestShardWatchdogMeasureRace' .
+
 echo "== first error in input order (-race -count=20: two failing devices, whichever goroutine fails first, and the par fan-out's contract)"
 go test -race -count=20 -run 'TestCompileErrorInDeviceOrder|TestRenderErrorInDeviceOrder' ./internal/compile/ ./internal/render/
 go test -race -count=20 ./internal/par/
