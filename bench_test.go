@@ -864,9 +864,10 @@ check baseline
 // --- P5: convergence under scheduled control-plane loss. One NREN-shaped
 // lab is deployed once; each sub-benchmark installs a seeded perturber
 // dropping the given percentage of route advertisements on every session
-// and re-converges from scratch. Reported metrics are the rounds to
-// quiescence and the total best-route churn — the convergence-degradation
-// curve EXPERIMENTS.md plots against loss rate. ---
+// and re-converges from scratch (a soft reset of every speaker). Reported
+// metrics are the rounds to quiescence and the total best-route churn —
+// the convergence-degradation curve EXPERIMENTS.md plots against loss
+// rate. ---
 
 func BenchmarkP5_ConvergenceUnderLoss(b *testing.B) {
 	g, err := topogen.NREN(topogen.NRENConfig{ASes: 4, Routers: 50, Links: 65, Seed: 7})
@@ -904,7 +905,7 @@ func BenchmarkP5_ConvergenceUnderLoss(b *testing.B) {
 			b.ResetTimer()
 			var rounds, churn int
 			for i := 0; i < b.N; i++ {
-				res, err := lab.Apply(emul.Change{})
+				res, err := lab.Apply(emul.Change{SoftReset: lab.LiveVMNames()})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -918,43 +919,34 @@ func BenchmarkP5_ConvergenceUnderLoss(b *testing.B) {
 		})
 	}
 
-	// Post-incident reconvergence at 240 routers, every BGP round recomputed
-	// versus BGP trajectory replay — the headline case of the P6 performance
-	// model.
-	for _, mode := range []struct {
-		name        string
-		incremental bool
-	}{{"full", false}, {"incremental", true}} {
-		b.Run("postincident240/"+mode.name, func(b *testing.B) {
-			benchPostIncident(b, benchDeployedLab(b, 240, mode.incremental, 1))
-		})
-	}
+	// Post-incident reconvergence at 240 routers on the persisted engine —
+	// the headline case of the P6 performance model.
+	b.Run("postincident240", func(b *testing.B) {
+		benchPostIncident(b, benchDeployedLab(b, 240, 1))
+	})
 }
 
-// --- P6: incremental reconvergence (BGP trajectory replay). Each iteration
-// injects and repairs one link failure on a deployed NREN-shaped lab, so
-// every pass pays two reconvergences whose outcome is overwhelmingly
-// unchanged state. Sub-benchmarks compare recomputing every BGP round
-// (`full`) against replay (`incremental`) at three scales; delta SPF and the
-// FIB build are the same on both sides, and the two modes are
-// byte-equivalent by construction (see TestIncrementalConvergenceParity),
-// so the gap is purely the cost of re-deriving BGP state the incident
-// provably did not touch. ---
+// --- P6: incremental reconvergence. Each iteration injects and repairs one
+// link failure on a deployed NREN-shaped lab, so every pass pays two
+// reconvergences whose outcome is overwhelmingly unchanged state. Each
+// rebinds the lab's persisted BGP engine and runs it on from the state it
+// holds (its oracle is TestPersistedBGPMatchesFreshEngine in internal/emul),
+// so the cost is the incident's churn, not a cold run. The 1158-router row
+// boots in ~5 s; run it with -benchtime 1x. ---
 
 // benchDeployedLab builds and deploys an NREN-shaped lab of the given size
-// in the requested convergence mode — the one topology-build helper shared
-// by the P6 (incremental) and P9 (sharded) convergence benchmarks, so both
-// measure the same lab shape. shards is the sharded-convergence worker
-// count (1 = sequential sweep).
-func benchDeployedLab(b *testing.B, routers int, incremental bool, shards int) *emul.Lab {
+// — the one topology-build helper shared by the P6 (incremental) and P9
+// (sharded) convergence benchmarks, so both measure the same lab shape.
+// shards is the sharded-convergence worker count (1 = sequential sweep).
+func benchDeployedLab(b *testing.B, routers int, shards int) *emul.Lab {
 	b.Helper()
-	_, lab := benchDeployedNet(b, routers, incremental, shards)
+	_, lab := benchDeployedNet(b, routers, shards)
 	return lab
 }
 
 // benchDeployedNet is benchDeployedLab for benchmarks that also need the
 // network (its allocation table names the probe addresses).
-func benchDeployedNet(b *testing.B, routers int, incremental bool, shards int) (*Network, *emul.Lab) {
+func benchDeployedNet(b *testing.B, routers int, shards int) (*Network, *emul.Lab) {
 	b.Helper()
 	g, err := topogen.NREN(topogen.NRENConfig{ASes: routers / 20, Routers: routers, Links: routers * 5 / 4, Seed: 7})
 	if err != nil {
@@ -967,7 +959,7 @@ func benchDeployedNet(b *testing.B, routers int, incremental bool, shards int) (
 	if err := net.Build(BuildOptions{}); err != nil {
 		b.Fatal(err)
 	}
-	dep, err := net.Deploy(deploy.Options{Incremental: incremental, Shards: shards})
+	dep, err := net.Deploy(deploy.Options{Shards: shards})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -999,15 +991,10 @@ func benchPostIncident(b *testing.B, lab *emul.Lab) {
 }
 
 func BenchmarkP6_IncrementalConvergence(b *testing.B) {
-	for _, routers := range []int{60, 120, 240} {
-		for _, mode := range []struct {
-			name        string
-			incremental bool
-		}{{"full", false}, {"incremental", true}} {
-			b.Run(fmt.Sprintf("n%d/%s", routers, mode.name), func(b *testing.B) {
-				benchPostIncident(b, benchDeployedLab(b, routers, mode.incremental, 1))
-			})
-		}
+	for _, routers := range []int{60, 120, 240, 1158} {
+		b.Run(fmt.Sprintf("n%d", routers), func(b *testing.B) {
+			benchPostIncident(b, benchDeployedLab(b, routers, 1))
+		})
 	}
 }
 
@@ -1016,8 +1003,8 @@ func BenchmarkP6_IncrementalConvergence(b *testing.B) {
 // in canonical order). The serial/sharded pairs are byte-equivalent by
 // construction (see TestShardedConvergenceParity), so the gap is purely
 // the parallel round evaluation. `cold` measures a full reconvergence of
-// the whole lab; `postincident` composes sharding with BGP trajectory
-// replay on a fail/restore round trip. ---
+// the whole lab (a soft reset of every speaker); `postincident` composes
+// sharding with the persisted engine on a fail/restore round trip. ---
 
 func BenchmarkP9_ShardedConvergence(b *testing.B) {
 	// At least 4 shard workers even on small hosts, so the parallel driver
@@ -1034,12 +1021,13 @@ func BenchmarkP9_ShardedConvergence(b *testing.B) {
 			shards int
 		}{{"serial", 1}, {"sharded", sharded}} {
 			b.Run(fmt.Sprintf("n%d/%s/cold", routers, mode.name), func(b *testing.B) {
-				lab := benchDeployedLab(b, routers, false, mode.shards)
+				lab := benchDeployedLab(b, routers, mode.shards)
+				all := lab.LiveVMNames()
 				b.ReportAllocs()
 				b.ResetTimer()
 				var rounds int
 				for i := 0; i < b.N; i++ {
-					res, err := lab.Apply(emul.Change{})
+					res, err := lab.Apply(emul.Change{SoftReset: all})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -1051,7 +1039,7 @@ func BenchmarkP9_ShardedConvergence(b *testing.B) {
 				b.ReportMetric(float64(rounds), "rounds")
 			})
 			b.Run(fmt.Sprintf("n%d/%s/postincident", routers, mode.name), func(b *testing.B) {
-				benchPostIncident(b, benchDeployedLab(b, routers, true, mode.shards))
+				benchPostIncident(b, benchDeployedLab(b, routers, mode.shards))
 			})
 		}
 	}
@@ -1066,7 +1054,7 @@ func BenchmarkP9_ShardedConvergence(b *testing.B) {
 
 func BenchmarkP14_ReachabilityMatrix(b *testing.B) {
 	const routers = 240
-	net, lab := benchDeployedNet(b, routers, true, 1)
+	net, lab := benchDeployedNet(b, routers, 1)
 	client, names, addrOf := net.Measure(lab), lab.VMNames(), loopbackOf(net)
 	for _, mode := range []struct {
 		name  string
@@ -1109,7 +1097,7 @@ func BenchmarkP16_DataplaneGeneration(b *testing.B) {
 		var lab *emul.Lab
 		deployed := func(b *testing.B) (*Network, *emul.Lab) {
 			if lab == nil {
-				net, lab = benchDeployedNet(b, routers, false, 1)
+				net, lab = benchDeployedNet(b, routers, 1)
 			}
 			return net, lab
 		}

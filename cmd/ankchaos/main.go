@@ -45,7 +45,6 @@ func main() {
 	lenient := flag.Bool("lenient", false, "quarantine devices with config errors and run against the survivors (exit 3 on partial boot)")
 	supervise := flag.Bool("supervise", false, "run the convergence watchdog on every step, even for unseeded scenarios")
 	trace := flag.Bool("trace", false, "print the pipeline + chaos span trace after the report")
-	incremental := flag.Bool("incremental", false, "reconverge between scenario steps by BGP trajectory replay (restore the recorded speaker-rounds a change cannot have touched); reports stay byte-identical to recomputing every round")
 	flag.Parse()
 	if *in == "" || *scenarioPath == "" {
 		fmt.Fprintln(os.Stderr, "ankchaos: -in and -scenario are required")
@@ -73,8 +72,7 @@ func main() {
 		fatal(err)
 	}
 	dep, err := net.Deploy(deploy.Options{
-		Platform: *platform, Lenient: *lenient,
-		Incremental: *incremental, Shards: runtime.GOMAXPROCS(0),
+		Platform: *platform, Lenient: *lenient, Shards: runtime.GOMAXPROCS(0),
 	})
 	partial := err != nil && errors.Is(err, emul.ErrPartialBoot)
 	if err != nil && !partial {

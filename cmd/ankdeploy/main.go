@@ -33,7 +33,6 @@ func main() {
 	lenient := flag.Bool("lenient", false, "quarantine devices with config errors and boot the survivors (exit 3 on partial boot)")
 	supervise := flag.Bool("supervise", false, "run the convergence watchdog after boot (escalate budget, soft-reset, quarantine on non-convergence)")
 	convergeTimeout := flag.Duration("converge-timeout", 0, "wall-clock bound per control-plane convergence run (0 = unbounded)")
-	incremental := flag.Bool("incremental", false, "reconverge by BGP trajectory replay (restore the recorded speaker-rounds a change cannot have touched); results stay byte-identical to recomputing every round")
 	flag.Parse()
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "ankdeploy: -in is required")
@@ -50,7 +49,7 @@ func main() {
 	dep, err := net.Deploy(deploy.Options{
 		Host: *host, Platform: *platform, Lenient: *lenient,
 		Supervise: *supervise, ConvergeTimeout: *convergeTimeout,
-		Incremental: *incremental, Shards: runtime.GOMAXPROCS(0),
+		Shards:  runtime.GOMAXPROCS(0),
 		OnEvent: func(e deploy.Event) { fmt.Printf("[%s] %s\n", e.Stage, e.Detail) },
 	})
 	partial := err != nil && errors.Is(err, emul.ErrPartialBoot)

@@ -333,7 +333,7 @@ func TestHopsToMatchesForwardOnLabs(t *testing.T) {
 			if err := tc.net.Build(autonetkit.BuildOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			dep, err := tc.net.Deploy(deploy.Options{Incremental: true})
+			dep, err := tc.net.Deploy(deploy.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

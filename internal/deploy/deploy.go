@@ -155,9 +155,9 @@ type Options struct {
 	// Obs, when set, collects deployment counters (e.g. quarantined
 	// devices) and the lab's reconvergence counters.
 	Obs *obs.Collector
-	// Incremental makes the booted lab record each BGP run's trajectory and
-	// replay it in the next reconvergence. Routing tables, verdicts and
-	// events stay byte-identical to recomputing every round.
+	// Incremental is retired and does nothing: every reconvergence continues
+	// the lab's running BGP engine. The field stays while the frozen
+	// benchmark module still sets it.
 	Incremental bool
 	// Shards is the worker count for sharded BGP round evaluation (<= 1 =
 	// sequential sweep). Per-AS shards evaluate concurrently inside each
@@ -227,7 +227,7 @@ func (d *Deployment) launch(lab *emul.Lab, opts Options) error {
 	span := opts.Obs.StartSpan("Launch")
 	bootErr := lab.Boot(emul.BootOptions{
 		MaxBGPRounds: opts.MaxBGPRounds, ConvergeTimeout: opts.ConvergeTimeout, Lenient: opts.Lenient,
-		Incremental: opts.Incremental, Obs: opts.Obs, Shards: opts.Shards,
+		Obs: opts.Obs, Shards: opts.Shards,
 	})
 	span.End()
 	if bootErr != nil && !errors.Is(bootErr, emul.ErrPartialBoot) {

@@ -59,15 +59,16 @@ type Change struct {
 	Quarantine []string
 	Reason     string
 	// SoftReset is `clear ip bgp` on the named speakers: their RIBs are
-	// flushed and the running BGP engine continues instead of re-converging.
-	// It cannot be combined with any other part.
+	// flushed before the running BGP engine continues. It cannot be combined
+	// with any other part.
 	SoftReset []string
 }
 
 // Apply validates c as a whole, then applies it: the named machines' configs
-// are edited, the events logged, and the lab re-converges (or, for a soft
-// reset, its BGP engine continues). An empty change re-converges the lab as
-// it stands. Apply returns the outcome of the BGP run.
+// are edited, the events logged, and the lab re-converges — its engines are
+// rebound to the edited configs and continue from the state they hold. An
+// empty change re-converges the lab as it stands. Apply returns the outcome
+// of the BGP run.
 func (l *Lab) Apply(c Change) (routing.BGPResult, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -88,18 +89,7 @@ func (l *Lab) Apply(c Change) (routing.BGPResult, error) {
 	if c.Budget != nil {
 		l.budget = *c.Budget
 	}
-	if len(c.SoftReset) == 0 {
-		err = l.converge()
-		return l.bgpResult, err
-	}
-	l.bgp.SoftReset(c.SoftReset)
-	// A reset discards the engine's trajectory recording, so the lab's
-	// cached replay is stale too; the next converge recomputes in full.
-	l.bgpReplay = nil
-	l.runBGP()
-	if !platforms[l.Platform].solver {
-		err = l.buildDataplane(l.liveDevices())
-	}
+	err = l.converge(c.SoftReset)
 	return l.bgpResult, err
 }
 

@@ -604,3 +604,58 @@ func TestIncidentUnsupportedOnCBGP(t *testing.T) {
 		t.Error("cbgp node failure accepted")
 	}
 }
+
+// Incident ids: every injection numbers itself, watchdog events cite the
+// triggering incident, and escalation steps carry it for reports.
+func TestIncidentIDThreading(t *testing.T) {
+	lab, _ := startedLab(t, "netkit", "quagga")
+	if lab.LastIncidentID() != 0 {
+		t.Fatalf("fresh lab LastIncidentID = %d", lab.LastIncidentID())
+	}
+	if err := lab.FailLink("r1", "r3"); err != nil {
+		t.Fatal(err)
+	}
+	if got := lab.LastIncidentID(); got != 1 {
+		t.Fatalf("after first incident LastIncidentID = %d", got)
+	}
+	if err := lab.RestoreLink("r1", "r3"); err != nil {
+		t.Fatal(err)
+	}
+	if got := lab.LastIncidentID(); got != 2 {
+		t.Fatalf("after second incident LastIncidentID = %d", got)
+	}
+
+	// A flap storm after the incidents: the watchdog's lab events and
+	// escalation steps must name incident #2 as the trigger.
+	lab.SetPerturber(routing.NewScheduledPerturber(7, []routing.PerturbRule{
+		{Kind: routing.PerturbFlap, A: "r1", B: "r2", Every: 1, Recover: true},
+	}))
+	if res, err := lab.Apply(Change{}); err != nil || res.Converged {
+		t.Fatalf("perturbed reconverge: res=%+v err=%v", res, err)
+	}
+	rep, err := (&Watchdog{}).Supervise(lab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Recovered {
+		t.Fatalf("not recovered:\n%s", rep.Describe())
+	}
+	for i, step := range rep.Steps {
+		if step.Incident != 2 {
+			t.Errorf("step %d incident = %d, want 2", i, step.Incident)
+		}
+		if !strings.Contains(step.String(), "[incident #2]") {
+			t.Errorf("step %d string missing incident tag: %s", i, step)
+		}
+	}
+	events := strings.Join(lab.Events(), "\n")
+	for _, want := range []string{
+		"INCIDENT #1: link r1 -- r3",
+		"INCIDENT #2: link r1 -- r3",
+		"(incident #2)", // watchdog escalation suffix
+	} {
+		if !strings.Contains(events, want) {
+			t.Errorf("events missing %q:\n%s", want, events)
+		}
+	}
+}

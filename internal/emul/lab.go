@@ -52,6 +52,9 @@ type Lab struct {
 	// reboot parts re-install interfaces from these snapshots.
 	baseline map[string]*routing.DeviceConfig
 
+	// The engines live as long as the lab: every converge after Boot rebinds
+	// them to the edited configurations and continues from the state they
+	// hold (delta SPF, and BGP from its last selections).
 	domain    *routing.OSPFDomain
 	isis      *routing.OSPFDomain
 	igp       routing.IGPCoster
@@ -68,21 +71,15 @@ type Lab struct {
 	budget  routing.ConvergenceBudget
 	events  []string
 
-	// pert, when non-nil, is threaded into every engine the lab builds
-	// (OSPF, IS-IS, BGP) so reconvergence runs under scripted control-plane
-	// perturbation; nil keeps the zero-perturbation fast path.
+	// pert, when non-nil, is threaded into the lab's engines (OSPF, IS-IS,
+	// BGP) at every converge so reconvergence runs under scripted
+	// control-plane perturbation; nil keeps the zero-perturbation fast path.
 	pert routing.Perturber
-
-	// incremental selects BGP trajectory replay: bgpReplay carries the
-	// previous run's recorded trajectory into the next engine. Advisory: a
-	// replayed converge is byte-identical to a recomputed one (replay.go).
-	incremental bool
-	bgpReplay   *routing.BGPReplay
-	obs         *obs.Collector
+	obs  *obs.Collector
 
 	// shards is the worker count for sharded BGP round evaluation; <= 1
-	// keeps the sequential sweep. Threaded into every BGP engine the lab
-	// builds; results are byte-identical at any value (shard.go).
+	// keeps the sequential sweep. Set on the lab's BGP engine when Boot
+	// builds it; results are byte-identical at any value (shard.go).
 	shards int
 
 	// incidentSeq numbers the incidents Apply injected (a Change's link,
@@ -448,15 +445,13 @@ type BootOptions struct {
 	// error-level diagnostic fails the boot with a *DiagnosticError that
 	// lists every problem found in the pass.
 	Lenient bool
-	// Incremental enables BGP trajectory replay: each run is recorded and
-	// the next reconvergence restores the speaker-rounds the change cannot
-	// have touched. Off by default (recomputing every round is the
-	// correctness oracle); when on, every converge still produces
-	// byte-identical routing tables, verdicts and events.
+	// Incremental is retired and does nothing: every reconvergence continues
+	// the lab's running BGP engine. The field stays while the frozen
+	// benchmark module still sets it.
 	Incremental bool
 	// Obs, when set, receives the reconvergence counters
-	// (spf_delta_recomputes, bgp_prefixes_decided, rounds_skipped, ...) and
-	// the measurement counters ping_probes and hop_trees_built.
+	// (spf_delta_recomputes, bgp_prefixes_decided, ...) and the measurement
+	// counters ping_probes and hop_trees_built.
 	Obs *obs.Collector
 	// Shards is the worker count for sharded BGP round evaluation (<= 1 =
 	// sequential sweep, the default). Any value produces byte-identical
@@ -559,10 +554,9 @@ func (l *Lab) Boot(opts BootOptions) error {
 		}
 	}
 	l.budget = routing.ConvergenceBudget{MaxBGPRounds: opts.MaxBGPRounds, Timeout: opts.ConvergeTimeout}
-	l.incremental = opts.Incremental
 	l.obs = opts.Obs
 	l.shards = opts.Shards
-	if err := l.converge(); err != nil {
+	if err := l.converge(nil); err != nil {
 		return err
 	}
 	l.started = true
@@ -574,8 +568,11 @@ func (l *Lab) Boot(opts BootOptions) error {
 }
 
 // converge (re)runs the control plane and rebuilds the data plane over the
-// machines' current configurations; called by Boot and by Apply only.
-func (l *Lab) converge() error {
+// machines' current configurations; called by Boot and by Apply only. The
+// first converge builds the engines; every later one rebinds them to the
+// edited configurations, soft-resets the named speakers and runs BGP on
+// from the state the engine holds.
+func (l *Lab) converge(softReset []string) error {
 	// Quarantined machines (nil Config) are not part of the running
 	// topology: the control plane and data plane build over the survivors.
 	devices := l.liveDevices()
@@ -623,23 +620,26 @@ func (l *Lab) converge() error {
 		l.logf("igp converged")
 	}
 	// BGP.
-	profile := routing.ProfileFor(PlatformSyntax(l.Platform))
-	bgp, err := routing.NewBGPEngine(devices, func(string) routing.VendorProfile { return profile }, l.igp)
-	if err != nil {
-		return fmt.Errorf("emul: bgp: %w", err)
-	}
-	// Labs model asynchronous routers: sequential (Gauss-Seidel)
-	// processing, so a detected oscillation is a genuine RFC 3345-class
-	// persistent one, not a lockstep-timing artifact.
-	bgp.SetSequential(true)
-	bgp.SetPerturber(l.pert)
-	bgp.SetShards(l.shards)
-	if l.incremental {
+	bgp := l.bgp
+	if bgp == nil {
+		profile := routing.ProfileFor(PlatformSyntax(l.Platform))
+		var err error
+		if bgp, err = routing.NewBGPEngine(devices, func(string) routing.VendorProfile { return profile }, l.igp); err != nil {
+			return fmt.Errorf("emul: bgp: %w", err)
+		}
+		// Labs model asynchronous routers: sequential (Gauss-Seidel)
+		// processing, so a detected oscillation is a genuine RFC 3345-class
+		// persistent one, not a lockstep-timing artifact.
+		bgp.SetSequential(true)
+		bgp.SetShards(l.shards)
+		l.bgp = bgp
+	} else {
 		// Speakers whose IGP routes moved see different next-hop costs, so
-		// they must recompute even if their own configs are untouched.
-		bgp.EnableIncremental(l.bgpReplay, igpChanged)
+		// they re-decide even if their own configs are untouched.
+		bgp.Rebind(devices, l.igp, igpChanged)
 	}
-	l.bgp = bgp
+	bgp.SetPerturber(l.pert)
+	bgp.SoftReset(softReset)
 	l.runBGP()
 	for _, down := range bgp.SessionsDown() {
 		l.logf("bgp session down: %s", down)
@@ -647,13 +647,6 @@ func (l *Lab) converge() error {
 	for _, r := range bgp.RoundLog() {
 		l.obs.Add(obs.CounterBGPSpeakersSkipped, int64(r.Skipped))
 		l.obs.Add(obs.CounterBGPPrefixesDecided, int64(r.Decided))
-	}
-	if l.incremental {
-		restored, dirtyPfx, skipped := bgp.IncrementalStats()
-		l.obs.Add(obs.CounterBGPSpeakersRestored, restored)
-		l.obs.Add(obs.CounterBGPDirtyPrefixes, dirtyPfx)
-		l.obs.Add(obs.CounterRoundsSkipped, skipped)
-		l.bgpReplay = bgp.ReplayLog()
 	}
 	if l.shards > 1 {
 		parallelRounds, crossAdverts := bgp.ShardStats()

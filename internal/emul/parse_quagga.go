@@ -13,14 +13,12 @@
 // configuration at once instead of dying on the first bad byte.
 //
 // Reconvergence after incident injection goes through one pipeline: the
-// OSPF and IS-IS domains live as long as the lab and re-run SPF only for
-// the sources a diffed link-state change can touch (delta SPF), BGP runs
-// in a fresh engine, and every data-plane node is rebuilt.
-// BootOptions.Incremental adds BGP trajectory replay, which restores the
-// speaker-rounds an incident provably did not touch and produces
-// byte-identical routing tables, verdicts and event logs. See the routing
-// package for the per-engine mechanics and ARCHITECTURE.md ("Incremental
-// convergence") for the invariants and the determinism argument.
+// OSPF and IS-IS domains and the BGP engine live as long as the lab. SPF
+// re-runs only for the sources a diffed link-state change can touch (delta
+// SPF), the BGP engine is rebound to the edited configs and continues from
+// the selections it holds, and every data-plane node is rebuilt. See the
+// routing package for the per-engine mechanics and ARCHITECTURE.md
+// ("Reconvergence on a persisted engine") for the invariants.
 package emul
 
 import (

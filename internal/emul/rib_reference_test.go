@@ -306,9 +306,7 @@ func TestDataplaneMatchesRIBReference(t *testing.T) {
 	for _, tc := range nrenShapes {
 		t.Run(fmt.Sprintf("%s%d", tc.platform, tc.routers), func(t *testing.T) {
 			lab := nrenLab(t, tc.routers, tc.platform, tc.syntax, tc.igp)
-			// The smaller shape replays its BGP trajectory, so restored
-			// selections are held to the reference too.
-			if err := lab.Boot(BootOptions{Incremental: tc.routers == 60}); err != nil {
+			if err := lab.Boot(BootOptions{}); err != nil {
 				t.Fatal(err)
 			}
 			contested := 0

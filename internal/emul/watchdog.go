@@ -204,7 +204,7 @@ type EscalationStep struct {
 	Targets []string
 	// Verdict classifies the convergence outcome after the rung.
 	Verdict Verdict
-	// Rounds is the engine's cumulative round counter after the rung.
+	// Rounds is the number of rounds the rung's BGP run took.
 	Rounds int
 	// Detail is the budget's one-line description of the outcome.
 	Detail string
@@ -287,9 +287,9 @@ func (w *Watchdog) Supervise(lab *Lab) (SupervisionReport, error) {
 		return rep, nil
 	}
 
-	// Rung 1: maybe the run was merely starved — re-run with a larger
+	// Rung 1: maybe the run was merely starved — run on with a larger
 	// round budget. (Also re-runs oscillators: the larger budget costs
-	// little and double-checks the cycle verdict from scratch.)
+	// little and double-checks the cycle verdict.)
 	cur = base.Escalated(w.factor())
 	w.Obs.Add(obs.CounterWatchdogBudgetEscalations, 1)
 	res, err := lab.Apply(Change{Budget: &cur})

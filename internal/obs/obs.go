@@ -55,13 +55,12 @@ const (
 	CounterWatchdogQuarantines       = "watchdog_quarantines"
 
 	// Reconvergence counters, emitted by the lab's converge loop: the delta
-	// SPF pair on every converge after a lab's first, the BGP trajectory
-	// replay three only when a boot opted into Incremental. fib_nodes_reused
-	// is retired (nothing emits it): bench/ still names the constant, and it
-	// leaves with the benchmark change that drops dataplane.fib_reuse_ratio.
+	// SPF pair on every converge after a lab's first. bgp_speakers_restored,
+	// rounds_skipped and fib_nodes_reused are retired (nothing emits them):
+	// bench/ still names the constants, and they leave with the benchmark
+	// change that drops the metrics built on them.
 	CounterSPFDeltaRecomputes  = "spf_delta_recomputes"
 	CounterSPFSourcesSkipped   = "spf_sources_skipped"
-	CounterBGPDirtyPrefixes    = "bgp_dirty_prefixes"
 	CounterBGPSpeakersRestored = "bgp_speakers_restored"
 	CounterRoundsSkipped       = "rounds_skipped"
 	CounterFIBNodesReused      = "fib_nodes_reused"

@@ -92,21 +92,28 @@ type session struct {
 	peerAddr netip.Addr // address I send to / receive from
 	cfg      BGPNeighbor
 	ebgp     bool
-	// myAddr is the local address used on this session (precomputed once;
-	// see myAddressOn). Kept comparable so session sets compare with ==.
+	// myAddr is the local address used on this session (precomputed at
+	// wiring; see myAddressOn). Kept comparable so sessions compare with ==.
 	myAddr netip.Addr
 }
 
 type speaker struct {
 	host     string
 	idx      int // position in the sweep (hostname) order
-	dc       *DeviceConfig
 	profile  VendorProfile
 	routerID netip.Addr
+	// asn, loopback, ifaces and networks are what the speaker read of its
+	// device at the last wiring. Callers edit configurations in place between
+	// converges, so the engine never reads a *DeviceConfig after wiring, and
+	// Rebind diffs the edited device against these.
+	asn      int
+	loopback netip.Addr
+	ifaces   []InterfaceConfig
+	networks []netip.Prefix
 	sessions []session
 	// sorted is sessions ordered by peer address (the deterministic
-	// processing order) with repeated addresses dropped, precomputed once at
-	// engine build; in runs parallel to it.
+	// processing order) with repeated addresses dropped; in runs parallel to
+	// it.
 	sorted []session
 	in     []ribIn
 	// outs holds one adj-RIB-out per export group (exportKey), in
@@ -120,36 +127,35 @@ type speaker struct {
 	// how the lists are maintained.
 	rib []BGPRoute
 	// pending lists prefixes to decide whatever the sessions say: the
-	// originated networks, before the first turn and after a flush.
+	// originated networks before the first turn and after a flush, and what
+	// a Rebind invalidated.
 	pending []netip.Prefix
 	// seg is the speaker's segment of the engine's protocol-state hash
 	// (salt plus entry hashes; see segHash), maintained by its turns.
 	salt, seg uint64
-	// nhCost memoizes the IGP metric per next hop: the IGP is fixed for an
-	// engine's lifetime. Only the speaker's own turn touches it.
+	// nhCost memoizes the IGP metric per next hop. Only the speaker's own
+	// turn touches it; Rebind clears it when the speaker's IGP view moved.
 	nhCost map[netip.Addr]int
-	// sdirty and deviant are the replay verdicts (replay.go). The owner
-	// writes deviant during its turn and only session peers read it, which
-	// never run concurrently with the owner.
-	sdirty, deviant bool
 }
 
 // BGPEngine runs the path-vector computation over a set of speakers.
 type BGPEngine struct {
-	speakers map[string]*speaker
-	sp       []*speaker // the speakers in sweep (hostname) order
-	igp      IGPCoster
+	speakers  map[string]*speaker
+	sp        []*speaker // the speakers in sweep (hostname) order
+	profileOf func(host string) VendorProfile
+	igp       IGPCoster
 	// addrOwner maps every configured address to its host, for session
 	// establishment.
 	addrOwner map[netip.Addr]string
 
 	sequential bool
-	rounds     int
-	// stateHashes records the rounds at which each protocol-state hash was
-	// observed (up to the last three). Without a perturber a single repeat
-	// is a cycle; under perturbation a state can legitimately recur (a
-	// lost route is re-learned), so oscillation requires three sightings
-	// with a consistent period.
+	// Per-run state, reset by every Run: the round counter, the state hashes
+	// and the verdict. stateHashes records the rounds at which each
+	// protocol-state hash was observed (up to the last three). Without a
+	// perturber a single repeat is a cycle; under perturbation a state can
+	// legitimately recur (a lost route is re-learned), so oscillation
+	// requires three sightings with a consistent period.
+	rounds      int
 	stateHashes map[uint64][]int
 	oscillating bool
 	cycleLen    int
@@ -183,22 +189,10 @@ type BGPEngine struct {
 	roundChanged bool
 	log          []BGPRound
 
-	// Incremental-reconvergence state (see replay.go). replay is the
-	// previous run's trajectory being replayed (nil when inactive); record
-	// accumulates this run's trajectory, recRound the round being recorded.
-	// ran guards against replaying into a continuation run.
-	replay   *BGPReplay
-	record   *BGPReplay
-	recRound replayRound
-	ran      bool
-
-	statDirtyPrefixes int64
-	statRoundsSkipped int64
-
 	// Sharded-evaluation state (see shard.go). shardWorkers is the SetShards
 	// knob (<= 1 keeps the sequential sweep); plan caches the per-AS
-	// partition and its dependency DAG. The stat pair accumulates across
-	// runs of this engine.
+	// partition and its dependency DAG for the current wiring. The stat pair
+	// counts the most recent run.
 	shardWorkers     int
 	plan             *shardPlan
 	statShardRounds  int64
@@ -207,28 +201,57 @@ type BGPEngine struct {
 
 // NewBGPEngine wires up sessions between the given devices. profileOf maps
 // hostname to vendor profile (nil means Quagga everywhere); igp supplies
-// metrics (nil means all destinations connected).
+// metrics (nil means all destinations connected). It is an empty engine
+// rebound to the devices.
 func NewBGPEngine(devices []*DeviceConfig, profileOf func(host string) VendorProfile, igp IGPCoster) (*BGPEngine, error) {
+	e := &BGPEngine{speakers: map[string]*speaker{}, profileOf: profileOf}
+	e.Rebind(devices, igp, nil)
+	e.beginRun()
+	return e, nil
+}
+
+// Rebind rewires a running engine to an edited device set and its new IGP,
+// keeping every piece of protocol state whose inputs did not change, so
+// that the next Run continues from what the engine holds instead of from
+// empty tables. igpChanged names the speakers whose IGP routes moved.
+// Rebind must not run concurrently with a Run.
+//
+//   - A speaker whose router-id, AS, loopback or profile changed, or that is
+//     new, starts empty; a speaker that left is dropped.
+//   - A kept speaker keeps its selection, adj-RIB-ins and adj-RIB-outs. An
+//     adj-RIB-out survives when its export group's key does; a new group is
+//     advertised from the selection.
+//   - A session survives only when the whole session is equal. Its
+//     adj-RIB-in stays synced only when it reads the very adj-RIB-out it
+//     read before; otherwise its next turn diffs the whole session. The
+//     routes of a session that went away leave the state hash and their
+//     prefixes are re-decided.
+//   - A speaker in igpChanged, or whose interfaces or originated networks
+//     differ from what it read at the last wiring, forgets its next-hop
+//     costs and re-decides every prefix.
+//
+// A run from the rebound state ends at a fixed point of the protocol:
+// wherever the configuration has a single stable state, the one a fresh
+// engine over the same devices reaches. A nil igp means every destination
+// is connected.
+func (e *BGPEngine) Rebind(devices []*DeviceConfig, igp IGPCoster, igpChanged map[string]bool) {
 	if igp == nil {
 		igp = zeroIGP{}
 	}
-	e := &BGPEngine{
-		speakers:    map[string]*speaker{},
-		igp:         igp,
-		addrOwner:   map[netip.Addr]string{},
-		stateHashes: map[uint64][]int{},
-		churn:       map[netip.Prefix]int{},
-		changedAt:   map[string]int{},
-		sessFlaps:   map[[2]string]int{},
-		sessUp:      map[[2]string]bool{},
-	}
+	e.igp = igp
+	old := e.speakers
+	e.speakers, e.sp, e.plan = make(map[string]*speaker, len(devices)), nil, nil
+	e.addrOwner = map[netip.Addr]string{}
+	e.sessionsUp, e.sessionsDown = 0, nil
+	dcOf := make(map[*speaker]*DeviceConfig, len(devices))
+	var redecide []*speaker
 	for _, dc := range devices {
 		if dc.BGP == nil {
 			continue
 		}
 		prof := ProfileQuagga
-		if profileOf != nil {
-			prof = profileOf(dc.Hostname)
+		if e.profileOf != nil {
+			prof = e.profileOf(dc.Hostname)
 		}
 		rid := dc.BGP.RouterID
 		if !rid.IsValid() && dc.HasLoopback() {
@@ -237,15 +260,25 @@ func NewBGPEngine(devices []*DeviceConfig, profileOf func(host string) VendorPro
 		if !rid.IsValid() && len(dc.Interfaces) > 0 {
 			rid = dc.Interfaces[0].Addr
 		}
-		salt := fnv.New64a()
-		salt.Write([]byte(dc.Hostname))
-		sp := &speaker{
-			host: dc.Hostname, dc: dc, profile: prof, routerID: rid,
-			outTo: map[string]*ribOut{}, nhCost: map[netip.Addr]int{},
-			pending: dc.BGP.Networks, salt: salt.Sum64(), seg: salt.Sum64(),
+		sp := old[dc.Hostname]
+		switch {
+		case sp == nil || sp.routerID != rid || sp.asn != dc.BGP.ASN || sp.loopback != dc.Loopback || sp.profile != prof:
+			salt := fnv.New64a()
+			salt.Write([]byte(dc.Hostname))
+			sp = &speaker{
+				host: dc.Hostname, profile: prof, routerID: rid, asn: dc.BGP.ASN, loopback: dc.Loopback,
+				ifaces: slices.Clone(dc.Interfaces), networks: slices.Clone(dc.BGP.Networks),
+				nhCost: map[netip.Addr]int{}, salt: salt.Sum64(), seg: salt.Sum64(),
+			}
+			sp.pending = slices.Clone(sp.networks)
+		case igpChanged[dc.Hostname] || !slices.Equal(sp.ifaces, dc.Interfaces) || !slices.Equal(sp.networks, dc.BGP.Networks):
+			sp.ifaces, sp.networks = slices.Clone(dc.Interfaces), slices.Clone(dc.BGP.Networks)
+			clear(sp.nhCost)
+			redecide = append(redecide, sp)
 		}
 		e.speakers[dc.Hostname] = sp
 		e.sp = append(e.sp, sp)
+		dcOf[sp] = dc
 		for _, ic := range dc.Interfaces {
 			e.addrOwner[ic.Addr] = dc.Hostname
 		}
@@ -257,71 +290,130 @@ func NewBGPEngine(devices []*DeviceConfig, profileOf func(host string) VendorPro
 	for i, sp := range e.sp {
 		sp.idx = i
 	}
-	e.slots = make([]turnResult, len(e.sp))
-	// Establish sessions: a neighbor statement whose address belongs to a
-	// device that has a matching reverse session.
+	if len(e.slots) != len(e.sp) {
+		e.slots = make([]turnResult, len(e.sp))
+	}
 	for _, sp := range e.sp {
-		host := sp.host
-		for _, nbr := range sp.dc.BGP.Neighbors {
-			peerHost, ok := e.addrOwner[nbr.Addr]
-			if !ok {
-				e.sessionsDown = append(e.sessionsDown, fmt.Sprintf("%s -> %v (address unknown)", host, nbr.Addr))
-				continue
-			}
-			peer := e.speakers[peerHost]
-			if peer == nil {
-				e.sessionsDown = append(e.sessionsDown, fmt.Sprintf("%s -> %s@%v (runs no BGP)", host, peerHost, nbr.Addr))
-				continue
-			}
-			if peer.dc.BGP.ASN != nbr.RemoteASN {
-				e.sessionsDown = append(e.sessionsDown, fmt.Sprintf("%s -> %s@%v (remote-as %d, actual %d)", host, peerHost, nbr.Addr, nbr.RemoteASN, peer.dc.BGP.ASN))
-				continue
-			}
-			sp.sessions = append(sp.sessions, session{
-				peerHost: peerHost,
-				peerAddr: nbr.Addr,
-				cfg:      nbr,
-				ebgp:     nbr.RemoteASN != sp.dc.BGP.ASN,
-			})
-			e.sessionsUp++
-		}
+		e.wireSessions(sp, dcOf[sp])
 	}
 	// A deterministic report: map iteration never orders this list, and
 	// every entry names the peer address, so golden diffs are stable.
 	sort.Strings(e.sessionsDown)
-	// Second pass: precompute per-session local addresses, the sorted
-	// processing order and one adj-RIB-out per export group; third, point
-	// every adj-RIB-in at the peer's adj-RIB-out toward it.
 	for _, sp := range e.sp {
-		groups := map[exportKey]*ribOut{}
-		for i := range sp.sessions {
-			s := &sp.sessions[i]
-			s.myAddr = e.myAddressOn(sp, *s)
-			if sp.outTo[s.peerHost] != nil {
-				continue
-			}
-			k := sp.exportKey(s)
-			if groups[k] == nil {
-				groups[k] = &ribOut{sess: *s}
-				sp.outs = append(sp.outs, groups[k])
-			}
-			groups[k].members++
-			sp.outTo[s.peerHost] = groups[k]
-			sp.peers = append(sp.peers, e.speakers[s.peerHost])
-		}
-		sp.sorted = append([]session(nil), sp.sessions...)
-		sort.SliceStable(sp.sorted, func(i, j int) bool { return sp.sorted[i].peerAddr.Less(sp.sorted[j].peerAddr) })
-		// A repeated neighbor address is one session; the first statement
-		// is the one inbound policy has always read.
-		sp.sorted = slices.CompactFunc(sp.sorted, func(a, b session) bool { return a.peerAddr == b.peerAddr })
-		sp.in = make([]ribIn, len(sp.sorted))
+		e.wireRIBIns(sp)
 	}
-	for _, sp := range e.sp {
-		for k, s := range sp.sorted {
-			sp.in[k] = ribIn{from: e.speakers[s.peerHost].outTo[sp.host], synced: true, sorted: true}
+	for _, sp := range redecide {
+		sp.pending = sp.allPrefixes(sp.pending)
+	}
+}
+
+// wireSessions establishes a speaker's sessions — a neighbor statement whose
+// address belongs to a device that has a matching reverse session — and
+// groups them into export groups, keeping every adj-RIB-out whose key
+// survives.
+func (e *BGPEngine) wireSessions(sp *speaker, dc *DeviceConfig) {
+	sp.sessions = sp.sessions[:0:0]
+	for _, nbr := range dc.BGP.Neighbors {
+		peerHost, ok := e.addrOwner[nbr.Addr]
+		if !ok {
+			e.sessionsDown = append(e.sessionsDown, fmt.Sprintf("%s -> %v (address unknown)", sp.host, nbr.Addr))
+			continue
+		}
+		peer := e.speakers[peerHost]
+		if peer == nil {
+			e.sessionsDown = append(e.sessionsDown, fmt.Sprintf("%s -> %s@%v (runs no BGP)", sp.host, peerHost, nbr.Addr))
+			continue
+		}
+		if peer.asn != nbr.RemoteASN {
+			e.sessionsDown = append(e.sessionsDown, fmt.Sprintf("%s -> %s@%v (remote-as %d, actual %d)", sp.host, peerHost, nbr.Addr, nbr.RemoteASN, peer.asn))
+			continue
+		}
+		sp.sessions = append(sp.sessions, session{
+			peerHost: peerHost, peerAddr: nbr.Addr, cfg: nbr,
+			ebgp: nbr.RemoteASN != sp.asn, myAddr: sp.myAddressOn(nbr.Addr),
+		})
+		e.sessionsUp++
+	}
+	kept := make(map[exportKey]*ribOut, len(sp.outs))
+	for _, o := range sp.outs {
+		kept[sp.exportKey(&o.sess)] = o
+	}
+	sp.outs, sp.outTo, sp.peers = nil, map[string]*ribOut{}, nil
+	groups := map[exportKey]*ribOut{}
+	for i := range sp.sessions {
+		s := &sp.sessions[i]
+		if sp.outTo[s.peerHost] != nil {
+			continue
+		}
+		k := sp.exportKey(s)
+		g := groups[k]
+		if g == nil {
+			if g = kept[k]; g == nil {
+				g = &ribOut{}
+				for j := range sp.rib {
+					var adv BGPRoute
+					if sp.advertise(&sp.rib[j], s, &adv) {
+						g.routes = append(g.routes, adv)
+					}
+				}
+			}
+			g.sess, g.members = *s, 0
+			groups[k] = g
+			sp.outs = append(sp.outs, g)
+		}
+		g.members++
+		sp.outTo[s.peerHost] = g
+		sp.peers = append(sp.peers, e.speakers[s.peerHost])
+	}
+}
+
+// wireRIBIns points each of a speaker's adj-RIB-ins at the peer's
+// adj-RIB-out toward it, keeping the list of every session that survived
+// and withdrawing the rest. It runs after every speaker's export groups are
+// wired.
+func (e *BGPEngine) wireRIBIns(sp *speaker) {
+	sorted := slices.Clone(sp.sessions)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].peerAddr.Less(sorted[j].peerAddr) })
+	// A repeated neighbor address is one session; the first statement is
+	// the one inbound policy has always read.
+	sorted = slices.CompactFunc(sorted, func(a, b session) bool { return a.peerAddr == b.peerAddr })
+	kept := make(map[session]*ribIn, len(sp.sorted))
+	for k, s := range sp.sorted {
+		kept[s] = &sp.in[k]
+	}
+	in := make([]ribIn, len(sorted))
+	for k, s := range sorted {
+		from := e.speakers[s.peerHost].outTo[sp.host]
+		old, ok := kept[s]
+		delete(kept, s)
+		if ok && from != nil {
+			in[k] = *old
+			in[k].synced = old.synced && old.from == from
+			in[k].from = from
+			continue
+		}
+		if ok { // the peer dropped its session back: nothing is heard on this one
+			sp.withdraw(old)
+		}
+		// An empty list reflects an empty adj-RIB-out at its version.
+		in[k] = ribIn{from: from, sorted: true, synced: from == nil || len(from.routes) == 0}
+		if from != nil {
+			in[k].seen = from.version
 		}
 	}
-	return e, nil
+	for _, old := range kept {
+		sp.withdraw(old)
+	}
+	sp.sorted, sp.in = sorted, in
+}
+
+// withdraw takes a session's routes out of the speaker's state hash and
+// queues their prefixes for re-decision.
+func (sp *speaker) withdraw(in *ribIn) {
+	sp.seg -= sumHash(in.routes, saltIn)
+	for i := range in.routes {
+		sp.pending = append(sp.pending, in.routes[i].Prefix)
+	}
 }
 
 // SessionsUp returns the number of configured sessions that matched a
@@ -373,17 +465,17 @@ func (e *BGPEngine) deliver(from, to string, routes []BGPRoute, events *[]string
 // myAddressOn returns the local address used for the session to peerAddr
 // (the interface sharing the peer's subnet, or the loopback for
 // loopback-peered iBGP sessions).
-func (e *BGPEngine) myAddressOn(sp *speaker, s session) netip.Addr {
-	for _, ic := range sp.dc.Interfaces {
-		if ic.Prefix.Contains(s.peerAddr) && ic.Prefix.Bits() < 32 {
+func (sp *speaker) myAddressOn(peerAddr netip.Addr) netip.Addr {
+	for _, ic := range sp.ifaces {
+		if ic.Prefix.Contains(peerAddr) && ic.Prefix.Bits() < 32 {
 			return ic.Addr
 		}
 	}
-	if sp.dc.HasLoopback() {
-		return sp.dc.Loopback
+	if sp.loopback.IsValid() {
+		return sp.loopback
 	}
-	if len(sp.dc.Interfaces) > 0 {
-		return sp.dc.Interfaces[0].Addr
+	if len(sp.ifaces) > 0 {
+		return sp.ifaces[0].Addr
 	}
 	return netip.Addr{}
 }
@@ -461,7 +553,7 @@ func (e *BGPEngine) reselectAll() {
 	for i, sp := range e.sp {
 		t := &e.slots[i]
 		*t = turnResult{churned: t.churned[:0]}
-		e.seq.dirty = sp.allPrefixes(e.seq.dirty)
+		e.seq.dirty = sp.allPrefixes(e.seq.dirty[:0])
 		e.reselect(sp, e.seq.dirty, t, &e.seq)
 		e.apply(sp, t)
 	}
@@ -474,39 +566,17 @@ func (e *BGPEngine) reselectAll() {
 // same order, so they are byte-identical.
 func (e *BGPEngine) sweep() bool {
 	e.beginRound()
-	var hist replayRound
-	if e.replay != nil {
-		if idx := e.rounds - 1; idx < len(e.replay.rounds) {
-			hist = e.replay.rounds[idx]
-		} else {
-			// The run outran the recorded trajectory; no further restores.
-			e.replay = nil
-		}
-	}
-	e.recRound = nil
-	if e.record != nil {
-		e.recRound = make(replayRound, len(e.sp))
-	}
 	if e.useSharded() {
 		e.statShardRounds++
-		e.runSharded(hist)
+		e.runSharded()
 		for i, sp := range e.sp {
 			e.apply(sp, &e.slots[i])
 		}
 	} else {
 		for i, sp := range e.sp {
-			e.turn(sp, hist, &e.slots[i], &e.seq)
+			e.turn(sp, &e.slots[i], &e.seq)
 			e.apply(sp, &e.slots[i])
 		}
-	}
-	if hist != nil {
-		e.statDirtyPrefixes += int64(e.cur.Decided)
-		if e.cur.Restored == len(e.sp) {
-			e.statRoundsSkipped++
-		}
-	}
-	if e.record != nil {
-		e.record.rounds = append(e.record.rounds, e.recRound)
 	}
 	e.endRound()
 	return !e.roundChanged
@@ -520,8 +590,8 @@ func (e *BGPEngine) beginRound() {
 func (e *BGPEngine) endRound() { e.log = append(e.log, e.cur) }
 
 // apply folds one speaker's turn result into the engine: churn counters,
-// changed-at stamps, the round's verdict and work record, the trajectory
-// record and captured perturbation events. The drivers call it in sweep
+// changed-at stamps, the round's verdict and work record, and captured
+// perturbation events. The drivers call it in sweep
 // order, which is the order the effects have always happened in.
 func (e *BGPEngine) apply(sp *speaker, t *turnResult) {
 	for _, p := range t.churned {
@@ -531,12 +601,9 @@ func (e *BGPEngine) apply(sp *speaker, t *turnResult) {
 		e.changedAt[sp.host] = e.rounds
 	}
 	e.roundChanged = e.roundChanged || t.changed
-	switch {
-	case t.restored:
-		e.cur.Restored++
-	case t.skipped:
+	if t.skipped {
 		e.cur.Skipped++
-	default:
+	} else {
 		e.cur.Evaluated++
 	}
 	e.cur.Sessions += t.sessions
@@ -544,24 +611,21 @@ func (e *BGPEngine) apply(sp *speaker, t *turnResult) {
 	e.cur.Adverts += t.adverts
 	e.cur.Churned += len(t.churned)
 	e.statCrossAdverts += int64(t.cross)
-	if e.recRound != nil {
-		e.recRound[sp.host] = sp.snapshot(t)
-	}
 	if len(t.events) > 0 {
 		e.pert.(perturbCapturer).restageEvents(t.events)
 	}
 }
 
 // BGPRound is one round's work record: counts only, no wall-clock, and the
-// same at any shard count. In sequential mode a speaker is restored when it
-// adopted its recorded state, skipped when no session had anything new for
-// it, evaluated otherwise; synchronous rounds evaluate everyone, twice when
-// the exchange changed something.
+// same at any shard count. In sequential mode a speaker is skipped when no
+// session had anything new for it and nothing was pending, evaluated
+// otherwise; synchronous rounds evaluate everyone, twice when the exchange
+// changed something.
 type BGPRound struct {
-	Round                        int
-	Evaluated, Skipped, Restored int // speakers
-	Sessions                     int // sessions whose changes were consumed
-	Decided                      int // prefixes whose selection was re-decided
+	Round              int
+	Evaluated, Skipped int // speakers
+	Sessions           int // sessions whose changes were consumed
+	Decided            int // prefixes whose selection was re-decided
 	// Adverts counts adj-RIB-out entry changes per peer: a change to an
 	// export group's list counts once for each peer in the group.
 	Adverts int
@@ -591,7 +655,7 @@ func (e *BGPEngine) sessionFrom(peer, sender *speaker, senderAddr netip.Addr) in
 // prevention and local-pref assignment. It reports whether the route is
 // kept, written to out.
 func (sp *speaker) accept(s *session, r, out *BGPRoute) bool {
-	if s.ebgp && slices.Contains(r.ASPath, sp.dc.BGP.ASN) {
+	if s.ebgp && slices.Contains(r.ASPath, sp.asn) {
 		return false // eBGP AS-path loop
 	}
 	if r.OriginatorID.IsValid() && r.OriginatorID == sp.routerID {
@@ -638,7 +702,7 @@ func (sp *speaker) exportKey(s *session) exportKey {
 		return exportKey{ebgp: true, asn: s.cfg.RemoteASN, med: s.cfg.MEDOut, nextHopSelf: s.myAddr}
 	}
 	k := exportKey{rrClient: s.cfg.RRClient}
-	if !sp.dc.HasLoopback() {
+	if !sp.loopback.IsValid() {
 		k.nextHopSelf = s.myAddr
 	}
 	return k
@@ -653,7 +717,7 @@ func (sp *speaker) advertise(rt *BGPRoute, s *session, out *BGPRoute) bool {
 		if slices.Contains(rt.ASPath, s.cfg.RemoteASN) {
 			return false
 		}
-		out.ASPath = append(append(make([]int, 0, len(rt.ASPath)+1), sp.dc.BGP.ASN), rt.ASPath...)
+		out.ASPath = append(append(make([]int, 0, len(rt.ASPath)+1), sp.asn), rt.ASPath...)
 		out.NextHop = s.myAddr
 		out.MED = s.cfg.MEDOut
 		out.LocalPref = 0
@@ -666,8 +730,8 @@ func (sp *speaker) advertise(rt *BGPRoute, s *session, out *BGPRoute) bool {
 	case rt.Local, rt.FromEBGP:
 		// Locally known routes go to every iBGP peer, with next-hop-self
 		// (the loopback) so the IGP can resolve it.
-		if sp.dc.HasLoopback() {
-			out.NextHop = sp.dc.Loopback
+		if sp.loopback.IsValid() {
+			out.NextHop = sp.loopback
 		} else {
 			out.NextHop = s.myAddr
 		}
@@ -688,7 +752,7 @@ func (sp *speaker) advertise(rt *BGPRoute, s *session, out *BGPRoute) bool {
 }
 
 // RouteChurn returns the per-prefix count of best-route changes across all
-// speakers since the engine was built (rounds-to-quiescence's companion
+// speakers during the most recent run (rounds-to-quiescence's companion
 // metric: how much the selections moved on the way there).
 func (e *BGPEngine) RouteChurn() map[netip.Prefix]int {
 	out := make(map[netip.Prefix]int, len(e.churn))
@@ -746,11 +810,10 @@ func (e *BGPEngine) FlappingSessions(min int) [][2]string {
 	return out
 }
 
-// SoftReset flushes the given speakers' RIBs (adj-RIB-in and selections)
-// and clears the engine's convergence verdict, so a following Run
-// re-exchanges routes from scratch on those sessions — the supervisor's
-// `clear ip bgp` escalation step. The perturbation layer is notified so
-// session-state-local faults can heal.
+// SoftReset flushes the given speakers' RIBs (adj-RIB-in and selections),
+// so a following Run re-exchanges routes from scratch on those sessions —
+// the supervisor's `clear ip bgp` escalation step. The perturbation layer
+// is notified so session-state-local faults can heal.
 func (e *BGPEngine) SoftReset(hosts []string) {
 	for _, host := range hosts {
 		sp, ok := e.speakers[host]
@@ -762,12 +825,6 @@ func (e *BGPEngine) SoftReset(hosts []string) {
 			e.pert.OnSoftReset(host)
 		}
 	}
-	// A flush invalidates both the replayed trajectory and the recording:
-	// the continuation run departs from any from-scratch trajectory.
-	e.replay, e.record = nil, nil
-	e.stateHashes = map[uint64][]int{}
-	e.converged, e.oscillating, e.cancelled = false, false, false
-	e.cycleLen = 0
 }
 
 // SessionComponents counts the connected components of the established
@@ -911,8 +968,8 @@ func (e *BGPEngine) Run(maxRounds int) BGPResult {
 // RunContext is Run with cancellation: the context is checked every round,
 // and a cancelled run reports Cancelled instead of spinning to the round
 // cap — a deploy-level timeout can reclaim a hung convergence. Calling it
-// again (after a SoftReset) continues from the current protocol state
-// under a fresh round budget.
+// again (after a SoftReset or a Rebind) continues from the current protocol
+// state under a fresh round budget, with rounds counted from one.
 func (e *BGPEngine) RunContext(ctx context.Context, maxRounds int) BGPResult {
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxBGPRounds
@@ -930,19 +987,15 @@ func (e *BGPEngine) RunContext(ctx context.Context, maxRounds int) BGPResult {
 	return e.endRun()
 }
 
-// beginRun resets the per-run verdict, statistics and perturbation state.
+// beginRun resets the per-run state: rounds, the round log, state hashes,
+// churn, changed-at stamps, the session-flap maps, the verdict, the shard
+// statistics and the perturbation layer's delivery state.
 func (e *BGPEngine) beginRun() {
-	// Replay is only valid for a fresh engine's first, unperturbed run: a
-	// continuation (post-escalation) run departs from the from-scratch
-	// trajectory, and the perturbation layer is stateful (flap counters,
-	// delivery schedules), so perturbed runs neither replay nor record.
-	if e.ran || e.pert != nil {
-		e.replay, e.record = nil, nil
-	}
-	e.ran = true
-	e.statDirtyPrefixes, e.statRoundsSkipped = 0, 0
-	e.log = nil
+	e.rounds, e.log = 0, nil
 	e.stateHashes = map[uint64][]int{}
+	e.churn, e.changedAt = map[netip.Prefix]int{}, map[string]int{}
+	e.sessFlaps, e.sessUp = map[[2]string]int{}, map[[2]string]bool{}
+	e.statShardRounds, e.statCrossAdverts = 0, 0
 	e.converged, e.oscillating, e.cancelled = false, false, false
 	e.cycleLen = 0
 	if e.pert != nil {

@@ -11,19 +11,19 @@
 // deployments.
 //
 // A sequential BGP round costs what changed: every speaker keeps a
-// versioned adj-RIB-out per peer and a turn consumes only the changes its
-// peers published since it last looked (delta evaluation; see rib.go).
+// versioned adj-RIB-out per export group and a turn consumes only the
+// changes its peers published since it last looked (delta evaluation; see
+// rib.go).
 //
-// Both engines support incremental reconvergence. The OSPF/IS-IS domain
-// diffs the canonical link-state database between Converge calls and
-// re-runs Dijkstra only for sources whose shortest-path tree an edge or
-// advertisement change can reach (delta SPF; see ospf.go). The BGP engine
-// records each sequential run's per-round trajectory and replays it on the
-// next run for speakers whose configs and neighborhoods are unchanged
-// (trajectory memoization; see replay.go). All of these are exact: they
-// skip recomputation only where the result is provably byte-identical to a
-// full run, so convergence outcomes, route selections and oscillation
-// verdicts never depend on whether incremental mode is enabled.
+// Both engines persist across reconvergences. The OSPF/IS-IS domain diffs
+// the canonical link-state database between Converge calls and re-runs
+// Dijkstra only for sources whose shortest-path tree an edge or
+// advertisement change can reach (delta SPF; see ospf.go), which is exact:
+// the routes are a fresh domain's. The BGP engine is rebound to the edited
+// configurations (BGPEngine.Rebind) and runs on from the selections it
+// holds, so an incident costs its churn; its runs end at a fixed point of
+// the protocol, which is a fresh engine's wherever the configuration has
+// one stable state.
 package routing
 
 import (

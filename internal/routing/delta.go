@@ -15,8 +15,7 @@ import (
 // ConfigSignature hashes every field of a device configuration that any
 // routing engine or the data plane reads: hostname, interfaces (all
 // fields), loopback, gateway, and the OSPF/BGP/IS-IS stanzas. Two configs
-// with equal signatures drive every engine identically; trajectory replay
-// uses this to decide which speakers' recorded state is still trustworthy.
+// with equal signatures drive every engine identically.
 func ConfigSignature(dc *DeviceConfig) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "h%s|lo%v|gw%v|", dc.Hostname, dc.Loopback, dc.Gateway)

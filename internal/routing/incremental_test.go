@@ -227,235 +227,6 @@ func TestDeltaSPFRebindISIS(t *testing.T) {
 	}
 }
 
-// asLineTopo builds n single-router ASes in a line, eBGP between
-// neighbours, each originating one /24.
-func asLineTopo(n int) []*DeviceConfig {
-	devs := make([]*DeviceConfig, n)
-	for i := 0; i < n; i++ {
-		devs[i] = &DeviceConfig{
-			Hostname: fmt.Sprintf("r%02d", i),
-			BGP: &BGPConfig{
-				ASN:      i + 1,
-				Networks: []netip.Prefix{netip.PrefixFrom(netip.AddrFrom4([4]byte{203, 0, byte(i), 0}), 24)},
-			},
-		}
-	}
-	for i := 0; i+1 < n; i++ {
-		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 1, byte(i), 0}), 30)
-		a := netip.AddrFrom4([4]byte{10, 1, byte(i), 1})
-		b := netip.AddrFrom4([4]byte{10, 1, byte(i), 2})
-		devs[i].Interfaces = append(devs[i].Interfaces, InterfaceConfig{
-			Name: fmt.Sprintf("eth%d", i), Addr: a, Prefix: p, Cost: 1,
-		})
-		devs[i+1].Interfaces = append(devs[i+1].Interfaces, InterfaceConfig{
-			Name: fmt.Sprintf("eth%d", i), Addr: b, Prefix: p, Cost: 1,
-		})
-		devs[i].BGP.Neighbors = append(devs[i].BGP.Neighbors, BGPNeighbor{Addr: b, RemoteASN: i + 2})
-		devs[i+1].BGP.Neighbors = append(devs[i+1].BGP.Neighbors, BGPNeighbor{Addr: a, RemoteASN: i + 1})
-	}
-	for i := range devs {
-		devs[i].BGP.RouterID = devs[i].Interfaces[0].Addr
-	}
-	return devs
-}
-
-func runSeq(t *testing.T, devs []*DeviceConfig, prev *BGPReplay, extraDirty map[string]bool) (*BGPEngine, BGPResult) {
-	t.Helper()
-	e, err := NewBGPEngine(devs, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetSequential(true)
-	if prev != nil || extraDirty != nil {
-		e.EnableIncremental(prev, extraDirty)
-	}
-	return e, e.Run(100)
-}
-
-// checkEnginesIdentical asserts two engines reached fully identical
-// protocol state and identical observable metrics.
-func checkEnginesIdentical(t *testing.T, name string, a, b *BGPEngine, ra, rb BGPResult) {
-	t.Helper()
-	if ra != rb {
-		t.Fatalf("%s: results diverge: %+v vs %+v", name, ra, rb)
-	}
-	for _, host := range a.Speakers() {
-		sa, sb := a.speakers[host], b.speakers[host]
-		for k := range sa.in {
-			if !listIdentical(sa.in[k].routes, sb.in[k].routes) {
-				t.Fatalf("%s: adj-RIB-in diverges for %s", name, host)
-			}
-		}
-		if !listIdentical(sa.rib, sb.rib) {
-			t.Fatalf("%s: loc-RIB diverges for %s:\na: %+v\nb: %+v", name, host, sa.rib, sb.rib)
-		}
-		if sa.seg != segHash(sa) || sb.seg != segHash(sb) {
-			t.Fatalf("%s: %s's maintained state hash disagrees with a full render", name, host)
-		}
-	}
-	ca, cb := a.RouteChurn(), b.RouteChurn()
-	if len(ca) != len(cb) {
-		t.Fatalf("%s: churn maps differ: %v vs %v", name, ca, cb)
-	}
-	for p, n := range ca {
-		if cb[p] != n {
-			t.Fatalf("%s: churn[%v] = %d vs %d", name, p, n, cb[p])
-		}
-	}
-	for w := 1; w <= ra.Rounds; w++ {
-		ua, ub := a.UnstableSpeakers(w), b.UnstableSpeakers(w)
-		if len(ua) != len(ub) {
-			t.Fatalf("%s: unstable speakers (window %d) differ: %v vs %v", name, w, ua, ub)
-		}
-		for i := range ua {
-			if ua[i] != ub[i] {
-				t.Fatalf("%s: unstable speakers (window %d) differ: %v vs %v", name, w, ua, ub)
-			}
-		}
-	}
-}
-
-// TestBGPReplayCleanRun: an unchanged config set replays the entire
-// trajectory — every speaker-round restores, every round is skipped, and
-// all observables are identical to the from-scratch run.
-func TestBGPReplayCleanRun(t *testing.T) {
-	devs := asLineTopo(8)
-	e1, r1 := runSeq(t, devs, nil, map[string]bool{})
-	if !r1.Converged {
-		t.Fatalf("baseline did not converge: %+v", r1)
-	}
-	log := e1.ReplayLog()
-	if log.Rounds() != r1.Rounds {
-		t.Fatalf("recorded %d rounds, ran %d", log.Rounds(), r1.Rounds)
-	}
-	e2, r2 := runSeq(t, devs, log, nil)
-	checkEnginesIdentical(t, "clean-replay", e1, e2, r1, r2)
-	restored, _, skipped := e2.IncrementalStats()
-	if want := int64(len(devs) * r2.Rounds); restored != want {
-		t.Errorf("restored %d speaker-rounds, want %d", restored, want)
-	}
-	if skipped != int64(r2.Rounds) {
-		t.Errorf("skipped %d rounds, want %d", skipped, r2.Rounds)
-	}
-	// The replayed run's own recording supports a further replay.
-	e3, r3 := runSeq(t, devs, e2.ReplayLog(), nil)
-	checkEnginesIdentical(t, "replay-of-replay", e1, e3, r1, r3)
-}
-
-// TestBGPReplayDirtyConfig: a config change is detected by signature, the
-// dirty speaker and the wavefront recompute, the rest restores — and the
-// outcome is identical to a full run over the new configs.
-func TestBGPReplayDirtyConfig(t *testing.T) {
-	devs := asLineTopo(10)
-	e1, r1 := runSeq(t, devs, nil, map[string]bool{})
-	if !r1.Converged {
-		t.Fatalf("baseline did not converge: %+v", r1)
-	}
-	log := e1.ReplayLog()
-
-	// r05 starts originating a second prefix.
-	devs[5].BGP.Networks = append(devs[5].BGP.Networks, netip.MustParsePrefix("198.51.100.0/24"))
-	full, rf := runSeq(t, devs, nil, nil)
-	inc, ri := runSeq(t, devs, log, nil)
-	checkEnginesIdentical(t, "dirty-config", full, inc, rf, ri)
-	restored, dirtyPfx, _ := inc.IncrementalStats()
-	if restored == 0 {
-		t.Error("no speaker-round restored despite a single-speaker change")
-	}
-	if dirtyPfx == 0 {
-		t.Error("no dirty prefixes counted for the recomputed speakers")
-	}
-}
-
-// TestBGPReplayExtraDirty: caller-marked dirty speakers recompute but the
-// outcome stays identical.
-func TestBGPReplayExtraDirty(t *testing.T) {
-	devs := asLineTopo(6)
-	e1, r1 := runSeq(t, devs, nil, map[string]bool{})
-	log := e1.ReplayLog()
-	inc, ri := runSeq(t, devs, log, map[string]bool{"r02": true})
-	checkEnginesIdentical(t, "extra-dirty", e1, inc, r1, ri)
-	restored, _, _ := inc.IncrementalStats()
-	clean, _, _ := func() (int64, int64, int64) {
-		e, _ := runSeq(t, devs, e1.ReplayLog(), nil)
-		return e.IncrementalStats()
-	}()
-	if restored >= clean {
-		t.Errorf("extra-dirty restored %d >= clean %d", restored, clean)
-	}
-}
-
-// TestBGPReplayPerturbedRunRecordsNothing: the perturbation layer is
-// stateful, so a perturbed run must neither replay nor record.
-func TestBGPReplayPerturbedRunRecordsNothing(t *testing.T) {
-	devs := asLineTopo(5)
-	e1, _ := runSeq(t, devs, nil, map[string]bool{})
-	log := e1.ReplayLog()
-	if log == nil {
-		t.Fatal("unperturbed run recorded nothing")
-	}
-
-	e2, err := NewBGPEngine(devs, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2.SetSequential(true)
-	e2.EnableIncremental(log, nil)
-	e2.SetPerturber(NewScheduledPerturber(42, []PerturbRule{
-		{Kind: PerturbDelay, A: "r01", B: "r02", Rounds: 2},
-	}))
-	e2.Run(100)
-	if e2.ReplayLog() != nil {
-		t.Error("perturbed run left a replay log")
-	}
-	restored, _, _ := e2.IncrementalStats()
-	if restored != 0 {
-		t.Errorf("perturbed run restored %d speaker-rounds", restored)
-	}
-}
-
-// TestBGPReplaySoftResetDiscards: a soft reset invalidates both the log
-// and the in-progress recording.
-func TestBGPReplaySoftResetDiscards(t *testing.T) {
-	devs := asLineTopo(5)
-	e, r := runSeq(t, devs, nil, map[string]bool{})
-	if e.ReplayLog() == nil {
-		t.Fatal("run recorded nothing")
-	}
-	e.SoftReset([]string{"r02"})
-	if e.ReplayLog() != nil {
-		t.Error("soft reset kept the replay log")
-	}
-	r2 := e.Run(100)
-	if !r2.Converged {
-		t.Fatalf("post-reset continuation: %+v", r2)
-	}
-	// The continuation must reconverge to the same tables as the original.
-	full, rf := runSeq(t, devs, nil, nil)
-	if rf.Converged != r.Converged {
-		t.Fatalf("baselines disagree: %+v vs %+v", rf, r)
-	}
-	for _, host := range e.Speakers() {
-		if !listIdentical(e.speakers[host].rib, full.speakers[host].rib) {
-			t.Errorf("post-reset loc-RIB diverges for %s", host)
-		}
-	}
-}
-
-// TestBGPReplaySecondRunDiscards: RunContext on an engine that already ran
-// (watchdog budget escalation) must drop replay and recording.
-func TestBGPReplaySecondRunDiscards(t *testing.T) {
-	devs := asLineTopo(4)
-	e, _ := runSeq(t, devs, nil, map[string]bool{})
-	if e.ReplayLog() == nil {
-		t.Fatal("first run recorded nothing")
-	}
-	e.Run(100)
-	if e.ReplayLog() != nil {
-		t.Error("continuation run kept a recording")
-	}
-}
-
 // TestConfigSignatureSensitivity: every stanza feeds the signature.
 func TestConfigSignatureSensitivity(t *testing.T) {
 	base := func() *DeviceConfig {
@@ -570,19 +341,5 @@ func TestRoundLog(t *testing.T) {
 	}
 	if !slices.Equal(logs[0], logs[1]) {
 		t.Errorf("round log differs between drivers:\nsequential %+v\nsharded    %+v", logs[0], logs[1])
-	}
-}
-
-// TestContinuationLeavesRecordAlone: a run that continues an engine whose
-// trajectory a caller still holds (the watchdog's soft reset) must not
-// write into it.
-func TestContinuationLeavesRecordAlone(t *testing.T) {
-	e, _ := runSeq(t, asLineTopo(5), nil, map[string]bool{})
-	log := e.ReplayLog()
-	want := fmt.Sprint(log.rounds)
-	e.SoftReset([]string{"r02"})
-	e.Run(1) // one round in, the flushed speaker has relearned only part of its table
-	if fmt.Sprint(log.rounds) != want {
-		t.Error("the continuation run rewrote the recorded trajectory")
 	}
 }

@@ -416,8 +416,8 @@ func (d *OSPFDomain) affectedSources(newEdges map[edgeKey]edgeVal, newAdvert map
 }
 
 // ChangedSources returns the sources whose route tables changed during the
-// most recent Converge (including sources that left the domain). BGP
-// trajectory replay seeds its dirty set from this.
+// most recent Converge (including sources that left the domain): the
+// speakers whose next-hop costs a BGP engine's Rebind must forget.
 func (d *OSPFDomain) ChangedSources() map[string]bool {
 	out := make(map[string]bool, len(d.changedSrc))
 	for h := range d.changedSrc {

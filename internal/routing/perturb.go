@@ -46,9 +46,10 @@ type Perturber interface {
 	// The input slice must not be retained or mutated; return it unchanged
 	// when no rule applies.
 	Deliver(round int, from, to string, routes []BGPRoute) []BGPRoute
-	// Pending reports whether queued (delayed) advertisements that differ
-	// from the latest delivery are still in flight — the engine must not
-	// declare convergence while they are.
+	// Pending reports whether the schedule will still change a delivery —
+	// queued (delayed) advertisements that differ from the latest one, or a
+	// session that keeps flapping — so the engine must not declare
+	// convergence on a momentarily quiet round.
 	Pending(round int) bool
 	// OnSoftReset notifies that a speaker's sessions were adjacency-reset
 	// by the supervisor; recoverable faults on its sessions heal.
@@ -151,9 +152,12 @@ type ScheduledPerturber struct {
 
 	// snapshots[session] ring-buffers recent table snapshots for delay
 	// rules; sessionState[session] is the last SessionUp answer, for flap
-	// transition counting.
+	// transition counting. flapping is set once SessionUp has seen a session
+	// an unhealed flap rule covers: it will go down again, so Pending holds
+	// the run open.
 	snapshots    map[string]map[int][]BGPRoute
 	sessionState map[string]bool
+	flapping     bool
 	// delivered[dir][prefix] is the last route set a loss rule let through
 	// on a direction — the receiver's view under retransmission semantics
 	// (see the PerturbLoss case in Deliver). staleRound is the most recent
@@ -189,6 +193,7 @@ func (p *ScheduledPerturber) Seed() uint64 { return p.seed }
 func (p *ScheduledPerturber) Reset() {
 	p.snapshots = map[string]map[int][]BGPRoute{}
 	p.sessionState = map[string]bool{}
+	p.flapping = false
 	p.delivered = map[string]map[string][]BGPRoute{}
 	p.staleRound = -1
 	if p.healed == nil {
@@ -281,6 +286,7 @@ func (p *ScheduledPerturber) SessionUp(round int, from, to string) bool {
 		if every < 1 {
 			every = 1
 		}
+		p.flapping = true
 		if (round/every)%2 == 1 {
 			up = false
 		}
@@ -435,11 +441,14 @@ func (p *ScheduledPerturber) Deliver(round int, from, to string, routes []BGPRou
 
 // Pending reports whether perturbed state the engine must wait out is
 // still in flight: a delay queue holding a snapshot that differs from what
-// was last delivered, or a loss rule that just redelivered stale state (a
+// was last delivered, a loss rule that just redelivered stale state (a
 // receiver behind the sender's current advertisements is not a fixed
-// point, merely a retransmission away from changing again).
+// point, merely a retransmission away from changing again), or a flapping
+// session in an "up" phase (a quiet round there is not a fixed point
+// either: the session goes down again, and the run ends in a detected
+// cycle instead).
 func (p *ScheduledPerturber) Pending(round int) bool {
-	if p.staleRound == round {
+	if p.staleRound == round || p.flapping {
 		return true
 	}
 	for _, r := range p.rules {

@@ -20,9 +20,9 @@ import (
 // rebuilds its adj-RIB-in and loc-RIB maps wholesale and re-decides every
 // prefix. It shares with the engine only what delta evaluation did not
 // touch: session establishment, the outbound policy and decision process
-// of one route, and the perturbation layer's delivery. It never replays,
-// never shards and keeps no version, so every shortcut the engine takes is
-// checked against not taking it.
+// of one route, and the perturbation layer's delivery. It never shards and
+// keeps no version, so every shortcut the engine takes is checked against
+// not taking it.
 
 type refEngine struct {
 	e      *BGPEngine // sessions, policy, decision process, perturber, counters
@@ -98,22 +98,22 @@ func (r *refEngine) referenceStep() bool {
 
 func refFilterReceived(sp *speaker, routes []BGPRoute, fromAddr netip.Addr) []BGPRoute {
 	var cfg *BGPNeighbor
-	for i := range sp.dc.BGP.Neighbors {
-		if sp.dc.BGP.Neighbors[i].Addr == fromAddr {
-			cfg = &sp.dc.BGP.Neighbors[i]
+	for i := range sp.sessions {
+		if sp.sessions[i].peerAddr == fromAddr {
+			cfg = &sp.sessions[i].cfg
 			break
 		}
 	}
 	var out []BGPRoute
 	for _, r := range routes {
-		if slices.Contains(r.ASPath, sp.dc.BGP.ASN) && cfg != nil && cfg.RemoteASN != sp.dc.BGP.ASN {
+		if slices.Contains(r.ASPath, sp.asn) && cfg != nil && cfg.RemoteASN != sp.asn {
 			continue // eBGP AS-path loop
 		}
 		if r.OriginatorID.IsValid() && r.OriginatorID == sp.routerID {
 			continue // RR originator loop
 		}
 		r.LearnedFrom = fromAddr
-		if cfg != nil && cfg.RemoteASN != sp.dc.BGP.ASN {
+		if cfg != nil && cfg.RemoteASN != sp.asn {
 			r.FromEBGP = true
 			if cfg.LocalPrefIn > 0 {
 				r.LocalPref = cfg.LocalPrefIn
@@ -153,7 +153,7 @@ func refAdjEqual(a, b map[netip.Addr][]BGPRoute) bool {
 func (r *refEngine) selectBest(sp *speaker) bool {
 	e := r.e
 	candidates := map[netip.Prefix][]*BGPRoute{}
-	for _, p := range sp.dc.BGP.Networks {
+	for _, p := range sp.networks {
 		candidates[p] = append(candidates[p], &BGPRoute{Prefix: p, LocalPref: 100, Local: true})
 	}
 	peers := make([]netip.Addr, 0, len(r.adjIn[sp.host]))
@@ -448,11 +448,10 @@ func firstEBGPPair(t *testing.T, devs []*DeviceConfig) (string, string) {
 
 // TestDeltaMatchesReference is the property the delta path stands on: over
 // seeded NREN shapes, with and without a perturber (dup+reorder delivers
-// lists that are neither sorted nor duplicate-free), sharded or not,
-// replaying a neighbouring configuration's trajectory or not, and across a
-// mid-run soft reset, the engine's state after every round — adj-RIB-ins,
-// selections, churn, unstable speakers — its round count and its verdict
-// are the naive sweep's.
+// lists that are neither sorted nor duplicate-free), sharded or not, and
+// across a mid-run soft reset, the engine's state after every round —
+// adj-RIB-ins, selections, churn, unstable speakers — its round count and
+// its verdict are the naive sweep's.
 func TestDeltaMatchesReference(t *testing.T) {
 	const firstBudget, secondBudget = 3, 14
 	for i, seed := range []int64{11, 23, 37} {
@@ -461,31 +460,6 @@ func TestDeltaMatchesReference(t *testing.T) {
 		igp := igpFor(t, devs)
 		profile := []VendorProfile{ProfileIOS, ProfileQuagga, ProfileJunos}[i]
 		a, b := firstEBGPPair(t, devs)
-		// The trajectory a replaying engine is armed with comes from a
-		// neighbouring configuration: one eBGP session prefers differently.
-		variant := slices.Clone(devs)
-		for vi, dc := range variant {
-			if dc.Hostname == a {
-				cp, bgp := *dc, *dc.BGP
-				bgp.Neighbors = slices.Clone(bgp.Neighbors)
-				for n := range bgp.Neighbors {
-					if bgp.Neighbors[n].RemoteASN != bgp.ASN {
-						bgp.Neighbors[n].LocalPrefIn = 150
-					}
-				}
-				cp.BGP = &bgp
-				variant[vi] = &cp
-			}
-		}
-		recorder, err := NewBGPEngine(variant, func(string) VendorProfile { return profile }, igp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recorder.SetSequential(true)
-		recorder.EnableIncremental(nil, nil)
-		if res := recorder.Run(40); recorder.ReplayLog().Rounds() != res.Rounds {
-			t.Fatalf("seed %d: recording run %+v recorded %d rounds", seed, res, recorder.ReplayLog().Rounds())
-		}
 		resets := []string{a, devs[len(devs)/2].Hostname}
 		for _, pert := range []struct {
 			name  string
@@ -511,33 +485,20 @@ func TestDeltaMatchesReference(t *testing.T) {
 			ref.softReset(resets)
 			second := ref.run(secondBudget)
 			for _, shards := range []int{1, 4} {
-				for _, replay := range []bool{false, true} {
-					if replay && pert.rules != nil && i > 0 {
-						continue // a perturbed run disarms replay before its first round; one size shows it
-					}
-					label := fmt.Sprintf("seed=%d n=%d %s shards=%d replay=%v", seed, routers, pert.name, shards, replay)
-					e, err := NewBGPEngine(devs, func(string) VendorProfile { return profile }, igp)
-					if err != nil {
-						t.Fatal(err)
-					}
-					e.SetSequential(true)
-					e.SetShards(shards)
-					e.SetPerturber(perturber())
-					if replay {
-						e.EnableIncremental(recorder.ReplayLog(), nil)
-					}
-					checkRun(t, label+" first run", e, first, firstBudget)
-					if replay && pert.rules == nil {
-						if restored, _, _ := e.IncrementalStats(); restored == 0 {
-							t.Errorf("%s: replay never restored a speaker", label)
-						}
-					}
-					e.SoftReset(resets)
-					checkRun(t, label+" after soft reset", e, second, secondBudget)
-					if p, ok := e.pert.(*ScheduledPerturber); ok {
-						if want := ref.e.pert.(*ScheduledPerturber).Events(); !slices.Equal(p.Events(), want) {
-							t.Errorf("%s: perturbation event log differs from the reference's", label)
-						}
+				label := fmt.Sprintf("seed=%d n=%d %s shards=%d", seed, routers, pert.name, shards)
+				e, err := NewBGPEngine(devs, func(string) VendorProfile { return profile }, igp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.SetSequential(true)
+				e.SetShards(shards)
+				e.SetPerturber(perturber())
+				checkRun(t, label+" first run", e, first, firstBudget)
+				e.SoftReset(resets)
+				checkRun(t, label+" after soft reset", e, second, secondBudget)
+				if p, ok := e.pert.(*ScheduledPerturber); ok {
+					if want := ref.e.pert.(*ScheduledPerturber).Events(); !slices.Equal(p.Events(), want) {
+						t.Errorf("%s: perturbation event log differs from the reference's", label)
 					}
 				}
 			}

@@ -19,9 +19,9 @@ import (
 // reference_test.go.
 //
 // Lists are never patched in place: a change builds a new slice
-// (patch.apply), so a list that a recorded trajectory (replay.go) or a
-// peer still references stays what it was — recorded states are immutable
-// by construction, and lists nothing touched are shared between rounds.
+// (patch.apply). Nothing else relies on that any more — every list has one
+// owner, and only a round's delta (ribOut.delta) describes the change — so
+// patching in place is open as an allocation optimisation.
 
 // routeChange is one entry of a delta: the new route for rt.Prefix, or its
 // withdrawal.
@@ -44,7 +44,7 @@ type ribOut struct {
 	routes  []BGPRoute
 	version uint64
 	// delta takes version-1 to version; nil after the content was replaced
-	// wholesale (replay restore, soft reset), which no delta describes.
+	// wholesale (soft reset), which no delta describes.
 	delta []routeChange
 }
 
@@ -150,6 +150,13 @@ func (pt *patch) apply() []BGPRoute {
 	return append(out, pt.list[i:]...)
 }
 
+// routeIdentical is routeEqual plus the fields it deliberately ignores.
+// Delta staging needs full identity: LearnedFrom feeds decision steps 7–8
+// and FromRRClient drives iBGP reflection.
+func routeIdentical(a, b BGPRoute) bool {
+	return a.LearnedFrom == b.LearnedFrom && a.FromRRClient == b.FromRRClient && routeEqual(a, b)
+}
+
 // diffPrefixes appends every prefix whose routes differ between two
 // versions of an adj-RIB-in. Unsorted (perturbed) lists mark everything.
 func diffPrefixes(old, next []BGPRoute, sorted bool, dirty []netip.Prefix) []netip.Prefix {
@@ -186,8 +193,7 @@ func diffPrefixes(old, next []BGPRoute, sorted bool, dirty []netip.Prefix) []net
 // hash per adj-RIB-in entry and per selected route, so a turn maintains it
 // by subtracting what it removed and adding what it installed. The sum is
 // order-independent and counts duplicates. Only equality across rounds is
-// observable (cycle detection, replay re-adoption): equal states hash
-// equal.
+// observable (cycle detection): equal states hash equal.
 const (
 	saltIn  = 0x9e3779b97f4a7c15
 	saltRIB = 0xc2b2ae3d27d4eb4f
@@ -248,7 +254,7 @@ func segHash(sp *speaker) uint64 {
 // barrier in the sharded one. Everything a turn changes outside its own
 // speaker goes through here, so both drivers run the same turn.
 type turnResult struct {
-	restored, skipped, changed bool
+	skipped, changed           bool
 	churned                    []netip.Prefix // prefixes whose best route moved
 	events                     []string       // perturber lines, in session order
 	sessions, decided, adverts int
@@ -265,21 +271,10 @@ type scratch struct {
 	route    BGPRoute // the route inbound or outbound policy just produced
 }
 
-// turn is one speaker's step of a Gauss–Seidel round. With a trajectory
-// armed, a speaker whose round state is provably the recorded one restores
-// it (replay.go has the admission argument); a recomputed speaker is
-// checked against the record afterwards, and an exact match re-adopts the
-// recorded lists so peers keep restoring, a mismatch marks it deviant.
-func (e *BGPEngine) turn(sp *speaker, hist replayRound, t *turnResult, sc *scratch) {
+// turn is one speaker's step of a Gauss–Seidel round: it consumes what its
+// sessions changed and re-decides those prefixes and the pending ones.
+func (e *BGPEngine) turn(sp *speaker, t *turnResult, sc *scratch) {
 	*t = turnResult{churned: t.churned[:0], events: t.events[:0]}
-	h, recorded := hist[sp.host]
-	if recorded && sp.canRestore() {
-		sp.adopt(h, true)
-		t.restored, t.changed = true, h.changed
-		t.churned = append(t.churned, h.churned...)
-		sp.pending = nil
-		return
-	}
 	dirty := append(sc.dirty[:0], sp.pending...)
 	sp.pending = nil
 	for k := range sp.in {
@@ -290,12 +285,6 @@ func (e *BGPEngine) turn(sp *speaker, hist replayRound, t *turnResult, sc *scrat
 		e.reselect(sp, slices.Compact(dirty), t, sc)
 	}
 	sc.dirty = dirty
-	if hist != nil {
-		sp.deviant = !(recorded && !sp.sdirty && sp.matches(h))
-		if !sp.deviant {
-			sp.adopt(h, false)
-		}
-	}
 }
 
 // consume brings one session's adj-RIB-in up to date with the peer's
@@ -360,7 +349,7 @@ func (e *BGPEngine) reselect(sp *speaker, dirty []netip.Prefix, t *turnResult, s
 	pt := patch{list: sp.rib, chg: sc.chg[:0], seg: &sp.seg, salt: saltRIB}
 	for _, p := range dirty {
 		cands := sc.cands[:0]
-		if slices.Contains(sp.dc.BGP.Networks, p) {
+		if slices.Contains(sp.networks, p) {
 			sc.local = BGPRoute{Prefix: p, LocalPref: 100, Local: true}
 			cands = append(cands, &sc.local)
 		}
@@ -431,13 +420,13 @@ func (sp *speaker) flush() {
 		o.version += 2
 	}
 	sp.rib, sp.seg = nil, sp.salt
-	sp.pending = sp.dc.BGP.Networks
+	sp.pending = slices.Clone(sp.networks)
 }
 
-// allPrefixes lists every prefix the speaker knows a candidate or a
-// selection for, ascending and distinct.
+// allPrefixes appends every prefix the speaker knows a candidate or a
+// selection for to buf, and returns it ascending and distinct.
 func (sp *speaker) allPrefixes(buf []netip.Prefix) []netip.Prefix {
-	buf = append(buf[:0], sp.dc.BGP.Networks...)
+	buf = append(buf, sp.networks...)
 	for i := range sp.rib {
 		buf = append(buf, sp.rib[i].Prefix)
 	}

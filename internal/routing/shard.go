@@ -32,14 +32,12 @@ import (
 // Both drivers run the same per-speaker turn (rib.go). A turn writes only
 // its own speaker's lists — including the adj-RIB-outs its peers read,
 // which is safe for the reason above — and leaves everything engine-level
-// (churn counters, changed-at stamps, the round's work record, trajectory
-// recording, perturbation events) in its turnResult slot. The sequential
-// driver applies each slot at once; this one applies them all at a merge
-// barrier, single-threaded and in sweep order, which is the order the
-// sequential sweep applied them in. Counters, event logs and recorded
-// trajectories are therefore byte-identical at any shard/worker count, and
-// incremental × sharded compose (a trajectory recorded sharded replays
-// sequentially and vice versa).
+// (churn counters, changed-at stamps, the round's work record,
+// perturbation events) in its turnResult slot. The sequential driver
+// applies each slot at once; this one applies them all at a merge barrier,
+// single-threaded and in sweep order, which is the order the sequential
+// sweep applied them in. Counters and event logs are therefore
+// byte-identical at any shard/worker count.
 
 // Shard is one unit of the structural partition: an AS and its speakers in
 // sweep (hostname) order. Every speaker appears in exactly one shard.
@@ -49,8 +47,8 @@ type Shard struct {
 }
 
 // shardPlan is the engine's precomputed partition and dependency DAG. The
-// session graph is fixed at engine build, so the plan is computed once and
-// cached.
+// session graph changes only when the engine is wired, so the plan is
+// computed on first use after a wiring and cached until the next one.
 type shardPlan struct {
 	shards  [][]int // per shard (ascending ASN): its speakers' indices, ascending
 	shardOf []int   // speaker index -> shard index
@@ -71,7 +69,7 @@ func (e *BGPEngine) shardPlan() *shardPlan {
 	}
 	byASN := map[int][]int{}
 	for i, sp := range e.sp {
-		asn := sp.dc.BGP.ASN
+		asn := sp.asn
 		byASN[asn] = append(byASN[asn], i) // ascending: e.sp is in sweep order
 	}
 	asns := make([]int, 0, len(byASN))
@@ -112,10 +110,10 @@ func (e *BGPEngine) ShardCount() int {
 	return len(e.shardPlan().shards)
 }
 
-// ShardStats reports sharded-evaluation work done by this engine: rounds
-// evaluated by the parallel driver and advertisements that crossed a shard
-// boundary (adj-RIB-in changes taken over eBGP sessions, under either
-// driver). Both accumulate across runs of the same engine.
+// ShardStats reports the sharded-evaluation work of the most recent run:
+// rounds evaluated by the parallel driver and advertisements that crossed
+// a shard boundary (adj-RIB-in changes taken over eBGP sessions, under
+// either driver).
 func (e *BGPEngine) ShardStats() (parallelRounds, crossShardAdverts int64) {
 	return e.statShardRounds, e.statCrossAdverts
 }
@@ -132,7 +130,7 @@ func (e *BGPEngine) ShardLayout() ([]Shard, [][2]string) {
 		for k, i := range ps {
 			names[k] = e.sp[i].host
 		}
-		shards[sid] = Shard{ASN: e.sp[ps[0]].dc.BGP.ASN, Speakers: names}
+		shards[sid] = Shard{ASN: e.sp[ps[0]].asn, Speakers: names}
 	}
 	cutSet := map[[2]string]bool{}
 	for i, sp := range e.sp {
@@ -192,7 +190,6 @@ func (e *BGPEngine) useSharded() bool {
 type shardRun struct {
 	e    *BGPEngine
 	plan *shardPlan
-	hist replayRound
 
 	mu        sync.Mutex
 	done      []bool
@@ -206,10 +203,10 @@ type shardRun struct {
 // concurrently. The caller applies the slots afterwards — the merge
 // barrier. See the comment at the top of this file for the identity
 // argument.
-func (e *BGPEngine) runSharded(hist replayRound) {
+func (e *BGPEngine) runSharded() {
 	plan := e.shardPlan()
 	r := &shardRun{
-		e: e, plan: plan, hist: hist,
+		e: e, plan: plan,
 		done:    make([]bool, len(e.sp)),
 		cursor:  make([]int, len(plan.shards)),
 		waiters: map[int][]int{},
@@ -278,7 +275,7 @@ func (r *shardRun) runShard(sid int, sc *scratch) bool {
 			return false
 		}
 		r.mu.Unlock()
-		r.e.turn(r.e.sp[i], r.hist, &r.e.slots[i], sc)
+		r.e.turn(r.e.sp[i], &r.e.slots[i], sc)
 		r.mu.Lock()
 		r.done[i] = true
 		r.cursor[sid]++

@@ -85,6 +85,9 @@ awk -v t="$total" 'BEGIN {
 echo "== OSPF routes in a total order (-race -count=20: a /24 and a /30 on one address must not swap between runs)"
 go test -race -count=20 -run 'TestOSPFRoutesTotalOrder' ./internal/routing/
 
+echo "== persisted BGP engine under the race detector (-race -count=2: the lab's engine is rebound and run by every Apply while readers probe; the 60-router shapes keep the step under a minute)"
+go test -race -count=2 -run 'TestPersistedBGPMatchesFreshEngine/[a-z]+60$|TestShardWatchdogMeasureRace' . ./internal/emul/
+
 echo "== shared adj-RIB-outs under the race detector (-race -count: one export group's list is read by member peers in several shards at once)"
 go test -race -count=5 -run 'TestExportGroupsMatchPerPeerPolicy' ./internal/routing/
 go test -race -count=3 -run 'TestShardWatchdogMeasureRace' .
@@ -102,8 +105,8 @@ go test -run 'NONE' -bench 'BenchmarkP1_CompileRender' -cpu 1,2 -benchtime 1x .
 echo "== incremental rebuild benchmark (cold vs warm vs one-node edit; the edit run fails unless each edit misses exactly two lookups)"
 go test -run 'NONE' -bench 'BenchmarkP4_IncrementalRebuild' -benchtime 1x .
 
-echo "== BGP trajectory replay benchmark (fail/restore round trips without and with -incremental; delta SPF and the FIB build are the same on both sides)"
-go test -run 'NONE' -bench 'BenchmarkP6_IncrementalConvergence' -benchtime 1x .
+echo "== persisted-engine reconvergence benchmark (fail/restore round trips at 60/120/240 routers; the 1158 row is run by hand, see EXPERIMENTS.md)"
+go test -run 'NONE' -bench 'BenchmarkP6_IncrementalConvergence/n(60|120|240)$' -benchtime 1x .
 
 echo "== sharded convergence benchmark (serial vs sharded round evaluation, 240 routers)"
 go test -run 'NONE' -bench 'BenchmarkP9_ShardedConvergence/n240' -benchtime 1x .

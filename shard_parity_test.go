@@ -21,9 +21,9 @@ import (
 // Byte-identity harness for parallel sharded BGP convergence: the per-AS
 // sharded round driver (internal/routing/shard.go) must reproduce the
 // sequential Gauss–Seidel sweep exactly — reports, event logs, RIBs and
-// FIBs — at any shard worker count, any build worker count, with and
-// without incremental reconvergence, under any perturbation seed, through
-// incidents, a partition and a watchdog quarantine.
+// FIBs — at any shard worker count, any build worker count, under any
+// perturbation seed, through incidents, a partition and a watchdog
+// quarantine.
 
 // shardTestCounts returns the shard worker counts the parity tests sweep:
 // 1 (the sequential baseline), 4, and NumCPU — the last overridable with
@@ -45,11 +45,12 @@ func shardTestCounts(t *testing.T) []int {
 	return counts
 }
 
-// shardParityScenario extends the incremental-parity scenario with a
-// partition round (AS200's single router is cut from every neighbour, then
-// re-attached) and a non-recoverable flap storm that drives the watchdog
-// ladder all the way to quarantine — so the oracle covers incident,
-// partition and quarantine reconvergences, perturbed and clean alike.
+// shardParityScenario mixes incidents with seeded perturbation storms: link
+// and machine failures, a delay, a partition round (AS200's single router
+// is cut from every neighbour, then re-attached) and a non-recoverable
+// flap storm that drives the watchdog ladder all the way to quarantine —
+// so the oracle covers incident, partition and quarantine reconvergences,
+// perturbed and clean alike.
 func shardParityScenario(seed uint64) string {
 	return fmt.Sprintf(`name shard parity
 seed %d
@@ -79,10 +80,10 @@ perturb clear
 }
 
 // runShardScenario builds the Small-Internet fixture, deploys it with the
-// given shard worker count and convergence mode, runs the scenario, and
-// returns the rendered report, the lab event log, a combined RIB+FIB dump
-// of every machine, and the network's counters.
-func runShardScenario(t *testing.T, shards int, incremental bool, scenario string) (report, events, tables string, stats obs.Stats) {
+// given shard worker count, runs the scenario, and returns the rendered
+// report, the lab event log, a combined RIB+FIB dump of every machine, and
+// the network's counters.
+func runShardScenario(t *testing.T, shards int, scenario string) (report, events, tables string, stats obs.Stats) {
 	t.Helper()
 	net, err := Load(fixture)
 	if err != nil {
@@ -91,7 +92,7 @@ func runShardScenario(t *testing.T, shards int, incremental bool, scenario strin
 	if err := net.Build(BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	dep, err := net.Deploy(deploy.Options{Incremental: incremental, Shards: shards})
+	dep, err := net.Deploy(deploy.Options{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,49 +134,41 @@ func ribFibDump(lab *emul.Lab) string {
 
 // The tentpole's correctness bar: sharded ≡ sequential, byte for byte, on
 // reports, event logs, RIBs and FIBs, across the full cross-product
-// Shards∈{1,4,NumCPU} × three perturbation seeds, with incremental ×
-// sharded composition checked at every width.
-// Obs counters prove the parallel path actually ran (and stayed off for
-// the shards=1 runs).
+// Shards∈{1,4,NumCPU} × three perturbation seeds. Obs counters prove the
+// parallel path actually ran (and stayed off for shards=1).
 func TestShardedConvergenceParity(t *testing.T) {
 	shardCounts := shardTestCounts(t)
 	for _, seed := range []uint64{1337, 2024, 777} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			scenario := shardParityScenario(seed)
-			wantReport, wantEvents, wantTables, _ := runShardScenario(t, 1, false, scenario)
+			wantReport, wantEvents, wantTables, seqStats := runShardScenario(t, 1, scenario)
+			if n := seqStats.Counters[obs.CounterShardRoundsParallel]; n != 0 {
+				t.Errorf("shards=1: sequential run evaluated %d parallel rounds", n)
+			}
 			for _, shards := range shardCounts {
-				for _, incremental := range []bool{false, true} {
-					if shards == 1 && !incremental {
-						continue // the baseline itself
-					}
-					label := fmt.Sprintf("shards=%d incremental=%v", shards, incremental)
-					report, events, tables, stats := runShardScenario(t, shards, incremental, scenario)
-					if report != wantReport {
-						t.Errorf("%s: report differs from sequential baseline:\n--- got ---\n%s--- want ---\n%s",
-							label, report, wantReport)
-					}
-					if events != wantEvents {
-						t.Errorf("%s: lab events differ from sequential baseline:\n--- got ---\n%s\n--- want ---\n%s",
-							label, events, wantEvents)
-					}
-					if tables != wantTables {
-						t.Errorf("%s: RIB/FIB dump differs from sequential baseline:\n--- got ---\n%s\n--- want ---\n%s",
-							label, tables, wantTables)
-					}
-					// The parity would hold vacuously if the parallel
-					// driver never engaged.
-					if shards > 1 {
-						for _, c := range []string{obs.CounterBGPShards, obs.CounterShardRoundsParallel, obs.CounterCrossShardAdverts} {
-							if stats.Counters[c] == 0 {
-								t.Errorf("%s: counter %s = 0, sharded path never ran", label, c)
-							}
-						}
-					} else if n := stats.Counters[obs.CounterShardRoundsParallel]; n != 0 {
-						t.Errorf("%s: sequential run evaluated %d parallel rounds", label, n)
-					}
-					if incremental && stats.Counters[obs.CounterBGPSpeakersRestored] == 0 {
-						t.Errorf("%s: bgp_speakers_restored = 0, replay never engaged", label)
+				if shards == 1 {
+					continue // the baseline itself
+				}
+				label := fmt.Sprintf("shards=%d", shards)
+				report, events, tables, stats := runShardScenario(t, shards, scenario)
+				if report != wantReport {
+					t.Errorf("%s: report differs from sequential baseline:\n--- got ---\n%s--- want ---\n%s",
+						label, report, wantReport)
+				}
+				if events != wantEvents {
+					t.Errorf("%s: lab events differ from sequential baseline:\n--- got ---\n%s\n--- want ---\n%s",
+						label, events, wantEvents)
+				}
+				if tables != wantTables {
+					t.Errorf("%s: RIB/FIB dump differs from sequential baseline:\n--- got ---\n%s\n--- want ---\n%s",
+						label, tables, wantTables)
+				}
+				// The parity would hold vacuously if the parallel driver
+				// never engaged.
+				for _, c := range []string{obs.CounterBGPShards, obs.CounterShardRoundsParallel, obs.CounterCrossShardAdverts} {
+					if stats.Counters[c] == 0 {
+						t.Errorf("%s: counter %s = 0, sharded path never ran", label, c)
 					}
 				}
 			}
@@ -362,7 +355,7 @@ func runShardDrill(t *testing.T, shards int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, _, _, stats := runShardScenario(t, shards, false, string(data))
+	report, _, _, stats := runShardScenario(t, shards, string(data))
 	if shards > 1 && stats.Counters[obs.CounterShardRoundsParallel] == 0 {
 		t.Fatalf("shards=%d: parallel driver never ran", shards)
 	}
