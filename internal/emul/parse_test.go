@@ -20,15 +20,19 @@ func subDiags(parse func(*routing.DeviceConfig, string, *diagSink), dc *routing.
 	return sink.diags
 }
 
+// The error tables below are also the malformed corpus of the parse golden
+// (parse_golden_test.go).
+
+var startupErrorCases = []struct{ name, startup string }{
+	{"bad address", "/sbin/ifconfig eth0 not-an-ip netmask 255.255.255.0 up\n"},
+	{"bad netmask", "/sbin/ifconfig eth0 10.0.0.1 netmask 255.0.255.0 up\n"},
+}
+
 func TestParseStartupErrors(t *testing.T) {
 	base := map[string]string{
 		"etc/quagga/daemons": "zebra=yes\n",
 	}
-	cases := []struct{ name, startup string }{
-		{"bad address", "/sbin/ifconfig eth0 not-an-ip netmask 255.255.255.0 up\n"},
-		{"bad netmask", "/sbin/ifconfig eth0 10.0.0.1 netmask 255.0.255.0 up\n"},
-	}
-	for _, c := range cases {
+	for _, c := range startupErrorCases {
 		files := map[string]string{}
 		for k, v := range base {
 			files[k] = v
@@ -63,13 +67,14 @@ func TestParseQuaggaDaemonFileGates(t *testing.T) {
 	}
 }
 
+var ospfdErrorCases = []struct{ name, conf string }{
+	{"bad cost", "interface eth0\n  ip ospf cost abc\n"},
+	{"bad network", "router ospf\n  network junk area 0\n"},
+	{"bad area", "router ospf\n  network 10.0.0.0/8 area x\n"},
+}
+
 func TestParseQuaggaOspfdErrors(t *testing.T) {
-	cases := []struct{ name, conf string }{
-		{"bad cost", "interface eth0\n  ip ospf cost abc\n"},
-		{"bad network", "router ospf\n  network junk area 0\n"},
-		{"bad area", "router ospf\n  network 10.0.0.0/8 area x\n"},
-	}
-	for _, c := range cases {
+	for _, c := range ospfdErrorCases {
 		dc := mkBase(t)
 		if diags := subDiags(parseQuaggaOspfd, dc, c.conf); !diags.HasErrors() {
 			t.Errorf("%s accepted", c.name)
@@ -77,18 +82,19 @@ func TestParseQuaggaOspfdErrors(t *testing.T) {
 	}
 }
 
+var bgpdErrorCases = []struct{ name, conf string }{
+	{"bad asn", "router bgp abc\n"},
+	{"bad router-id", "router bgp 1\n  bgp router-id junk\n"},
+	{"bad network", "router bgp 1\n  network junk\n"},
+	{"bad neighbor addr", "router bgp 1\n  neighbor junk remote-as 2\n"},
+	{"bad remote-as", "router bgp 1\n  neighbor 10.0.0.2 remote-as x\n"},
+	{"no router block", "neighbor 10.0.0.2 remote-as 2\n"},
+	{"undefined route-map", "router bgp 1\n  neighbor 10.0.0.2 remote-as 2\n  neighbor 10.0.0.2 route-map nope out\n"},
+	{"bad set value", "router bgp 1\nroute-map m permit 10\n  set metric x\n"},
+}
+
 func TestParseQuaggaBgpdErrors(t *testing.T) {
-	cases := []struct{ name, conf string }{
-		{"bad asn", "router bgp abc\n"},
-		{"bad router-id", "router bgp 1\n  bgp router-id junk\n"},
-		{"bad network", "router bgp 1\n  network junk\n"},
-		{"bad neighbor addr", "router bgp 1\n  neighbor junk remote-as 2\n"},
-		{"bad remote-as", "router bgp 1\n  neighbor 10.0.0.2 remote-as x\n"},
-		{"no router block", "neighbor 10.0.0.2 remote-as 2\n"},
-		{"undefined route-map", "router bgp 1\n  neighbor 10.0.0.2 remote-as 2\n  neighbor 10.0.0.2 route-map nope out\n"},
-		{"bad set value", "router bgp 1\nroute-map m permit 10\n  set metric x\n"},
-	}
-	for _, c := range cases {
+	for _, c := range bgpdErrorCases {
 		dc := mkBase(t)
 		if diags := subDiags(parseQuaggaBgpd, dc, c.conf); !diags.HasErrors() {
 			t.Errorf("%s accepted", c.name)
@@ -96,10 +102,16 @@ func TestParseQuaggaBgpdErrors(t *testing.T) {
 	}
 }
 
+var isisdErrorCases = []struct{ name, conf string }{
+	{"missing NET", "router isis ank\n"},
+}
+
 func TestParseQuaggaIsisdErrors(t *testing.T) {
-	dc := mkBase(t)
-	if diags := subDiags(parseQuaggaIsisd, dc, "router isis ank\n"); !diags.HasErrors() {
-		t.Error("missing NET accepted")
+	for _, c := range isisdErrorCases {
+		dc := mkBase(t)
+		if diags := subDiags(parseQuaggaIsisd, dc, c.conf); !diags.HasErrors() {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 
@@ -171,21 +183,22 @@ func mkBase(t *testing.T) *routing.DeviceConfig {
 
 func mustParse(s string) netip.Addr { return netip.MustParseAddr(s) }
 
+var iosErrorCases = []struct{ name, conf string }{
+	{"bad address", "interface f0/0\n ip address junk 255.255.255.0\n"},
+	{"bad mask", "interface f0/0\n ip address 10.0.0.1 255.0.255.0\n"},
+	{"bad cost", "interface f0/0\n ip address 10.0.0.1 255.255.255.0\n ip ospf cost x\n"},
+	{"bad wildcard", "router ospf 1\n network 10.0.0.0 3.0.0.3 area 0\n"},
+	{"bad area", "router ospf 1\n network 10.0.0.0 0.0.0.3 area z\n"},
+	{"bad ospf process id", "router ospf x\n network 10.0.0.0 0.0.0.3 area 0\n"},
+	{"router bgp bare", "router bgp\n"},
+	{"bad bgp asn", "router bgp x\n"},
+	{"bad bgp network", "router bgp 1\n network junk mask 255.0.0.0\n"},
+	{"bad neighbor", "router bgp 1\n neighbor junk remote-as 2\n"},
+	{"undefined route-map", "router bgp 1\n neighbor 10.0.0.1 remote-as 2\n neighbor 10.0.0.1 route-map nope out\n"},
+}
+
 func TestParseIOSErrors(t *testing.T) {
-	cases := []struct{ name, conf string }{
-		{"bad address", "interface f0/0\n ip address junk 255.255.255.0\n"},
-		{"bad mask", "interface f0/0\n ip address 10.0.0.1 255.0.255.0\n"},
-		{"bad cost", "interface f0/0\n ip address 10.0.0.1 255.255.255.0\n ip ospf cost x\n"},
-		{"bad wildcard", "router ospf 1\n network 10.0.0.0 3.0.0.3 area 0\n"},
-		{"bad area", "router ospf 1\n network 10.0.0.0 0.0.0.3 area z\n"},
-		{"bad ospf process id", "router ospf x\n network 10.0.0.0 0.0.0.3 area 0\n"},
-		{"router bgp bare", "router bgp\n"},
-		{"bad bgp asn", "router bgp x\n"},
-		{"bad bgp network", "router bgp 1\n network junk mask 255.0.0.0\n"},
-		{"bad neighbor", "router bgp 1\n neighbor junk remote-as 2\n"},
-		{"undefined route-map", "router bgp 1\n neighbor 10.0.0.1 remote-as 2\n neighbor 10.0.0.1 route-map nope out\n"},
-	}
-	for _, c := range cases {
+	for _, c := range iosErrorCases {
 		if _, diags := parseIOSConfig("x", c.conf); !diags.HasErrors() {
 			t.Errorf("%s accepted", c.name)
 		}
@@ -199,37 +212,39 @@ func junosBGPGroup(stmt string) string {
 		"protocols {\n bgp {\n group ext {\n type external;\n peer-as 2;\n " + stmt + "\n neighbor 10.0.0.2;\n}\n}\n}\n"
 }
 
+var junosErrorCases = []struct{ name, conf string }{
+	{"unbalanced close", "}\n"},
+	{"unterminated stmt", "system {\nhost-name x\n}\n"},
+	{"unclosed block", "system {\n"},
+	{"bad iface addr", "interfaces {\n em0 {\n unit 0 {\n family inet {\n address junk;\n}\n}\n}\n}\n"},
+	{"bgp without asn", "protocols {\n bgp {\n group x {\n type external;\n neighbor 10.0.0.1;\n}\n}\n}\n"},
+	{"bad area", "protocols {\n ospf {\n area x {\n interface 10.0.0.0/30 {\n metric 1;\n}\n}\n}\n}\n"},
+	{"bad metric-out", junosBGPGroup("metric-out x;")},
+	{"bad local-preference", junosBGPGroup("local-preference 1e2;")},
+	{"bad advertise prefix", "routing-options {\n autonomous-system 1;\n advertise 10.0.0.0/33;\n}\n" + junosBGPGroup("")},
+}
+
 func TestParseJunosErrors(t *testing.T) {
-	cases := []struct{ name, conf string }{
-		{"unbalanced close", "}\n"},
-		{"unterminated stmt", "system {\nhost-name x\n}\n"},
-		{"unclosed block", "system {\n"},
-		{"bad iface addr", "interfaces {\n em0 {\n unit 0 {\n family inet {\n address junk;\n}\n}\n}\n}\n"},
-		{"bgp without asn", "protocols {\n bgp {\n group x {\n type external;\n neighbor 10.0.0.1;\n}\n}\n}\n"},
-		{"bad area", "protocols {\n ospf {\n area x {\n interface 10.0.0.0/30 {\n metric 1;\n}\n}\n}\n}\n"},
-		{"bad metric-out", junosBGPGroup("metric-out x;")},
-		{"bad local-preference", junosBGPGroup("local-preference 1e2;")},
-		{"bad advertise prefix", "routing-options {\n autonomous-system 1;\n advertise 10.0.0.0/33;\n}\n" + junosBGPGroup("")},
-	}
-	for _, c := range cases {
+	for _, c := range junosErrorCases {
 		if _, diags := parseJunosConfig("x", c.conf); !diags.HasErrors() {
 			t.Errorf("%s accepted", c.name)
 		}
 	}
 }
 
+var cbgpErrorCases = []struct{ name, script string }{
+	{"bad node", "net add node junk\n"},
+	{"bad link", "net add link junk 10.0.0.1\n"},
+	{"bad link weight", "net add link 10.0.0.1 10.0.0.2 x\n"},
+	{"bgp undeclared node", "bgp add router 1 10.0.0.9\n"},
+	{"router block undeclared", "bgp router 10.0.0.9\n"},
+	{"bad peer asn", "net add node 10.0.0.1\nbgp add router 1 10.0.0.1\nbgp router 10.0.0.1\n  add peer x 10.0.0.2\n"},
+	{"peer before declare", "net add node 10.0.0.1\nbgp add router 1 10.0.0.1\nbgp router 10.0.0.1\n  peer 10.0.0.2 up\n"},
+	{"bad network", "net add node 10.0.0.1\nbgp add router 1 10.0.0.1\nbgp router 10.0.0.1\n  add network junk\n"},
+}
+
 func TestParseCBGPErrors(t *testing.T) {
-	cases := []struct{ name, script string }{
-		{"bad node", "net add node junk\n"},
-		{"bad link", "net add link junk 10.0.0.1\n"},
-		{"bad link weight", "net add link 10.0.0.1 10.0.0.2 x\n"},
-		{"bgp undeclared node", "bgp add router 1 10.0.0.9\n"},
-		{"router block undeclared", "bgp router 10.0.0.9\n"},
-		{"bad peer asn", "net add node 10.0.0.1\nbgp add router 1 10.0.0.1\nbgp router 10.0.0.1\n  add peer x 10.0.0.2\n"},
-		{"peer before declare", "net add node 10.0.0.1\nbgp add router 1 10.0.0.1\nbgp router 10.0.0.1\n  peer 10.0.0.2 up\n"},
-		{"bad network", "net add node 10.0.0.1\nbgp add router 1 10.0.0.1\nbgp router 10.0.0.1\n  add network junk\n"},
-	}
-	for _, c := range cases {
+	for _, c := range cbgpErrorCases {
 		if _, diags := parseCBGPScript(c.script); !diags.HasErrors() {
 			t.Errorf("%s accepted", c.name)
 		}
