@@ -83,10 +83,9 @@ func (IOSSyntax) Name() string { return "ios" }
 // TemplateBase implements Syntax.
 func (IOSSyntax) TemplateBase() string { return "templates/ios" }
 
-// Finalize implements Syntax: IOS `network` statements use wildcard masks
-// and interfaces carry dotted netmasks; both are precomputed here so the
-// templates stay logic-free (§4.2).
-func (IOSSyntax) Finalize(d *nidb.Device) error { return nil }
+// Finalize implements Syntax: the IOS templates render no IS-IS, so a
+// device that carries it is refused rather than booted without an IGP.
+func (IOSSyntax) Finalize(d *nidb.Device) error { return noISIS(d, "ios") }
 
 // JunosSyntax targets Juniper JunOS.
 type JunosSyntax struct{}
@@ -97,9 +96,18 @@ func (JunosSyntax) Name() string { return "junos" }
 // TemplateBase implements Syntax.
 func (JunosSyntax) TemplateBase() string { return "templates/junos" }
 
-// Finalize implements Syntax: JunOS interface addressing uses unit 0
-// sub-interfaces.
-func (JunosSyntax) Finalize(d *nidb.Device) error { return nil }
+// Finalize implements Syntax: the JunOS templates render no IS-IS, so a
+// device that carries it is refused rather than booted without an IGP.
+func (JunosSyntax) Finalize(d *nidb.Device) error { return noISIS(d, "junos") }
+
+// noISIS refuses a device carrying an IS-IS block in a syntax whose
+// templates cannot express it.
+func noISIS(d *nidb.Device, syntax string) error {
+	if _, ok := d.Get("isis"); ok {
+		return fmt.Errorf("%s carries IS-IS, which the %s templates do not render", d.ID, syntax)
+	}
+	return nil
+}
 
 // CBGPSyntax targets the C-BGP simulator's CLI script language.
 type CBGPSyntax struct{}

@@ -153,8 +153,10 @@ func (e *DiagnosticError) Error() string {
 	return fmt.Sprintf("emul: %d config error(s):\n%s", len(errs), errs.String())
 }
 
-// diagSink accumulates diagnostics for one (device, file) parse pass. The
-// zero Device/File are allowed for lab-wide problems.
+// diagSink accumulates the diagnostics of one parse pass over one file.
+// device is set per statement where one file configures several devices
+// (the C-BGP script); the zero device and file are allowed for lab-wide
+// problems.
 type diagSink struct {
 	device string
 	file   string
@@ -162,8 +164,16 @@ type diagSink struct {
 }
 
 func (s *diagSink) errorf(line int, format string, args ...any) {
+	s.add(SevError, line, format, args...)
+}
+
+func (s *diagSink) warnf(line int, format string, args ...any) {
+	s.add(SevWarning, line, format, args...)
+}
+
+func (s *diagSink) add(sev Severity, line int, format string, args ...any) {
 	s.diags = append(s.diags, Diagnostic{
-		Severity: SevError, Device: s.device, File: s.file, Line: line,
+		Severity: sev, Device: s.device, File: s.file, Line: line,
 		Message: fmt.Sprintf(format, args...),
 	})
 }

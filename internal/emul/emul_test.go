@@ -460,25 +460,25 @@ func TestMaskBits(t *testing.T) {
 		{"255.255.255.252", 30}, {"255.255.255.0", 24}, {"255.0.0.0", 8}, {"255.255.255.255", 32}, {"0.0.0.0", 0},
 	}
 	for _, c := range cases {
-		got, err := maskBits(c.mask)
+		got, err := maskLen(c.mask, "netmask")
 		if err != nil || got != c.want {
-			t.Errorf("maskBits(%s) = %d, %v", c.mask, got, err)
+			t.Errorf("maskLen(%s) = %d, %v", c.mask, got, err)
 		}
 	}
-	if _, err := maskBits("255.0.255.0"); err == nil {
+	if _, err := maskLen("255.0.255.0", "netmask"); err == nil {
 		t.Error("non-contiguous mask accepted")
 	}
-	if _, err := maskBits("garbage"); err == nil {
+	if _, err := maskLen("garbage", "netmask"); err == nil {
 		t.Error("garbage mask accepted")
 	}
 }
 
 func TestWildcardBits(t *testing.T) {
-	got, err := wildcardBits("0.0.0.3")
+	got, err := maskLen("0.0.0.3", "wildcard")
 	if err != nil || got != 30 {
-		t.Errorf("wildcardBits = %d, %v", got, err)
+		t.Errorf("maskLen wildcard = %d, %v", got, err)
 	}
-	if _, err := wildcardBits("3.0.0.3"); err == nil {
+	if _, err := maskLen("3.0.0.3", "wildcard"); err == nil {
 		t.Error("non-contiguous wildcard accepted")
 	}
 }

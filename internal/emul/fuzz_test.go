@@ -1,6 +1,11 @@
 package emul
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"autonetkit/internal/routing"
+)
 
 // Fuzz targets: the config parsers must never panic on arbitrary rendered
 // (or hand-edited, or corrupted-in-transfer) input — they produce a device
@@ -39,6 +44,7 @@ func FuzzParseQuagga(f *testing.F) {
 		if dc == nil && !diags.HasErrors() {
 			t.Fatal("nil config without error diagnostics")
 		}
+		checkLocated(t, diags, files, is("x"))
 	})
 }
 
@@ -61,6 +67,7 @@ func FuzzParseIOS(f *testing.F) {
 		if dc == nil && !diags.HasErrors() {
 			t.Fatal("nil config without error diagnostics")
 		}
+		checkLocated(t, diags, map[string]string{"x.cfg": conf}, is("x"))
 	})
 }
 
@@ -83,6 +90,7 @@ func FuzzParseJunos(f *testing.F) {
 		if dc == nil && !diags.HasErrors() {
 			t.Fatal("nil config without error diagnostics")
 		}
+		checkLocated(t, diags, map[string]string{"x.conf": conf}, is("x"))
 	})
 }
 
@@ -103,5 +111,9 @@ func FuzzParseCBGP(f *testing.F) {
 		if lab == nil {
 			t.Fatalf("nil lab (diags: %v)", diags)
 		}
+		// A diagnostic is lab-level or belongs to one of the script's routers.
+		checkLocated(t, diags, map[string]string{"lab.cli": script}, func(d string) bool {
+			return d == "" || slices.ContainsFunc(lab.devices, func(dc *routing.DeviceConfig) bool { return dc.Hostname == d })
+		})
 	})
 }

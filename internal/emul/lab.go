@@ -415,6 +415,9 @@ func (l *Lab) loadCBGP(sub *render.FileSet, root string) error {
 		return fmt.Errorf("emul: cbgp lab has no lab.cli")
 	}
 	parsed, diags := parseCBGPScript(script)
+	for _, dc := range parsed.devices {
+		diags = validate(dc, diags, "lab.cli")
+	}
 	l.diags = append(l.diags, diags...)
 	for _, dc := range parsed.devices {
 		vm := &VM{Name: dc.Hostname, Files: map[string]string{"lab.cli": script}, Config: dc, Booted: true}
@@ -697,10 +700,24 @@ func (l *Lab) runBGP() {
 // the recovered config plus every diagnostic found in the machine's files.
 func (l *Lab) bootVM(vm *VM) (*routing.DeviceConfig, Diagnostics) {
 	if p := platforms[l.Platform]; p.parse != nil {
-		return p.parse(vm)
+		dc, diags := p.parse(vm)
+		return dc, validate(dc, diags, "")
 	}
 	return nil, Diagnostics{{Severity: SevError, Device: vm.Name,
 		Message: fmt.Sprintf("cannot boot on platform %q", l.Platform)}}
+}
+
+// validate appends dc's whole-device consistency problem, if any, to
+// diags. It only runs over a device none of whose statements was rejected:
+// those diagnostics already carry the cause.
+func validate(dc *routing.DeviceConfig, diags Diagnostics, file string) Diagnostics {
+	if diags.ForDevice(dc.Hostname).HasErrors() {
+		return diags
+	}
+	if err := dc.Validate(); err != nil {
+		diags = append(diags, Diagnostic{Severity: SevError, Device: dc.Hostname, File: file, Message: err.Error()})
+	}
+	return diags
 }
 
 // buildDataplane installs connected, IGP and BGP routes into per-VM FIBs.

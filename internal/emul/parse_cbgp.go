@@ -1,9 +1,7 @@
 package emul
 
 import (
-	"fmt"
 	"net/netip"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -26,8 +24,7 @@ func parseCBGPScript(script string) (*cbgpLab, Diagnostics) {
 	lab := &cbgpLab{igp: newCBGPIGP()}
 	byAddr := map[netip.Addr]*routing.DeviceConfig{}
 	var current *routing.DeviceConfig
-	var currentPeer netip.Addr
-	sink := &diagSink{file: "lab.cli"}
+	sink := &diagSink{file: "lab.cli"} // device: the current router block's
 
 	for lineNo, raw := range strings.Split(script, "\n") {
 		line := strings.TrimSpace(raw)
@@ -35,16 +32,7 @@ func parseCBGPScript(script string) (*cbgpLab, Diagnostics) {
 			continue
 		}
 		fields := strings.Fields(line)
-		fail := func(msg string) {
-			dev := ""
-			if current != nil {
-				dev = current.Hostname
-			}
-			sink.diags = append(sink.diags, Diagnostic{
-				Severity: SevError, Device: dev, File: sink.file, Line: lineNo + 1,
-				Message: fmt.Sprintf("%s in %q", msg, line),
-			})
-		}
+		fail := func(msg string) { sink.errorf(lineNo+1, "%s in %q", msg, line) }
 		switch {
 		case fields[0] == "net" && len(fields) >= 4 && fields[1] == "add" && fields[2] == "node":
 			addr, err := netip.ParseAddr(fields[3])
@@ -52,16 +40,10 @@ func parseCBGPScript(script string) (*cbgpLab, Diagnostics) {
 				fail("bad node address " + strconv.Quote(fields[3]))
 				continue
 			}
-			dc := &routing.DeviceConfig{
-				Hostname: addr.String(),
-				Loopback: addr,
-				Interfaces: []routing.InterfaceConfig{
-					{Name: "lo", Addr: addr, Prefix: netip.PrefixFrom(addr, 32), Cost: 1},
-				},
-			}
+			dc := &routing.DeviceConfig{Hostname: addr.String()}
+			addInterface(dc, "lo", netip.PrefixFrom(addr, 32))
 			byAddr[addr] = dc
 			lab.devices = append(lab.devices, dc)
-			lab.igp.addNode(addr)
 		case fields[0] == "net" && len(fields) >= 5 && fields[1] == "add" && fields[2] == "link":
 			a, err1 := netip.ParseAddr(fields[3])
 			b, err2 := netip.ParseAddr(fields[4])
@@ -101,12 +83,13 @@ func parseCBGPScript(script string) (*cbgpLab, Diagnostics) {
 				fail("bad router address " + strconv.Quote(fields[2]))
 				continue
 			}
-			current = byAddr[addr]
+			current, sink.device = byAddr[addr], ""
 			if current == nil || current.BGP == nil {
 				current = nil
 				fail("router block for undeclared bgp router")
 				continue
 			}
+			sink.device = current.Hostname
 		case fields[0] == "add" && len(fields) >= 3 && fields[1] == "network" && current != nil:
 			p, err := netip.ParsePrefix(fields[2])
 			if err != nil {
@@ -125,20 +108,19 @@ func parseCBGPScript(script string) (*cbgpLab, Diagnostics) {
 				fail("bad peer address " + strconv.Quote(fields[3]))
 				continue
 			}
-			if findNeighbor(current.BGP, addr) != nil {
+			nbr, found := neighbor(current.BGP, addr, true)
+			if found {
 				fail("duplicate peer " + addr.String())
 				continue
 			}
-			current.BGP.Neighbors = append(current.BGP.Neighbors, routing.BGPNeighbor{Addr: addr, RemoteASN: asn})
-			currentPeer = addr
+			nbr.RemoteASN = asn
 		case fields[0] == "peer" && len(fields) >= 3 && current != nil:
 			addr, err := netip.ParseAddr(fields[1])
 			if err != nil {
 				fail("bad peer address " + strconv.Quote(fields[1]))
 				continue
 			}
-			currentPeer = addr
-			nbr := findNeighbor(current.BGP, currentPeer)
+			nbr, _ := neighbor(current.BGP, addr, false)
 			if nbr == nil {
 				fail("statement for undeclared peer")
 				continue
@@ -150,70 +132,40 @@ func parseCBGPScript(script string) (*cbgpLab, Diagnostics) {
 				// Session activation: implicit in the engine.
 			case "filter":
 				// filter in|out add-rule action "local-pref N" / "metric N"
-				rest := strings.Join(fields[3:], " ")
-				isIn := strings.HasPrefix(rest, "in ")
-				if i := strings.Index(rest, `action "`); i >= 0 {
-					action := rest[i+len(`action "`):]
-					action = strings.TrimSuffix(action, `"`)
-					av := strings.Fields(action)
-					if len(av) == 2 {
-						n, err := strconv.Atoi(av[1])
-						if err != nil {
-							fail("bad filter action value " + strconv.Quote(av[1]))
-							continue
-						}
-						switch av[0] {
-						case "local-pref":
-							if isIn {
-								nbr.LocalPrefIn = n
-							}
-						case "metric":
-							if !isIn {
-								nbr.MEDOut = n
-							}
-						}
-					}
+				_, action, _ := strings.Cut(strings.Join(fields[3:], " "), `action "`)
+				av := strings.Fields(strings.TrimSuffix(action, `"`))
+				if len(av) != 2 {
+					continue
+				}
+				n, err := strconv.Atoi(av[1])
+				if err != nil {
+					fail("bad filter action value " + strconv.Quote(av[1]))
+					continue
+				}
+				in := len(fields) > 4 && fields[3] == "in"
+				switch {
+				case av[0] == "local-pref" && in:
+					nbr.LocalPrefIn = n
+				case av[0] == "metric" && !in:
+					nbr.MEDOut = n
 				}
 			}
 		case fields[0] == "exit":
-			current = nil
-		case fields[0] == "sim" || fields[0] == "net":
-			// sim run / net node domain declarations: no engine state.
-		}
-	}
-	// C-BGP has no interface subnets; sessions are loopback-to-loopback and
-	// "connectivity" is the link graph. Validate basic consistency.
-	for _, dc := range lab.devices {
-		if err := dc.Validate(); err != nil {
-			sink.diags = append(sink.diags, Diagnostic{
-				Severity: SevError, Device: dc.Hostname, File: sink.file, Message: err.Error(),
-			})
+			current, sink.device = nil, ""
 		}
 	}
 	return lab, sink.diags
 }
 
-func findNeighbor(bgp *routing.BGPConfig, addr netip.Addr) *routing.BGPNeighbor {
-	for i := range bgp.Neighbors {
-		if bgp.Neighbors[i].Addr == addr {
-			return &bgp.Neighbors[i]
-		}
-	}
-	return nil
-}
-
 // cbgpIGP computes shortest-path costs over the script's weighted link
 // graph (the `net add link a b w` statements).
 type cbgpIGP struct {
-	nodes map[netip.Addr]bool
-	adj   map[netip.Addr]map[netip.Addr]int
+	adj map[netip.Addr]map[netip.Addr]int
 }
 
 func newCBGPIGP() *cbgpIGP {
-	return &cbgpIGP{nodes: map[netip.Addr]bool{}, adj: map[netip.Addr]map[netip.Addr]int{}}
+	return &cbgpIGP{adj: map[netip.Addr]map[netip.Addr]int{}}
 }
-
-func (g *cbgpIGP) addNode(a netip.Addr) { g.nodes[a] = true }
 
 func (g *cbgpIGP) addLink(a, b netip.Addr, w int) {
 	if g.adj[a] == nil {
@@ -241,17 +193,9 @@ func (g *cbgpIGP) IGPCost(host string, addr netip.Addr) int {
 	for {
 		var cur netip.Addr
 		curDist := -1
-		var keys []netip.Addr
-		for a := range dist {
-			keys = append(keys, a)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-		for _, a := range keys {
-			if done[a] {
-				continue
-			}
-			if curDist < 0 || dist[a] < curDist {
-				cur, curDist = a, dist[a]
+		for a, d := range dist {
+			if !done[a] && (curDist < 0 || d < curDist || d == curDist && a.Less(cur)) {
+				cur, curDist = a, d
 			}
 		}
 		if curDist < 0 {

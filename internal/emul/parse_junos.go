@@ -22,7 +22,12 @@ type junosNode struct {
 	leafLine []int    // source line of each leaf
 }
 
+// child returns the first child block named name (or name plus
+// arguments); nil when there is none, which child and leafValue accept.
 func (n *junosNode) child(name string) *junosNode {
+	if n == nil {
+		return nil
+	}
 	for _, c := range n.children {
 		if c.name == name || strings.HasPrefix(c.name, name+" ") {
 			return c
@@ -31,27 +36,41 @@ func (n *junosNode) child(name string) *junosNode {
 	return nil
 }
 
-func (n *junosNode) childrenWithPrefix(prefix string) []*junosNode {
-	var out []*junosNode
+// eachChild calls fn with the argument and node of every child block
+// named key plus an argument (`group ebgp-2 {`).
+func (n *junosNode) eachChild(key string, fn func(arg string, c *junosNode)) {
 	for _, c := range n.children {
-		if strings.HasPrefix(c.name, prefix) {
-			out = append(out, c)
+		if arg, ok := strings.CutPrefix(c.name, key+" "); ok {
+			fn(arg, c)
 		}
 	}
-	return out
 }
 
-// leafValue returns the remainder of the first leaf starting with key.
-func (n *junosNode) leafValue(key string) (string, bool) {
-	for _, l := range n.leaves {
-		if strings.HasPrefix(l, key+" ") {
-			return strings.TrimSpace(strings.TrimPrefix(l, key+" ")), true
+// leafValue returns the remainder of the first leaf starting with key and
+// that leaf's source line, which is 0 when there is no such leaf.
+func (n *junosNode) leafValue(key string) (string, int) {
+	if n == nil {
+		return "", 0
+	}
+	for i, l := range n.leaves {
+		if v, ok := strings.CutPrefix(l, key+" "); ok {
+			return strings.TrimSpace(v), n.leafLine[i]
 		}
 		if l == key {
-			return "", true
+			return "", n.leafLine[i]
 		}
 	}
-	return "", false
+	return "", 0
+}
+
+// eachLeaf calls fn with the remainder and source line of every leaf
+// starting with key.
+func (n *junosNode) eachLeaf(key string, fn func(v string, line int)) {
+	for i, l := range n.leaves {
+		if v, ok := strings.CutPrefix(l, key+" "); ok {
+			fn(v, n.leafLine[i])
+		}
+	}
 }
 
 // parseJunosTree converts brace-structured text into a tree. Structural
@@ -67,11 +86,11 @@ func parseJunosTree(conf string, sink *diagSink) *junosNode {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
+		top := stack[len(stack)-1]
 		switch {
 		case strings.HasSuffix(line, "{"):
 			name := strings.TrimSpace(strings.TrimSuffix(line, "{"))
 			node := &junosNode{name: name, line: lineNo + 1}
-			top := stack[len(stack)-1]
 			top.children = append(top.children, node)
 			stack = append(stack, node)
 		case line == "}":
@@ -81,7 +100,6 @@ func parseJunosTree(conf string, sink *diagSink) *junosNode {
 			}
 			stack = stack[:len(stack)-1]
 		case strings.HasSuffix(line, ";"):
-			top := stack[len(stack)-1]
 			top.leaves = append(top.leaves, strings.TrimSuffix(line, ";"))
 			top.leafLine = append(top.leafLine, lineNo+1)
 		default:
@@ -101,209 +119,144 @@ func parseJunosConfig(hostname, conf string) (*routing.DeviceConfig, Diagnostics
 	sink := &diagSink{device: hostname, file: hostname + ".conf"}
 	root := parseJunosTree(conf, sink)
 	dc := &routing.DeviceConfig{Hostname: hostname}
-	if sys := root.child("system"); sys != nil {
-		if hn, ok := sys.leafValue("host-name"); ok {
-			dc.Hostname = hn
-		}
+	if hn, line := root.child("system").leafValue("host-name"); line > 0 {
+		checkHostname(dc, sink, line, hn)
 	}
-	// Interfaces.
 	if ifs := root.child("interfaces"); ifs != nil {
 		for _, ifNode := range ifs.children {
-			name := ifNode.name
-			unit := ifNode.child("unit 0")
-			if unit == nil {
-				continue
-			}
-			inet := unit.child("family inet")
-			if inet == nil {
-				continue
-			}
-			addrStr, ok := inet.leafValue("address")
-			if !ok {
+			inet := ifNode.child("unit 0").child("family inet")
+			addrStr, line := inet.leafValue("address")
+			if line == 0 {
 				continue
 			}
 			p, err := netip.ParsePrefix(addrStr)
 			if err != nil {
-				sink.errorf(inet.line, "interface %s: bad address %q", name, addrStr)
+				sink.errorf(inet.line, "interface %s: bad address %q", ifNode.name, addrStr)
 				continue
 			}
-			if strings.HasPrefix(name, "lo") {
-				dc.Loopback = p.Addr()
-				dc.Interfaces = append(dc.Interfaces, routing.InterfaceConfig{
-					Name: "lo", Addr: p.Addr(), Prefix: netip.PrefixFrom(p.Addr(), 32), Cost: 1,
-				})
-				continue
-			}
-			dc.Interfaces = append(dc.Interfaces, routing.InterfaceConfig{
-				Name: name, Addr: p.Addr(), Prefix: p.Masked(), Cost: 1,
-			})
+			addInterface(dc, ifNode.name, p)
 		}
 	}
 	protocols := root.child("protocols")
-	// OSPF.
-	if protocols != nil {
-		if ospf := protocols.child("ospf"); ospf != nil {
-			cfg := &routing.OSPFConfig{ProcessID: 1}
-			for _, area := range ospf.childrenWithPrefix("area ") {
-				areaNum, err := strconv.Atoi(strings.TrimPrefix(area.name, "area "))
-				if err != nil {
-					sink.errorf(area.line, "bad ospf area %q", area.name)
-					continue
-				}
-				for _, ifn := range area.childrenWithPrefix("interface ") {
-					pStr := strings.TrimPrefix(ifn.name, "interface ")
-					p, err := netip.ParsePrefix(pStr)
-					if err != nil {
-						sink.errorf(ifn.line, "bad ospf interface %q", pStr)
-						continue
-					}
-					cfg.Networks = append(cfg.Networks, routing.OSPFNetwork{Prefix: p.Masked(), Area: areaNum})
-					if _, ok := ifn.leafValue("passive"); ok {
-						for i := range dc.Interfaces {
-							if dc.Interfaces[i].Prefix == p.Masked() {
-								dc.Interfaces[i].Passive = true
-							}
-						}
-					}
-					if mStr, ok := ifn.leafValue("metric"); ok {
-						m, err := strconv.Atoi(mStr)
-						if err != nil {
-							sink.errorf(ifn.line, "bad ospf metric %q", mStr)
-							continue
-						}
-						for i := range dc.Interfaces {
-							if dc.Interfaces[i].Prefix == p.Masked() {
-								dc.Interfaces[i].Cost = m
-							}
-						}
-					}
-				}
-				// Bare interface statements (no metric block).
-				for li, l := range area.leaves {
-					if strings.HasPrefix(l, "interface ") {
-						pStr := strings.TrimPrefix(l, "interface ")
-						p, err := netip.ParsePrefix(pStr)
-						if err != nil {
-							sink.errorf(area.leafLine[li], "bad ospf interface %q", pStr)
-							continue
-						}
-						cfg.Networks = append(cfg.Networks, routing.OSPFNetwork{Prefix: p.Masked(), Area: areaNum})
-					}
-				}
-			}
-			dc.OSPF = cfg
-		}
+	if ospf := protocols.child("ospf"); ospf != nil {
+		dc.OSPF = junosOSPF(dc, ospf, sink)
 	}
-	// BGP.
 	var asn int
 	var routerID netip.Addr
-	if ro := root.child("routing-options"); ro != nil {
-		if v, ok := ro.leafValue("autonomous-system"); ok {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				sink.errorf(ro.line, "bad autonomous-system %q", v)
-			} else {
-				asn = n
-			}
-		}
-		if v, ok := ro.leafValue("router-id"); ok {
-			rid, err := netip.ParseAddr(v)
-			if err != nil {
-				sink.errorf(ro.line, "bad router-id %q", v)
-			} else {
-				routerID = rid
-			}
+	ro := root.child("routing-options")
+	if v, line := ro.leafValue("autonomous-system"); line > 0 {
+		if n, err := strconv.Atoi(v); err != nil {
+			sink.errorf(ro.line, "bad autonomous-system %q", v)
+		} else {
+			asn = n
 		}
 	}
-	if protocols != nil {
-		if bgpNode := protocols.child("bgp"); bgpNode != nil {
-			if asn == 0 {
-				sink.errorf(bgpNode.line, "bgp configured without autonomous-system")
-			} else {
-				cfg := &routing.BGPConfig{ASN: asn, RouterID: routerID}
-				seenNbr := map[netip.Addr]int{} // addr -> first line
-				for _, grp := range bgpNode.childrenWithPrefix("group ") {
-					typ, _ := grp.leafValue("type")
-					peerAS := asn
-					if v, ok := grp.leafValue("peer-as"); ok {
-						n, err := strconv.Atoi(v)
-						if err != nil {
-							sink.errorf(grp.line, "group %q: bad peer-as %q", strings.TrimPrefix(grp.name, "group "), v)
-							continue
-						}
-						peerAS = n
-					}
-					// groupInt reads an optional integer leaf, 0 when absent.
-					groupInt := func(key string) int {
-						v, ok := grp.leafValue(key)
-						if !ok {
-							return 0
-						}
-						n, err := strconv.Atoi(v)
-						if err != nil {
-							sink.errorf(grp.line, "group %q: bad %s %q", strings.TrimPrefix(grp.name, "group "), key, v)
-						}
-						return n
-					}
-					med, lp := groupInt("metric-out"), groupInt("local-preference")
-					_, isRRGroup := grp.leafValue("cluster")
-					updateSource := ""
-					if _, ok := grp.leafValue("local-address"); ok {
-						updateSource = "lo"
-					}
-					for li, l := range grp.leaves {
-						if !strings.HasPrefix(l, "neighbor ") {
-							continue
-						}
-						addr, err := netip.ParseAddr(strings.TrimPrefix(l, "neighbor "))
-						if err != nil {
-							sink.errorf(grp.leafLine[li], "bad neighbor in %q", l)
-							continue
-						}
-						if first, dup := seenNbr[addr]; dup {
-							sink.errorf(grp.leafLine[li], "duplicate neighbor %v (first declared on line %d)", addr, first)
-							continue
-						}
-						seenNbr[addr] = grp.leafLine[li]
-						cfg.Neighbors = append(cfg.Neighbors, routing.BGPNeighbor{
-							Addr: addr, RemoteASN: peerAS,
-							MEDOut: med, LocalPrefIn: lp,
-							RRClient:     isRRGroup && typ == "internal",
-							UpdateSource: updateSource,
-						})
-					}
+	if v, line := ro.leafValue("router-id"); line > 0 {
+		if rid, err := netip.ParseAddr(v); err != nil {
+			sink.errorf(ro.line, "bad router-id %q", v)
+		} else {
+			routerID = rid
+		}
+	}
+	if bgpNode := protocols.child("bgp"); bgpNode != nil {
+		if asn == 0 {
+			sink.errorf(bgpNode.line, "bgp configured without autonomous-system")
+		} else {
+			dc.BGP = &routing.BGPConfig{ASN: asn, RouterID: routerID}
+			bgpNode.eachChild("group", func(name string, grp *junosNode) { junosGroup(dc.BGP, name, grp, sink) })
+			// The template renders the export policy that originates a
+			// prefix as an `advertise` statement.
+			ro.eachLeaf("advertise", func(v string, line int) {
+				p, err := netip.ParsePrefix(v)
+				if err != nil {
+					sink.errorf(line, "bad advertise prefix %q", v)
+					return
 				}
-				cfg.Networks = junosAdvertisedNetworks(root, sink)
-				dc.BGP = cfg
-			}
-		}
-	}
-	if !sink.diags.HasErrors() {
-		if err := dc.Validate(); err != nil {
-			sink.errorf(0, "%v", err)
+				dc.BGP.Networks = append(dc.BGP.Networks, p.Masked())
+			})
 		}
 	}
 	return dc, sink.diags
 }
 
-// junosAdvertisedNetworks reads the routing-options static advertisements
-// rendered by the template (the JunOS equivalent of `network` statements is
-// an export policy; the template renders them as annotated statics).
-func junosAdvertisedNetworks(root *junosNode, sink *diagSink) []netip.Prefix {
-	var out []netip.Prefix
-	ro := root.child("routing-options")
-	if ro == nil {
-		return nil
-	}
-	for li, l := range ro.leaves {
-		if pStr, ok := strings.CutPrefix(l, "advertise "); ok {
+// junosOSPF reads `area A { interface P { metric M; passive; } }` blocks
+// and bare `interface P;` statements; metric and passive apply to the
+// interfaces attached to P.
+func junosOSPF(dc *routing.DeviceConfig, ospf *junosNode, sink *diagSink) *routing.OSPFConfig {
+	cfg := &routing.OSPFConfig{ProcessID: 1}
+	ospf.eachChild("area", func(arg string, area *junosNode) {
+		areaNum, err := strconv.Atoi(arg)
+		if err != nil {
+			sink.errorf(area.line, "bad ospf area %q", area.name)
+			return
+		}
+		// ifn is nil for a bare statement.
+		add := func(pStr string, line int, ifn *junosNode) {
 			p, err := netip.ParsePrefix(pStr)
 			if err != nil {
-				sink.errorf(ro.leafLine[li], "bad advertise prefix %q", pStr)
-				continue
+				sink.errorf(line, "bad ospf interface %q", pStr)
+				return
 			}
-			out = append(out, p.Masked())
+			p = p.Masked()
+			cfg.Networks = append(cfg.Networks, routing.OSPFNetwork{Prefix: p, Area: areaNum})
+			if _, line := ifn.leafValue("passive"); line > 0 {
+				eachInterface(dc, "", p, func(ic *routing.InterfaceConfig) { ic.Passive = true })
+			}
+			if mStr, line := ifn.leafValue("metric"); line > 0 {
+				m, err := strconv.Atoi(mStr)
+				if err != nil {
+					sink.errorf(ifn.line, "bad ospf metric %q", mStr)
+					return
+				}
+				eachInterface(dc, "", p, func(ic *routing.InterfaceConfig) { ic.Cost = m })
+			}
 		}
+		area.eachChild("interface", func(arg string, ifn *junosNode) { add(arg, ifn.line, ifn) })
+		area.eachLeaf("interface", func(arg string, line int) { add(arg, line, nil) })
+	})
+	return cfg
+}
+
+// junosGroup adds a `group` block's neighbors to bgp; every neighbor takes
+// the group's peer-as, policy values, route-reflection and local-address.
+func junosGroup(bgp *routing.BGPConfig, name string, grp *junosNode, sink *diagSink) {
+	// groupInt reads an optional integer leaf, def when absent.
+	groupInt := func(key string, def int) (int, bool) {
+		v, line := grp.leafValue(key)
+		if line == 0 {
+			return def, true
+		}
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			sink.errorf(grp.line, "group %q: bad %s %q", name, key, v)
+		}
+		return n, err == nil
 	}
-	return out
+	peerAS, ok := groupInt("peer-as", bgp.ASN)
+	if !ok {
+		return
+	}
+	med, _ := groupInt("metric-out", 0)
+	lp, _ := groupInt("local-preference", 0)
+	typ, _ := grp.leafValue("type")
+	_, cluster := grp.leafValue("cluster")
+	updateSource := ""
+	if _, line := grp.leafValue("local-address"); line > 0 {
+		updateSource = "lo"
+	}
+	grp.eachLeaf("neighbor", func(v string, line int) {
+		addr, err := netip.ParseAddr(v)
+		if err != nil {
+			sink.errorf(line, "bad neighbor %q", v)
+			return
+		}
+		if nbr, found := neighbor(bgp, addr, true); found {
+			sink.errorf(line, "duplicate neighbor %v", addr)
+		} else {
+			*nbr = routing.BGPNeighbor{
+				Addr: addr, RemoteASN: peerAS, MEDOut: med, LocalPrefIn: lp,
+				RRClient: cluster > 0 && typ == "internal", UpdateSource: updateSource,
+			}
+		}
+	})
 }

@@ -1,9 +1,16 @@
 package emul
 
 import (
+	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
+
+	"autonetkit/internal/compile"
+	"autonetkit/internal/design"
+	"autonetkit/internal/ipalloc"
+	"autonetkit/internal/render"
 
 	"autonetkit/internal/routing"
 )
@@ -12,12 +19,11 @@ import (
 // (or hand-edited) config could contain is recorded as a located
 // error-level diagnostic — and the parse carries on past it.
 
-// subDiags feeds a per-daemon Quagga sub-parser directly and returns the
-// diagnostics it recorded.
-func subDiags(parse func(*routing.DeviceConfig, string, *diagSink), dc *routing.DeviceConfig, conf string) Diagnostics {
-	sink := &diagSink{device: dc.Hostname, file: "test.conf"}
-	parse(dc, conf, sink)
-	return sink.diags
+// daemonDiags feeds one Quagga daemon file ("ospfd", "bgpd", "isisd")
+// through the shared statement parser, on machine x whose eth0 is
+// 10.0.0.1/30.
+func daemonDiags(daemon, conf string) (*routing.DeviceConfig, Diagnostics) {
+	return parseQuaggaVM("x", quaggaFiles(goldenStartup, daemon, conf))
 }
 
 // The error tables below are also the malformed corpus of the parse golden
@@ -75,8 +81,7 @@ var ospfdErrorCases = []struct{ name, conf string }{
 
 func TestParseQuaggaOspfdErrors(t *testing.T) {
 	for _, c := range ospfdErrorCases {
-		dc := mkBase(t)
-		if diags := subDiags(parseQuaggaOspfd, dc, c.conf); !diags.HasErrors() {
+		if _, diags := daemonDiags("ospfd", c.conf); !diags.HasErrors() {
 			t.Errorf("%s accepted", c.name)
 		}
 	}
@@ -95,8 +100,7 @@ var bgpdErrorCases = []struct{ name, conf string }{
 
 func TestParseQuaggaBgpdErrors(t *testing.T) {
 	for _, c := range bgpdErrorCases {
-		dc := mkBase(t)
-		if diags := subDiags(parseQuaggaBgpd, dc, c.conf); !diags.HasErrors() {
+		if _, diags := daemonDiags("bgpd", c.conf); !diags.HasErrors() {
 			t.Errorf("%s accepted", c.name)
 		}
 	}
@@ -108,42 +112,64 @@ var isisdErrorCases = []struct{ name, conf string }{
 
 func TestParseQuaggaIsisdErrors(t *testing.T) {
 	for _, c := range isisdErrorCases {
-		dc := mkBase(t)
-		if diags := subDiags(parseQuaggaIsisd, dc, c.conf); !diags.HasErrors() {
+		if _, diags := daemonDiags("isisd", c.conf); !diags.HasErrors() {
 			t.Errorf("%s accepted", c.name)
 		}
 	}
 }
 
-// Every diagnostic a parser emits must carry the device, the file, and —
-// for statement-level problems — a 1-based line number.
-func TestDiagnosticsAreLocated(t *testing.T) {
-	files := map[string]string{
-		"x.startup":            "/sbin/ifconfig eth0 not-an-ip netmask 255.255.255.0 up\n",
-		"etc/quagga/daemons":   "zebra=yes\nbgpd=yes\n",
-		"etc/quagga/bgpd.conf": "router bgp 1\n  neighbor junk remote-as 2\n",
-	}
-	_, diags := parseQuaggaVM("x", files)
-	if !diags.HasErrors() {
-		t.Fatal("corrupt config accepted")
-	}
-	for _, d := range diags.Errors() {
-		if d.Device != "x" {
-			t.Errorf("diagnostic %q has no device", d)
-		}
-		if d.File == "" {
-			t.Errorf("diagnostic %q has no file", d)
-		}
-	}
-	// The startup error is on line 1 of x.startup.
-	found := false
+// checkLocated fails t for a diagnostic that names no file, or a device
+// other than those device accepts, or a line outside its file (0 = the
+// whole file).
+func checkLocated(t *testing.T, diags Diagnostics, files map[string]string, device func(string) bool) {
+	t.Helper()
 	for _, d := range diags {
-		if d.File == "x.startup" && d.Line == 1 {
-			found = true
+		conf, ok := files[d.File]
+		if d.File == "" || !device(d.Device) || d.Line < 0 || d.Line > strings.Count(conf, "\n")+1 || !ok && d.Line != 0 {
+			t.Errorf("diagnostic %q is not located in the input", d)
 		}
 	}
-	if !found {
-		t.Errorf("no line-1 startup diagnostic in:\n%s", diags)
+}
+
+// is accepts exactly one device name.
+func is(name string) func(string) bool { return func(d string) bool { return d == name } }
+
+// Every diagnostic a parser emits must carry its file and device (only a
+// C-BGP problem outside any router block is lab-level) and, for
+// statement-level problems, the 1-based line of the statement.
+func TestDiagnosticsAreLocated(t *testing.T) {
+	cases := []struct {
+		name  string
+		files map[string]string
+		parse func(files map[string]string) Diagnostics
+		file  string // where the error must be reported
+		line  int
+	}{
+		{"quagga", map[string]string{
+			"x.startup":            "/sbin/ifconfig eth0 not-an-ip netmask 255.255.255.0 up\n",
+			"etc/quagga/daemons":   "zebra=yes\nbgpd=yes\n",
+			"etc/quagga/bgpd.conf": "router bgp 1\n  neighbor junk remote-as 2\n",
+		}, func(files map[string]string) Diagnostics { _, d := parseQuaggaVM("x", files); return d }, "x.startup", 1},
+		{"ios", map[string]string{"x.cfg": "hostname x\ninterface f0/0\n ip address junk 255.255.255.0\n"},
+			func(files map[string]string) Diagnostics { _, d := parseIOSConfig("x", files["x.cfg"]); return d }, "x.cfg", 3},
+		{"junos", map[string]string{"x.conf": "interfaces {\n em0 {\n unit 0 {\n family inet {\n address junk;\n}\n}\n}\n}\n"},
+			func(files map[string]string) Diagnostics { _, d := parseJunosConfig("x", files["x.conf"]); return d }, "x.conf", 4},
+		{"cbgp", map[string]string{"lab.cli": "net add node 10.0.0.1\nbgp add router 1 10.0.0.1\nbgp router 10.0.0.1\n  add network junk\n"},
+			func(files map[string]string) Diagnostics { _, d := parseCBGPScript(files["lab.cli"]); return d }, "lab.cli", 4},
+	}
+	for _, c := range cases {
+		diags := c.parse(c.files)
+		if !diags.HasErrors() {
+			t.Fatalf("%s: corrupt config accepted", c.name)
+		}
+		device := "x"
+		if c.name == "cbgp" {
+			device = "10.0.0.1"
+		}
+		checkLocated(t, diags, c.files, is(device))
+		if !slices.ContainsFunc(diags, func(d Diagnostic) bool { return d.File == c.file && d.Line == c.line }) {
+			t.Errorf("%s: no diagnostic at %s:%d in:\n%s", c.name, c.file, c.line, diags)
+		}
 	}
 }
 
@@ -166,18 +192,6 @@ func TestQuaggaThreeErrorsOnePass(t *testing.T) {
 	// Recovery: the valid neighbor after the broken lines is present.
 	if dc == nil || dc.BGP == nil || len(dc.BGP.Neighbors) != 1 {
 		t.Errorf("valid neighbor after errors not recovered: %+v", dc)
-	}
-}
-
-// mkBase returns a minimal device config with one interface, for feeding
-// the per-daemon parsers directly.
-func mkBase(t *testing.T) *routing.DeviceConfig {
-	t.Helper()
-	return &routing.DeviceConfig{
-		Hostname: "x",
-		Interfaces: []routing.InterfaceConfig{
-			{Name: "eth0", Addr: mustParse("10.0.0.1"), Prefix: netip.MustParsePrefix("10.0.0.0/30"), Cost: 1},
-		},
 	}
 }
 
@@ -276,9 +290,9 @@ func TestLabAccessorsBeforeStart(t *testing.T) {
 
 func TestQuaggaConfigHeadersTolerated(t *testing.T) {
 	// hostname/password headers in protocol configs must parse cleanly.
-	dc := mkBase(t)
 	conf := "hostname x\npassword 1234\ninterface eth0\n  ip ospf cost 5\nrouter ospf\n  network 10.0.0.0/30 area 0\n"
-	if diags := subDiags(parseQuaggaOspfd, dc, conf); len(diags) != 0 {
+	dc, diags := daemonDiags("ospfd", conf)
+	if len(diags) != 0 {
 		t.Fatalf("unexpected diagnostics:\n%s", diags)
 	}
 	if dc.Interfaces[0].Cost != 5 {
@@ -286,5 +300,114 @@ func TestQuaggaConfigHeadersTolerated(t *testing.T) {
 	}
 	if !strings.Contains(dc.OSPF.Networks[0].Prefix.String(), "10.0.0.0/30") {
 		t.Error("network not parsed")
+	}
+}
+
+// Every router's parsed config carries OSPF, BGP (with the same neighbor
+// addresses) and IS-IS exactly when its compiled device has that block, on
+// each platform and IGP. A syntax whose templates cannot render the IGP
+// must refuse to compile, naming the device and the syntax, rather than
+// boot a lab without it.
+func TestParsedConfigMatchesNIDB(t *testing.T) {
+	for _, p := range []struct{ platform, syntax string }{{"netkit", "quagga"}, {"dynagen", "ios"}, {"junosphere", "junos"}} {
+		for _, igp := range []design.IGP{design.IGPOSPF, design.IGPISIS} {
+			t.Run(p.platform+"/"+string(igp), func(t *testing.T) {
+				anm := nrenInput(t, 40, p.platform, p.syntax)
+				if err := design.BuildAll(anm, design.Options{IGP: igp}); err != nil {
+					t.Fatal(err)
+				}
+				alloc, err := ipalloc.NewDefault().Allocate(anm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				db, err := compile.Compile(anm, alloc, compile.Options{})
+				if igp == design.IGPISIS && p.platform != "netkit" {
+					if err == nil || !strings.Contains(err.Error(), "IS-IS") || !strings.Contains(err.Error(), "the "+p.syntax+" templates") {
+						t.Fatalf("IS-IS on %s compiled (err %v)", p.syntax, err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs, err := render.Render(db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lab, err := Load(fs, "localhost", p.platform)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range db.Routers() {
+					vm, ok := lab.VM(d.Hostname())
+					if !ok {
+						t.Fatalf("no machine for %s", d.Hostname())
+					}
+					dc, diags := lab.bootVM(vm)
+					if diags.HasErrors() {
+						t.Fatalf("%s: %s", d.Hostname(), diags)
+					}
+					for _, block := range []struct {
+						name   string
+						parsed bool
+					}{{"ospf", dc.OSPF != nil}, {"bgp", dc.BGP != nil}, {"isis", dc.ISIS != nil}} {
+						if _, compiled := d.Get(block.name); compiled != block.parsed {
+							t.Errorf("%s: %s block compiled %t, parsed %t", d.Hostname(), block.name, compiled, block.parsed)
+						}
+					}
+					if dc.BGP == nil {
+						continue
+					}
+					var want, got []string
+					for _, key := range []string{"bgp.ebgp_neighbors", "bgp.ibgp_neighbors"} {
+						nbrs, _ := d.Get(key)
+						for _, n := range nbrs.([]any) {
+							want = append(want, fmt.Sprint(n.(map[string]any)["ip"]))
+						}
+					}
+					for _, n := range dc.BGP.Neighbors {
+						got = append(got, n.Addr.String())
+					}
+					slices.Sort(want)
+					slices.Sort(got)
+					if !slices.Equal(got, want) {
+						t.Errorf("%s: parsed neighbors %v, compiled %v", d.Hostname(), got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// The machine name is a device's identity on every platform: a config
+// hostname that disagrees is a located warning, and the machine boots and
+// routes exactly as it does under its own name.
+func TestConfigHostnameKeepsMachineIdentity(t *testing.T) {
+	for _, c := range []struct{ platform, syntax, file, from, to string }{
+		{"dynagen", "ios", "r1.cfg", "hostname r1\n", "hostname renamed\n"},
+		{"junosphere", "junos", "r1.conf", "host-name r1;", "host-name renamed;"},
+	} {
+		want, _ := startedLab(t, c.platform, c.syntax)
+		wantRoutes, err := want.Exec("r1", "show ip route")
+		if err != nil || wantRoutes == "" {
+			t.Fatalf("%s: unedited show ip route: %q, %v", c.platform, wantRoutes, err)
+		}
+		lab, _ := buildLab(t, c.platform, c.syntax)
+		conf := lab.vms["r1"].Files[c.file]
+		if !strings.Contains(conf, c.from) {
+			t.Fatalf("%s: %q not in %s", c.platform, c.from, c.file)
+		}
+		lab.vms["r1"].Files[c.file] = strings.Replace(conf, c.from, c.to, 1)
+		line := strings.Count(conf[:strings.Index(conf, c.from)], "\n") + 1
+		if err := lab.Start(0); err != nil {
+			t.Fatalf("%s: %v", c.platform, err)
+		}
+		diags := lab.Diagnostics()
+		if len(diags) != 1 || diags[0].Severity != SevWarning || diags[0].Device != "r1" || diags[0].File != c.file || diags[0].Line != line {
+			t.Errorf("%s: want one warning at r1:%s:%d, got:\n%s", c.platform, c.file, line, diags)
+		}
+		if got, err := lab.Exec("r1", "show ip route"); err != nil || got != wantRoutes {
+			t.Errorf("%s: renamed r1's show ip route (err %v):\n%s\nwant:\n%s", c.platform, err, got, wantRoutes)
+		}
 	}
 }

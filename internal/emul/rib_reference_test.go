@@ -226,6 +226,13 @@ func checkAgainstReference(t *testing.T, label string, l *Lab) (ospfOverBGP, bgp
 // loads it, un-booted.
 func nrenLab(t testing.TB, routers int, platform, syntax string, igp design.IGP) *Lab {
 	t.Helper()
+	lab, _ := labFromInput(t, nrenInput(t, routers, platform, syntax), platform, igp)
+	return lab
+}
+
+// nrenInput is a model holding only the input overlay of nrenLab's topology.
+func nrenInput(t testing.TB, routers int, platform, syntax string) *core.ANM {
+	t.Helper()
 	g, err := topogen.NREN(topogen.NRENConfig{ASes: max(3, routers/20), Routers: routers, Links: routers * 5 / 4, Seed: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -239,8 +246,7 @@ func nrenLab(t testing.TB, routers int, platform, syntax string, igp design.IGP)
 	if _, err := anm.AddOverlayGraph(core.OverlayInput, g); err != nil {
 		t.Fatal(err)
 	}
-	lab, _ := labFromInput(t, anm, platform, igp)
-	return lab
+	return anm
 }
 
 // corruptConfig damages one machine's configuration so that a lenient boot

@@ -6,46 +6,10 @@ import (
 	"net/netip"
 )
 
-// Reconvergence support: content signatures for device configurations and
-// the canonical link-state bookkeeping delta SPF diffs between Converge
-// calls. The correctness bar for everything in this file is byte-identity:
-// a converge that consults these signatures must produce exactly the state
-// a from-scratch converge would.
-
-// ConfigSignature hashes every field of a device configuration that any
-// routing engine or the data plane reads: hostname, interfaces (all
-// fields), loopback, gateway, and the OSPF/BGP/IS-IS stanzas. Two configs
-// with equal signatures drive every engine identically.
-func ConfigSignature(dc *DeviceConfig) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "h%s|lo%v|gw%v|", dc.Hostname, dc.Loopback, dc.Gateway)
-	for _, ic := range dc.Interfaces {
-		fmt.Fprintf(h, "i%s|%v|%v|%d|%v|", ic.Name, ic.Addr, ic.Prefix, ic.Cost, ic.Passive)
-	}
-	if dc.OSPF != nil {
-		fmt.Fprintf(h, "o%d|", dc.OSPF.ProcessID)
-		for _, n := range dc.OSPF.Networks {
-			fmt.Fprintf(h, "n%v|%d|", n.Prefix, n.Area)
-		}
-	}
-	if dc.BGP != nil {
-		fmt.Fprintf(h, "b%d|%v|", dc.BGP.ASN, dc.BGP.RouterID)
-		for _, p := range dc.BGP.Networks {
-			fmt.Fprintf(h, "p%v|", p)
-		}
-		for _, nb := range dc.BGP.Neighbors {
-			fmt.Fprintf(h, "nb%v|%d|%s|%s|%v|%d|%d|", nb.Addr, nb.RemoteASN,
-				nb.Description, nb.UpdateSource, nb.RRClient, nb.MEDOut, nb.LocalPrefIn)
-		}
-	}
-	if dc.ISIS != nil {
-		fmt.Fprintf(h, "s%s|", dc.ISIS.NET)
-		for _, name := range dc.ISIS.Interfaces {
-			fmt.Fprintf(h, "si%s|", name)
-		}
-	}
-	return h.Sum64()
-}
+// Reconvergence support: the canonical link-state bookkeeping delta SPF
+// diffs between Converge calls. The correctness bar for everything in this
+// file is byte-identity: a delta converge must produce exactly the state a
+// from-scratch converge would.
 
 // edgeKey canonically identifies one link-state adjacency: the two hosts
 // (a < b by construction — attachments are enumerated in sorted host

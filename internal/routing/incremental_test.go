@@ -227,45 +227,6 @@ func TestDeltaSPFRebindISIS(t *testing.T) {
 	}
 }
 
-// TestConfigSignatureSensitivity: every stanza feeds the signature.
-func TestConfigSignatureSensitivity(t *testing.T) {
-	base := func() *DeviceConfig {
-		return &DeviceConfig{
-			Hostname: "x",
-			Loopback: mustAddr("10.255.0.1"),
-			Interfaces: []InterfaceConfig{
-				{Name: "eth0", Addr: mustAddr("10.0.0.1"), Prefix: mustPfx("10.0.0.0/30"), Cost: 2},
-			},
-			OSPF: &OSPFConfig{ProcessID: 1, Networks: []OSPFNetwork{{Prefix: mustPfx("10.0.0.0/30"), Area: 0}}},
-			BGP: &BGPConfig{ASN: 1, RouterID: mustAddr("10.255.0.1"),
-				Networks:  []netip.Prefix{mustPfx("203.0.113.0/24")},
-				Neighbors: []BGPNeighbor{{Addr: mustAddr("10.0.0.2"), RemoteASN: 2}},
-			},
-		}
-	}
-	sig := ConfigSignature(base())
-	if ConfigSignature(base()) != sig {
-		t.Fatal("signature is not deterministic")
-	}
-	muts := map[string]func(*DeviceConfig){
-		"hostname":      func(dc *DeviceConfig) { dc.Hostname = "y" },
-		"iface-cost":    func(dc *DeviceConfig) { dc.Interfaces[0].Cost = 3 },
-		"iface-passive": func(dc *DeviceConfig) { dc.Interfaces[0].Passive = true },
-		"ospf-area":     func(dc *DeviceConfig) { dc.OSPF.Networks[0].Area = 1 },
-		"bgp-network":   func(dc *DeviceConfig) { dc.BGP.Networks = append(dc.BGP.Networks, mustPfx("198.51.100.0/24")) },
-		"bgp-med":       func(dc *DeviceConfig) { dc.BGP.Neighbors[0].MEDOut = 50 },
-		"bgp-rrclient":  func(dc *DeviceConfig) { dc.BGP.Neighbors[0].RRClient = true },
-		"isis-added":    func(dc *DeviceConfig) { dc.ISIS = &ISISConfig{NET: "49.0001.0001", Interfaces: []string{"eth0"}} },
-	}
-	for name, mut := range muts {
-		dc := base()
-		mut(dc)
-		if ConfigSignature(dc) == sig {
-			t.Errorf("%s mutation did not change the signature", name)
-		}
-	}
-}
-
 // TestNextHopCostMemo: the per-(speaker, next hop) IGP-cost memo answers
 // exactly what the IGP answers, on the ring whose all-unit costs make
 // nearly every chord an exactly-tight equal-cost alternative.

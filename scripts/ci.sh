@@ -126,15 +126,11 @@ go test -run 'NONE' -bench 'BenchmarkP8_(JournalAppend|SchedulerRecovery)' -benc
 echo "== preemption-under-churn + lease-round benchmark (1158-router / 36-host scale)"
 go test -run 'NONE' -bench 'BenchmarkP10_PreemptionUnderChurn' -benchtime 1x .
 
-echo "== fuzz (parsers, 5s each)"
-for target in FuzzParseQuagga FuzzParseIOS FuzzParseJunos FuzzParseCBGP; do
-  go test -run=NONE -fuzz="^${target}\$" -fuzztime=5s ./internal/emul/
+echo "== fuzz (every Fuzz target of every package, found with go test -list, 5s each)"
+for pkg in $(go list ./...); do
+  for target in $(go test -list '^Fuzz' "$pkg" | grep '^Fuzz'); do
+    go test -run=NONE -fuzz="^${target}\$" -fuzztime=5s "$pkg"
+  done
 done
-for target in FuzzParseScenario FuzzParsePerturb; do
-  go test -run=NONE -fuzz="^${target}\$" -fuzztime=5s ./internal/chaos/
-done
-go test -run=NONE -fuzz='^FuzzParseSpec$' -fuzztime=5s ./internal/sched/
-go test -run=NONE -fuzz='^FuzzJournalDecode$' -fuzztime=5s ./internal/journal/
-go test -run=NONE -fuzz='^FuzzTextFSM$' -fuzztime=5s ./internal/measure/textfsm/
 
 echo "CI OK"
