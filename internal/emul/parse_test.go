@@ -11,7 +11,6 @@ import (
 	"autonetkit/internal/design"
 	"autonetkit/internal/ipalloc"
 	"autonetkit/internal/render"
-
 	"autonetkit/internal/routing"
 )
 
