@@ -282,17 +282,18 @@ func (d *drill) exec(fields []string, line string) error {
 		}
 		fmt.Printf("%s %s\n", cmd, host)
 		return nil
-	case "drain", "fail":
+	case "drain", "fail", "expire":
+		if cmd == "expire" && !d.lease {
+			return errors.New("expire needs -lease")
+		}
 		host, err := one()
 		if err != nil {
 			return err
 		}
-		var res sched.DrainResult
-		if cmd == "drain" {
-			res, err = d.cluster.Drain(host)
-		} else {
-			res, err = d.cluster.FailHost(host)
-		}
+		op := map[string]func(string) (sched.DrainResult, error){
+			"drain": d.cluster.Drain, "fail": d.cluster.FailHost, "expire": d.cluster.ExpireLease,
+		}[cmd]
+		res, err := op(host)
 		if err != nil && !errors.Is(err, sched.ErrDegraded) {
 			return err
 		}
@@ -361,26 +362,6 @@ func (d *drill) exec(fields []string, line string) error {
 		}
 		d.flaky.SetMigrateFailRate(args[0], rate)
 		fmt.Printf("flaky %s %.2f\n", args[0], rate)
-		return nil
-	case "expire":
-		if !d.lease {
-			return errors.New("expire needs -lease")
-		}
-		host, err := one()
-		if err != nil {
-			return err
-		}
-		res, err := d.cluster.ExpireLease(host)
-		if err != nil && !errors.Is(err, sched.ErrDegraded) {
-			return err
-		}
-		fmt.Printf("expire %s: %d VMs re-placed, %d stranded\n", host, len(res.Moves), len(res.Stranded))
-		for _, m := range res.Moves {
-			fmt.Printf("  %s: %s -> %s\n", m.VM, m.From, m.To)
-		}
-		if len(res.Stranded) > 0 {
-			fmt.Printf("  stranded: %s\n", strings.Join(res.Stranded, ", "))
-		}
 		return nil
 	case "probe":
 		for _, pr := range d.cluster.ProbeAll() {

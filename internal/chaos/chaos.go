@@ -33,51 +33,35 @@ type Options struct {
 	// OnEvent, when set, receives one call per watchdog escalation rung —
 	// the deploy layer bridges these into its event stream.
 	OnEvent func(action, detail string)
-	// Hosts, when set, executes fail-host and drain-host steps against the
-	// substrate (a *deploy.ClusterDeployment satisfies it). Scenarios using
-	// host steps without a controller record a step failure finding.
+	// Hosts, when set, executes the substrate-host steps (drain-host,
+	// fail-host, silence-host, flaky-host, crash-sched, check reservation);
+	// a *deploy.ClusterDeployment satisfies it. Scenarios using host steps
+	// without a controller record a step failure finding.
 	Hosts HostController
 }
 
-// HostController drains and fails substrate hosts on behalf of host-level
-// scenario steps. Both calls return the VM names that were re-placed and
-// the VMs left stranded (sorted); a degraded operation returns stranded
-// VMs alongside a non-nil error and the step degrades gracefully instead
-// of aborting the scenario.
+// HostController carries out the substrate-host steps of a scenario. The
+// host-loss calls return the VM names that were re-placed and the VMs left
+// stranded (sorted); a degraded operation returns stranded VMs alongside a
+// non-nil error and the step degrades gracefully instead of aborting the
+// scenario. A controller that lacks a capability (no durable scheduler,
+// no fault-injecting backend, no leases) returns an error, which fails
+// the step.
 type HostController interface {
 	DrainHost(host string) (moved, stranded []string, err error)
 	FailHost(host string) (moved, stranded []string, err error)
-}
-
-// SchedCrasher is the optional HostController extension backing crash-sched
-// steps: kill the durable scheduler's journal mid-flight, recover a fresh
-// scheduler from the state directory, and return a deterministic summary
-// (a *deploy.ClusterDeployment with a StateDir satisfies it). Controllers
-// without durable state simply don't implement it and crash-sched steps
-// record a step failure finding.
-type SchedCrasher interface {
-	CrashSched() (summary string, err error)
-}
-
-// HostSilencer is the optional HostController extension backing
-// silence-host steps: the host stops answering heartbeats entirely, its
-// lease expires, and its VMs re-place (a *deploy.ClusterDeployment over a
-// sched.FlakyBackend with leases enabled satisfies it).
-type HostSilencer interface {
+	// SilenceHost stops the host answering heartbeats: its lease expires
+	// and its VMs re-place.
 	SilenceHost(host string) (moved, stranded []string, err error)
-}
-
-// HostFlaker is the optional HostController extension backing flaky-host
-// steps: set a deterministic migration-failure rate for moves onto the
-// host (0 clears it).
-type HostFlaker interface {
+	// FlakyHost sets a deterministic migration-failure rate for moves
+	// onto the host (0 clears it).
 	FlakyHost(host string, rate float64) error
-}
-
-// ReservationInspector is the optional HostController extension backing
-// `check reservation` steps: report one reservation's scheduler state
-// ("active", "queued", "degraded", or "preempted").
-type ReservationInspector interface {
+	// CrashSched kills the durable scheduler's journal mid-flight,
+	// recovers a fresh scheduler from its state directory, and returns a
+	// deterministic summary.
+	CrashSched() (summary string, err error)
+	// ReservationState reports one reservation's scheduler state
+	// ("active", "queued", "degraded", or "preempted").
 	ReservationState(name string) (string, error)
 }
 
@@ -242,6 +226,11 @@ func (e *Engine) runStep(idx int, st Step, base measure.Reachability) (StepResul
 		})
 	}
 
+	if usesHosts(st) && e.opts.Hosts == nil {
+		addFinding("chaos-step", verify.Error, "no host controller attached for %s", st.Op)
+		res.Verdict = "FAILED: no host controller"
+		return res, nil
+	}
 	if st.Op == OpCheck {
 		err := e.runCheck(&res, base, addFinding)
 		return res, err
@@ -304,30 +293,28 @@ func (e *Engine) runStep(idx int, st Step, base measure.Reachability) (StepResul
 	return res, err
 }
 
+// usesHosts reports whether a step needs the host controller.
+func usesHosts(st Step) bool {
+	switch st.Op {
+	case OpDrainHost, OpFailHost, OpSilenceHost, OpFlakyHost, OpCrashSched:
+		return true
+	}
+	return st.Op == OpCheck && st.Check == CheckReservation
+}
+
 // runHostOp executes a substrate-host step through the attached host
 // controller and settles the convergence verdict. A degraded operation
 // (stranded VMs) records an error finding but the scenario continues —
 // graceful degradation is precisely what these drills probe.
 func (e *Engine) runHostOp(res *StepResult, budget routing.ConvergenceBudget, addFinding func(string, verify.Severity, string, ...any)) error {
 	st := res.Step
-	if e.opts.Hosts == nil {
-		addFinding("chaos-step", verify.Error, "no host controller attached for %s", st.Op)
-		res.Verdict = "FAILED: no host controller"
-		return nil
-	}
 	var moved, stranded []string
 	var err error
 	switch st.Op {
 	case OpDrainHost:
 		moved, stranded, err = e.opts.Hosts.DrainHost(st.Node)
 	case OpSilenceHost:
-		silencer, ok := e.opts.Hosts.(HostSilencer)
-		if !ok {
-			addFinding("chaos-step", verify.Error, "host controller cannot silence hosts")
-			res.Verdict = "FAILED: no host silencer"
-			return nil
-		}
-		moved, stranded, err = silencer.SilenceHost(st.Node)
+		moved, stranded, err = e.opts.Hosts.SilenceHost(st.Node)
 	default:
 		moved, stranded, err = e.opts.Hosts.FailHost(st.Node)
 	}
@@ -351,13 +338,7 @@ func (e *Engine) runHostOp(res *StepResult, budget routing.ConvergenceBudget, ad
 // settling: the control plane of the *substrate* restarts, the emulated
 // network never notices — which is exactly the property the step asserts.
 func (e *Engine) runCrashSched(res *StepResult, addFinding func(string, verify.Severity, string, ...any)) {
-	crasher, ok := e.opts.Hosts.(SchedCrasher)
-	if !ok {
-		addFinding("chaos-step", verify.Error, "no durable scheduler attached for crash-sched")
-		res.Verdict = "FAILED: no durable scheduler"
-		return
-	}
-	summary, err := crasher.CrashSched()
+	summary, err := e.opts.Hosts.CrashSched()
 	if err != nil {
 		addFinding("chaos-step", verify.Error, "scheduler recovery failed: %v", err)
 		res.Verdict = fmt.Sprintf("FAILED: %v", err)
@@ -369,13 +350,7 @@ func (e *Engine) runCrashSched(res *StepResult, addFinding func(string, verify.S
 // runFlakyHost installs a scheduled migration-failure rate. Pure
 // configuration: nothing moves, so there is no convergence to settle.
 func (e *Engine) runFlakyHost(res *StepResult, addFinding func(string, verify.Severity, string, ...any)) {
-	flaker, ok := e.opts.Hosts.(HostFlaker)
-	if !ok {
-		addFinding("chaos-step", verify.Error, "host controller cannot schedule host faults")
-		res.Verdict = "FAILED: no host flaker"
-		return
-	}
-	if err := flaker.FlakyHost(res.Step.Node, res.Step.Rate); err != nil {
+	if err := e.opts.Hosts.FlakyHost(res.Step.Node, res.Step.Rate); err != nil {
 		addFinding("chaos-step", verify.Error, "injection failed: %v", err)
 		res.Verdict = fmt.Sprintf("FAILED: %v", err)
 		return
@@ -472,13 +447,7 @@ func (e *Engine) runCheck(res *StepResult, base measure.Reachability, addFinding
 		}
 		return nil
 	case CheckReservation:
-		inspector, ok := e.opts.Hosts.(ReservationInspector)
-		if !ok {
-			addFinding("chaos-check", verify.Error, "host controller cannot inspect reservations")
-			res.Verdict = "FAILED: no reservation inspector"
-			return nil
-		}
-		state, err := inspector.ReservationState(st.A)
+		state, err := e.opts.Hosts.ReservationState(st.A)
 		if err != nil {
 			addFinding("chaos-check", verify.Error, "reservation %s: %v", st.A, err)
 			res.Verdict = fmt.Sprintf("FAILED: %v", err)

@@ -4,14 +4,23 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"autonetkit/internal/verify"
 )
 
-// fakeHosts is a scripted HostController.
+// fakeHosts is a scripted HostController. unsupported, when set, is what
+// every lease-era and crash step returns: a controller lacking the
+// capability (no durable scheduler, no fault-injecting backend).
 type fakeHosts struct {
-	calls    []string
-	moved    map[string][]string
-	stranded map[string][]string
-	err      map[string]error
+	calls       []string
+	moved       map[string][]string
+	stranded    map[string][]string
+	err         map[string]error
+	summary     string
+	crashErr    error
+	rates       map[string]float64
+	states      map[string]string
+	unsupported error
 }
 
 func (f *fakeHosts) DrainHost(host string) ([]string, []string, error) {
@@ -22,6 +31,45 @@ func (f *fakeHosts) DrainHost(host string) ([]string, []string, error) {
 func (f *fakeHosts) FailHost(host string) ([]string, []string, error) {
 	f.calls = append(f.calls, "fail "+host)
 	return f.moved[host], f.stranded[host], f.err[host]
+}
+
+func (f *fakeHosts) SilenceHost(host string) ([]string, []string, error) {
+	if f.unsupported != nil {
+		return nil, nil, f.unsupported
+	}
+	f.calls = append(f.calls, "silence "+host)
+	return f.moved[host], f.stranded[host], f.err[host]
+}
+
+func (f *fakeHosts) FlakyHost(host string, rate float64) error {
+	if f.unsupported != nil {
+		return f.unsupported
+	}
+	f.calls = append(f.calls, fmt.Sprintf("flaky %s %.2f", host, rate))
+	if f.rates == nil {
+		f.rates = map[string]float64{}
+	}
+	f.rates[host] = rate
+	return f.err[host]
+}
+
+func (f *fakeHosts) CrashSched() (string, error) {
+	if f.unsupported != nil {
+		return "", f.unsupported
+	}
+	f.calls = append(f.calls, "crash-sched")
+	return f.summary, f.crashErr
+}
+
+func (f *fakeHosts) ReservationState(name string) (string, error) {
+	if f.unsupported != nil {
+		return "", f.unsupported
+	}
+	f.calls = append(f.calls, "reservation "+name)
+	if st, ok := f.states[name]; ok {
+		return st, nil
+	}
+	return "", fmt.Errorf("no reservation %s", name)
 }
 
 func TestParseHostSteps(t *testing.T) {
@@ -144,18 +192,6 @@ func TestHostStepWithoutController(t *testing.T) {
 	}
 }
 
-// crashyHosts extends fakeHosts with a scripted SchedCrasher.
-type crashyHosts struct {
-	fakeHosts
-	summary  string
-	crashErr error
-}
-
-func (c *crashyHosts) CrashSched() (string, error) {
-	c.calls = append(c.calls, "crash-sched")
-	return c.summary, c.crashErr
-}
-
 func TestParseCrashSchedStep(t *testing.T) {
 	sc := mustParse(t, "drain-host h1\ncrash-sched\ncheck baseline\n")
 	if len(sc.Steps) != 3 || sc.Steps[1].Op != OpCrashSched {
@@ -172,7 +208,7 @@ func TestParseCrashSchedStep(t *testing.T) {
 
 func TestCrashSchedDrivesCrasher(t *testing.T) {
 	lab, client, addrOf := fig5Lab(t)
-	hosts := &crashyHosts{summary: "scheduler crashed and recovered from snapshot+wal: epoch 1, 3 records replayed; status byte-identical"}
+	hosts := &fakeHosts{summary: "scheduler crashed and recovered from snapshot+wal: epoch 1, 3 records replayed; status byte-identical"}
 	engine := NewEngine(lab, client, addrOf, Options{Hosts: hosts})
 	rep, err := engine.Run(mustParse(t, "crash-sched\ncheck baseline\n"))
 	if err != nil {
@@ -191,7 +227,7 @@ func TestCrashSchedDrivesCrasher(t *testing.T) {
 
 func TestCrashSchedRecoveryFailureFailsStep(t *testing.T) {
 	lab, client, addrOf := fig5Lab(t)
-	hosts := &crashyHosts{crashErr: fmt.Errorf("recovered scheduler state diverged")}
+	hosts := &fakeHosts{crashErr: fmt.Errorf("recovered scheduler state diverged")}
 	engine := NewEngine(lab, client, addrOf, Options{Hosts: hosts})
 	rep, err := engine.Run(mustParse(t, "crash-sched\ncheck\n"))
 	if err != nil {
@@ -211,8 +247,9 @@ func TestCrashSchedRecoveryFailureFailsStep(t *testing.T) {
 
 func TestCrashSchedWithoutCrasher(t *testing.T) {
 	lab, client, addrOf := fig5Lab(t)
-	// A plain HostController (no SchedCrasher) cannot serve crash-sched.
-	engine := NewEngine(lab, client, addrOf, Options{Hosts: &fakeHosts{}})
+	// A controller without durable state refuses crash-sched.
+	hosts := &fakeHosts{unsupported: fmt.Errorf("crash-sched needs a durable scheduler")}
+	engine := NewEngine(lab, client, addrOf, Options{Hosts: hosts})
 	rep, err := engine.Run(mustParse(t, "crash-sched\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -220,39 +257,9 @@ func TestCrashSchedWithoutCrasher(t *testing.T) {
 	if rep.OK() {
 		t.Fatal("missing crasher should produce a finding")
 	}
-	if !strings.Contains(rep.Steps[0].Verdict, "no durable scheduler") {
-		t.Errorf("verdict = %q", rep.Steps[0].Verdict)
+	if got := rep.Steps[0].Verdict; got != "FAILED: crash-sched needs a durable scheduler" {
+		t.Errorf("verdict = %q", got)
 	}
-}
-
-// leaseHosts extends fakeHosts with the lease/preemption-era extensions:
-// silencing, scheduled migration faults, and reservation inspection.
-type leaseHosts struct {
-	fakeHosts
-	rates  map[string]float64
-	states map[string]string
-}
-
-func (l *leaseHosts) SilenceHost(host string) ([]string, []string, error) {
-	l.calls = append(l.calls, "silence "+host)
-	return l.moved[host], l.stranded[host], l.err[host]
-}
-
-func (l *leaseHosts) FlakyHost(host string, rate float64) error {
-	l.calls = append(l.calls, fmt.Sprintf("flaky %s %.2f", host, rate))
-	if l.rates == nil {
-		l.rates = map[string]float64{}
-	}
-	l.rates[host] = rate
-	return l.err[host]
-}
-
-func (l *leaseHosts) ReservationState(name string) (string, error) {
-	l.calls = append(l.calls, "reservation "+name)
-	if st, ok := l.states[name]; ok {
-		return st, nil
-	}
-	return "", fmt.Errorf("no reservation %s", name)
 }
 
 func TestParseLeaseSteps(t *testing.T) {
@@ -311,9 +318,9 @@ func TestParseLeaseStepDiagnostics(t *testing.T) {
 
 func TestSilenceHostDrivesSilencer(t *testing.T) {
 	lab, client, addrOf := fig5Lab(t)
-	hosts := &leaseHosts{
-		fakeHosts: fakeHosts{moved: map[string][]string{"h2": {"r3", "r5"}}},
-		states:    map[string]string{"prod": "active", "batch": "preempted"},
+	hosts := &fakeHosts{
+		moved:  map[string][]string{"h2": {"r3", "r5"}},
+		states: map[string]string{"prod": "active", "batch": "preempted"},
 	}
 	engine := NewEngine(lab, client, addrOf, Options{Hosts: hosts})
 	rep, err := engine.Run(mustParse(t, `
@@ -348,7 +355,7 @@ check reservation batch preempted
 
 func TestReservationCheckViolated(t *testing.T) {
 	lab, client, addrOf := fig5Lab(t)
-	hosts := &leaseHosts{states: map[string]string{"batch": "queued"}}
+	hosts := &fakeHosts{states: map[string]string{"batch": "queued"}}
 	engine := NewEngine(lab, client, addrOf, Options{Hosts: hosts})
 	rep, err := engine.Run(mustParse(t, "check reservation batch preempted\ncheck reservation ghost active\n"))
 	if err != nil {
@@ -367,22 +374,23 @@ func TestReservationCheckViolated(t *testing.T) {
 
 func TestLeaseStepsWithoutExtensions(t *testing.T) {
 	lab, client, addrOf := fig5Lab(t)
-	// A plain HostController lacks the lease-era extensions; each step
-	// fails gracefully and the scenario continues.
-	engine := NewEngine(lab, client, addrOf, Options{Hosts: &fakeHosts{}})
+	// A controller lacking the lease-era capabilities refuses each step;
+	// each fails with an error finding and the scenario continues.
+	hosts := &fakeHosts{unsupported: fmt.Errorf("needs a flaky backend with leases")}
+	engine := NewEngine(lab, client, addrOf, Options{Hosts: hosts})
 	rep, err := engine.Run(mustParse(t, "silence-host h1\nflaky-host h1 0.5\ncheck reservation prod active\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.OK() {
-		t.Fatal("missing extensions should produce findings")
-	}
-	for i, want := range []string{"no host silencer", "no host flaker", "no reservation inspector"} {
-		if !strings.Contains(rep.Steps[i].Verdict, want) {
-			t.Errorf("step %d verdict = %q, want %q", i, rep.Steps[i].Verdict, want)
-		}
-	}
 	if len(rep.Steps) != 3 {
 		t.Fatalf("steps = %d", len(rep.Steps))
+	}
+	for i, s := range rep.Steps {
+		if s.Verdict != "FAILED: needs a flaky backend with leases" {
+			t.Errorf("step %d verdict = %q", i, s.Verdict)
+		}
+		if len(s.Findings) != 1 || s.Findings[0].Severity != verify.Error {
+			t.Errorf("step %d findings = %v, want one error", i, s.Findings)
+		}
 	}
 }

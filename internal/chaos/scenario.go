@@ -45,18 +45,17 @@ const (
 	// controller: its VMs move to surviving capacity with no outage.
 	OpDrainHost Op = "drain-host"
 	// OpCrashSched kills and recovers the durable scheduler through the
-	// attached host controller (which must also be a SchedCrasher): the
-	// journal closes mid-flight and a fresh scheduler replays it, asserting
+	// attached host controller: the journal closes mid-flight and a fresh scheduler replays it, asserting
 	// byte-identical state. The lab itself never stops.
 	OpCrashSched Op = "crash-sched"
 	// OpSilenceHost makes a substrate host stop answering entirely (no
-	// probe errors, just silence) through the attached host controller
-	// (which must also be a HostSilencer): its lease expires, its VMs go
-	// dark and re-place onto surviving capacity.
+	// probe errors, just silence) through the attached host controller:
+	// its lease expires, its VMs go dark and re-place onto surviving
+	// capacity.
 	OpSilenceHost Op = "silence-host"
 	// OpFlakyHost sets a deterministic migration-failure rate for moves
-	// onto a substrate host through the attached host controller (which
-	// must also be a HostFlaker). Rate 0 clears it.
+	// onto a substrate host through the attached host controller. Rate 0
+	// clears it.
 	OpFlakyHost Op = "flaky-host"
 )
 
@@ -78,8 +77,8 @@ const (
 	// point, optionally within Step.Within engine rounds.
 	CheckConverged CheckMode = "converged"
 	// CheckReservation asserts a scheduler reservation (Step.A) is in the
-	// given state (Step.B): active, queued, degraded, or preempted. Needs
-	// a host controller that is also a ReservationInspector.
+	// given state (Step.B): active, queued, degraded, or preempted,
+	// through the attached host controller.
 	CheckReservation CheckMode = "reservation"
 )
 

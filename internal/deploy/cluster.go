@@ -254,10 +254,9 @@ func nextUnbooted(cluster *sched.Cluster, placement Placement, booted map[string
 }
 
 // bootHost attempts one host's boot under the retry policy, emitting an
-// event per attempt. The attempt loop, backoff, and circuit breaker
-// (shared with the scheduler's migrations when the policy carries one)
-// live in retry.Policy.Do; cancelling ctx interrupts the backoff sleep
-// and surfaces as the returned error.
+// event per attempt. The attempt loop and backoff live in
+// retry.Policy.Do; cancelling ctx interrupts the backoff sleep and
+// surfaces as the returned error.
 func (d *ClusterDeployment) bootHost(ctx context.Context, host string) error {
 	span := d.opts.Obs.StartSpan("boot " + host)
 	defer span.End()
@@ -364,17 +363,6 @@ func (d *ClusterDeployment) rehome(res sched.DrainResult, dark bool) ([]string, 
 	return moved, nil
 }
 
-// darken takes the host's lab VMs down in one batch (one re-convergence,
-// one incident id): the visible half of a host failure.
-func (d *ClusterDeployment) darken(host string) error {
-	if victims := d.labOnly(d.Cluster.VMsOn(host)); len(victims) > 0 {
-		if _, err := d.lab.Apply(emul.Change{HostDown: victims}); err != nil {
-			return fmt.Errorf("deploy: failing %s's VMs: %w", host, err)
-		}
-	}
-	return nil
-}
-
 // DrainHost live-drains a substrate host: the scheduler cordons it and
 // re-places its VMs onto surviving capacity, then the moved VMs re-boot
 // their device configurations in the running lab (one batch, one
@@ -400,19 +388,8 @@ func (d *ClusterDeployment) DrainHost(host string) (moved, stranded []string, er
 // DrainHost's live move). Stranded orphans stay dark and re-place
 // automatically as capacity frees; the error then wraps sched.ErrDegraded.
 func (d *ClusterDeployment) FailHost(host string) (moved, stranded []string, err error) {
-	if err := d.darken(host); err != nil {
-		return nil, nil, err
-	}
-	res, ferr := d.Cluster.FailHost(host)
-	if ferr != nil && !errors.Is(ferr, sched.ErrDegraded) {
-		return nil, nil, ferr
-	}
-	d.FailedHosts = append(d.FailedHosts, host)
-	if moved, err = d.rehome(res, true); err != nil {
-		return moved, res.Stranded, err
-	}
-	d.emit(Event{"host-failed", fmt.Sprintf("%s failed: %d VMs re-placed, %d stranded dark", host, len(moved), len(res.Stranded))})
-	return moved, res.Stranded, ferr
+	return d.loseHost(host, d.Cluster.FailHost, func() { d.FailedHosts = append(d.FailedHosts, host) },
+		"host-failed", "%s failed: %d VMs re-placed, %d stranded dark")
 }
 
 // SilenceHost models a substrate host going dark without a single error
@@ -427,19 +404,32 @@ func (d *ClusterDeployment) SilenceHost(host string) (moved, stranded []string, 
 	if !ok {
 		return nil, nil, fmt.Errorf("deploy: silence-host needs a flaky backend (wrap the backend in sched.NewFlakyBackend)")
 	}
-	fb.Silence(host)
-	if err := d.darken(host); err != nil {
-		return nil, nil, err
+	return d.loseHost(host, d.Cluster.ExpireLease, func() { fb.Silence(host) },
+		"silence", "%s silenced: lease expired, %d VMs re-placed, %d stranded dark")
+}
+
+// loseHost is FailHost's and SilenceHost's body. The scheduler decides
+// first (lose), so a refusal (leases off, journal poisoned, host already
+// lost) leaves the deployment untouched. Only once it accepts does
+// accepted run, the host's lab VMs go dark in one batch and the
+// re-placed ones re-boot; the closing event reports the outcome.
+func (d *ClusterDeployment) loseHost(host string, lose func(string) (sched.DrainResult, error), accepted func(), kind, format string) (moved, stranded []string, err error) {
+	victims := d.labOnly(d.Cluster.VMsOn(host))
+	res, serr := lose(host)
+	if serr != nil && !errors.Is(serr, sched.ErrDegraded) {
+		return nil, nil, serr
 	}
-	res, lerr := d.Cluster.ExpireLease(host)
-	if lerr != nil && !errors.Is(lerr, sched.ErrDegraded) {
-		return nil, nil, lerr
+	accepted()
+	if len(victims) > 0 {
+		if _, err := d.lab.Apply(emul.Change{HostDown: victims}); err != nil {
+			return nil, nil, fmt.Errorf("deploy: failing %s's VMs: %w", host, err)
+		}
 	}
 	if moved, err = d.rehome(res, true); err != nil {
 		return moved, res.Stranded, err
 	}
-	d.emit(Event{"silence", fmt.Sprintf("%s silenced: lease expired, %d VMs re-placed, %d stranded dark", host, len(moved), len(res.Stranded))})
-	return moved, res.Stranded, lerr
+	d.emit(Event{kind, fmt.Sprintf(format, host, len(moved), len(res.Stranded))})
+	return moved, res.Stranded, serr
 }
 
 // FlakyHost sets the scheduled migration-failure rate for moves onto the

@@ -356,6 +356,52 @@ func TestClusterDeploymentSilenceHost(t *testing.T) {
 	}
 }
 
+// TestClusterDeploymentRefusedHostLossChangesNothing: when the scheduler
+// refuses a host loss (leases off for a silence, a closed journal for a
+// fail), the deployment is left exactly as it was: no lab incident, the
+// same placement, the backend not silenced.
+func TestClusterDeploymentRefusedHostLossChangesNothing(t *testing.T) {
+	fs := renderedLab(t)
+	for _, tc := range []struct {
+		name string
+		opts ClusterOptions
+		lose func(*ClusterDeployment, string) ([]string, []string, error)
+	}{
+		{"silence without leases", ClusterOptions{Seed: 7}, (*ClusterDeployment).SilenceHost},
+		{"fail on a closed journal", ClusterOptions{Seed: 7, StateDir: t.TempDir()}, func(d *ClusterDeployment, host string) ([]string, []string, error) {
+			if err := d.Cluster.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return d.FailHost(host)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fb := sched.NewFlakyBackend(sched.Uniform(3, 2), 7)
+			tc.opts.Policy = sched.PolicySpread
+			dep, err := RunCluster(context.Background(), fs, fb, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			victim := dep.Placement[dep.Lab().VMNames()[0]]
+			before := dep.Cluster.Status().JSON()
+			if _, _, err := tc.lose(dep, victim); err == nil {
+				t.Fatal("the scheduler accepted the host loss")
+			}
+			for _, ev := range dep.Lab().Events() {
+				if strings.Contains(ev, "host failure downed") {
+					t.Errorf("refused host loss reached the lab: %s", ev)
+				}
+			}
+			if after := dep.Cluster.Status().JSON(); after != before {
+				t.Errorf("placement moved:\n%s\nwant\n%s", after, before)
+			}
+			if fb.Silenced(victim) || len(dep.FailedHosts) != 0 {
+				t.Errorf("silenced=%v failed hosts=%v after a refusal", fb.Silenced(victim), dep.FailedHosts)
+			}
+		})
+	}
+}
+
 func TestClusterDeploymentSilenceNeedsFlakyBackend(t *testing.T) {
 	fs := renderedLab(t)
 	dep, err := RunCluster(context.Background(), fs, sched.Uniform(2, 2), ClusterOptions{Seed: 1})
@@ -389,41 +435,6 @@ func TestClusterDeploymentFlakyHostAndReservationState(t *testing.T) {
 	}
 	if _, err := dep.ReservationState("ghost"); err == nil {
 		t.Fatal("unknown reservation should error")
-	}
-}
-
-// TestClusterBootSharesBreaker: a breaker on the cluster retry policy is
-// consulted by host boots — a host that tripped it during boot is
-// short-circuited instead of re-attempted.
-func TestClusterBootSharesBreaker(t *testing.T) {
-	fs := renderedLab(t)
-	b := sched.NewStaticBackend(
-		sched.HostInfo{Name: "h1", Capacity: 2},
-		sched.HostInfo{Name: "h2", Capacity: 4},
-	)
-	breaker := retry.NewBreakerSet(retry.BreakerConfig{FailAfter: 1, OpenFor: time.Hour})
-	// Trip h1's breaker before the deployment even starts.
-	breaker.Failure("h1")
-	boots := map[string]int{}
-	dep, err := RunCluster(context.Background(), fs, b, ClusterOptions{
-		Seed: 1,
-		Boot: func(host string, vms []string, attempt int) error {
-			boots[host]++
-			return nil
-		},
-		Retry: retry.Policy{MaxAttempts: 3, Sleep: func(time.Duration) {}, Breaker: breaker},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if boots["h1"] != 0 {
-		t.Errorf("open-circuit host booted %d times", boots["h1"])
-	}
-	if boots["h2"] == 0 {
-		t.Error("healthy host never booted")
-	}
-	if len(dep.FailedHosts) != 1 || dep.FailedHosts[0] != "h1" {
-		t.Errorf("failed hosts = %v", dep.FailedHosts)
 	}
 }
 

@@ -97,16 +97,13 @@ const (
 	CounterDrainDuration      = "drain_duration"
 	CounterHostsUnhealthy     = "hosts_unhealthy"
 
-	// Liveness + preemption counters (internal/sched leases, retry
-	// circuit breakers): lease state transitions, reservations evicted to
-	// make room for higher-weight work, and retry attempts short-circuited
-	// by an open per-host breaker.
-	CounterLeasesSuspected      = "leases_suspected"
-	CounterLeasesExpired        = "leases_expired"
-	CounterLeasesRenewed        = "leases_renewed"
-	CounterPreemptions          = "reservations_preempted"
-	CounterBreakerOpened        = "breaker_opened"
-	CounterBreakerShortCircuits = "breaker_short_circuits"
+	// Liveness + preemption counters (internal/sched leases): lease state
+	// transitions, and reservations evicted to make room for
+	// higher-weight work.
+	CounterLeasesSuspected = "leases_suspected"
+	CounterLeasesExpired   = "leases_expired"
+	CounterLeasesRenewed   = "leases_renewed"
+	CounterPreemptions     = "reservations_preempted"
 
 	// Durable-state counters (internal/journal + sched.Open): records
 	// appended, snapshot compactions, recoveries performed, torn wal tails

@@ -8,29 +8,20 @@ package retry
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"time"
 )
 
-// ErrCircuitOpen is returned by Do when the host's circuit breaker is
-// open: the operation was not attempted at all.
-var ErrCircuitOpen = errors.New("retry: circuit open")
-
 // ExhaustedError is returned by Do when every permitted attempt failed.
 // Unwrap exposes the last attempt's error.
 type ExhaustedError struct {
 	Host     string
-	Attempts int  // attempts actually made
-	Opened   bool // true when the breaker opened mid-loop and cut retries short
+	Attempts int // attempts actually made
 	Last     error
 }
 
 func (e *ExhaustedError) Error() string {
-	if e.Opened {
-		return fmt.Sprintf("retry: host %s: circuit opened after %d attempts: %v", e.Host, e.Attempts, e.Last)
-	}
 	return fmt.Sprintf("retry: host %s: %d attempts exhausted: %v", e.Host, e.Attempts, e.Last)
 }
 
@@ -60,11 +51,6 @@ type Policy struct {
 	// After is the attempt-timeout clock (test seam; nil selects
 	// time.After).
 	After func(time.Duration) <-chan time.Time
-	// Breaker, when set, short-circuits attempts against hosts whose
-	// circuit is open and feeds attempt outcomes back into it. Shared
-	// across subsystems so one condemned host stops burning every retry
-	// budget at once.
-	Breaker *BreakerSet
 	// OnRetry, when set, observes each failed attempt before the
 	// backoff sleep (attempt is 1-based). Not called for attempts cut
 	// short by context cancellation.
@@ -132,42 +118,27 @@ func (p Policy) Delay(host string, attempt int) time.Duration {
 }
 
 // Do runs fn under the policy: up to Attempts() tries against the named
-// host, backoff with Delay between failures, circuit-breaker gating when
-// Breaker is set. fn receives the 1-based attempt number. Returns nil on
-// the first success, the context's error when cancelled (a cancelled
-// attempt is not charged to the host's breaker), ErrCircuitOpen
-// (wrapped) when the breaker rejects the host before the first attempt,
-// or an *ExhaustedError carrying the last failure otherwise.
+// host, backoff with Delay between failures. fn receives the 1-based
+// attempt number. Returns nil on the first success, the context's error
+// when cancelled, or an *ExhaustedError carrying the last failure
+// otherwise.
 func (p Policy) Do(ctx context.Context, host string, fn func(attempt int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if p.Breaker != nil && !p.Breaker.Allow(host) {
-		return fmt.Errorf("%w: host %s", ErrCircuitOpen, host)
 	}
 	var last error
 	for attempt := 1; attempt <= p.Attempts(); attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		last = fn(attempt)
-		if last == nil {
-			if p.Breaker != nil {
-				p.Breaker.Success(host)
-			}
+		if last = fn(attempt); last == nil {
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if p.Breaker != nil {
-			p.Breaker.Failure(host)
-		}
 		if p.OnRetry != nil {
 			p.OnRetry(host, attempt, last)
-		}
-		if p.Breaker != nil && !p.Breaker.Allow(host) {
-			return &ExhaustedError{Host: host, Attempts: attempt, Opened: true, Last: last}
 		}
 		if attempt < p.Attempts() {
 			if err := p.SleepCtx(ctx, p.Delay(host, attempt)); err != nil {
@@ -197,7 +168,7 @@ func (p Policy) AfterChan(d time.Duration) <-chan time.Time {
 }
 
 // SleepCtx sleeps the given backoff but aborts early when the context is
-// cancelled, returning ctx.Err(). A drain or host boot mid-backoff stops
+// cancelled, returning ctx.Err(). A host boot mid-backoff stops
 // within one select instead of finishing the sleep. The Sleep seam is
 // honoured when set (tests that stub Sleep stay instantaneous), but the
 // context is still checked before and after the stubbed sleep.

@@ -1,6 +1,8 @@
 package retry
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -101,5 +103,68 @@ func TestPolicySeams(t *testing.T) {
 	p.After = func(time.Duration) <-chan time.Time { return ch }
 	if p.AfterChan(time.Hour) != (<-chan time.Time)(ch) {
 		t.Error("after seam not used")
+	}
+}
+
+func instantPolicy(attempts int) Policy {
+	return Policy{MaxAttempts: attempts, Sleep: func(time.Duration) {}}
+}
+
+// failN fails the first n calls with "boom" and succeeds after.
+func failN(n int) func(attempt int) error {
+	calls := 0
+	return func(attempt int) error {
+		calls++
+		if calls <= n {
+			return errors.New("boom")
+		}
+		return nil
+	}
+}
+
+func TestDoSucceedsAfterRetries(t *testing.T) {
+	p := instantPolicy(3)
+	var retried []int
+	p.OnRetry = func(host string, attempt int, err error) { retried = append(retried, attempt) }
+	if err := p.Do(context.Background(), "h1", failN(2)); err != nil {
+		t.Fatalf("Do = %v", err)
+	}
+	if len(retried) != 2 || retried[0] != 1 || retried[1] != 2 {
+		t.Fatalf("OnRetry attempts = %v", retried)
+	}
+}
+
+func TestDoExhausted(t *testing.T) {
+	p := instantPolicy(3)
+	err := p.Do(context.Background(), "h1", failN(99))
+	var ex *ExhaustedError
+	if !errors.As(err, &ex) {
+		t.Fatalf("Do = %v, want ExhaustedError", err)
+	}
+	if ex.Host != "h1" || ex.Attempts != 3 {
+		t.Fatalf("ExhaustedError = %+v", ex)
+	}
+	if ex.Last == nil || ex.Last.Error() != "boom" {
+		t.Fatalf("Last = %v", ex.Last)
+	}
+}
+
+// TestDoCancelledMidAttempt: an attempt cancelled mid-flight returns the
+// context's error and is not reported as a failed attempt — the caller
+// gave up, the host did not fail.
+func TestDoCancelledMidAttempt(t *testing.T) {
+	p := instantPolicy(5)
+	retried := 0
+	p.OnRetry = func(string, int, error) { retried++ }
+	ctx, cancel := context.WithCancel(context.Background())
+	err := p.Do(ctx, "h1", func(int) error {
+		cancel()
+		return errors.New("interrupted")
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Do = %v, want context.Canceled", err)
+	}
+	if retried != 0 {
+		t.Fatalf("cancelled attempt reported to OnRetry %d times", retried)
 	}
 }

@@ -6,18 +6,26 @@
 //
 //   - Command records (reserve/release/cordon/uncordon) carry the request.
 //     These operations are deterministic functions of (state, request,
-//     seed) — PR 7's core property — so replay re-runs the same locked
-//     code path and re-derives placement, queueing, admission, and healing
-//     identically.
-//   - Outcome records (drain/fail-host/probe) carry what actually
-//     happened: the committed moves, the stranded VMs, the per-host probe
-//     verdicts. Their live execution consults the backend (Migrate with
-//     retries, Probe) and so is not a pure function of state; replay
-//     applies the recorded deltas without touching the backend.
+//     seed), so replay re-runs the same locked code path and re-derives
+//     placement, queueing, admission and healing identically.
+//   - Outcome records carry what the backend's answers decided: a probe
+//     round's verdicts, or the health verdict, committed moves and
+//     stranded VMs of a drain, host failure or lease transition. The live
+//     operation applies each decision through the same functions replay
+//     applies the record through (applyProbeLocked; setHealthLocked,
+//     moveLocked and strandLocked), so there is one apply path. Replay
+//     never touches the backend.
 //
-// One mutator call = at most one record (Drain folds its implicit cordon
-// in), so any crash leaves the journal at an operation boundary: recovery
-// observes either the state before the op or after it, never between.
+// Every mutation applies first and journals second; a journal failure
+// poisons the cluster. One mutator call = at most one record (Drain folds
+// its implicit cordon in), so any crash leaves the journal at an
+// operation boundary: recovery observes either the state before the op or
+// after it, never between.
+//
+// Recovery must run under the seed, preemption mode and host set the
+// journal was written under. A snapshot records them; so does the first
+// record of a journal that has no snapshot yet (its Base), so both
+// recovery paths check them through restoreSnapshotLocked.
 package sched
 
 import (
@@ -57,6 +65,10 @@ type record struct {
 	Stranded []string       `json:"stranded,omitempty"` // fail-host/lease-dead orphans with no capacity
 	Probes   []probeOutcome `json:"probes,omitempty"`   // probe round outcomes
 	To       Health         `json:"to,omitempty"`       // lease transition target
+	// Base is the empty cluster's snapshot, carried by the first record
+	// of a journal begun without one, so a wal-only recovery checks the
+	// seed, preemption mode and host set as a snapshot recovery does.
+	Base json.RawMessage `json:"base,omitempty"`
 }
 
 // probeOutcome is one host's verdict from a journaled probe round.
@@ -180,6 +192,13 @@ func Open(dir string, b Backend, opts Options) (*Cluster, RecoveryInfo, error) {
 	}
 	c.replaying = false
 	c.journal = log
+	if !info.Recovered {
+		if c.base, err = c.snapshotLocked(); err != nil {
+			c.mu.Unlock()
+			log.Close()
+			return nil, info, fmt.Errorf("sched: encoding snapshot: %w", err)
+		}
+	}
 	if opts.Lease.Enabled {
 		// Replay restored suspected/dead verdicts; now re-arm the renewal
 		// windows — lease clocks are not durable (a restarted scheduler
@@ -222,6 +241,7 @@ func (c *Cluster) journalAppend(rec record) error {
 	if c.journal == nil || c.replaying {
 		return nil
 	}
+	rec.Base = c.base
 	raw, err := json.Marshal(rec)
 	if err != nil {
 		c.journalErr = err
@@ -231,6 +251,7 @@ func (c *Cluster) journalAppend(rec record) error {
 		c.journalErr = err
 		return fmt.Errorf("sched: journaling %s: %w", rec.Kind, err)
 	}
+	c.base = nil
 	c.appendsSince++
 	if c.appendsSince >= c.opts.snapshotEvery() {
 		state, err := c.snapshotLocked()
@@ -249,8 +270,14 @@ func (c *Cluster) journalAppend(rec record) error {
 
 // applyRecordLocked replays one journaled mutation (lock held, replaying
 // set). Command records re-run the deterministic locked cores; outcome
-// records apply their recorded deltas without backend calls.
+// records go through the reducers the live operation used, without
+// backend calls.
 func (c *Cluster) applyRecordLocked(r record) error {
+	if r.Base != nil {
+		if err := c.restoreSnapshotLocked(r.Base); err != nil {
+			return err
+		}
+	}
 	switch r.Kind {
 	case recReserve:
 		if r.Spec == nil {
@@ -264,10 +291,6 @@ func (c *Cluster) applyRecordLocked(r record) error {
 		return c.cordonLocked(r.Host)
 	case recUncordon:
 		return c.uncordonLocked(r.Host)
-	case recDrain:
-		return c.applyDrainLocked(r.Host, r.Moves)
-	case recFailHost:
-		return c.applyFailLocked(r.Host, r.Moves, r.Stranded)
 	case recProbe:
 		for _, p := range r.Probes {
 			var perr error
@@ -278,9 +301,40 @@ func (c *Cluster) applyRecordLocked(r record) error {
 		}
 		return nil
 	case recLease:
-		return c.applyLeaseLocked(r.Host, r.To)
-	case recLeaseDead:
-		return c.applyLeaseDeadLocked(r.Host, r.Moves, r.Stranded)
+		h, err := c.hostLocked(r.Host)
+		if err != nil {
+			return err
+		}
+		if r.To != Suspected && r.To != Healthy {
+			return fmt.Errorf("lease record with unexpected target state %q", r.To)
+		}
+		c.setHealthLocked(h, r.To)
+		return nil
+	case recDrain, recFailHost, recLeaseDead:
+		h, err := c.hostLocked(r.Host)
+		if err != nil {
+			return err
+		}
+		switch r.Kind {
+		case recDrain:
+			h.cordoned = true
+		case recFailHost:
+			c.setHealthLocked(h, Failed)
+		default:
+			c.setHealthLocked(h, Dead)
+		}
+		op := r.Kind + " " + r.Host // names events, which replay silences
+		for _, m := range r.Moves {
+			if err := c.moveLocked(op, m); err != nil {
+				return err
+			}
+		}
+		for _, vm := range r.Stranded {
+			if err := c.strandLocked(h, vm); err != nil {
+				return err
+			}
+		}
+		return nil
 	default:
 		return fmt.Errorf("unknown record kind %q", r.Kind)
 	}
@@ -289,109 +343,6 @@ func (c *Cluster) applyRecordLocked(r record) error {
 // errProbeReplayed stands in for the live probe error during replay; only
 // its non-nilness matters to the threshold state machine.
 var errProbeReplayed = errors.New("probe failed (replayed)")
-
-// applyLeaseLocked replays a pure lease transition: Suspected (host
-// missed its renewal window) or Healthy (a late heartbeat resurrected
-// it — with the probe streak reset and the admission pass the live
-// renewal ran).
-func (c *Cluster) applyLeaseLocked(host string, to Health) error {
-	h, ok := c.hosts[host]
-	if !ok {
-		return fmt.Errorf("no host %s", host)
-	}
-	switch to {
-	case Suspected:
-		h.health = Suspected
-	case Healthy:
-		h.health = Healthy
-		h.fails, h.oks = 0, 0
-		c.admit()
-	default:
-		return fmt.Errorf("lease record with unexpected target state %q", to)
-	}
-	return nil
-}
-
-// applyLeaseDeadLocked replays a lease expiry: health, committed moves,
-// and the orphans with nowhere to go — applyFailLocked's shape with a
-// Dead verdict instead of an operator's Failed.
-func (c *Cluster) applyLeaseDeadLocked(host string, moves []Move, stranded []string) error {
-	h, ok := c.hosts[host]
-	if !ok {
-		return fmt.Errorf("no host %s", host)
-	}
-	h.health = Dead
-	if err := c.applyMovesLocked(moves); err != nil {
-		return err
-	}
-	return c.strandOrphansLocked(h, stranded)
-}
-
-// applyDrainLocked replays a drain's durable effect: the (possibly
-// implicit) cordon plus the committed moves.
-func (c *Cluster) applyDrainLocked(host string, moves []Move) error {
-	h, ok := c.hosts[host]
-	if !ok {
-		return fmt.Errorf("no host %s", host)
-	}
-	h.cordoned = true
-	return c.applyMovesLocked(moves)
-}
-
-// applyFailLocked replays a host failure: health, committed moves, and the
-// orphans that had nowhere to go.
-func (c *Cluster) applyFailLocked(host string, moves []Move, stranded []string) error {
-	h, ok := c.hosts[host]
-	if !ok {
-		return fmt.Errorf("no host %s", host)
-	}
-	h.health = Failed
-	if err := c.applyMovesLocked(moves); err != nil {
-		return err
-	}
-	return c.strandOrphansLocked(h, stranded)
-}
-
-// strandOrphansLocked marks a dead/failed host's unplaceable VMs as
-// stranded on their reservations.
-func (c *Cluster) strandOrphansLocked(h *hostState, stranded []string) error {
-	for _, vm := range stranded {
-		resName, ok := h.vms[vm]
-		if !ok {
-			return fmt.Errorf("stranded VM %s not on host %s", vm, h.info.Name)
-		}
-		r := c.res[resName]
-		delete(h.vms, vm)
-		delete(r.placement, vm)
-		r.stranded[vm] = true
-		r.state = ResDegraded
-	}
-	return nil
-}
-
-func (c *Cluster) applyMovesLocked(moves []Move) error {
-	for _, m := range moves {
-		from, ok := c.hosts[m.From]
-		if !ok {
-			return fmt.Errorf("move %s: no source host %s", m.VM, m.From)
-		}
-		to, ok := c.hosts[m.To]
-		if !ok {
-			return fmt.Errorf("move %s: no target host %s", m.VM, m.To)
-		}
-		r, ok := c.res[m.Reservation]
-		if !ok {
-			return fmt.Errorf("move %s: no reservation %s", m.VM, m.Reservation)
-		}
-		if from.vms[m.VM] != m.Reservation {
-			return fmt.Errorf("move %s: not on %s under reservation %s", m.VM, m.From, m.Reservation)
-		}
-		delete(from.vms, m.VM)
-		r.placement[m.VM] = m.To
-		to.vms[m.VM] = r.spec.Name
-	}
-	return nil
-}
 
 // snapshotLocked encodes the full durable state (lock held).
 func (c *Cluster) snapshotLocked() ([]byte, error) {
@@ -430,34 +381,35 @@ func (c *Cluster) snapshotLocked() ([]byte, error) {
 	return json.Marshal(st)
 }
 
-// restoreSnapshotLocked loads a snapshot into a freshly built cluster
-// (lock held, replaying set). The snapshot must agree with the backend's
-// discovered hosts and the configured seed — recovering yesterday's state
-// onto a different substrate or tie-break key would silently misplace.
+// restoreSnapshotLocked loads a snapshot (or a first record's Base) into
+// a freshly built cluster (lock held, replaying set). It must agree with
+// the backend's discovered hosts, the configured seed and the preemption
+// mode: recovering yesterday's state onto a different substrate or
+// tie-break key would silently misplace.
 func (c *Cluster) restoreSnapshotLocked(data []byte) error {
 	var st snapshotState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("%w: snapshot: %v", journal.ErrCorrupt, err)
 	}
 	if st.Seed != c.opts.Seed {
-		return fmt.Errorf("sched: snapshot seed %d != configured seed %d", st.Seed, c.opts.Seed)
+		return fmt.Errorf("sched: journal seed %d != configured seed %d", st.Seed, c.opts.Seed)
 	}
 	if st.Preempt != c.opts.Preempt {
 		// The wal records after this snapshot were decided under the
 		// snapshot's preemption mode; replaying them under the other mode
 		// would silently diverge from the recorded history.
-		return fmt.Errorf("sched: snapshot preempt=%v != configured preempt=%v", st.Preempt, c.opts.Preempt)
+		return fmt.Errorf("sched: journal preempt=%v != configured preempt=%v", st.Preempt, c.opts.Preempt)
 	}
 	if len(st.Hosts) != len(c.hostNames) {
-		return fmt.Errorf("sched: snapshot has %d hosts, backend discovered %d", len(st.Hosts), len(c.hostNames))
+		return fmt.Errorf("sched: journal has %d hosts, backend discovered %d", len(st.Hosts), len(c.hostNames))
 	}
 	for _, sh := range st.Hosts {
 		h, ok := c.hosts[sh.Name]
 		if !ok {
-			return fmt.Errorf("sched: snapshot host %s not discovered by backend", sh.Name)
+			return fmt.Errorf("sched: journal host %s not discovered by backend", sh.Name)
 		}
 		if h.info.Capacity != sh.Capacity {
-			return fmt.Errorf("sched: host %s capacity %d in snapshot, %d discovered", sh.Name, sh.Capacity, h.info.Capacity)
+			return fmt.Errorf("sched: host %s capacity %d in journal, %d discovered", sh.Name, sh.Capacity, h.info.Capacity)
 		}
 		h.cordoned = sh.Cordoned
 		h.health = sh.Health

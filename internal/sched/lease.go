@@ -1,11 +1,8 @@
 package sched
 
 import (
-	"context"
 	"fmt"
 	"time"
-
-	"autonetkit/internal/obs"
 )
 
 // Heartbeat leases: liveness under silence. Probes distinguish "host
@@ -105,9 +102,9 @@ func (c *Cluster) Heartbeat(host string) error {
 	if !c.opts.Lease.Enabled {
 		return fmt.Errorf("sched: leases not enabled")
 	}
-	h, ok := c.hosts[host]
-	if !ok {
-		return fmt.Errorf("sched: no host %s", host)
+	h, err := c.hostLocked(host)
+	if err != nil {
+		return err
 	}
 	if h.health == Failed {
 		return fmt.Errorf("sched: host %s has failed", host)
@@ -116,12 +113,7 @@ func (c *Cluster) Heartbeat(host string) error {
 	if h.health != Suspected && h.health != Dead {
 		return nil
 	}
-	from := h.health
-	h.health = Healthy
-	h.fails, h.oks = 0, 0
-	c.count(obs.CounterLeasesRenewed, 1)
-	c.emit("lease-renewed", "%s resurrected by heartbeat (%s -> healthy)", host, from)
-	c.admit()
+	c.setHealthLocked(h, Healthy)
 	return c.journalAppend(record{Kind: recLease, Host: host, To: Healthy})
 }
 
@@ -184,11 +176,14 @@ func (c *Cluster) CheckLeases() []LeaseTransition {
 		switch h.health {
 		case Healthy, Unhealthy:
 			if now.Sub(h.renewedAt) > ttl {
-				out = append(out, c.suspectLocked(name, h))
+				out = append(out, c.suspectLocked(h))
 			}
 		case Suspected:
 			if now.Sub(h.renewedAt) > ttl+grace {
-				out = append(out, c.expireLocked(name, h))
+				op := "lease-expired " + name
+				res, err := c.loseHostLocked(op, h, Dead, recLeaseDead)
+				_ = c.degradeLocked(op, &res, err) // the transition carries the outcome; a journal error has poisoned the cluster
+				out = append(out, LeaseTransition{Host: name, From: Suspected, To: Dead, Moves: res.Moves, Stranded: res.Stranded})
 			}
 		}
 	}
@@ -197,30 +192,11 @@ func (c *Cluster) CheckLeases() []LeaseTransition {
 
 // suspectLocked moves a host to Suspected and journals the transition.
 // Lock held.
-func (c *Cluster) suspectLocked(name string, h *hostState) LeaseTransition {
+func (c *Cluster) suspectLocked(h *hostState) LeaseTransition {
 	from := h.health
-	h.health = Suspected
-	c.count(obs.CounterLeasesSuspected, 1)
-	c.emit("lease-suspect", "%s missed its lease renewal (%d VMs stay until the grace window)", name, len(h.vms))
-	_ = c.journalAppend(record{Kind: recLease, Host: name, To: Suspected})
-	return LeaseTransition{Host: name, From: from, To: Suspected}
-}
-
-// expireLocked declares a Suspected host Dead and re-places its VMs
-// (same machinery as FailHost; orphans with nowhere to go strand on
-// their reservations). Journals one outcome record carrying the moves.
-// Lock held.
-func (c *Cluster) expireLocked(name string, h *hostState) LeaseTransition {
-	from := h.health
-	h.health = Dead
-	c.count(obs.CounterLeasesExpired, 1)
-	c.emit("lease-expired", "%s silent past the grace window: declared dead with %d VMs aboard", name, len(h.vms))
-	res, _ := c.replaceLocked(context.Background(), "lease-expired "+name, h, false)
-	_ = c.journalAppend(record{Kind: recLeaseDead, Host: name, Moves: res.Moves, Stranded: res.Stranded})
-	if len(res.Stranded) > 0 {
-		c.emit("degraded", "lease-expired %s: %s", name, res.Report.Summary())
-	}
-	return LeaseTransition{Host: name, From: from, To: Dead, Moves: res.Moves, Stranded: res.Stranded}
+	c.setHealthLocked(h, Suspected)
+	_ = c.journalAppend(record{Kind: recLease, Host: h.info.Name, To: Suspected})
+	return LeaseTransition{Host: h.info.Name, From: from, To: Suspected}
 }
 
 // ExpireLease forces one host through the full lease collapse right now
@@ -239,9 +215,9 @@ func (c *Cluster) ExpireLease(host string) (DrainResult, error) {
 		return DrainResult{}, fmt.Errorf("sched: leases not enabled")
 	}
 	start := c.now()
-	h, ok := c.hosts[host]
-	if !ok {
-		return DrainResult{}, fmt.Errorf("sched: no host %s", host)
+	h, err := c.hostLocked(host)
+	if err != nil {
+		return DrainResult{}, err
 	}
 	switch h.health {
 	case Failed:
@@ -250,65 +226,12 @@ func (c *Cluster) ExpireLease(host string) (DrainResult, error) {
 		return DrainResult{}, fmt.Errorf("sched: host %s is already dead", host)
 	case Suspected:
 	default:
-		c.suspectLocked(host, h)
-	}
-	if err := c.usableLocked(); err != nil { // the suspect record may have failed
-		return DrainResult{}, err
-	}
-	tr := c.expireLocked(host, h)
-	res := DrainResult{Host: host, Moves: tr.Moves, Stranded: tr.Stranded, Duration: c.now().Sub(start)}
-	c.count(obs.CounterDrainDuration, res.Duration.Milliseconds())
-	if err := c.usableLocked(); err != nil {
-		return res, err
-	}
-	if len(res.Stranded) > 0 {
-		res.Report = c.capacityLocked(len(res.Stranded))
-		return res, &DegradedError{Op: "lease-expired " + host, Stranded: res.Stranded, Report: res.Report}
-	}
-	return res, nil
-}
-
-// StartLeaseLoop runs heartbeat + lease-check rounds every interval
-// until the returned stop function is called: HeartbeatAll renews what
-// the backend vouches for, CheckLeases condemns the rest. Only one loop
-// may run at a time.
-func (c *Cluster) StartLeaseLoop(interval time.Duration) (stop func(), err error) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	c.mu.Lock()
-	if !c.opts.Lease.Enabled {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("sched: leases not enabled")
-	}
-	if c.leaseStop != nil {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("sched: lease loop already running")
-	}
-	stopCh := make(chan struct{})
-	doneCh := make(chan struct{})
-	c.leaseStop, c.leaseDone = stopCh, doneCh
-	c.mu.Unlock()
-
-	go func() {
-		defer close(doneCh)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopCh:
-				return
-			case <-t.C:
-				c.HeartbeatAll()
-				c.CheckLeases()
-			}
+		c.suspectLocked(h)
+		if err := c.usableLocked(); err != nil { // the suspect record may have failed
+			return DrainResult{}, err
 		}
-	}()
-	return func() {
-		close(stopCh)
-		<-doneCh
-		c.mu.Lock()
-		c.leaseStop, c.leaseDone = nil, nil
-		c.mu.Unlock()
-	}, nil
+	}
+	op := "lease-expired " + host
+	res, err := c.loseHostLocked(op, h, Dead, recLeaseDead)
+	return c.finishLocked(op, start, res, err)
 }

@@ -213,9 +213,6 @@ func TestLeaseDisabledIsInert(t *testing.T) {
 	if _, err := c.ExpireLease("h01"); err == nil {
 		t.Fatal("ExpireLease succeeded without leases")
 	}
-	if _, err := c.StartLeaseLoop(time.Second); err == nil {
-		t.Fatal("StartLeaseLoop succeeded without leases")
-	}
 }
 
 // TestLeaseTransitionsRecoverByteIdentically: every lease transition is
@@ -368,36 +365,4 @@ func TestLeaseExpiryConcurrentDrain(t *testing.T) {
 		t.Fatalf("h01 after sustained silence = %s", got)
 	}
 	checkInvariant(t, c)
-}
-
-// TestLeaseLoopRuns exercises StartLeaseLoop end to end with a real
-// ticker but an injected lease clock.
-func TestLeaseLoopRuns(t *testing.T) {
-	clk := newTestClock()
-	fb := NewFlakyBackend(Uniform(2, 2), 1)
-	c := newTestCluster(t, fb, leaseOpts(clk))
-	stop, err := c.StartLeaseLoop(time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.StartLeaseLoop(time.Millisecond); err == nil {
-		t.Fatal("second lease loop started")
-	}
-	fb.Silence("h01")
-	clk.advance(11 * time.Second)
-	deadline := time.Now().Add(5 * time.Second)
-	for hostHealth(c, "h01") != Suspected && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	clk.advance(31 * time.Second)
-	for hostHealth(c, "h01") != Dead && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	stop()
-	if got := hostHealth(c, "h01"); got != Dead {
-		t.Fatalf("h01 = %s after lease loop", got)
-	}
-	if got := hostHealth(c, "h02"); got != Healthy {
-		t.Fatalf("h02 = %s (loop should renew it)", got)
-	}
 }

@@ -5,10 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
-
-	"autonetkit/internal/obs"
-	"autonetkit/internal/retry"
 )
 
 func preemptOpts() Options {
@@ -205,90 +201,29 @@ func TestPreemptReplaysThroughJournal(t *testing.T) {
 	}
 }
 
-// TestPreemptSnapshotModeMismatchRejected: a snapshot taken under one
-// preemption mode cannot be reopened under the other — the journal
-// records after it were decided under that mode.
+// TestPreemptSnapshotModeMismatchRejected: a journal written under one
+// preemption mode cannot be reopened under the other — its records were
+// decided under that mode.
 func TestPreemptSnapshotModeMismatchRejected(t *testing.T) {
-	dir := t.TempDir()
-	opts := preemptOpts()
-	opts.SnapshotEvery = 1
-	c, _, err := Open(dir, Uniform(2, 3), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Reserve(Spec{Name: "batch", Count: 2, Tenant: "batch"}); err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	opts.Preempt = false
-	if _, _, err := Open(dir, Uniform(2, 3), opts); err == nil {
-		t.Fatal("reopen with flipped preempt mode succeeded")
-	} else if !strings.Contains(err.Error(), "preempt") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
-// TestMigrateBreakerShortCircuits: a host whose circuit is open strands
-// migrations immediately instead of burning attempts against it.
-func TestMigrateBreakerShortCircuits(t *testing.T) {
-	fb := NewFlakyBackend(Uniform(3, 4), 1)
-	opts := Options{Seed: 2013, Obs: obs.NewCollector()}
-	opts.Retry = fastRetry(2)
-	opts.Retry.Breaker = retry.NewBreakerSet(retry.BreakerConfig{
-		FailAfter: 2,
-		OpenFor:   time.Hour, // never reopens within the test
-	})
-	c := newTestCluster(t, fb, opts)
-	if _, err := c.Reserve(Spec{Name: "web", Count: 9, Tenant: "ops", Policy: PolicySpread}); err != nil {
-		t.Fatal(err)
-	}
-	// Every migration target fails; repeated drains trip the breakers.
-	for _, h := range []string{"h01", "h02", "h03"} {
-		fb.SetMigrateFailRate(h, 1)
-	}
-	if _, err := c.Drain("h01"); err == nil {
-		t.Fatal("drain with all targets failing succeeded")
-	}
-	// The next drain meets open circuits: stranded immediately, and the
-	// short-circuit counter moves.
-	if _, err := c.Drain("h02"); err == nil {
-		t.Fatal("second drain succeeded")
-	}
-	if got := opts.Obs.Counter(obs.CounterBreakerShortCircuits); got == 0 {
-		t.Fatal("no breaker short-circuits recorded")
-	}
-	checkInvariant(t, c)
-}
-
-// TestMigrateBreakerOpenedCounted: a migration whose failures trip the
-// target's breaker mid-retry counts breaker_opened once per trip; failures
-// that exhaust the attempts without tripping it count nothing.
-func TestMigrateBreakerOpenedCounted(t *testing.T) {
-	for _, tc := range []struct {
-		failAfter int
-		opened    bool
-	}{{2, true}, {100, false}} {
-		fb := NewFlakyBackend(Uniform(3, 4), 1)
-		opts := Options{Seed: 2013, Obs: obs.NewCollector()}
-		opts.Retry = fastRetry(3)
-		opts.Retry.Breaker = retry.NewBreakerSet(retry.BreakerConfig{FailAfter: tc.failAfter, OpenFor: time.Hour})
-		c := newTestCluster(t, fb, opts)
-		if _, err := c.Reserve(Spec{Name: "web", Count: 9, Tenant: "ops", Policy: PolicySpread}); err != nil {
-			t.Fatal(err)
-		}
-		for _, h := range []string{"h02", "h03"} {
-			fb.SetMigrateFailRate(h, 1)
-		}
-		if _, err := c.Drain("h01"); err == nil {
-			t.Fatalf("failAfter=%d: drain with every target failing succeeded", tc.failAfter)
-		}
-		got := opts.Obs.Counter(obs.CounterBreakerOpened)
-		if tc.opened && got == 0 || !tc.opened && got != 0 {
-			t.Errorf("failAfter=%d: breaker_opened = %d, want opened=%v", tc.failAfter, got, tc.opened)
-		}
-		if tc.opened && got > 2 {
-			t.Errorf("failAfter=%d: breaker_opened = %d for two failing targets", tc.failAfter, got)
-		}
-		checkInvariant(t, c)
+	for _, row := range identityRows {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := preemptOpts()
+			opts.SnapshotEvery = row.snapshotEvery
+			c, _, err := Open(dir, Uniform(2, 3), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Reserve(Spec{Name: "batch", Count: 2, Tenant: "batch"}); err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+			opts.Preempt = false
+			if _, _, err := Open(dir, Uniform(2, 3), opts); err == nil {
+				t.Fatal("reopen with flipped preempt mode succeeded")
+			} else if !strings.Contains(err.Error(), "preempt") {
+				t.Fatalf("unexpected error: %v", err)
+			}
+		})
 	}
 }

@@ -2,7 +2,7 @@
 // host pools: named reservations request VM capacity, a deterministic
 // bin-packer places them across hundreds of hosts, and a fair-share queue
 // absorbs demand beyond capacity instead of failing it. Robustness is the
-// point — periodic health probes mark flaky hosts unhealthy, Cordon stops
+// point — health probes mark flaky hosts unhealthy, Cordon stops
 // new placements, and Drain live re-places a host's VMs onto surviving
 // capacity with bounded retry + backoff, degrading gracefully (ErrDegraded
 // with a structured capacity report) when the cluster cannot absorb the
@@ -77,9 +77,6 @@ type HealthPolicy struct {
 	// RecoverAfter returns an unhealthy host to service after this many
 	// consecutive probe successes (<= 0 selects 2).
 	RecoverAfter int
-	// AutoDrain drains a host's VMs onto surviving capacity as soon as
-	// the probes mark it unhealthy.
-	AutoDrain bool
 }
 
 func (p HealthPolicy) failAfter() int {
@@ -252,11 +249,9 @@ type Cluster struct {
 	journalErr   error // first journal failure; poisons all mutators
 	replaying    bool  // replay in progress: suppress events, counters, appends
 	appendsSince int   // records since the last snapshot compaction
-
-	probeStop chan struct{}
-	probeDone chan struct{}
-	leaseStop chan struct{}
-	leaseDone chan struct{}
+	// base is the empty cluster's snapshot, pending until the first record
+	// of a fresh journal carries it (record.Base).
+	base []byte
 }
 
 // New builds a cluster over the backend's discovered hosts.
@@ -324,6 +319,15 @@ func (c *Cluster) count(name string, delta int64) {
 		return
 	}
 	c.opts.Obs.Add(name, delta)
+}
+
+// hostLocked looks a host up by name (lock held).
+func (c *Cluster) hostLocked(name string) (*hostState, error) {
+	h, ok := c.hosts[name]
+	if !ok {
+		return nil, fmt.Errorf("sched: no host %s", name)
+	}
+	return h, nil
 }
 
 // usableLocked refuses mutations after a journal failure: the in-memory
@@ -680,23 +684,15 @@ func (c *Cluster) uncordonLocked(host string) error {
 // (no capacity, or migration kept failing) stay on the cordoned host and
 // are reported; the error then wraps ErrDegraded with a capacity report.
 func (c *Cluster) Drain(host string) (DrainResult, error) {
-	return c.DrainContext(context.Background(), host)
-}
-
-// DrainContext is Drain with cancellation: a cancelled context aborts the
-// drain between migration attempts and during backoff sleeps. Moves that
-// already committed stay committed (and journaled); the remaining VMs stay
-// on the cordoned host, and the returned error is the context's.
-func (c *Cluster) DrainContext(ctx context.Context, host string) (DrainResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.usableLocked(); err != nil {
 		return DrainResult{}, err
 	}
 	start := c.now()
-	h, ok := c.hosts[host]
-	if !ok {
-		return DrainResult{}, fmt.Errorf("sched: no host %s", host)
+	h, err := c.hostLocked(host)
+	if err != nil {
+		return DrainResult{}, err
 	}
 	if h.health == Failed || h.health == Dead {
 		return DrainResult{}, fmt.Errorf("sched: host %s has failed", host)
@@ -706,24 +702,14 @@ func (c *Cluster) DrainContext(ctx context.Context, host string) (DrainResult, e
 			return DrainResult{}, err
 		}
 	}
-	res, ctxErr := c.replaceLocked(ctx, "drain "+host, h, true)
-	res.Duration = c.now().Sub(start)
-	c.count(obs.CounterDrainDuration, res.Duration.Milliseconds())
+	op := "drain " + host
+	res := c.replaceLocked(op, h, true)
 	c.emit("drain", "%s: %d VMs re-placed, %d stranded in place", host, len(res.Moves), len(res.Stranded))
 	// The drain's durable effect is the cordon + the committed moves; a
 	// live drain's stranded VMs simply stayed where they were. The record
 	// folds the implicit cordon in, so one journal record = one Drain call.
-	if jerr := c.journalAppend(record{Kind: recDrain, Host: host, Moves: res.Moves}); jerr != nil {
-		return res, jerr
-	}
-	if ctxErr != nil {
-		return res, fmt.Errorf("sched: drain %s aborted: %w", host, ctxErr)
-	}
-	if len(res.Stranded) > 0 {
-		c.emit("degraded", "drain %s: %s", host, res.Report.Summary())
-		return res, &DegradedError{Op: "drain " + host, Stranded: res.Stranded, Report: res.Report}
-	}
-	return res, nil
+	err = c.journalAppend(record{Kind: recDrain, Host: host, Moves: res.Moves})
+	return c.finishLocked(op, start, res, err)
 }
 
 // FailHost marks a host failed (its capacity is gone for good) and
@@ -738,121 +724,159 @@ func (c *Cluster) FailHost(host string) (DrainResult, error) {
 		return DrainResult{}, err
 	}
 	start := c.now()
-	h, ok := c.hosts[host]
-	if !ok {
-		return DrainResult{}, fmt.Errorf("sched: no host %s", host)
+	h, err := c.hostLocked(host)
+	if err != nil {
+		return DrainResult{}, err
 	}
 	if h.health == Failed || h.health == Dead {
 		return DrainResult{}, fmt.Errorf("sched: host %s has already failed", host)
 	}
-	h.health = Failed
-	c.emit("host-failed", "%s dead with %d VMs aboard", host, len(h.vms))
-	res, _ := c.replaceLocked(context.Background(), "fail-host "+host, h, false)
-	res.Duration = c.now().Sub(start)
-	c.count(obs.CounterDrainDuration, res.Duration.Milliseconds())
-	if jerr := c.journalAppend(record{Kind: recFailHost, Host: host, Moves: res.Moves, Stranded: res.Stranded}); jerr != nil {
-		return res, jerr
-	}
-	if len(res.Stranded) > 0 {
-		c.emit("degraded", "fail-host %s: %s", host, res.Report.Summary())
-		return res, &DegradedError{Op: "fail-host " + host, Stranded: res.Stranded, Report: res.Report}
-	}
-	return res, nil
+	op := "fail-host " + host
+	res, err := c.loseHostLocked(op, h, Failed, recFailHost)
+	return c.finishLocked(op, start, res, err)
 }
 
-// replaceLocked moves every VM off the given host. live=true is a drain
-// (the source still runs each VM until its move commits; failures leave
-// the VM in place); live=false is a host failure (the VMs are orphans; a
-// failed placement strands them on their reservation). A context
-// cancellation stops the sweep; the error return is then the context's,
-// and the VMs not yet processed are reported as stranded-in-place (live
-// only — FailHost runs under Background). Lock held.
-func (c *Cluster) replaceLocked(ctx context.Context, op string, h *hostState, live bool) (DrainResult, error) {
+// loseHostLocked declares a host lost, Failed by an operator or Dead by
+// its lease, re-places its orphaned VMs and journals one outcome record of
+// the given kind. Lock held.
+func (c *Cluster) loseHostLocked(op string, h *hostState, verdict Health, kind string) (DrainResult, error) {
+	c.setHealthLocked(h, verdict)
+	res := c.replaceLocked(op, h, false)
+	return res, c.journalAppend(record{Kind: kind, Host: h.info.Name, Moves: res.Moves, Stranded: res.Stranded})
+}
+
+// finishLocked is the closing step of Drain, FailHost and ExpireLease: it
+// times the operation and reports stranded VMs as a degradation. err is
+// the operation's journal error. Lock held.
+func (c *Cluster) finishLocked(op string, start time.Time, res DrainResult, err error) (DrainResult, error) {
+	res.Duration = c.now().Sub(start)
+	c.count(obs.CounterDrainDuration, res.Duration.Milliseconds())
+	return res, c.degradeLocked(op, &res, err)
+}
+
+// degradeLocked fills the capacity report of an operation that stranded
+// VMs and, unless its journal append failed (err), announces the
+// degradation and returns it as a *DegradedError. Lock held.
+func (c *Cluster) degradeLocked(op string, res *DrainResult, err error) error {
+	if len(res.Stranded) == 0 {
+		return err
+	}
+	res.Report = c.capacityLocked(len(res.Stranded))
+	if err != nil {
+		return err
+	}
+	c.emit("degraded", "%s: %s", op, res.Report.Summary())
+	return &DegradedError{Op: op, Stranded: res.Stranded, Report: res.Report}
+}
+
+// replaceLocked moves every VM off the given host in sorted order.
+// live=true is a drain: the source still runs each VM until its move
+// commits, so a VM that cannot move stays in place. live=false is a host
+// loss: the VMs are orphans, and one with nowhere to go strands on its
+// reservation. Lock held.
+func (c *Cluster) replaceLocked(op string, h *hostState, live bool) DrainResult {
 	res := DrainResult{Host: h.info.Name}
 	vms := make([]string, 0, len(h.vms))
 	for vm := range h.vms {
 		vms = append(vms, vm)
 	}
 	sort.Strings(vms)
-	var ctxErr error
 	for _, vm := range vms {
-		if ctxErr != nil {
-			res.Stranded = append(res.Stranded, vm)
-			continue
-		}
 		r := c.res[h.vms[vm]]
-		target, ok, err := c.migrateVM(ctx, r, vm, h)
-		if err != nil {
-			ctxErr = err
-			res.Stranded = append(res.Stranded, vm)
+		if target, ok := c.migrateVM(r, vm, h); ok {
+			m := Move{VM: vm, From: h.info.Name, To: target, Reservation: r.spec.Name}
+			_ = c.moveLocked(op, m) // planned against this state, so it applies
+			res.Moves = append(res.Moves, m)
 			continue
 		}
-		if !ok {
-			if live {
-				// The VM keeps running on the cordoned source.
-				res.Stranded = append(res.Stranded, vm)
-			} else {
-				delete(h.vms, vm)
-				delete(r.placement, vm)
-				r.stranded[vm] = true
-				r.state = ResDegraded
-				c.emit("stranded", "%s has no surviving capacity (reservation %s)", vm, r.spec.Name)
-				res.Stranded = append(res.Stranded, vm)
-			}
-			continue
+		if !live {
+			_ = c.strandLocked(h, vm) // vm is on h, so it applies
 		}
-		delete(h.vms, vm)
-		delete(r.placement, vm)
-		r.placement[vm] = target
-		c.hosts[target].vms[vm] = r.spec.Name
-		c.count(obs.CounterVMsReplaced, 1)
-		c.emit("replace", "%s: %s -> %s (reservation %s)", op, vm, target, r.spec.Name)
-		res.Moves = append(res.Moves, Move{VM: vm, From: h.info.Name, To: target, Reservation: r.spec.Name})
+		res.Stranded = append(res.Stranded, vm)
 	}
-	if len(res.Stranded) > 0 {
-		res.Report = c.capacityLocked(len(res.Stranded))
+	return res
+}
+
+// setHealthLocked moves a host to a verdict of the host-loss and lease
+// machinery: Failed (an operator's fail-host), Dead (a lease expiry),
+// Suspected (a missed renewal), or Healthy (a heartbeat resurrecting a
+// suspected or dead host). Live operations and journal replay both call
+// it; replay silences its events and counters. Lock held.
+func (c *Cluster) setHealthLocked(h *hostState, to Health) {
+	from, name := h.health, h.info.Name
+	h.health = to
+	switch to {
+	case Failed:
+		c.emit("host-failed", "%s dead with %d VMs aboard", name, len(h.vms))
+	case Dead:
+		c.count(obs.CounterLeasesExpired, 1)
+		c.emit("lease-expired", "%s silent past the grace window: declared dead with %d VMs aboard", name, len(h.vms))
+	case Suspected:
+		c.count(obs.CounterLeasesSuspected, 1)
+		c.emit("lease-suspect", "%s missed its lease renewal (%d VMs stay until the grace window)", name, len(h.vms))
+	case Healthy:
+		h.fails, h.oks = 0, 0
+		c.count(obs.CounterLeasesRenewed, 1)
+		c.emit("lease-renewed", "%s resurrected by heartbeat (%s -> healthy)", name, from)
+		c.admit()
 	}
-	return res, ctxErr
+}
+
+// moveLocked re-places one VM. The move is checked against the current
+// state, so a journaled move that disagrees with it fails replay instead
+// of corrupting the cluster. Lock held.
+func (c *Cluster) moveLocked(op string, m Move) error {
+	from, to, r := c.hosts[m.From], c.hosts[m.To], c.res[m.Reservation]
+	if from == nil || to == nil || r == nil || from.vms[m.VM] != m.Reservation || to.free() <= 0 {
+		return fmt.Errorf("move of %s from %s to %s (reservation %s) does not apply", m.VM, m.From, m.To, m.Reservation)
+	}
+	delete(from.vms, m.VM)
+	r.placement[m.VM] = m.To
+	to.vms[m.VM] = m.Reservation
+	c.count(obs.CounterVMsReplaced, 1)
+	c.emit("replace", "%s: %s -> %s (reservation %s)", op, m.VM, m.To, m.Reservation)
+	return nil
+}
+
+// strandLocked takes an orphaned VM off a lost host and records it as
+// stranded on its reservation, which degrades until the VM heals. Lock
+// held.
+func (c *Cluster) strandLocked(h *hostState, vm string) error {
+	r := c.res[h.vms[vm]]
+	if r == nil {
+		return fmt.Errorf("stranded VM %s not on host %s", vm, h.info.Name)
+	}
+	delete(h.vms, vm)
+	delete(r.placement, vm)
+	r.stranded[vm] = true
+	r.state = ResDegraded
+	c.emit("stranded", "%s has no surviving capacity (reservation %s)", vm, r.spec.Name)
+	return nil
 }
 
 // migrateVM picks the best surviving target for one VM and runs the
-// backend migration under the bounded retry policy, aborting early when
-// the context cancels mid-backoff (the non-nil error return). Returns the
-// committed target, or ok=false when no target could accept the VM. Lock
-// held; the backend's Migrate must not call back into the cluster.
-func (c *Cluster) migrateVM(ctx context.Context, r *reservation, vm string, from *hostState) (string, bool, error) {
+// backend migration under the bounded retry policy. Returns the target,
+// or ok=false when no target could accept the VM. Lock held; the
+// backend's Migrate must not call back into the cluster.
+func (c *Cluster) migrateVM(r *reservation, vm string, from *hostState) (string, bool) {
 	plan, ok := c.planPlacement(r, []string{vm}, from.info.Name)
 	if !ok {
-		return "", false, nil
+		return "", false
 	}
 	target := plan[vm]
-	pol := c.opts.Retry
-	err := pol.Do(ctx, target, func(attempt int) error {
+	err := c.opts.Retry.Do(context.Background(), target, func(attempt int) error {
 		return c.backend.Migrate(vm, from.info.Name, target, attempt)
 	})
-	switch {
-	case err == nil:
-		return target, true, nil
-	case ctx.Err() != nil:
-		return "", false, ctx.Err()
-	case errors.Is(err, retry.ErrCircuitOpen):
-		// The target's breaker is open: don't burn the retry budget, the
-		// VM strands immediately and heals once the host proves itself.
-		c.count(obs.CounterBreakerShortCircuits, 1)
-		c.emit("stranded", "%s: circuit open for %s: migration not attempted", vm, target)
-		return "", false, nil
-	default:
-		var ex *retry.ExhaustedError
-		if errors.As(err, &ex) {
-			if ex.Opened {
-				c.count(obs.CounterBreakerOpened, 1)
-			}
-			c.emit("stranded", "%s: migration to %s failed after %d attempts: %v", vm, target, ex.Attempts, ex.Last)
-		} else {
-			c.emit("stranded", "%s: migration to %s failed: %v", vm, target, err)
-		}
-		return "", false, nil
+	if err == nil {
+		return target, true
 	}
+	var ex *retry.ExhaustedError
+	if errors.As(err, &ex) {
+		c.emit("stranded", "%s: migration to %s failed after %d attempts: %v", vm, target, ex.Attempts, ex.Last)
+	} else {
+		c.emit("stranded", "%s: migration to %s failed: %v", vm, target, err)
+	}
+	return "", false
 }
 
 // admit re-places stranded VMs and then admits queued reservations in
@@ -992,8 +1016,8 @@ type ProbeResult struct {
 
 // ProbeAll runs one health-probe round over every non-failed host (in
 // sorted order, probes outside the lock) and applies the thresholds:
-// FailAfter consecutive failures mark a host unhealthy (and AutoDrain
-// drains it); RecoverAfter consecutive successes return it to service.
+// FailAfter consecutive failures mark a host unhealthy; RecoverAfter
+// consecutive successes return it to service.
 func (c *Cluster) ProbeAll() []ProbeResult {
 	c.mu.Lock()
 	if c.journalErr != nil {
@@ -1021,7 +1045,6 @@ func (c *Cluster) ProbeAll() []ProbeResult {
 		return nil
 	}
 	var out []ProbeResult
-	var toDrain []string
 	var outcomes []probeOutcome
 	changed := false
 	for _, name := range names {
@@ -1036,9 +1059,7 @@ func (c *Cluster) ProbeAll() []ProbeResult {
 		if err != nil || h.fails > 0 || h.health == Unhealthy {
 			changed = true
 		}
-		if c.applyProbeLocked(name, err) {
-			toDrain = append(toDrain, name)
-		}
+		c.applyProbeLocked(name, err)
 		outcomes = append(outcomes, probeOutcome{Host: name, OK: err == nil})
 		res := ProbeResult{Host: name, Healthy: err == nil, State: h.stateLabel()}
 		if err != nil {
@@ -1049,26 +1070,19 @@ func (c *Cluster) ProbeAll() []ProbeResult {
 	if changed {
 		// Probe streaks (fails/oks) gate future health transitions, so
 		// they are durable state: journal the round's outcomes; replay
-		// re-runs the same threshold logic (AutoDrain excluded — the
-		// drains it triggered were journaled as their own records).
+		// re-runs the same threshold logic.
 		_ = c.journalAppend(record{Kind: recProbe, Probes: outcomes})
 	}
 	c.mu.Unlock()
-
-	for _, name := range toDrain {
-		_, _ = c.Drain(name)
-	}
 	return out
 }
 
 // applyProbeLocked applies one host's probe outcome to the threshold state
-// machine, reporting whether the transition calls for an auto-drain. Lock
-// held; shared by the live probe loop and journal replay (where AutoDrain
-// is ignored — the resulting drains were journaled separately).
-func (c *Cluster) applyProbeLocked(name string, probeErr error) (autoDrain bool) {
+// machine. Lock held; shared by ProbeAll and journal replay.
+func (c *Cluster) applyProbeLocked(name string, probeErr error) {
 	h, ok := c.hosts[name]
 	if !ok || (h.health != Healthy && h.health != Unhealthy) {
-		return false
+		return
 	}
 	if probeErr != nil {
 		h.fails++
@@ -1077,9 +1091,8 @@ func (c *Cluster) applyProbeLocked(name string, probeErr error) (autoDrain bool)
 			h.health = Unhealthy
 			c.count(obs.CounterHostsUnhealthy, 1)
 			c.emit("unhealthy", "%s failed %d consecutive probes: %v", name, h.fails, probeErr)
-			return c.opts.Health.AutoDrain
 		}
-		return false
+		return
 	}
 	h.fails = 0
 	if h.health == Unhealthy {
@@ -1091,45 +1104,6 @@ func (c *Cluster) applyProbeLocked(name string, probeErr error) (autoDrain bool)
 			c.admit()
 		}
 	}
-	return false
-}
-
-// StartProbing runs ProbeAll every interval until the returned stop
-// function is called. Only one prober may run at a time.
-func (c *Cluster) StartProbing(interval time.Duration) (stop func(), err error) {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	c.mu.Lock()
-	if c.probeStop != nil {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("sched: prober already running")
-	}
-	stopCh := make(chan struct{})
-	doneCh := make(chan struct{})
-	c.probeStop, c.probeDone = stopCh, doneCh
-	c.mu.Unlock()
-
-	go func() {
-		defer close(doneCh)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopCh:
-				return
-			case <-t.C:
-				c.ProbeAll()
-			}
-		}
-	}()
-	return func() {
-		close(stopCh)
-		<-doneCh
-		c.mu.Lock()
-		c.probeStop, c.probeDone = nil, nil
-		c.mu.Unlock()
-	}, nil
 }
 
 // Reservation returns one reservation's snapshot.
@@ -1141,18 +1115,6 @@ func (c *Cluster) Reservation(name string) (ReservationStatus, bool) {
 		return ReservationStatus{}, false
 	}
 	return c.statusOf(r), true
-}
-
-// HostOfVM returns the host currently running the VM.
-func (c *Cluster) HostOfVM(vm string) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, name := range c.hostNames {
-		if _, ok := c.hosts[name].vms[vm]; ok {
-			return name, true
-		}
-	}
-	return "", false
 }
 
 // VMsOn returns the VMs currently placed on a host, sorted.

@@ -333,77 +333,6 @@ func TestProbeThresholds(t *testing.T) {
 	checkInvariant(t, c)
 }
 
-func TestProbeAutoDrain(t *testing.T) {
-	b := Uniform(3, 4)
-	c := newTestCluster(t, b, Options{
-		Seed:   1,
-		Health: HealthPolicy{FailAfter: 2, AutoDrain: true},
-	})
-	if _, err := c.Reserve(Spec{Name: "a", Count: 6, Policy: PolicySpread}); err != nil {
-		t.Fatal(err)
-	}
-	before := c.VMsOn("h01")
-	if len(before) == 0 {
-		t.Fatal("spread should land VMs on h01")
-	}
-	b.SetProbeFunc(func(host string) error {
-		if host == "h01" {
-			return errors.New("dead")
-		}
-		return nil
-	})
-	c.ProbeAll()
-	c.ProbeAll()
-	if got := c.VMsOn("h01"); len(got) != 0 {
-		t.Fatalf("auto-drain should empty h01, still holds %v", got)
-	}
-	st, _ := c.Reservation("a")
-	if st.State != ResActive {
-		t.Fatalf("reservation should stay fully placed after auto-drain, got %s", st.State)
-	}
-	checkInvariant(t, c)
-}
-
-func TestStartProbing(t *testing.T) {
-	b := Uniform(2, 2)
-	c := newTestCluster(t, b, Options{Seed: 1, Health: HealthPolicy{FailAfter: 1}})
-	var mu sync.Mutex
-	probed := map[string]int{}
-	b.SetProbeFunc(func(host string) error {
-		mu.Lock()
-		probed[host]++
-		mu.Unlock()
-		return nil
-	})
-	stop, err := c.StartProbing(time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.StartProbing(time.Millisecond); err == nil {
-		t.Fatal("second prober should be refused")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := probed["h01"]
-		mu.Unlock()
-		if n >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("prober never ran")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	stop()
-	// After stop, a new prober may start.
-	stop2, err := c.StartProbing(time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop2()
-}
-
 func TestDrainLiveReplacement(t *testing.T) {
 	col := obs.NewCollector()
 	now := time.Unix(1700000000, 0)
@@ -523,7 +452,8 @@ func TestDrainMigrationExhaustedStrands(t *testing.T) {
 	if _, err := c.Reserve(Spec{Name: "a", Count: 2}); err != nil {
 		t.Fatal(err)
 	}
-	host, _ := c.HostOfVM("a-vm001")
+	st, _ := c.Reservation("a")
+	host := st.Placement["a-vm001"]
 	_, err := c.Drain(host)
 	if !errors.Is(err, ErrDegraded) {
 		t.Fatalf("exhausted migrations should degrade, got %v", err)
@@ -570,11 +500,12 @@ func TestFailHostHealsIntoFreedCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cluster is full (12/12). Kill a host carrying a's VMs: they strand.
-	host, _ := c.HostOfVM("a-vm001")
+	st, _ := c.Reservation("a")
+	host := st.Placement["a-vm001"]
 	if _, err := c.FailHost(host); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("want ErrDegraded, got %v", err)
 	}
-	st, _ := c.Reservation("a")
+	st, _ = c.Reservation("a")
 	if st.State != ResDegraded {
 		t.Fatalf("want degraded, got %s", st.State)
 	}

@@ -3,7 +3,6 @@ package autonetkit
 import (
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -28,61 +27,86 @@ func runAnksched(t *testing.T, bin, script string, args ...string) string {
 	return string(out)
 }
 
-// TestAnkschedStateDirByteIdentity is the PR's CLI-level acceptance
-// drill: the same op sequence produces byte-identical output whether it
-// runs in one uncrashed process or is split across two processes that
-// hand state over through a -state-dir journal. The split run's combined
-// stdout must equal the monolithic run's, byte for byte — recovery is
-// invisible in the output.
+// TestAnkschedStateDirByteIdentity is the CLI-level recovery drill: the
+// same op sequence produces byte-identical output whether it runs in one
+// uncrashed process or is split across two processes that hand state
+// over through a -state-dir journal — recovery is invisible in the
+// output. Each row's golden pins either the whole run or only the
+// recovered process's output (regenerate deliberately with
+// UPDATE_JOURNAL_GOLDEN=1). A reopen under another seed must fail.
 func TestAnkschedStateDirByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary smoke test")
 	}
 	bin := buildCmd(t, "anksched")
-	opsRaw, err := os.ReadFile(filepath.Join("testdata", "journal", "ops.sched"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	statusRaw, err := os.ReadFile(filepath.Join("testdata", "journal", "status.sched"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops, status := string(opsRaw), string(statusRaw)
-	common := []string{"-hosts", "4", "-cap", "6", "-seed", "2013"}
-
-	// One process, no durability: the reference output.
-	whole := runAnksched(t, bin, ops+status, common...)
-
-	// Two processes handing over through the journal.
-	dir := t.TempDir()
-	durable := append(common, "-state-dir", dir, "-snapshot-every", "3")
-	part1 := runAnksched(t, bin, ops, durable...)
-	part2 := runAnksched(t, bin, status, durable...)
-	if got := part1 + part2; got != whole {
-		t.Errorf("split run differs from uncrashed run:\n--- split ---\n%s--- whole ---\n%s", got, whole)
-	}
-
-	// The recovered status also matches the committed golden (regenerate
-	// deliberately with UPDATE_JOURNAL_GOLDEN=1).
-	goldenPath := filepath.Join("testdata", "journal", "drill.status")
-	if os.Getenv("UPDATE_JOURNAL_GOLDEN") != "" {
-		if err := os.WriteFile(goldenPath, []byte(part2), 0o644); err != nil {
+	read := func(path string) string {
+		raw, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return string(raw)
 	}
-	golden, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if part2 != string(golden) {
-		t.Errorf("recovered status differs from golden:\n--- got ---\n%s--- want ---\n%s", part2, golden)
-	}
+	for _, row := range []struct {
+		name, ops, status string
+		args              []string
+		snapshotEvery     string
+		golden            string
+		goldenIsRecovered bool // the golden is the second process's output, not the whole run's
+	}{
+		{
+			name: "journal", ops: "testdata/journal/ops.sched", status: "testdata/journal/status.sched",
+			args: []string{"-hosts", "4", "-cap", "6", "-seed", "2013"}, snapshotEvery: "3",
+			golden: "testdata/journal/drill.status", goldenIsRecovered: true,
+		},
+		{
+			name: "lease", ops: "testdata/lease/hostile.sched", status: "testdata/lease/status.sched",
+			args: []string{"-hosts", "4", "-cap", "8", "-seed", "2013", "-lease", "-preempt"}, snapshotEvery: "5",
+			golden: "testdata/lease/hostile.report",
+		},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			ops, status := read(row.ops), read(row.status)
 
-	// A third process reopens the same directory once more: double
-	// recovery must not drift.
-	part3 := runAnksched(t, bin, status, durable...)
-	if part3 != part2 {
-		t.Errorf("second recovery drifted:\n--- first ---\n%s--- second ---\n%s", part2, part3)
+			// One process, no durability: the reference output.
+			whole := runAnksched(t, bin, ops+status, row.args...)
+
+			// Two processes handing over through the journal.
+			dir := t.TempDir()
+			durable := append(append([]string{}, row.args...), "-state-dir", dir, "-snapshot-every", row.snapshotEvery)
+			part1 := runAnksched(t, bin, ops, durable...)
+			part2 := runAnksched(t, bin, status, durable...)
+			if got := part1 + part2; got != whole {
+				t.Errorf("split run differs from uncrashed run:\n--- split ---\n%s--- whole ---\n%s", got, whole)
+			}
+
+			got := whole
+			if row.goldenIsRecovered {
+				got = part2
+			}
+			if os.Getenv("UPDATE_JOURNAL_GOLDEN") != "" {
+				if err := os.WriteFile(row.golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if want := read(row.golden); got != want {
+				t.Errorf("output differs from %s:\n--- got ---\n%s--- want ---\n%s", row.golden, got, want)
+			}
+
+			// A third process reopens the same directory once more: double
+			// recovery must not drift.
+			if part3 := runAnksched(t, bin, status, durable...); part3 != part2 {
+				t.Errorf("second recovery drifted:\n--- first ---\n%s--- second ---\n%s", part2, part3)
+			}
+
+			// The journal belongs to its seed: reopening under another one
+			// is an error, not a silent misplacement.
+			cmd := exec.Command(bin, append(durable, "-seed", "7", "-script", "-")...)
+			cmd.Stdin = strings.NewReader(status)
+			out, err := cmd.CombinedOutput()
+			if err == nil || !strings.Contains(string(out), "seed") {
+				t.Errorf("reopen under -seed 7: err=%v, output:\n%s", err, out)
+			}
+		})
 	}
 }
 

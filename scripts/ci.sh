@@ -42,30 +42,6 @@ go run ./cmd/anksched -script testdata/sched/drill.sched -seed 2013 > /tmp/ci_sc
 diff -u testdata/sched/drill.report /tmp/ci_sched_report.$$
 rm -f /tmp/ci_sched_report.$$
 
-echo "== journal recovery drill (testdata/journal; uncrashed vs split-across-processes byte identity)"
-state_dir=$(mktemp -d /tmp/ci_journal.XXXXXX)
-cat testdata/journal/ops.sched testdata/journal/status.sched \
-  | go run ./cmd/anksched -script - -hosts 4 -cap 6 -seed 2013 > /tmp/ci_journal_whole.$$
-go run ./cmd/anksched -script testdata/journal/ops.sched -hosts 4 -cap 6 -seed 2013 \
-  -state-dir "$state_dir" -snapshot-every 3 > /tmp/ci_journal_part1.$$ 2>/dev/null
-go run ./cmd/anksched -script testdata/journal/status.sched -hosts 4 -cap 6 -seed 2013 \
-  -state-dir "$state_dir" > /tmp/ci_journal_part2.$$ 2>/dev/null
-cat /tmp/ci_journal_part1.$$ /tmp/ci_journal_part2.$$ | diff -u /tmp/ci_journal_whole.$$ -
-diff -u testdata/journal/drill.status /tmp/ci_journal_part2.$$
-rm -rf "$state_dir" /tmp/ci_journal_whole.$$ /tmp/ci_journal_part1.$$ /tmp/ci_journal_part2.$$
-
-echo "== golden lease drill (testdata/lease/hostile; leases + preemption, uncrashed vs split-across-processes byte identity)"
-state_dir=$(mktemp -d /tmp/ci_lease.XXXXXX)
-lease_args=(-hosts 4 -cap 8 -seed 2013 -lease -preempt)
-cat testdata/lease/hostile.sched testdata/lease/status.sched \
-  | go run ./cmd/anksched -script - "${lease_args[@]}" | diff -u testdata/lease/hostile.report -
-go run ./cmd/anksched -script testdata/lease/hostile.sched "${lease_args[@]}" \
-  -state-dir "$state_dir" -snapshot-every 5 > /tmp/ci_lease_part1.$$ 2>/dev/null
-go run ./cmd/anksched -script testdata/lease/status.sched "${lease_args[@]}" \
-  -state-dir "$state_dir" > /tmp/ci_lease_part2.$$ 2>/dev/null
-cat /tmp/ci_lease_part1.$$ /tmp/ci_lease_part2.$$ | diff -u testdata/lease/hostile.report -
-rm -rf "$state_dir" /tmp/ci_lease_part1.$$ /tmp/ci_lease_part2.$$
-
 echo "== cache-warm pass (go test -count=2: second run rebuilds against warm state)"
 go test -count=2 -run 'TestCachePipelineProperty|TestCacheInvalidationMatrix|TestLenientBootDoesNotPoisonCache|TestRepeatedBuildByteDeterminism|TestCompileCacheHitProducesIdenticalDB|TestRenderCacheWarmIsByteIdentical' \
   . ./internal/compile/ ./internal/render/ ./internal/cache/
