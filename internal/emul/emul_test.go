@@ -243,6 +243,15 @@ func TestExecPingArguments(t *testing.T) {
 		{command: "ping 3 " + lb, wantErr: `bad destination "3"`},
 		{command: "ping -c 1", wantErr: "no destination"},
 		{command: "ping -c 1 not-an-ip", wantErr: `bad destination "not-an-ip"`},
+		// Tokenising: runs of spaces and tabs separate words, a count is
+		// echoed as typed, and the last destination wins.
+		{command: "  ping -c 1 " + lb, want: "PING " + lb + ": 1 packets transmitted, 1 received, 0% packet loss\n"},
+		{command: "ping\t-c\t1\t" + lb, want: "PING " + lb + ": 1 packets transmitted, 1 received, 0% packet loss\n"},
+		{command: "ping -c 01 " + lb, want: "PING " + lb + ": 01 packets transmitted, 01 received, 0% packet loss\n"},
+		{command: "ping -c 1 " + nowhere + " " + lb, want: "PING " + lb + ": 1 packets transmitted, 1 received, 0% packet loss\n"},
+		{command: "ping -c 1 " + lb + " " + nowhere, want: "PING " + nowhere + ": 1 packets transmitted, 0 received, 100% packet loss\n"},
+		{command: "ping " + lb + "  ", want: "PING " + lb + ": 1 packets transmitted, 1 received, 0% packet loss\n"},
+		{command: "ping -c 1 " + lb + " -c", wantErr: "option requires an argument"},
 	} {
 		got, err := lab.Exec("r1", tc.command)
 		switch {
@@ -280,6 +289,13 @@ func TestShowCommands(t *testing.T) {
 	}
 	if !strings.Contains(routes, "C>*") || !strings.Contains(routes, "O>*") {
 		t.Errorf("route output:\n%s", routes)
+	}
+	spaced, err := lab.Exec("r1", "show  ip   route")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spaced != routes {
+		t.Errorf("show  ip   route differs from show ip route:\n%s", spaced)
 	}
 }
 
