@@ -2,6 +2,7 @@ package emul
 
 import (
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"autonetkit/internal/design"
 	"autonetkit/internal/graph"
 	"autonetkit/internal/ipalloc"
+	"autonetkit/internal/obs"
 	"autonetkit/internal/render"
 )
 
@@ -264,6 +266,59 @@ func TestExecPingArguments(t *testing.T) {
 		case got != tc.want:
 			t.Errorf("%q:\n got %q\nwant %q", tc.command, got, tc.want)
 		}
+	}
+}
+
+// FuzzNextWord: walking a command with nextWord yields strings.Fields'
+// words, Unicode white space and invalid UTF-8 included.
+func FuzzNextWord(f *testing.F) {
+	for _, s := range []string{"", "   ", "ping -c 1 10.0.0.1", "\tping\t-c  1 \n", "a\u0085b\u00a0c\u2003d", "x\xffy \xc2"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		var words []string
+		for w, rest := nextWord(s); w != ""; w, rest = nextWord(rest) {
+			words = append(words, w)
+		}
+		if want := strings.Fields(s); !slices.Equal(words, want) {
+			t.Errorf("%q: nextWord walks %q, strings.Fields gives %q", s, words, want)
+		}
+	})
+}
+
+// raceDetector is set by race_test.go in -race builds.
+var raceDetector bool
+
+// TestWarmProbeAllocatesNothing: once a destination's hop tree exists, a
+// `ping -c 1` to it is a lookup. Reading the command's words, the reply
+// line and the ping_probes counter cost no allocation.
+func TestWarmProbeAllocatesNothing(t *testing.T) {
+	lab, alloc := buildLab(t, "netkit", "quagga")
+	col := obs.NewCollector()
+	if err := lab.Boot(BootOptions{Obs: col}); err != nil {
+		t.Fatal(err)
+	}
+	cmd := "ping -c 1 " + alloc.Overlay.Node("r5").Get(ipalloc.AttrLoopback).(netip.Addr).String()
+	want, err := lab.Exec("r1", cmd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, err := lab.Exec("r1", cmd); err != nil || got != want {
+			t.Fatalf("warm probe = %q, %v; want %q", got, err, want)
+		}
+	})
+	if got := col.Counter(obs.CounterPingProbes); got != 102 { // AllocsPerRun adds a warm-up run
+		t.Errorf("ping_probes = %d, want 102", got)
+	}
+	if got := col.Counter(obs.CounterHopTreesBuilt); got != 1 {
+		t.Errorf("hop_trees_built = %d, want 1", got)
+	}
+	if raceDetector {
+		t.Skip("allocation count not asserted under -race")
+	}
+	if allocs != 0 {
+		t.Errorf("warm probe allocates %v times, want 0", allocs)
 	}
 }
 

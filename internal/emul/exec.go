@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode"
 
 	"autonetkit/internal/obs"
 )
@@ -35,28 +36,49 @@ func (l *Lab) Exec(machine, command string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	fields := strings.Fields(command)
-	if len(fields) == 0 {
+	verb, args := nextWord(command)
+	switch verb {
+	case "":
 		return "", fmt.Errorf("emul: empty command")
-	}
-	switch fields[0] {
 	case "traceroute":
-		return l.execTraceroute(vm, fields[1:])
+		return l.execTraceroute(vm, args)
 	case "ping":
-		return l.execPing(vm, fields[1:])
+		return l.execPing(vm, args)
 	case "show":
-		return l.execShow(vm, fields[1:])
+		return l.execShow(vm, args)
 	}
-	return "", fmt.Errorf("emul: %s: command not found: %s", machine, fields[0])
+	return "", fmt.Errorf("emul: %s: command not found: %s", machine, verb)
 }
 
-func (l *Lab) execTraceroute(vm *VM, args []string) (string, error) {
+// nextWord returns the first word of s and the text after it, splitting on
+// runs of white space exactly as strings.Fields does but without
+// allocating: a probe's command is read in place. word is empty once s has
+// no words left.
+func nextWord(s string) (word, rest string) {
+	start := -1
+	for i, r := range s {
+		switch {
+		case !unicode.IsSpace(r):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			return s[start:i], s[i:]
+		}
+	}
+	if start < 0 {
+		return "", ""
+	}
+	return s[start:], ""
+}
+
+func (l *Lab) execTraceroute(vm *VM, args string) (string, error) {
 	if l.net == nil {
 		return "", fmt.Errorf("emul: platform %s has no data plane", l.Platform)
 	}
 	var dst netip.Addr
 	maxTTL := 30
-	for _, a := range args {
+	for a, rest := nextWord(args); a != ""; a, rest = nextWord(rest) {
 		if strings.HasPrefix(a, "-") {
 			continue // -n -a -U etc: output is already numeric
 		}
@@ -73,23 +95,21 @@ func (l *Lab) execTraceroute(vm *VM, args []string) (string, error) {
 	return res.TracerouteText(), nil
 }
 
-func (l *Lab) execPing(vm *VM, args []string) (string, error) {
+func (l *Lab) execPing(vm *VM, args string) (string, error) {
 	if l.net == nil {
 		return "", fmt.Errorf("emul: platform %s has no data plane", l.Platform)
 	}
 	var dst netip.Addr
 	count := "1"
-	for i := 0; i < len(args); i++ {
-		a := args[i]
+	for a, rest := nextWord(args); a != ""; a, rest = nextWord(rest) {
 		if a == "-c" {
-			i++
-			if i == len(args) {
+			if a, rest = nextWord(rest); a == "" {
 				return "", fmt.Errorf("emul: ping: option requires an argument -- 'c'")
 			}
-			if n, err := strconv.Atoi(args[i]); err != nil || n <= 0 {
-				return "", fmt.Errorf("emul: ping: bad number of packets to transmit %q", args[i])
+			if n, err := strconv.Atoi(a); err != nil || n <= 0 {
+				return "", fmt.Errorf("emul: ping: bad number of packets to transmit %q", a)
 			}
-			count = args[i]
+			count = a
 			continue
 		}
 		if strings.HasPrefix(a, "-") {
@@ -109,32 +129,47 @@ func (l *Lab) execPing(vm *VM, args []string) (string, error) {
 	// fate. A probe leaves with TTL pingTTL and is answered when the
 	// destination's owner is at most that many hops away, which is what
 	// Forward's TTL and loop checks decide for a single walk.
-	received, loss := "0", "100%"
-	if hops := l.hopsTo(dst); hops != nil {
-		if at, ok := l.net.Index(vm.Name); ok && hops[at] >= 0 && hops[at] <= pingTTL {
-			received, loss = count, "0%"
+	t := l.treeTo(dst)
+	answered := false
+	if t != nil {
+		at, ok := l.net.Index(vm.Name)
+		answered = ok && t.hops[at] >= 0 && t.hops[at] <= pingTTL
+		if count == "1" {
+			if answered {
+				return t.answered, nil
+			}
+			return t.lost, nil
 		}
 	}
-	return "PING " + dst.String() + ": " + count + " packets transmitted, " + received + " received, " + loss + " packet loss\n", nil
+	if answered {
+		return pingReply(dst, count, count, "0%"), nil
+	}
+	return pingReply(dst, count, "0", "100%"), nil
+}
+
+func pingReply(dst netip.Addr, count, received, loss string) string {
+	return "PING " + dst.String() + ": " + count + " packets transmitted, " + received + " received, " + loss + " packet loss\n"
 }
 
 // pingTTL is the hop limit of an emulated ping, the same as traceroute's.
 const pingTTL = 30
 
 // hopTree memoises dataplane.HopCounts towards one destination for one
-// network generation. There is no invalidation: buildDataplane installs a
-// new, empty set with every new network.
+// network generation, with the two `-c 1` replies a probe of it can get.
+// There is no invalidation: buildDataplane installs a new, empty set with
+// every new network.
 type hopTree struct {
-	once sync.Once
-	hops []int32
+	once           sync.Once
+	hops           []int32
+	answered, lost string
 }
 
-// hopsTo returns every machine's hop count towards dst on the current
-// network, by node number, building the destination's tree on first use.
-// Probes that race for a new destination wait on its Once, not on each
-// other's trees. Callers hold the lab's read lock, so net and trees belong
-// to one generation.
-func (l *Lab) hopsTo(dst netip.Addr) []int32 {
+// treeTo returns the memo for dst on the current network, with every
+// machine's hop count towards dst by node number, building it on first use;
+// nil when no device owns dst. Probes that race for a new destination wait
+// on its Once, not on each other's trees. Callers hold the lab's read lock,
+// so net and trees belong to one generation.
+func (l *Lab) treeTo(dst netip.Addr) *hopTree {
 	t := l.trees[dst]
 	if t == nil {
 		// No device answers for dst, so no walk can end: nothing to share,
@@ -142,14 +177,21 @@ func (l *Lab) hopsTo(dst netip.Addr) []int32 {
 		return nil
 	}
 	t.once.Do(func() {
+		// The replies are written inside the Once so that every probe
+		// returning from Do sees them.
 		t.hops = l.net.HopCounts(dst)
+		t.answered, t.lost = pingReply(dst, "1", "1", "0%"), pingReply(dst, "1", "0", "100%")
 		l.obs.Add(obs.CounterHopTreesBuilt, 1)
 	})
-	return t.hops
+	return t
 }
 
-func (l *Lab) execShow(vm *VM, args []string) (string, error) {
-	cmd := strings.Join(args, " ")
+func (l *Lab) execShow(vm *VM, args string) (string, error) {
+	var words []string
+	for w, rest := nextWord(args); w != ""; w, rest = nextWord(rest) {
+		words = append(words, w)
+	}
+	cmd := strings.Join(words, " ")
 	switch cmd {
 	case "ip ospf neighbor":
 		return l.showOSPFNeighbors(vm), nil

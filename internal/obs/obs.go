@@ -9,7 +9,8 @@
 // All methods are safe on a nil *Collector / nil *Span, so instrumented
 // code never needs a guard: an un-instrumented run simply passes nil and
 // pays only a nil check. All methods are also safe for concurrent use —
-// worker pools bump counters from many goroutines.
+// worker pools bump counters from many goroutines, and every emulated ping
+// bumps one, so counters are atomics that take no lock once they exist.
 package obs
 
 import (
@@ -18,6 +19,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -115,18 +117,19 @@ const (
 	CounterJournalReplayed       = "journal_replayed_records"
 )
 
-// Collector accumulates spans and counters for one pipeline run.
+// Collector accumulates spans and counters for one pipeline run. mu guards
+// the spans only.
 type Collector struct {
 	mu       sync.Mutex
 	roots    []*Span
-	open     []*Span // innermost-last stack of un-ended spans
-	counters map[string]int64
+	open     []*Span          // innermost-last stack of un-ended spans
+	counters sync.Map         // name -> *atomic.Int64
 	now      func() time.Time // test seam; defaults to time.Now
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{counters: map[string]int64{}, now: time.Now}
+	return &Collector{now: time.Now}
 }
 
 // Span is one timed region of the pipeline. Spans started while another
@@ -191,14 +194,17 @@ func (s *Span) End() {
 	// duration was fixed above.
 }
 
-// Add increments a named counter by delta.
+// Add increments a named counter by delta. The first Add of a name creates
+// its counter, even with delta 0.
 func (c *Collector) Add(name string, delta int64) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	c.counters[name] += delta
-	c.mu.Unlock()
+	v, ok := c.counters.Load(name)
+	if !ok {
+		v, _ = c.counters.LoadOrStore(name, new(atomic.Int64))
+	}
+	v.(*atomic.Int64).Add(delta)
 }
 
 // Counter returns the current value of a named counter.
@@ -206,9 +212,10 @@ func (c *Collector) Counter(name string) int64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counters[name]
+	if v, ok := c.counters.Load(name); ok {
+		return v.(*atomic.Int64).Load()
+	}
+	return 0
 }
 
 // SpanStat is one node of a snapshot's span tree.
@@ -226,18 +233,21 @@ type Stats struct {
 }
 
 // Snapshot returns a copy of the collector's state. Still-open spans are
-// reported with their duration so far and Running=true.
+// reported with their duration so far and Running=true. Each counter is
+// read once; counters bumped while Snapshot runs may be read before or
+// after the bump.
 func (c *Collector) Snapshot() Stats {
 	if c == nil {
 		return Stats{Counters: map[string]int64{}}
 	}
+	st := Stats{Counters: map[string]int64{}}
+	c.counters.Range(func(k, v any) bool {
+		st.Counters[k.(string)] = v.(*atomic.Int64).Load()
+		return true
+	})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
-	st := Stats{Counters: make(map[string]int64, len(c.counters))}
-	for k, v := range c.counters {
-		st.Counters[k] = v
-	}
 	for _, s := range c.roots {
 		st.Spans = append(st.Spans, snapshotSpan(s, now))
 	}

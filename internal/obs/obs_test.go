@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -55,21 +56,84 @@ func TestEndClosesOpenDescendants(t *testing.T) {
 	}
 }
 
+// TestCountersConcurrent: Snapshot, Counter and WriteTrace read while
+// writers Add; every read is a value some moment held (never below an
+// earlier read), and the final total is exact.
 func TestCountersConcurrent(t *testing.T) {
 	c := NewCollector()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
 		go func() {
-			defer wg.Done()
+			defer readers.Done()
+			var last int64
+			monotone := func(v int64, via string) {
+				if v < last || v > 8000 {
+					t.Errorf("%s read %d after %d", via, v, last)
+				}
+				last = v
+			}
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				monotone(c.Counter(CounterDevicesCompiled), "Counter")
+				monotone(c.Snapshot().Counters[CounterDevicesCompiled], "Snapshot")
+				var sb strings.Builder
+				if err := c.WriteTrace(&sb); err != nil {
+					t.Error(err)
+				}
+				var v int64
+				if i := strings.Index(sb.String(), CounterDevicesCompiled); i >= 0 {
+					if _, err := fmt.Sscan(sb.String()[i+len(CounterDevicesCompiled):], &v); err != nil {
+						t.Errorf("WriteTrace counter line: %v\n%s", err, sb.String())
+					}
+				}
+				monotone(v, "WriteTrace")
+			}
+		}()
+	}
+	for i := 0; i < 8; i++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
 			for j := 0; j < 1000; j++ {
 				c.Add(CounterDevicesCompiled, 1)
 			}
 		}()
 	}
-	wg.Wait()
+	writers.Wait()
+	close(done)
+	readers.Wait()
 	if got := c.Counter(CounterDevicesCompiled); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
+	}
+}
+
+// TestWriteTraceZeroCounter: a counter added with delta 0 exists and is
+// printed, and the counters print in sorted order.
+func TestWriteTraceZeroCounter(t *testing.T) {
+	c := NewCollector()
+	c.now = fakeClock()
+	s := c.StartSpan("Measure")
+	s.End()
+	c.Add(CounterPingProbes, 3)
+	c.Add(CounterHopTreesBuilt, 0)
+	c.Add(CounterPingProbes, 4)
+	var sb strings.Builder
+	if err := c.WriteTrace(&sb); err != nil {
+		t.Fatal(err)
+	}
+	const want = "pipeline trace:\n" +
+		"  Measure                         1ms\n" +
+		"counters:\n" +
+		"  hop_trees_built          0\n" +
+		"  ping_probes              7\n"
+	if got := sb.String(); got != want {
+		t.Errorf("trace:\n got %q\nwant %q", got, want)
 	}
 }
 

@@ -149,15 +149,6 @@ func (p Policy) Do(ctx context.Context, host string, fn func(attempt int) error)
 	return &ExhaustedError{Host: host, Attempts: p.Attempts(), Last: last}
 }
 
-// SleepFor sleeps the given backoff through the policy's sleep seam.
-func (p Policy) SleepFor(d time.Duration) {
-	if p.Sleep != nil {
-		p.Sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
 // AfterChan returns a timer channel for the given duration through the
 // policy's clock seam.
 func (p Policy) AfterChan(d time.Duration) <-chan time.Time {
