@@ -1084,12 +1084,15 @@ func BenchmarkP14_ReachabilityMatrix(b *testing.B) {
 }
 
 // --- P16: one data-plane generation, the layer between a converged control
-// plane and the first probe. `build` is a converge's last step on its own:
-// every FIB merged from the engines' routes, every node registered and its
-// next hops resolved. `fresh-matrix` is the first reachability matrix on a
-// new generation (rebuilt off the clock), so it pays for every hop tree.
-// B/op over the entries metric is the bytes a FIB entry costs. The
-// 1158-router lab takes ~5 s and ~1.8 GB to boot, once. ---
+// plane and the first probe. `build` is a converge's last step on its own
+// with nothing changed: every node's entries merged from the engines' routes
+// and compared with its table, every node carried over and registered with
+// a new network. It no longer times building FIBs: a cold build is part of
+// a boot (lab_ready_s in bench/), and an incident's generation rebuilds only
+// the nodes whose entries changed (P6). `fresh-matrix` is the first
+// reachability matrix on a new generation (rebuilt off the clock), so it
+// pays for every hop tree. The 1158-router lab takes ~5 s and ~1.8 GB to
+// boot, once. ---
 
 func BenchmarkP16_DataplaneGeneration(b *testing.B) {
 	for _, routers := range []int{240, 1158} {

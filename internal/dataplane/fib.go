@@ -118,6 +118,22 @@ func (f *FIB) Insert(e FIBEntry) error {
 	return nil
 }
 
+// Holds reports whether inserting entries, in order, into an empty table
+// stores exactly what this table stores: each of them, masked, in that
+// order. A lab that has the entries of a table's successor keeps the table
+// instead of building an equal one.
+func (f *FIB) Holds(entries []FIBEntry) bool {
+	if len(entries) != len(f.entries) {
+		return false
+	}
+	for i, e := range entries {
+		if e.Prefix = e.Prefix.Masked(); e != f.entries[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Lookup returns the longest-prefix-match entry for addr.
 func (f *FIB) Lookup(addr netip.Addr) (FIBEntry, bool) {
 	at := f.lookup(addr)

@@ -42,8 +42,10 @@ func NewNetwork() *Network {
 // AddNode registers a node, indexes its addresses and freezes it: every
 // distinct next hop of its FIB is resolved to the neighbour it leaves
 // through, and neither the FIB nor Addrs may change afterwards. What is
-// frozen depends on the node alone, so a node may be registered with a later
-// Network as it is; who owns the neighbour's address is looked up per Network.
+// frozen depends on the node alone, so a node may be registered with later
+// Networks as it is, and a lab's next generation carries over every node
+// whose entries (FIB.Holds) and addresses did not change; who owns the
+// neighbour's address is looked up per Network.
 func (net *Network) AddNode(n *Node) error {
 	if _, dup := net.index[n.Hostname]; dup {
 		return fmt.Errorf("dataplane: duplicate node %q", n.Hostname)

@@ -272,7 +272,8 @@ func TestExecPingArguments(t *testing.T) {
 // FuzzNextWord: walking a command with nextWord yields strings.Fields'
 // words, Unicode white space and invalid UTF-8 included.
 func FuzzNextWord(f *testing.F) {
-	for _, s := range []string{"", "   ", "ping -c 1 10.0.0.1", "\tping\t-c  1 \n", "a\u0085b\u00a0c\u2003d", "x\xffy \xc2"} {
+	for _, s := range []string{"", "   ", "ping -c 1 10.0.0.1", "\tping\t-c  1 \n", "a\u0085b\u00a0c\u2003d", "x\xffy \xc2",
+		"ping\u0085-c 1", " \u00a0 ping", "ping -c\u20031\u2003", "ping -c 1 h\u00f4te", "\u00e9t\u00e9 x", "ping -c 1 10.0.0.1\u00a0"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"unicode"
+	"unicode/utf8"
 
 	"autonetkit/internal/obs"
 )
@@ -53,12 +54,13 @@ func (l *Lab) Exec(machine, command string) (string, error) {
 // nextWord returns the first word of s and the text after it, splitting on
 // runs of white space exactly as strings.Fields does but without
 // allocating: a probe's command is read in place. word is empty once s has
-// no words left.
+// no words left. ASCII is read byte by byte; from the first byte that is
+// not, runes are decoded.
 func nextWord(s string) (word, rest string) {
-	start := -1
-	for i, r := range s {
+	start, i := -1, 0
+	for ; i < len(s) && s[i] < utf8.RuneSelf; i++ {
 		switch {
-		case !unicode.IsSpace(r):
+		case !asciiSpace[s[i]]:
 			if start < 0 {
 				start = i
 			}
@@ -66,11 +68,24 @@ func nextWord(s string) (word, rest string) {
 			return s[start:i], s[i:]
 		}
 	}
+	for j, r := range s[i:] {
+		switch {
+		case !unicode.IsSpace(r):
+			if start < 0 {
+				start = i + j
+			}
+		case start >= 0:
+			return s[start : i+j], s[i+j:]
+		}
+	}
 	if start < 0 {
 		return "", ""
 	}
 	return s[start:], ""
 }
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 func (l *Lab) execTraceroute(vm *VM, args string) (string, error) {
 	if l.net == nil {

@@ -723,12 +723,19 @@ func validate(dc *routing.DeviceConfig, diags Diagnostics, file string) Diagnost
 // buildDataplane installs connected, IGP and BGP routes into per-VM FIBs.
 // A node depends on its own device and the converged engines only, so the
 // builds fan out; nodes are then gathered, and the error reported, in
-// device order, as a serial build would produce them.
+// device order, as a serial build would produce them. A node whose entries
+// and addresses did not change is carried over from the previous
+// generation: frozen nodes may join a later Network as they are.
 func (l *Lab) buildDataplane(devices []*routing.DeviceConfig) error {
+	prev := l.net
 	nodes := make([]*dataplane.Node, len(devices))
-	bgp := make([][]routing.Route, par.Workers(len(devices))) // one goroutine's scratch, reused across its nodes
+	scratch := make([]nodeScratch, par.Workers(len(devices)))
 	err := par.Do(len(devices), func(w, i int) (err error) {
-		if nodes[i], bgp[w], err = l.buildNode(devices[i], bgp[w][:0]); err != nil {
+		var was *dataplane.Node
+		if prev != nil {
+			was, _ = prev.Node(devices[i].Hostname)
+		}
+		if nodes[i], err = l.buildNode(devices[i], was, &scratch[w]); err != nil {
 			return fmt.Errorf("emul: %s: %w", devices[i].Hostname, err)
 		}
 		return nil
@@ -736,13 +743,19 @@ func (l *Lab) buildDataplane(devices []*routing.DeviceConfig) error {
 	if err != nil {
 		return err
 	}
-	net, addrs := dataplane.NewNetwork(), 0
+	net, addrs, reused := dataplane.NewNetwork(), 0, 0
 	for _, n := range nodes {
 		if err := net.AddNode(n); err != nil {
 			return err
 		}
+		if prev != nil {
+			if was, _ := prev.Node(n.Hostname); was == n {
+				reused++
+			}
+		}
 		addrs += len(n.Addrs)
 	}
+	l.obs.Add(obs.CounterFIBNodesReused, int64(reused))
 	// One empty tree per address a device owns: probes then only read the map.
 	trees, slab := make(map[netip.Addr]*hopTree, addrs), make([]hopTree, addrs)
 	for _, n := range nodes {
@@ -754,18 +767,25 @@ func (l *Lab) buildDataplane(devices []*routing.DeviceConfig) error {
 	return nil
 }
 
-// buildNode merges one device's candidate routes into a FIB by
+// nodeScratch is one build goroutine's buffers, reused across its nodes:
+// the connected and BGP routes converted for the merge, and the merged
+// entries.
+type nodeScratch struct {
+	conn, bgp []routing.Route
+	entries   []dataplane.FIBEntry
+}
+
+// buildNode merges one device's candidate routes into FIB entries by
 // administrative distance (connected < OSPF/IS-IS < BGP < static default): a
 // BGP-originated loopback /32 must not shadow the OSPF route that actually
-// resolves it. Every source is already ascending by prefix, the engines'
-// lists are read where they lie, and bgp is scratch for the one that needs
-// converting, handed back for the next node.
-func (l *Lab) buildNode(dc *routing.DeviceConfig, bgp []routing.Route) (*dataplane.Node, []routing.Route, error) {
-	node := dataplane.NewNode(dc.Hostname)
-	conn := make([]routing.Route, len(dc.Interfaces))
-	for i, ic := range dc.Interfaces {
-		node.AddAddr(ic.Addr, ic.Name)
-		conn[i] = routing.Route{Prefix: ic.Prefix, Origin: routing.OriginConnected, OutIf: ic.Name}
+// resolves it. Every source is already ascending by prefix, and the engines'
+// lists are read where they lie. When was, the device's node in the
+// previous generation, holds exactly those entries and addresses, it is
+// returned as it is; otherwise a new node is built from the entries.
+func (l *Lab) buildNode(dc *routing.DeviceConfig, was *dataplane.Node, sc *nodeScratch) (*dataplane.Node, error) {
+	conn := sc.conn[:0]
+	for _, ic := range dc.Interfaces {
+		conn = append(conn, routing.Route{Prefix: ic.Prefix, Origin: routing.OriginConnected, OutIf: ic.Name})
 	}
 	slices.SortStableFunc(conn, func(a, b routing.Route) int { return routing.ComparePrefix(a.Prefix, b.Prefix) })
 	var static, ospf, isis []routing.Route
@@ -778,6 +798,7 @@ func (l *Lab) buildNode(dc *routing.DeviceConfig, bgp []routing.Route) (*datapla
 	if l.isis != nil {
 		isis = l.isis.Routes(dc.Hostname)
 	}
+	bgp := sc.bgp[:0]
 	if l.bgp != nil {
 		selected := l.bgp.Selected(dc.Hostname)
 		for i := range selected {
@@ -786,9 +807,10 @@ func (l *Lab) buildNode(dc *routing.DeviceConfig, bgp []routing.Route) (*datapla
 			}
 		}
 	}
+	sc.conn, sc.bgp = conn, bgp
 	// Ascending preference: where lists share a prefix the last one wins.
 	lists := [...][]routing.Route{static, bgp, ospf, isis, conn}
-	node.FIB.Grow(len(static) + len(bgp) + len(ospf) + len(isis) + len(conn))
+	entries := slices.Grow(sc.entries[:0], len(static)+len(bgp)+len(ospf)+len(isis)+len(conn))
 	for {
 		var p netip.Prefix
 		more := false
@@ -798,7 +820,7 @@ func (l *Lab) buildNode(dc *routing.DeviceConfig, bgp []routing.Route) (*datapla
 			}
 		}
 		if !more {
-			return node, bgp, nil
+			break
 		}
 		var best *routing.Route
 		for k := range lists {
@@ -806,9 +828,35 @@ func (l *Lab) buildNode(dc *routing.DeviceConfig, bgp []routing.Route) (*datapla
 				best = &lists[k][0]
 			}
 		}
-		entry := dataplane.FIBEntry{Prefix: p, NextHop: best.NextHop, OutIf: best.OutIf, Connected: best.Origin == routing.OriginConnected}
-		if err := node.FIB.Insert(entry); err != nil {
-			return nil, bgp, err
+		entries = append(entries, dataplane.FIBEntry{Prefix: p, NextHop: best.NextHop, OutIf: best.OutIf, Connected: best.Origin == routing.OriginConnected})
+	}
+	sc.entries = entries
+	if was != nil && sameAddrs(was.Addrs, dc.Interfaces) && was.FIB.Holds(entries) {
+		return was, nil
+	}
+	node := dataplane.NewNode(dc.Hostname)
+	for _, ic := range dc.Interfaces {
+		node.AddAddr(ic.Addr, ic.Name)
+	}
+	node.FIB.Grow(len(entries))
+	for _, e := range entries {
+		if err := node.FIB.Insert(e); err != nil {
+			return nil, err
 		}
 	}
+	return node, nil
+}
+
+// sameAddrs reports whether a node's address map is the one the interfaces
+// give it: each address once, on its interface.
+func sameAddrs(addrs map[netip.Addr]string, ifaces []routing.InterfaceConfig) bool {
+	if len(addrs) != len(ifaces) {
+		return false
+	}
+	for i, ic := range ifaces {
+		if name, ok := addrs[ic.Addr]; !ok || name != ic.Name || slices.ContainsFunc(ifaces[:i], func(o routing.InterfaceConfig) bool { return o.Addr == ic.Addr }) {
+			return false
+		}
+	}
+	return true
 }

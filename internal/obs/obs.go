@@ -57,10 +57,12 @@ const (
 	CounterWatchdogQuarantines       = "watchdog_quarantines"
 
 	// Reconvergence counters, emitted by the lab's converge loop: the delta
-	// SPF pair on every converge after a lab's first. bgp_speakers_restored,
-	// rounds_skipped and fib_nodes_reused are retired (nothing emits them):
-	// bench/ still names the constants, and they leave with the benchmark
-	// change that drops the metrics built on them.
+	// SPF pair on every converge after a lab's first, and fib_nodes_reused,
+	// the nodes a data-plane generation carried over from the one before
+	// because their FIB entries and addresses did not change.
+	// bgp_speakers_restored and rounds_skipped are retired (nothing emits
+	// them): bench/ still names the constants, and they leave with the
+	// benchmark change that drops the metrics built on them.
 	CounterSPFDeltaRecomputes  = "spf_delta_recomputes"
 	CounterSPFSourcesSkipped   = "spf_sources_skipped"
 	CounterBGPSpeakersRestored = "bgp_speakers_restored"

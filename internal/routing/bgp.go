@@ -197,6 +197,10 @@ type BGPEngine struct {
 	plan             *shardPlan
 	statShardRounds  int64
 	statCrossAdverts int64
+
+	// wiring is wireRIBIns' buffer for a speaker's sorted session list,
+	// copied out only when the list changed.
+	wiring []session
 }
 
 // NewBGPEngine wires up sessions between the given devices. profileOf maps
@@ -310,9 +314,10 @@ func (e *BGPEngine) Rebind(devices []*DeviceConfig, igp IGPCoster, igpChanged ma
 // wireSessions establishes a speaker's sessions — a neighbor statement whose
 // address belongs to a device that has a matching reverse session — and
 // groups them into export groups, keeping every adj-RIB-out whose key
-// survives.
+// survives. A kept speaker's session, group and peer lists are rewritten in
+// their own arrays: nothing holds them across a Rebind.
 func (e *BGPEngine) wireSessions(sp *speaker, dc *DeviceConfig) {
-	sp.sessions = sp.sessions[:0:0]
+	sp.sessions = sp.sessions[:0]
 	for _, nbr := range dc.BGP.Neighbors {
 		peerHost, ok := e.addrOwner[nbr.Addr]
 		if !ok {
@@ -338,7 +343,11 @@ func (e *BGPEngine) wireSessions(sp *speaker, dc *DeviceConfig) {
 	for _, o := range sp.outs {
 		kept[sp.exportKey(&o.sess)] = o
 	}
-	sp.outs, sp.outTo, sp.peers = nil, map[string]*ribOut{}, nil
+	if sp.outTo == nil {
+		sp.outTo = map[string]*ribOut{}
+	}
+	sp.outs, sp.peers = sp.outs[:0], sp.peers[:0]
+	clear(sp.outTo)
 	groups := map[exportKey]*ribOut{}
 	for i := range sp.sessions {
 		s := &sp.sessions[i]
@@ -372,11 +381,23 @@ func (e *BGPEngine) wireSessions(sp *speaker, dc *DeviceConfig) {
 // and withdrawing the rest. It runs after every speaker's export groups are
 // wired.
 func (e *BGPEngine) wireRIBIns(sp *speaker) {
-	sorted := slices.Clone(sp.sessions)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].peerAddr.Less(sorted[j].peerAddr) })
+	sorted := append(e.wiring[:0], sp.sessions...)
+	slices.SortStableFunc(sorted, func(a, b session) int { return a.peerAddr.Compare(b.peerAddr) })
 	// A repeated neighbor address is one session; the first statement is
 	// the one inbound policy has always read.
 	sorted = slices.CompactFunc(sorted, func(a, b session) bool { return a.peerAddr == b.peerAddr })
+	e.wiring = sorted
+	if slices.Equal(sorted, sp.sorted) && !slices.ContainsFunc(sorted, func(s session) bool { return e.speakers[s.peerHost].outTo[sp.host] == nil }) {
+		// Every session survived and still hears its peer: what the general
+		// path below does per index, without matching sessions by key.
+		for k := range sp.in {
+			in, from := &sp.in[k], e.speakers[sorted[k].peerHost].outTo[sp.host]
+			in.synced = in.synced && in.from == from
+			in.from = from
+		}
+		return
+	}
+	sorted = slices.Clone(sorted)
 	kept := make(map[session]*ribIn, len(sp.sorted))
 	for k, s := range sp.sorted {
 		kept[s] = &sp.in[k]
@@ -1099,7 +1120,9 @@ func (e *BGPEngine) BestRoutes(host string) []BGPRoute {
 }
 
 // Selected is BestRoutes without the copy: the speaker's own list, ascending
-// by (address, length), to be read only and not kept across a run.
+// by (address, length), to be read only. Turns patch it in place, so it is
+// valid only until the engine next runs: a reader that outlives a run copies
+// it (BestRoutes).
 func (e *BGPEngine) Selected(host string) []BGPRoute {
 	sp, ok := e.speakers[host]
 	if !ok {

@@ -18,10 +18,13 @@ import (
 // the naive full-table pull it replaced survives as the test oracle in
 // reference_test.go.
 //
-// Lists are never patched in place: a change builds a new slice
-// (patch.apply). Nothing else relies on that any more — every list has one
-// owner, and only a round's delta (ribOut.delta) describes the change — so
-// patching in place is open as an allocation optimisation.
+// Adj-RIB-ins and selections are patched in their own arrays
+// (patch.applyInPlace): each has one owner, and only a round's delta
+// (ribOut.delta) describes a change, so an incident costs the entries it
+// moves, not copies of whole lists. Adj-RIB-outs stay copy-on-write
+// (patch.apply): member peers read them, and a perturber keeps the slices it
+// was delivered. A selection is therefore only valid until the speaker's
+// next turn (BGPEngine.Selected).
 
 // routeChange is one entry of a delta: the new route for rt.Prefix, or its
 // withdrawal.
@@ -130,24 +133,64 @@ func (pt *patch) set(p netip.Prefix, next *BGPRoute) (staged, moved bool) {
 	return true, old == nil || next == nil || !routeEqual(*old, *next)
 }
 
-// apply returns the list with the staged changes merged in, as a new slice.
+// apply returns the list with the staged changes merged in, as a new
+// exact-size slice: the copy-on-write an adj-RIB-out needs.
 func (pt *patch) apply() []BGPRoute {
 	if len(pt.chg) == 0 {
 		return pt.list
 	}
-	out := make([]BGPRoute, 0, len(pt.list)+pt.grow)
-	i := 0
-	for _, c := range pt.chg {
+	return pt.merge(make([]BGPRoute, 0, len(pt.list)+pt.grow))
+}
+
+// applyInPlace is apply in the list's own array when its capacity holds the
+// result; a list without the room takes apply's copy. The entries a shrink
+// vacates are zeroed, so that no stale AS path stays reachable.
+func (pt *patch) applyInPlace() []BGPRoute {
+	n := len(pt.list) + pt.grow
+	if len(pt.chg) == 0 || n > cap(pt.list) {
+		return pt.apply()
+	}
+	out := pt.merge(pt.list[:0])
+	clear(pt.list[min(n, len(pt.list)):])
+	return out
+}
+
+// merge writes the list with the staged changes applied into dst, which has
+// the capacity for it and is a fresh array or the list's own. A forward pass
+// drops withdrawals and overwrites replacements, never writing ahead of what
+// it has read; a backward pass then opens a gap for each insertion, never
+// reading below what it has written. The changes are only read: reselect
+// publishes them after the merge.
+func (pt *patch) merge(dst []BGPRoute) []BGPRoute {
+	dst, i := dst[:0], 0
+	for k := range pt.chg {
+		c := &pt.chg[k]
 		j := seek(pt.list, i, c.rt.Prefix)
-		out = append(out, pt.list[i:j]...)
+		dst = append(dst, pt.list[i:j]...) // a no-op where nothing has shifted yet
 		if i = j; i < len(pt.list) && pt.list[i].Prefix == c.rt.Prefix {
 			i++
-		}
-		if !c.withdrawn {
-			out = append(out, c.rt)
+			if !c.withdrawn {
+				dst = append(dst, c.rt)
+			}
 		}
 	}
-	return append(out, pt.list[i:]...)
+	dst = append(dst, pt.list[i:]...)
+	r, w := len(dst), len(pt.list)+pt.grow
+	dst = dst[:w]
+	for k := len(pt.chg) - 1; w > r; k-- {
+		c := &pt.chg[k]
+		if c.withdrawn {
+			continue
+		}
+		j := seek(dst[:r], 0, c.rt.Prefix)
+		if j < r && dst[j].Prefix == c.rt.Prefix {
+			continue // a replacement, made by the forward pass
+		}
+		w -= copy(dst[w-(r-j):w], dst[j:r])
+		r, w = j, w-1
+		dst[w] = c.rt
+	}
+	return dst
 }
 
 // routeIdentical is routeEqual plus the fields it deliberately ignores.
@@ -317,7 +360,7 @@ func (e *BGPEngine) consume(sp *speaker, k int, dirty []netip.Prefix, t *turnRes
 				t.changed = t.changed || moved
 			}
 		}
-		in.routes, sc.chg = pt.apply(), pt.chg
+		in.routes, sc.chg = pt.applyInPlace(), pt.chg
 	default:
 		next := filterReceived(sp, s, e.deliver(s.peerHost, sp.host, out.routes, &t.events))
 		if !slices.EqualFunc(in.routes, next, routeIdentical) {
@@ -381,7 +424,7 @@ func (e *BGPEngine) reselect(sp *speaker, dirty []netip.Prefix, t *turnResult, s
 		}
 	}
 	t.decided += len(dirty)
-	sp.rib, sc.chg, sc.cur = pt.apply(), pt.chg, cur
+	sp.rib, sc.chg, sc.cur = pt.applyInPlace(), pt.chg, cur
 	if len(pt.chg) > 0 {
 		sp.publish(pt.chg, t, sc)
 	}
