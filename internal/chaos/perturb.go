@@ -11,9 +11,7 @@ import (
 // The perturb directive grammar (everything after the "perturb" keyword):
 //
 //	loss <pct> [on A:B]         # drop each route with probability pct%
-//	dup <pct> [on A:B]          # duplicate each route with probability pct%
 //	delay <rounds> [on A:B]     # deliver the snapshot from N rounds ago
-//	reorder [on A:B]            # deterministically shuffle deliveries
 //	flap A:B every <n> [recover]# session alternates up/down every n rounds
 //	corrupt [A:B] at <r> for <n># poison AS paths in rounds [r, r+n)
 //
@@ -35,12 +33,12 @@ func ParsePerturb(s string) (routing.PerturbRule, error) {
 	var rule routing.PerturbRule
 	fields := strings.Fields(s)
 	if len(fields) == 0 {
-		return rule, fmt.Errorf("perturb needs a rule (loss, dup, delay, reorder, flap, corrupt)")
+		return rule, fmt.Errorf("perturb needs a rule (loss, delay, flap, corrupt)")
 	}
 	kind, args := routing.PerturbKind(fields[0]), fields[1:]
 	rule.Kind = kind
 	switch kind {
-	case routing.PerturbLoss, routing.PerturbDup:
+	case routing.PerturbLoss:
 		if len(args) == 0 {
 			return rule, fmt.Errorf("perturb %s needs a percentage", kind)
 		}
@@ -60,8 +58,6 @@ func ParsePerturb(s string) (routing.PerturbRule, error) {
 		}
 		rule.Rounds = n
 		return rule, parseOnSession(&rule, args[1:])
-	case routing.PerturbReorder:
-		return rule, parseOnSession(&rule, args)
 	case routing.PerturbFlap:
 		// flap A:B every <n> [recover]
 		if len(args) < 3 || args[1] != "every" {

@@ -15,10 +15,7 @@ func TestParsePerturbRules(t *testing.T) {
 	}{
 		{"loss 30", routing.PerturbRule{Kind: routing.PerturbLoss, Pct: 30}},
 		{"loss 100 on r1:r2", routing.PerturbRule{Kind: routing.PerturbLoss, Pct: 100, A: "r1", B: "r2"}},
-		{"dup 50", routing.PerturbRule{Kind: routing.PerturbDup, Pct: 50}},
 		{"delay 3 on r3:r5", routing.PerturbRule{Kind: routing.PerturbDelay, Rounds: 3, A: "r3", B: "r5"}},
-		{"reorder", routing.PerturbRule{Kind: routing.PerturbReorder}},
-		{"reorder on a:b", routing.PerturbRule{Kind: routing.PerturbReorder, A: "a", B: "b"}},
 		{"flap r1:r2 every 4", routing.PerturbRule{Kind: routing.PerturbFlap, A: "r1", B: "r2", Every: 4}},
 		{"flap r1:r2 every 1 recover", routing.PerturbRule{Kind: routing.PerturbFlap, A: "r1", B: "r2", Every: 1, Recover: true}},
 		{"corrupt at 0 for 3", routing.PerturbRule{Kind: routing.PerturbCorrupt, For: 3}},
@@ -65,6 +62,13 @@ func TestParsePerturbErrors(t *testing.T) {
 	} {
 		if _, err := ParsePerturb(bad); err == nil {
 			t.Errorf("ParsePerturb(%q) accepted", bad)
+		}
+	}
+	// A kind the grammar no longer has (dup, reorder) is unknown, not
+	// malformed.
+	for _, removed := range []string{"dup 50", "reorder"} {
+		if _, err := ParsePerturb(removed); err == nil || !strings.Contains(err.Error(), "unknown perturbation") {
+			t.Errorf("ParsePerturb(%q) = %v, want an unknown perturbation", removed, err)
 		}
 	}
 }

@@ -74,7 +74,7 @@ type Lab struct {
 	// pert, when non-nil, is threaded into the lab's engines (OSPF, IS-IS,
 	// BGP) at every converge so reconvergence runs under scripted
 	// control-plane perturbation; nil keeps the zero-perturbation fast path.
-	pert routing.Perturber
+	pert *routing.ScheduledPerturber
 	obs  *obs.Collector
 
 	// shards is the worker count for sharded BGP round evaluation; <= 1

@@ -78,7 +78,7 @@ func (v Verdict) Recoverable() bool {
 // nil restores the zero-perturbation fast path. The same perturber is
 // shared across reconvergences; each engine run calls its Reset, so the
 // scripted schedule replays identically every time.
-func (l *Lab) SetPerturber(p routing.Perturber) {
+func (l *Lab) SetPerturber(p *routing.ScheduledPerturber) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.pert = p
@@ -86,7 +86,7 @@ func (l *Lab) SetPerturber(p routing.Perturber) {
 
 // Perturber returns the currently installed perturbation layer (nil when
 // the control plane is perfect).
-func (l *Lab) Perturber() routing.Perturber {
+func (l *Lab) Perturber() *routing.ScheduledPerturber {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.pert

@@ -168,7 +168,7 @@ type BGPEngine struct {
 	// pert, when set, degrades every advertisement delivery; nil is the
 	// zero-perturbation fast path. pertMu serializes calls into it while
 	// shards evaluate concurrently.
-	pert   Perturber
+	pert   *ScheduledPerturber
 	pertMu sync.Mutex
 	// churn counts best-route changes per prefix across all speakers;
 	// changedAt records the last round each speaker's selection changed.
@@ -417,7 +417,7 @@ func (e *BGPEngine) wireRIBIns(sp *speaker) {
 			sp.withdraw(old)
 		}
 		// An empty list reflects an empty adj-RIB-out at its version.
-		in[k] = ribIn{from: from, sorted: true, synced: from == nil || len(from.routes) == 0}
+		in[k] = ribIn{from: from, synced: from == nil || len(from.routes) == 0}
 		if from != nil {
 			in[k].seen = from.version
 		}
@@ -449,24 +449,22 @@ func (e *BGPEngine) SessionsDown() []string { return e.sessionsDown }
 
 // SetPerturber installs a control-plane perturbation layer; nil restores
 // the perfect-delivery fast path. Install before Run.
-func (e *BGPEngine) SetPerturber(p Perturber) { e.pert = p }
+func (e *BGPEngine) SetPerturber(p *ScheduledPerturber) { e.pert = p }
 
 // deliver applies the perturbation layer to one session's advertisements
 // for the current round, recording session up/down transitions. It runs
 // under the perturber lock (shards evaluate concurrently); when events is
-// set and the perturber supports capture, the lines it logs go there so the
-// round driver can restage them in sweep order. A perturber without the
-// capture extension only ever runs in the sequential sweep and logs
-// directly.
+// set, the lines the perturber logs go there so the round driver can
+// restage them in sweep order.
 func (e *BGPEngine) deliver(from, to string, routes []BGPRoute, events *[]string) []BGPRoute {
 	if e.pert == nil {
 		return routes
 	}
 	e.pertMu.Lock()
 	defer e.pertMu.Unlock()
-	if capt, ok := e.pert.(perturbCapturer); ok && events != nil {
-		capt.setCapture(events)
-		defer capt.setCapture(nil)
+	if events != nil {
+		e.pert.setCapture(events)
+		defer e.pert.setCapture(nil)
 	}
 	pair := [2]string{from, to}
 	if pair[1] < pair[0] {
@@ -551,7 +549,7 @@ func (e *BGPEngine) Step() bool {
 			in := &sp.in[k]
 			changed = changed || !routeSlicesEqual(in.routes, next[i][k])
 			// The list no longer reflects the peer's adj-RIB-out.
-			in.routes, in.sorted, in.synced = next[i][k], isSorted(next[i][k]), false
+			in.routes, in.synced = next[i][k], false
 		}
 	}
 	if changed {
@@ -633,7 +631,7 @@ func (e *BGPEngine) apply(sp *speaker, t *turnResult) {
 	e.cur.Churned += len(t.churned)
 	e.statCrossAdverts += int64(t.cross)
 	if len(t.events) > 0 {
-		e.pert.(perturbCapturer).restageEvents(t.events)
+		e.pert.restageEvents(t.events)
 	}
 }
 

@@ -47,7 +47,7 @@ type OSPFDomain struct {
 	// pert, when set, can suppress adjacency formation (lossy links drop
 	// enough hellos that the adjacency never comes up); nil leaves the
 	// flooding path perfect.
-	pert Perturber
+	pert *ScheduledPerturber
 
 	// Delta-SPF state. prevEdges/prevAdvert are the canonical link-state
 	// view of the previous Converge (nil before the first); dist holds each
@@ -68,7 +68,7 @@ type OSPFDomain struct {
 // SetPerturber installs a control-plane perturbation layer consulted
 // during Converge; nil restores perfect hello delivery. Install before
 // Converge.
-func (d *OSPFDomain) SetPerturber(p Perturber) { d.pert = p }
+func (d *OSPFDomain) SetPerturber(p *ScheduledPerturber) { d.pert = p }
 
 // NewOSPFDomain builds the domain from the participating devices.
 func NewOSPFDomain(devices []*DeviceConfig) *OSPFDomain {

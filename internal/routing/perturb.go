@@ -4,57 +4,19 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sort"
 	"strings"
 )
 
 // Control-plane perturbation (Emulytics-style protocol-level fault
 // injection): the BGP engine's advertisement exchange and the link-state
-// engine's adjacency formation consult an injected Perturber, so scenarios
-// can degrade the control plane itself — lose, duplicate, delay and
-// reorder advertisements, flap sessions mid-convergence, corrupt and then
-// withdraw routes — instead of only failing topology elements. Every
-// decision is a pure function of (seed, round, session, route), so a given
-// seed reproduces the exact same failure byte-for-byte at any worker
-// count; a nil Perturber is the zero-perturbation fast path and leaves the
-// engines exactly as they were.
-
-// Perturber is consulted by the protocol engines at every delivery point.
-// Implementations must be deterministic: the engines call each hook under
-// a single lock in a per-session-preserving order, so any state kept
-// inside the perturber (delay queues, flap schedules) evolves
-// reproducibly. In the default sequential sweep the calls are additionally
-// globally ordered; the sharded driver (shard.go) preserves the relative
-// order of the two calls touching any one session but interleaves
-// different sessions, which is why custom Perturbers that do not implement
-// the capture extension are evaluated sequentially.
-type Perturber interface {
-	// Reset clears round-keyed delivery state (delay queues, session-state
-	// tracking). The BGP engine calls it at the start of every Run, so a
-	// re-run replays the same schedule from round zero. Healing state
-	// (sessions repaired by a soft reset) survives Reset.
-	Reset()
-	// SessionUp reports whether the BGP session from → to delivers during
-	// this round; a down session delivers nothing (the receiver withdraws
-	// everything heard on it).
-	SessionUp(round int, from, to string) bool
-	// AdjacencyUp reports whether the IGP adjacency between two routers
-	// forms at all — lossy links drop enough hellos to kill the adjacency.
-	AdjacencyUp(a, b string) bool
-	// Deliver transforms the advertisements sent from → to this round:
-	// drop (loss), duplicate, reorder, corrupt, or queue for later (delay).
-	// The input slice must not be retained or mutated; return it unchanged
-	// when no rule applies.
-	Deliver(round int, from, to string, routes []BGPRoute) []BGPRoute
-	// Pending reports whether the schedule will still change a delivery —
-	// queued (delayed) advertisements that differ from the latest one, or a
-	// session that keeps flapping — so the engine must not declare
-	// convergence on a momentarily quiet round.
-	Pending(round int) bool
-	// OnSoftReset notifies that a speaker's sessions were adjacency-reset
-	// by the supervisor; recoverable faults on its sessions heal.
-	OnSoftReset(host string)
-}
+// engine's adjacency formation consult an injected ScheduledPerturber, so
+// scenarios can degrade the control plane itself — lose and delay
+// advertisements, flap sessions mid-convergence, corrupt and then withdraw
+// routes — instead of only failing topology elements. Every decision is a
+// pure function of (seed, round, session, route), so a given seed
+// reproduces the exact same failure byte-for-byte at any worker count; a
+// nil perturber is the zero-perturbation fast path and leaves the engines
+// exactly as they were.
 
 // PerturbKind enumerates the rule types of the scheduled perturber.
 type PerturbKind string
@@ -63,8 +25,6 @@ type PerturbKind string
 const (
 	PerturbLoss    PerturbKind = "loss"    // lose each UPDATE with probability Pct% (receiver keeps last-heard state)
 	PerturbDelay   PerturbKind = "delay"   // deliver the table snapshot from Rounds rounds ago
-	PerturbDup     PerturbKind = "dup"     // duplicate each route with probability Pct%
-	PerturbReorder PerturbKind = "reorder" // deterministically shuffle each delivery
 	PerturbFlap    PerturbKind = "flap"    // session alternates up/down with period Every
 	PerturbCorrupt PerturbKind = "corrupt" // poison AS paths during [At, At+For), then withdraw
 )
@@ -74,7 +34,7 @@ const (
 type PerturbRule struct {
 	Kind PerturbKind
 	A, B string
-	// Pct is the per-route probability in percent (loss, dup).
+	// Pct is the per-route probability in percent (loss).
 	Pct int
 	// Rounds is the delivery delay in engine rounds (delay).
 	Rounds int
@@ -97,7 +57,7 @@ func (r PerturbRule) String() string {
 		session = r.A + ":" + r.B
 	}
 	switch r.Kind {
-	case PerturbLoss, PerturbDup:
+	case PerturbLoss:
 		if session == "" {
 			return fmt.Sprintf("perturb %s %d", r.Kind, r.Pct)
 		}
@@ -107,11 +67,6 @@ func (r PerturbRule) String() string {
 			return fmt.Sprintf("perturb delay %d", r.Rounds)
 		}
 		return fmt.Sprintf("perturb delay %d on %s", r.Rounds, session)
-	case PerturbReorder:
-		if session == "" {
-			return "perturb reorder"
-		}
-		return "perturb reorder on " + session
 	case PerturbFlap:
 		s := fmt.Sprintf("perturb flap %s every %d", session, r.Every)
 		if r.Recover {
@@ -141,29 +96,35 @@ const corruptASN = 65535
 // grow it without bound; the cap is far above any budgeted run's output.
 const maxPerturbEvents = 10000
 
-// ScheduledPerturber is the deterministic Perturber used by chaos
-// scenarios: a rule list plus a seed. All randomness is a keyed FNV hash
-// of (seed, round, session, route), never a stateful PRNG, so decisions do
-// not depend on call order and the same seed reproduces the same schedule
-// exactly.
+// ScheduledPerturber is the control-plane perturbation layer the protocol
+// engines consult at every delivery point: a rule list plus a seed. All
+// randomness is a keyed FNV hash of (seed, round, session, route), never a
+// stateful PRNG, so decisions do not depend on call order and the same seed
+// reproduces the same schedule exactly. The engines call each hook under a
+// single lock in a per-session-preserving order, so the state kept here
+// (delay queues, flap tracking) evolves reproducibly; the sharded driver
+// (shard.go) interleaves different sessions and restages the event lines
+// it captured in sweep order (setCapture, restageEvents).
 type ScheduledPerturber struct {
 	seed  uint64
 	rules []PerturbRule
 
-	// snapshots[session] ring-buffers recent table snapshots for delay
-	// rules; sessionState[session] is the last SessionUp answer, for flap
-	// transition counting. flapping is set once SessionUp has seen a session
-	// an unhealed flap rule covers: it will go down again, so Pending holds
-	// the run open.
-	snapshots    map[string]map[int][]BGPRoute
+	// snapshots[q] ring-buffers the recent deliveries one delay rule took
+	// in on one direction, so stacked and disjoint delay rules each wait out
+	// their own queues; sessionState[session] is the last SessionUp answer,
+	// for flap transition counting. flapping is set once SessionUp has seen
+	// a session an unhealed flap rule covers: it will go down again, so
+	// Pending holds the run open.
+	snapshots    map[delayQueue]map[int][]BGPRoute
 	sessionState map[string]bool
 	flapping     bool
-	// delivered[dir][prefix] is the last route set a loss rule let through
-	// on a direction — the receiver's view under retransmission semantics
-	// (see the PerturbLoss case in Deliver). staleRound is the most recent
-	// round in which a loss substituted state older than what the sender
-	// currently advertises; Pending holds convergence open for it.
-	delivered  map[string]map[string][]BGPRoute
+	// delivered[dir] is the last delivery a loss rule let through on a
+	// direction, ascending by prefix — the receiver's view under
+	// retransmission semantics (see the PerturbLoss case in Deliver).
+	// staleRound is the most recent round in which a loss substituted state
+	// older than what the sender currently advertises; Pending holds
+	// convergence open for it.
+	delivered  map[string][]BGPRoute
 	staleRound int
 	// healed marks sessions repaired by a supervisor soft reset.
 	healed map[string]bool
@@ -177,6 +138,12 @@ type ScheduledPerturber struct {
 	capture *[]string
 }
 
+// delayQueue names one delay rule's snapshot queue on one direction.
+type delayQueue struct {
+	rule int // index into the rule list
+	dir  string
+}
+
 // NewScheduledPerturber builds a perturber over the given rules. The same
 // (seed, rules) always produces the same schedule.
 func NewScheduledPerturber(seed uint64, rules []PerturbRule) *ScheduledPerturber {
@@ -188,13 +155,16 @@ func NewScheduledPerturber(seed uint64, rules []PerturbRule) *ScheduledPerturber
 // Seed returns the perturber's seed.
 func (p *ScheduledPerturber) Seed() uint64 { return p.seed }
 
-// Reset clears delay queues and session-state tracking; healed sessions
-// stay healed (a soft reset is a repair, not a reboot of the fault).
+// Reset clears round-keyed delivery state (delay queues, loss views,
+// session-state tracking). The BGP engine calls it at the start of every
+// Run, so a re-run replays the same schedule from round zero. Healed
+// sessions stay healed (a soft reset is a repair, not a reboot of the
+// fault).
 func (p *ScheduledPerturber) Reset() {
-	p.snapshots = map[string]map[int][]BGPRoute{}
+	p.snapshots = map[delayQueue]map[int][]BGPRoute{}
 	p.sessionState = map[string]bool{}
 	p.flapping = false
-	p.delivered = map[string]map[string][]BGPRoute{}
+	p.delivered = map[string][]BGPRoute{}
 	p.staleRound = -1
 	if p.healed == nil {
 		p.healed = map[string]bool{}
@@ -225,9 +195,9 @@ func (p *ScheduledPerturber) logf(format string, args ...any) {
 	p.events = append(p.events, fmt.Sprintf(format, args...))
 }
 
-// setCapture implements the sharded driver's capture extension (see the
-// perturbCapturer interface in shard.go): while buf is non-nil, event
-// lines go there instead of the log. nil restores normal logging.
+// setCapture redirects event lines into buf while it is non-nil, so a
+// turn can hand them to the round driver for restaging in sweep order; nil
+// restores normal logging.
 func (p *ScheduledPerturber) setCapture(buf *[]string) { p.capture = buf }
 
 // restageEvents appends previously captured lines to the event log through
@@ -273,8 +243,10 @@ func sessionKey(a, b string) string {
 	return a + ":" + b
 }
 
-// SessionUp applies flap rules: the session alternates Every rounds up,
-// Every rounds down. Healed sessions stay up.
+// SessionUp reports whether the BGP session from → to delivers during this
+// round; a down session delivers nothing (the receiver withdraws everything
+// heard on it). Flap rules alternate the session Every rounds up, Every
+// rounds down; healed sessions stay up.
 func (p *ScheduledPerturber) SessionUp(round int, from, to string) bool {
 	key := sessionKey(from, to)
 	up := true
@@ -316,19 +288,15 @@ func (p *ScheduledPerturber) AdjacencyUp(a, b string) bool {
 	return true
 }
 
-// Deliver applies loss, dup, corrupt, reorder and delay rules, in that
-// order, to one session's advertisements for one round.
+// Deliver applies loss, corrupt and delay rules, in rule order, to the
+// advertisements sent from → to this round. Each keeps the delivery's
+// contract: prefix order kept, at most one route per prefix. The input
+// slice is neither retained nor mutated, and comes back unchanged when no
+// rule applies.
 func (p *ScheduledPerturber) Deliver(round int, from, to string, routes []BGPRoute) []BGPRoute {
 	out := routes
-	touched := false
-	clone := func() {
-		if !touched {
-			out = append([]BGPRoute(nil), out...)
-			touched = true
-		}
-	}
 	dir := from + ">" + to
-	for _, r := range p.rules {
+	for i, r := range p.rules {
 		if !r.matches(from, to) {
 			continue
 		}
@@ -343,30 +311,25 @@ func (p *ScheduledPerturber) Deliver(round int, from, to string, routes []BGPRou
 			// the round stale, and Pending keeps the engine from declaring
 			// convergence on a receiver that is still behind.
 			prev := p.delivered[dir]
-			next := make(map[string][]BGPRoute, len(out))
 			var kept []BGPRoute
-			dropped, stale := 0, 0
+			dropped, stale, j := 0, 0, 0
+			at := fmt.Sprint(round)
 			for _, rt := range out {
-				key := rt.Prefix.String()
-				if p.chance(r.Pct, "loss", fmt.Sprint(round), dir, key) {
-					old, heard := prev[key]
-					if !heard {
+				if p.chance(r.Pct, "loss", at, dir, rt.Prefix.String()) {
+					if j = seek(prev, j, rt.Prefix); j == len(prev) || prev[j].Prefix != rt.Prefix {
 						dropped++
 						continue
 					}
-					kept = append(kept, old...)
-					next[key] = old
-					if len(old) != 1 || !routeEqual(old[0], rt) {
+					if !routeEqual(prev[j], rt) {
 						stale++
 					}
-					continue
+					rt = prev[j]
 				}
 				kept = append(kept, rt)
-				next[key] = append(next[key], rt)
 			}
 			// Withdrawals always get through: prefixes the sender stopped
 			// advertising leave the receiver's view.
-			p.delivered[dir] = next
+			p.delivered[dir] = kept
 			if dropped > 0 {
 				p.logf("round %d: %s lost %d of %d routes", round, dir, dropped, len(out))
 			}
@@ -375,92 +338,60 @@ func (p *ScheduledPerturber) Deliver(round int, from, to string, routes []BGPRou
 				p.logf("round %d: %s lost %d updates (stale state redelivered)", round, dir, stale)
 			}
 			if dropped > 0 || stale > 0 {
-				out, touched = kept, true
-			}
-		case PerturbDup:
-			clone()
-			var dup []BGPRoute
-			for _, rt := range out {
-				dup = append(dup, rt)
-				if p.chance(r.Pct, "dup", fmt.Sprint(round), dir, rt.Prefix.String()) {
-					dup = append(dup, rt)
-				}
-			}
-			if len(dup) != len(out) {
-				p.logf("round %d: %s duplicated %d routes", round, dir, len(dup)-len(out))
-				out = dup
+				out = kept
 			}
 		case PerturbCorrupt:
 			if round < r.At || round >= r.At+r.For || len(out) == 0 {
 				continue
 			}
-			clone()
-			for i := range out {
-				path := make([]int, 0, len(out[i].ASPath)+3)
+			out = slices.Clone(out)
+			for j := range out {
+				path := make([]int, 0, len(out[j].ASPath)+3)
 				path = append(path, corruptASN, corruptASN, corruptASN)
-				out[i].ASPath = append(path, out[i].ASPath...)
+				out[j].ASPath = append(path, out[j].ASPath...)
 			}
 			p.logf("round %d: %s corrupted %d routes (AS %d poisoned)", round, dir, len(out), corruptASN)
-		case PerturbReorder:
-			if len(out) > 1 {
-				clone()
-				// The shuffle key is round-independent: the same delivery is
-				// permuted the same way every round, so a fixed point stays a
-				// fixed point (reorder probes order-sensitivity of the
-				// receiver rather than manufacturing endless churn).
-				sort.SliceStable(out, func(i, j int) bool {
-					return p.hash("reorder", dir, out[i].Prefix.String()) <
-						p.hash("reorder", dir, out[j].Prefix.String())
-				})
-				p.logf("round %d: %s reordered %d routes", round, dir, len(out))
-			}
 		case PerturbDelay:
-			delay := r.Rounds
-			if delay <= 0 {
+			if r.Rounds <= 0 {
 				continue
 			}
-			q := p.snapshots[dir]
+			key := delayQueue{rule: i, dir: dir}
+			q := p.snapshots[key]
 			if q == nil {
 				q = map[int][]BGPRoute{}
-				p.snapshots[dir] = q
+				p.snapshots[key] = q
 			}
-			q[round] = append([]BGPRoute(nil), out...)
-			delete(q, round-delay-1)
-			past, ok := q[round-delay]
-			if !ok {
-				past = nil // nothing sent yet that long ago
-			}
+			q[round] = slices.Clone(out)
+			delete(q, round-r.Rounds-1)
+			past := q[round-r.Rounds] // nil: nothing sent yet that long ago
 			if !routeSlicesEqual(past, out) {
-				p.logf("round %d: %s delayed (delivering round %d snapshot)", round, dir, round-delay)
+				p.logf("round %d: %s delayed (delivering round %d snapshot)", round, dir, round-r.Rounds)
 			}
-			out, touched = past, true
+			out = past
 		}
 	}
 	return out
 }
 
 // Pending reports whether perturbed state the engine must wait out is
-// still in flight: a delay queue holding a snapshot that differs from what
-// was last delivered, a loss rule that just redelivered stale state (a
-// receiver behind the sender's current advertisements is not a fixed
-// point, merely a retransmission away from changing again), or a flapping
-// session in an "up" phase (a quiet round there is not a fixed point
-// either: the session goes down again, and the run ends in a detected
-// cycle instead).
+// still in flight, so the engine must not declare convergence on a
+// momentarily quiet round: a delay queue holding a snapshot that differs
+// from what it last delivered, a loss rule that just redelivered stale
+// state (a receiver behind the sender's current advertisements is not a
+// fixed point, merely a retransmission away from changing again), or a
+// flapping session in an "up" phase (a quiet round there is not a fixed
+// point either: the session goes down again, and the run ends in a
+// detected cycle instead).
 func (p *ScheduledPerturber) Pending(round int) bool {
 	if p.staleRound == round || p.flapping {
 		return true
 	}
-	for _, r := range p.rules {
-		if r.Kind != PerturbDelay || r.Rounds <= 0 {
-			continue
-		}
-		for _, q := range p.snapshots {
-			delivered := q[round-r.Rounds]
-			for at, snap := range q {
-				if at > round-r.Rounds && !routeSlicesEqual(snap, delivered) {
-					return true
-				}
+	for key, q := range p.snapshots {
+		from := round - p.rules[key.rule].Rounds
+		delivered := q[from]
+		for at, snap := range q {
+			if at > from && !routeSlicesEqual(snap, delivered) {
+				return true
 			}
 		}
 	}

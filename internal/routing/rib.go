@@ -51,8 +51,9 @@ type ribOut struct {
 	delta []routeChange
 }
 
-// ribIn is one session's adj-RIB-in: the routes accepted from the peer, in
-// delivery order (prefix order unless a perturber reorders them).
+// ribIn is one session's adj-RIB-in: the routes accepted from the peer,
+// ascending by prefix, at most one per prefix. Every delivery keeps that
+// order, perturbed or not (ScheduledPerturber.Deliver), so lookups search.
 type ribIn struct {
 	routes []BGPRoute
 	from   *ribOut // the peer's adj-RIB-out toward this speaker; nil when it has no session back
@@ -61,7 +62,6 @@ type ribIn struct {
 	// round — and the next turn must diff the whole session.
 	seen   uint64
 	synced bool
-	sorted bool // routes ascend by prefix, so lookups may search
 }
 
 // ComparePrefix orders prefixes by (address, length): the order every route
@@ -85,10 +85,6 @@ func seek(list []BGPRoute, from int, p netip.Prefix) int {
 		}
 	}
 	return lo
-}
-
-func isSorted(list []BGPRoute) bool {
-	return slices.IsSortedFunc(list, func(a, b BGPRoute) int { return ComparePrefix(a.Prefix, b.Prefix) })
 }
 
 // patch stages changes against a sorted, duplicate-free list. set must be
@@ -200,34 +196,30 @@ func routeIdentical(a, b BGPRoute) bool {
 	return a.LearnedFrom == b.LearnedFrom && a.FromRRClient == b.FromRRClient && routeEqual(a, b)
 }
 
-// diffPrefixes appends every prefix whose routes differ between two
-// versions of an adj-RIB-in. Unsorted (perturbed) lists mark everything.
-func diffPrefixes(old, next []BGPRoute, sorted bool, dirty []netip.Prefix) []netip.Prefix {
-	if !sorted {
-		for _, l := range [][]BGPRoute{old, next} {
-			for i := range l {
-				dirty = append(dirty, l[i].Prefix)
-			}
-		}
-		return dirty
-	}
-	for i, j := 0, 0; i < len(old) || j < len(next); {
-		var p netip.Prefix
-		if j == len(next) || i < len(old) && ComparePrefix(old[i].Prefix, next[j].Prefix) <= 0 {
-			p = old[i].Prefix
-		} else {
-			p = next[j].Prefix
-		}
-		i0, j0 := i, j
-		for i < len(old) && old[i].Prefix == p {
+// diffPrefixes appends, ascending, every prefix whose route differs between
+// two versions of an adj-RIB-in.
+func diffPrefixes(old, next []BGPRoute, dirty []netip.Prefix) []netip.Prefix {
+	i, j := 0, 0
+	for i < len(old) && j < len(next) {
+		switch c := ComparePrefix(old[i].Prefix, next[j].Prefix); {
+		case c < 0:
+			dirty = append(dirty, old[i].Prefix)
 			i++
-		}
-		for j < len(next) && next[j].Prefix == p {
+		case c > 0:
+			dirty = append(dirty, next[j].Prefix)
 			j++
+		default:
+			if !routeIdentical(old[i], next[j]) {
+				dirty = append(dirty, old[i].Prefix)
+			}
+			i, j = i+1, j+1
 		}
-		if !slices.EqualFunc(old[i0:i], next[j0:j], routeIdentical) {
-			dirty = append(dirty, p)
-		}
+	}
+	for ; i < len(old); i++ {
+		dirty = append(dirty, old[i].Prefix)
+	}
+	for ; j < len(next); j++ {
+		dirty = append(dirty, next[j].Prefix)
 	}
 	return dirty
 }
@@ -235,8 +227,8 @@ func diffPrefixes(old, next []BGPRoute, sorted bool, dirty []netip.Prefix) []net
 // State hash. A speaker's segment is its hostname salt plus the sum of one
 // hash per adj-RIB-in entry and per selected route, so a turn maintains it
 // by subtracting what it removed and adding what it installed. The sum is
-// order-independent and counts duplicates. Only equality across rounds is
-// observable (cycle detection): equal states hash equal.
+// order-independent. Only equality across rounds is observable (cycle
+// detection): equal states hash equal.
 const (
 	saltIn  = 0x9e3779b97f4a7c15
 	saltRIB = 0xc2b2ae3d27d4eb4f
@@ -363,12 +355,10 @@ func (e *BGPEngine) consume(sp *speaker, k int, dirty []netip.Prefix, t *turnRes
 		in.routes, sc.chg = pt.applyInPlace(), pt.chg
 	default:
 		next := filterReceived(sp, s, e.deliver(s.peerHost, sp.host, out.routes, &t.events))
-		if !slices.EqualFunc(in.routes, next, routeIdentical) {
-			sorted := isSorted(next)
-			dirty = diffPrefixes(in.routes, next, in.sorted && sorted, dirty)
+		if dirty = diffPrefixes(in.routes, next, dirty); len(dirty) > before {
 			sp.seg += sumHash(next, saltIn) - sumHash(in.routes, saltIn)
 			t.changed = t.changed || !routeSlicesEqual(in.routes, next)
-			in.routes, in.sorted = next, sorted
+			in.routes = next
 		}
 	}
 	in.seen, in.synced = out.version, e.pert == nil
@@ -382,8 +372,8 @@ func (e *BGPEngine) consume(sp *speaker, k int, dirty []netip.Prefix, t *turnRes
 // reselect runs the decision process for the given prefixes (ascending,
 // distinct), installs the selections that moved and publishes them.
 // Candidates fold in the order the decision process has always seen them:
-// the local route, then sessions by peer address, each in list order (the
-// MED step is not transitive, so the order is part of the result).
+// the local route, then one per session by peer address (the MED step is
+// not transitive, so the order is part of the result).
 func (e *BGPEngine) reselect(sp *speaker, dirty []netip.Prefix, t *turnResult, sc *scratch) {
 	cur := sc.cur[:0]
 	for range sp.in {
@@ -397,24 +387,15 @@ func (e *BGPEngine) reselect(sp *speaker, dirty []netip.Prefix, t *turnResult, s
 			cands = append(cands, &sc.local)
 		}
 		for k := range sp.in {
-			in := &sp.in[k]
-			j := 0
-			if in.sorted {
-				j = seek(in.routes, cur[k], p)
-				cur[k] = j
+			routes := sp.in[k].routes
+			j := seek(routes, cur[k], p)
+			cur[k] = j
+			if j == len(routes) || routes[j].Prefix != p {
+				continue
 			}
-			for ; j < len(in.routes); j++ {
-				rt := &in.routes[j]
-				if rt.Prefix != p {
-					if in.sorted {
-						break
-					}
-					continue
-				}
-				// Next-hop reachability check.
-				if !rt.NextHop.IsValid() || e.nextHopCost(sp, rt.NextHop) >= 0 {
-					cands = append(cands, rt)
-				}
+			// Next-hop reachability check.
+			if rt := &routes[j]; !rt.NextHop.IsValid() || e.nextHopCost(sp, rt.NextHop) >= 0 {
+				cands = append(cands, rt)
 			}
 		}
 		sc.cands = cands

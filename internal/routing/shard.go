@@ -158,30 +158,10 @@ func (e *BGPEngine) ShardLayout() ([]Shard, [][2]string) {
 	return shards, cuts
 }
 
-// perturbCapturer is the optional Perturber extension the sharded driver
-// needs: event lines produced during out-of-order shard evaluation are
-// captured per delivery and restaged in canonical order at the merge
-// barrier. ScheduledPerturber implements it; a Perturber that does not is
-// evaluated sequentially (its event log would otherwise depend on shard
-// interleaving).
-type perturbCapturer interface {
-	Perturber
-	setCapture(buf *[]string)
-	restageEvents(lines []string)
-}
-
 // useSharded reports whether the next sequential round should run the
 // parallel driver.
 func (e *BGPEngine) useSharded() bool {
-	if e.shardWorkers <= 1 {
-		return false
-	}
-	if e.pert != nil {
-		if _, ok := e.pert.(perturbCapturer); !ok {
-			return false
-		}
-	}
-	return len(e.shardPlan().shards) > 1
+	return e.shardWorkers > 1 && len(e.shardPlan().shards) > 1
 }
 
 // shardRun is one round's wavefront scheduler state. Speakers write only

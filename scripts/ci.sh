@@ -87,6 +87,9 @@ go test -run 'NONE' -bench 'BenchmarkP4_IncrementalRebuild' -benchtime 1x .
 echo "== persisted-engine reconvergence benchmark (fail/restore round trips at 60/120/240 routers; the 1158 row is run by hand, see EXPERIMENTS.md)"
 go test -run 'NONE' -bench 'BenchmarkP6_IncrementalConvergence/n(60|120|240)$' -benchtime 1x .
 
+echo "== convergence-under-loss benchmark (a perturber installed: loss 0/5/10/20% on 50 routers, reporting rounds and churn, plus a 240-router post-incident run)"
+go test -run 'NONE' -bench 'BenchmarkP5_ConvergenceUnderLoss' -benchtime 1x .
+
 echo "== sharded convergence benchmark (serial vs sharded round evaluation, 240 routers)"
 go test -run 'NONE' -bench 'BenchmarkP9_ShardedConvergence/n240' -benchtime 1x .
 
