@@ -19,6 +19,7 @@ func TestParsePerturbRules(t *testing.T) {
 		{"flap r1:r2 every 4", routing.PerturbRule{Kind: routing.PerturbFlap, A: "r1", B: "r2", Every: 4}},
 		{"flap r1:r2 every 1 recover", routing.PerturbRule{Kind: routing.PerturbFlap, A: "r1", B: "r2", Every: 1, Recover: true}},
 		{"corrupt at 0 for 3", routing.PerturbRule{Kind: routing.PerturbCorrupt, For: 3}},
+		{"corrupt at 1 for 2", routing.PerturbRule{Kind: routing.PerturbCorrupt, At: 1, For: 2}},
 		{"corrupt r3:r5 at 2 for 5", routing.PerturbRule{Kind: routing.PerturbCorrupt, A: "r3", B: "r5", At: 2, For: 5}},
 	} {
 		got, err := ParsePerturb(tc.in)
@@ -30,10 +31,14 @@ func TestParsePerturbRules(t *testing.T) {
 			t.Errorf("ParsePerturb(%q) = %+v, want %+v", tc.in, got, tc.want)
 		}
 		// Rendering and re-parsing is the identity (the golden drill and the
-		// report format rely on this).
+		// report format rely on this), and every input here is written the
+		// way String writes it.
 		again, err := ParsePerturb(strings.TrimPrefix(got.String(), "perturb "))
 		if err != nil || again != got {
 			t.Errorf("round-trip of %q via %q: %+v, %v", tc.in, got.String(), again, err)
+		}
+		if got.String() != "perturb "+tc.in {
+			t.Errorf("ParsePerturb(%q).String() = %q, want it written back as given", tc.in, got.String())
 		}
 	}
 }

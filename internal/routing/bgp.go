@@ -48,18 +48,64 @@ func ProfileFor(syntax string) VendorProfile {
 	}
 }
 
-// BGPRoute is one path with its attributes.
+// BGPRoute is one path: a prefix and its attribute record. The routes one
+// policy gives equal attributes share one record (attrTable), as Quagga's
+// attr_intern and BIRD's rta_lookup share theirs, so a route list costs a
+// prefix and a pointer per entry. A record is never written once sealed: a
+// route that needs other attributes points at another record, and a reader
+// of a route must not write through it either.
 type BGPRoute struct {
-	Prefix       netip.Prefix
+	Prefix netip.Prefix
+	*PathAttrs
+}
+
+// PathAttrs is a route's attribute record, immutable once sealed.
+type PathAttrs struct {
 	NextHop      netip.Addr
+	LearnedFrom  netip.Addr // peer the route came from (zero when local)
+	OriginatorID netip.Addr // router-id of the injecting router (RR loop prevention)
 	ASPath       []int
 	LocalPref    int // default 100
 	MED          int
-	FromEBGP     bool       // learned over an eBGP session
-	LearnedFrom  netip.Addr // peer the route came from (zero when local)
-	Local        bool       // locally originated
-	OriginatorID netip.Addr // router-id of the injecting router (RR loop prevention)
-	FromRRClient bool       // learned from one of my clients
+	hash         uint64 // attrsHash of the fields, cached when sealed
+	FromEBGP     bool   // learned over an eBGP session
+	Local        bool   // locally originated
+	FromRRClient bool   // learned from one of my clients
+}
+
+// seal returns a as a record of its own, its value hash cached.
+func seal(a PathAttrs) *PathAttrs {
+	a.hash = attrsHash(&a)
+	return &a
+}
+
+// localAttrs is every originated network's record before policy.
+var localAttrs = seal(PathAttrs{LocalPref: 100, Local: true})
+
+// attrTable hash-conses records: it seals one record per distinct value it
+// is asked for, so the routes it serves share them. Each session keeps one
+// for what inbound policy makes of the routes heard on it, each export
+// group one for what outbound policy makes of the selection, so every list
+// holds one record per distinct value it carries. Only the speaker that
+// owns a table writes it, during its own turn, so it needs no lock; every
+// table is emptied when a run begins (BGPEngine.beginRun), which bounds it
+// by one run's records.
+type attrTable map[uint64]*PathAttrs
+
+// intern returns the table's record equal to a, sealing a copy of a when
+// it has none. A hash shared by two values keeps the later one.
+func (t *attrTable) intern(a *PathAttrs) *PathAttrs {
+	a.hash = attrsHash(a)
+	if r := (*t)[a.hash]; r != nil && sameAttrs(r, a) {
+		return r
+	}
+	if *t == nil {
+		*t = attrTable{}
+	}
+	r := new(PathAttrs)
+	*r = *a
+	(*t)[a.hash] = r
+	return r
 }
 
 func (r BGPRoute) pathString() string {
@@ -307,7 +353,19 @@ func (e *BGPEngine) Rebind(devices []*DeviceConfig, igp IGPCoster, igpChanged ma
 		e.wireRIBIns(sp)
 	}
 	for _, sp := range redecide {
-		sp.pending = sp.allPrefixes(sp.pending)
+		sp.pending = sp.allPrefixes(make([]netip.Prefix, 0, len(sp.rib)+len(sp.pending)), sp.pending, &e.seq)
+	}
+}
+
+// clearTables empties every session's and export group's attribute table.
+func (e *BGPEngine) clearTables() {
+	for _, sp := range e.sp {
+		for k := range sp.in {
+			clear(sp.in[k].attrs)
+		}
+		for _, o := range sp.outs {
+			clear(o.attrs)
+		}
 	}
 }
 
@@ -360,9 +418,8 @@ func (e *BGPEngine) wireSessions(sp *speaker, dc *DeviceConfig) {
 			if g = kept[k]; g == nil {
 				g = &ribOut{}
 				for j := range sp.rib {
-					var adv BGPRoute
-					if sp.advertise(&sp.rib[j], s, &adv) {
-						g.routes = append(g.routes, adv)
+					if a := sp.advertised(&g.attrs, s, sp.rib[j].PathAttrs); a != nil {
+						g.routes = append(g.routes, BGPRoute{Prefix: sp.rib[j].Prefix, PathAttrs: a})
 					}
 				}
 			}
@@ -524,22 +581,23 @@ func (e *BGPEngine) Step() bool {
 	for i, sp := range e.sp {
 		next[i] = make([][]BGPRoute, len(sp.in))
 	}
+	var table attrTable // outbound policy per session, not per export group
 	for _, sp := range e.sp {
 		for i := range sp.sorted {
 			s := &sp.sorted[i]
 			peer := e.speakers[s.peerHost]
 			var out []BGPRoute
+			clear(table)
 			for j := range sp.rib {
-				var adv BGPRoute
-				if sp.advertise(&sp.rib[j], s, &adv) {
-					out = append(out, adv)
+				if a := sp.advertised(&table, s, sp.rib[j].PathAttrs); a != nil {
+					out = append(out, BGPRoute{Prefix: sp.rib[j].Prefix, PathAttrs: a})
 				}
 			}
 			out = e.deliver(sp.host, s.peerHost, out, nil)
 			// The peer indexes the session by the address it configured for
 			// me.
 			if k := e.sessionFrom(peer, sp, s.myAddr); k >= 0 {
-				next[peer.idx][k] = filterReceived(peer, &peer.sorted[k], out)
+				next[peer.idx][k] = filterReceived(peer, &peer.sorted[k], out, &peer.in[k].attrs)
 			}
 		}
 	}
@@ -572,7 +630,7 @@ func (e *BGPEngine) reselectAll() {
 	for i, sp := range e.sp {
 		t := &e.slots[i]
 		*t = turnResult{churned: t.churned[:0]}
-		e.seq.dirty = sp.allPrefixes(e.seq.dirty[:0])
+		e.seq.dirty = sp.allPrefixes(e.seq.dirty[:0], nil, &e.seq)
 		e.reselect(sp, e.seq.dirty, t, &e.seq)
 		e.apply(sp, t)
 	}
@@ -670,10 +728,10 @@ func (e *BGPEngine) sessionFrom(peer, sender *speaker, senderAddr netip.Addr) in
 	return slices.IndexFunc(peer.sorted, func(s session) bool { return s.peerAddr == peer.sessions[i].peerAddr })
 }
 
-// accept applies inbound processing to one route heard on session s: loop
+// accept applies inbound processing to one record heard on session s: loop
 // prevention and local-pref assignment. It reports whether the route is
-// kept, written to out.
-func (sp *speaker) accept(s *session, r, out *BGPRoute) bool {
+// kept, its attributes written to out.
+func (sp *speaker) accept(s *session, r, out *PathAttrs) bool {
 	if s.ebgp && slices.Contains(r.ASPath, sp.asn) {
 		return false // eBGP AS-path loop
 	}
@@ -695,13 +753,21 @@ func (sp *speaker) accept(s *session, r, out *BGPRoute) bool {
 	return true
 }
 
+// accepted is accept's record from the session's table t, or nil.
+func (sp *speaker) accepted(t *attrTable, s *session, r *PathAttrs) *PathAttrs {
+	var a PathAttrs
+	if !sp.accept(s, r, &a) {
+		return nil
+	}
+	return t.intern(&a)
+}
+
 // filterReceived is accept over a whole delivery.
-func filterReceived(sp *speaker, s *session, routes []BGPRoute) []BGPRoute {
+func filterReceived(sp *speaker, s *session, routes []BGPRoute, t *attrTable) []BGPRoute {
 	var out []BGPRoute
 	for i := range routes {
-		var rt BGPRoute
-		if sp.accept(s, &routes[i], &rt) {
-			out = append(out, rt)
+		if a := sp.accepted(t, s, routes[i].PathAttrs); a != nil {
+			out = append(out, BGPRoute{Prefix: routes[i].Prefix, PathAttrs: a})
 		}
 	}
 	return out
@@ -727,10 +793,10 @@ func (sp *speaker) exportKey(s *session) exportKey {
 	return k
 }
 
-// advertise applies outbound policy for one route on one session. It
-// reports whether the route is sent, written to out. AS paths are shared,
-// not copied: nothing downstream mutates one.
-func (sp *speaker) advertise(rt *BGPRoute, s *session, out *BGPRoute) bool {
+// advertise applies outbound policy for one record on one session. It
+// reports whether the route is sent, its attributes written to out. AS
+// paths are shared, not copied: no record is written once sealed.
+func (sp *speaker) advertise(rt *PathAttrs, s *session, out *PathAttrs) bool {
 	*out = *rt
 	if s.ebgp {
 		if slices.Contains(rt.ASPath, s.cfg.RemoteASN) {
@@ -768,6 +834,16 @@ func (sp *speaker) advertise(rt *BGPRoute, s *session, out *BGPRoute) bool {
 		out.OriginatorID = rt.OriginatorID
 	}
 	return true
+}
+
+// advertised is advertise's record from t, the table of s's export group
+// (or of s alone), or nil.
+func (sp *speaker) advertised(t *attrTable, s *session, rt *PathAttrs) *PathAttrs {
+	var a PathAttrs
+	if !sp.advertise(rt, s, &a) {
+		return nil
+	}
+	return t.intern(&a)
 }
 
 // RouteChurn returns the per-prefix count of best-route changes across all
@@ -1008,7 +1084,8 @@ func (e *BGPEngine) RunContext(ctx context.Context, maxRounds int) BGPResult {
 
 // beginRun resets the per-run state: rounds, the round log, state hashes,
 // churn, changed-at stamps, the session-flap maps, the verdict, the shard
-// statistics and the perturbation layer's delivery state.
+// statistics, the perturbation layer's delivery state and the attribute
+// tables.
 func (e *BGPEngine) beginRun() {
 	e.rounds, e.log = 0, nil
 	e.stateHashes = map[uint64][]int{}
@@ -1020,6 +1097,7 @@ func (e *BGPEngine) beginRun() {
 	if e.pert != nil {
 		e.pert.Reset()
 	}
+	e.clearTables()
 }
 
 // runRound steps once and reports whether the run is over: converged, or a
@@ -1138,8 +1216,14 @@ func (e *BGPEngine) Speakers() []string {
 	return out
 }
 
+// routeEqual compares what convergence detection sees: everything but
+// LearnedFrom and FromRRClient (see routeIdentical).
 func routeEqual(a, b BGPRoute) bool {
-	return a.Prefix == b.Prefix && a.NextHop == b.NextHop && a.LocalPref == b.LocalPref &&
+	return a.Prefix == b.Prefix && attrsEqual(a.PathAttrs, b.PathAttrs)
+}
+
+func attrsEqual(a, b *PathAttrs) bool {
+	return a == b || a.NextHop == b.NextHop && a.LocalPref == b.LocalPref &&
 		a.MED == b.MED && a.FromEBGP == b.FromEBGP && a.Local == b.Local &&
 		a.OriginatorID == b.OriginatorID && slices.Equal(a.ASPath, b.ASPath)
 }

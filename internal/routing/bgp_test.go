@@ -428,7 +428,7 @@ func TestProfileFor(t *testing.T) {
 }
 
 func TestBGPRouteString(t *testing.T) {
-	r := BGPRoute{Prefix: mustPfx("203.0.113.0/24"), NextHop: mustAddr("10.0.0.1"), ASPath: []int{1, 2}, LocalPref: 100}
+	r := BGPRoute{Prefix: mustPfx("203.0.113.0/24"), PathAttrs: seal(PathAttrs{NextHop: mustAddr("10.0.0.1"), ASPath: []int{1, 2}, LocalPref: 100})}
 	s := r.String()
 	if s == "" || len(s) < 10 {
 		t.Errorf("String = %q", s)

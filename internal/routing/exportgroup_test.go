@@ -22,13 +22,7 @@ func checkExportGroups(t *testing.T, label string, e *BGPEngine) (shared int) {
 				continue
 			}
 			keys[sp.exportKey(s)] = true
-			var want []BGPRoute
-			for j := range sp.rib {
-				var adv BGPRoute
-				if sp.advertise(&sp.rib[j], s, &adv) {
-					want = append(want, adv)
-				}
-			}
+			want := advertiseAll(sp, s)
 			o := sp.outTo[s.peerHost]
 			if !slices.Contains(sp.outs, o) {
 				t.Fatalf("%s: %s's list toward %s is not one of its groups", label, sp.host, s.peerHost)

@@ -19,9 +19,11 @@ func TestPatchInPlaceMatchesCopy(t *testing.T) {
 	rng := rand.New(rand.NewPCG(44, 15))
 	route := func(i, v int) BGPRoute {
 		return BGPRoute{
-			Prefix:  netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24),
-			NextHop: netip.AddrFrom4([4]byte{192, 0, 2, byte(v)}),
-			ASPath:  []int{v, i}, MED: v,
+			Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24),
+			PathAttrs: seal(PathAttrs{
+				NextHop: netip.AddrFrom4([4]byte{192, 0, 2, byte(v)}),
+				ASPath:  []int{v, i}, MED: v,
+			}),
 		}
 	}
 	const (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -74,6 +75,9 @@ func (r PerturbRule) String() string {
 		}
 		return s
 	case PerturbCorrupt:
+		if session == "" {
+			return fmt.Sprintf("perturb corrupt at %d for %d", r.At, r.For)
+		}
 		return fmt.Sprintf("perturb corrupt %s at %d for %d", session, r.At, r.For)
 	}
 	return "perturb " + string(r.Kind)
@@ -115,16 +119,17 @@ type ScheduledPerturber struct {
 	// for flap transition counting. flapping is set once SessionUp has seen
 	// a session an unhealed flap rule covers: it will go down again, so
 	// Pending holds the run open.
-	snapshots    map[delayQueue]map[int][]BGPRoute
+	snapshots    map[ruleDir]map[int][]BGPRoute
 	sessionState map[string]bool
 	flapping     bool
-	// delivered[dir] is the last delivery a loss rule let through on a
-	// direction, ascending by prefix — the receiver's view under
-	// retransmission semantics (see the PerturbLoss case in Deliver).
+	// delivered[{rule, dir}] is the last delivery a loss rule let through on
+	// a direction, ascending by prefix — the receiver's view under
+	// retransmission semantics (see the PerturbLoss case in Deliver). Each
+	// stacked loss rule keeps its own, so they compose.
 	// staleRound is the most recent round in which a loss substituted state
 	// older than what the sender currently advertises; Pending holds
 	// convergence open for it.
-	delivered  map[string][]BGPRoute
+	delivered  map[ruleDir][]BGPRoute
 	staleRound int
 	// healed marks sessions repaired by a supervisor soft reset.
 	healed map[string]bool
@@ -138,8 +143,9 @@ type ScheduledPerturber struct {
 	capture *[]string
 }
 
-// delayQueue names one delay rule's snapshot queue on one direction.
-type delayQueue struct {
+// ruleDir names one rule's state on one direction: a delay rule's snapshot
+// queue or a loss rule's last delivery.
+type ruleDir struct {
 	rule int // index into the rule list
 	dir  string
 }
@@ -161,10 +167,10 @@ func (p *ScheduledPerturber) Seed() uint64 { return p.seed }
 // sessions stay healed (a soft reset is a repair, not a reboot of the
 // fault).
 func (p *ScheduledPerturber) Reset() {
-	p.snapshots = map[delayQueue]map[int][]BGPRoute{}
+	p.snapshots = map[ruleDir]map[int][]BGPRoute{}
 	p.sessionState = map[string]bool{}
 	p.flapping = false
-	p.delivered = map[string][]BGPRoute{}
+	p.delivered = map[ruleDir][]BGPRoute{}
 	p.staleRound = -1
 	if p.healed == nil {
 		p.healed = map[string]bool{}
@@ -236,6 +242,16 @@ func (p *ScheduledPerturber) chance(pct int, parts ...string) bool {
 	return p.hash(parts...)%100 < uint64(pct)
 }
 
+// lossKey appends to key what tells a loss rule's draws apart: nothing for
+// the first loss rule in the list, so a single rule keeps its schedule, and
+// the rule index for every later one, so stacked rules draw independently.
+func (p *ScheduledPerturber) lossKey(rule int, key ...string) []string {
+	if slices.IndexFunc(p.rules, func(r PerturbRule) bool { return r.Kind == PerturbLoss }) < rule {
+		key = append(key, "rule "+strconv.Itoa(rule))
+	}
+	return key
+}
+
 func sessionKey(a, b string) string {
 	if b < a {
 		a, b = b, a
@@ -279,8 +295,8 @@ func (p *ScheduledPerturber) SessionUp(round int, from, to string) bool {
 // the run. The decision is round-independent (link-state engines compute
 // the converged SPF state in one pass).
 func (p *ScheduledPerturber) AdjacencyUp(a, b string) bool {
-	for _, r := range p.rules {
-		if r.Kind == PerturbLoss && r.matches(a, b) && p.chance(r.Pct, "adjacency", sessionKey(a, b)) {
+	for i, r := range p.rules {
+		if r.Kind == PerturbLoss && r.matches(a, b) && p.chance(r.Pct, p.lossKey(i, "adjacency", sessionKey(a, b))...) {
 			p.logf("adjacency %s suppressed (loss)", sessionKey(a, b))
 			return false
 		}
@@ -310,12 +326,13 @@ func (p *ScheduledPerturber) Deliver(round int, from, to string, routes []BGPRou
 			// state older than what the sender currently advertises marks
 			// the round stale, and Pending keeps the engine from declaring
 			// convergence on a receiver that is still behind.
-			prev := p.delivered[dir]
+			view := ruleDir{rule: i, dir: dir}
+			prev := p.delivered[view]
 			var kept []BGPRoute
 			dropped, stale, j := 0, 0, 0
-			at := fmt.Sprint(round)
+			key := p.lossKey(i, "loss", fmt.Sprint(round), dir, "")
 			for _, rt := range out {
-				if p.chance(r.Pct, "loss", at, dir, rt.Prefix.String()) {
+				if key[3] = rt.Prefix.String(); p.chance(r.Pct, key...) {
 					if j = seek(prev, j, rt.Prefix); j == len(prev) || prev[j].Prefix != rt.Prefix {
 						dropped++
 						continue
@@ -329,7 +346,7 @@ func (p *ScheduledPerturber) Deliver(round int, from, to string, routes []BGPRou
 			}
 			// Withdrawals always get through: prefixes the sender stopped
 			// advertising leave the receiver's view.
-			p.delivered[dir] = kept
+			p.delivered[view] = kept
 			if dropped > 0 {
 				p.logf("round %d: %s lost %d of %d routes", round, dir, dropped, len(out))
 			}
@@ -345,17 +362,23 @@ func (p *ScheduledPerturber) Deliver(round int, from, to string, routes []BGPRou
 				continue
 			}
 			out = slices.Clone(out)
+			poisoned := map[*PathAttrs]*PathAttrs{}
 			for j := range out {
-				path := make([]int, 0, len(out[j].ASPath)+3)
-				path = append(path, corruptASN, corruptASN, corruptASN)
-				out[j].ASPath = append(path, out[j].ASPath...)
+				a, ok := poisoned[out[j].PathAttrs]
+				if !ok {
+					c := *out[j].PathAttrs
+					c.ASPath = append([]int{corruptASN, corruptASN, corruptASN}, c.ASPath...)
+					a = seal(c)
+					poisoned[out[j].PathAttrs] = a
+				}
+				out[j].PathAttrs = a
 			}
 			p.logf("round %d: %s corrupted %d routes (AS %d poisoned)", round, dir, len(out), corruptASN)
 		case PerturbDelay:
 			if r.Rounds <= 0 {
 				continue
 			}
-			key := delayQueue{rule: i, dir: dir}
+			key := ruleDir{rule: i, dir: dir}
 			q := p.snapshots[key]
 			if q == nil {
 				q = map[int][]BGPRoute{}

@@ -227,6 +227,47 @@ func TestPerturbDelayRulesCompose(t *testing.T) {
 	}
 }
 
+// Loss rules compose: each stacked rule keeps its own last-delivered view
+// and draws under its own key, so [loss 20, loss 20] loses more than
+// [loss 20] instead of repeating its draws. The first loss rule draws
+// under the key a single rule always drew under, so [loss 20] keeps its
+// schedule (TestPerturbScheduleGolden pins loss 10 the same way). Counts
+// are on the 60-router NREN shape under the IGP tie-break profile.
+func TestPerturbLossRulesCompose(t *testing.T) {
+	devs := nrenDevices(t, 11, 60)
+	igp := igpFor(t, devs)
+	run := func(rules []PerturbRule) (BGPResult, []string) {
+		e, err := NewBGPEngine(devs, func(string) VendorProfile { return ProfileIOS }, igp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetSequential(true)
+		p := NewScheduledPerturber(3, rules)
+		e.SetPerturber(p)
+		return e.Run(100), p.Events()
+	}
+	loss := func(pct int) PerturbRule { return PerturbRule{Kind: PerturbLoss, Pct: pct} }
+	single, singleEvents := run([]PerturbRule{loss(20)})
+	for _, tc := range []struct {
+		name   string
+		rules  []PerturbRule
+		rounds int
+		events int
+	}{
+		{"single", []PerturbRule{loss(20)}, 18, 753},
+		{"stacked", []PerturbRule{loss(20), loss(20)}, 22, 1600},
+		{"mixed", []PerturbRule{loss(10), loss(20)}, 38, 1275},
+	} {
+		res, events := run(tc.rules)
+		if !res.Converged || res.Rounds != tc.rounds || len(events) != tc.events {
+			t.Errorf("%s: %+v with %d events, want converged in %d rounds with %d", tc.name, res, len(events), tc.rounds, tc.events)
+		}
+		if len(tc.rules) > 1 && res == single && reflect.DeepEqual(events, singleEvents) {
+			t.Errorf("%s: runs identically to a single loss 20", tc.name)
+		}
+	}
+}
+
 // A flap with period 1 alternates the session every round: the engine must
 // detect the period-2 oscillation instead of burning the whole budget, and
 // its flap log must implicate the right session.
@@ -425,6 +466,7 @@ func TestPerturbRuleString(t *testing.T) {
 		{PerturbRule{Kind: PerturbFlap, A: "a", B: "b", Every: 2}, "perturb flap a:b every 2"},
 		{PerturbRule{Kind: PerturbFlap, A: "a", B: "b", Every: 2, Recover: true}, "perturb flap a:b every 2 recover"},
 		{PerturbRule{Kind: PerturbCorrupt, A: "a", B: "b", At: 4, For: 2}, "perturb corrupt a:b at 4 for 2"},
+		{PerturbRule{Kind: PerturbCorrupt, At: 1, For: 2}, "perturb corrupt at 1 for 2"},
 	} {
 		if got := tc.rule.String(); got != tc.want {
 			t.Errorf("String() = %q, want %q", got, tc.want)

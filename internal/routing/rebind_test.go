@@ -7,6 +7,19 @@ import (
 	"testing"
 )
 
+// advertiseAll is outbound policy over a speaker's whole selection toward
+// one session, without an attribute table.
+func advertiseAll(sp *speaker, s *session) []BGPRoute {
+	var out []BGPRoute
+	for _, rt := range sp.rib {
+		var a PathAttrs
+		if sp.advertise(rt.PathAttrs, s, &a) {
+			out = append(out, BGPRoute{Prefix: rt.Prefix, PathAttrs: seal(a)})
+		}
+	}
+	return out
+}
+
 // checkFixedPoint asserts that an engine rests at a fixed point of the
 // protocol: every adj-RIB-in is inbound policy over its peer's adj-RIB-out,
 // every selection is the decision process over the speaker's candidates,
@@ -19,17 +32,17 @@ func checkFixedPoint(t *testing.T, label string, e *BGPEngine) {
 		for k := range sp.in {
 			var want []BGPRoute
 			if from := sp.in[k].from; from != nil {
-				want = filterReceived(sp, &sp.sorted[k], from.routes)
+				want = filterReceived(sp, &sp.sorted[k], from.routes, new(attrTable))
 			}
 			if !slices.EqualFunc(sp.in[k].routes, want, routeIdentical) {
 				t.Fatalf("%s: %s's adj-RIB-in from %v is not what its peer advertises", label, sp.host, sp.sorted[k].peerAddr)
 			}
 		}
 		var rib []BGPRoute
-		for _, p := range sp.allPrefixes(nil) {
+		for _, p := range sp.allPrefixes(nil, nil, &scratch{}) {
 			var cands []*BGPRoute
 			if slices.Contains(sp.networks, p) {
-				cands = append(cands, &BGPRoute{Prefix: p, LocalPref: 100, Local: true})
+				cands = append(cands, &BGPRoute{Prefix: p, PathAttrs: localAttrs})
 			}
 			for k := range sp.in {
 				for j := range sp.in[k].routes {
@@ -47,14 +60,7 @@ func checkFixedPoint(t *testing.T, label string, e *BGPEngine) {
 			t.Fatalf("%s: %s's selection is not the decision process over its candidates", label, sp.host)
 		}
 		for _, o := range sp.outs {
-			var want []BGPRoute
-			for j := range sp.rib {
-				var adv BGPRoute
-				if sp.advertise(&sp.rib[j], &o.sess, &adv) {
-					want = append(want, adv)
-				}
-			}
-			if !slices.EqualFunc(o.routes, want, routeIdentical) {
+			if want := advertiseAll(sp, &o.sess); !slices.EqualFunc(o.routes, want, routeIdentical) {
 				t.Fatalf("%s: an adj-RIB-out of %s is not outbound policy over its selection", label, sp.host)
 			}
 		}

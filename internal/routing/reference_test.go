@@ -78,10 +78,9 @@ func (r *refEngine) referenceStep() bool {
 			}
 			var out []BGPRoute
 			for _, prefix := range refSortedPrefixes(r.locRIB[peer.host]) {
-				rt := r.locRIB[peer.host][prefix]
-				var adv BGPRoute
-				if peer.advertise(&rt, &back.sess, &adv) {
-					out = append(out, adv)
+				var a PathAttrs
+				if peer.advertise(r.locRIB[peer.host][prefix].PathAttrs, &back.sess, &a) {
+					out = append(out, BGPRoute{Prefix: prefix, PathAttrs: seal(a)})
 				}
 			}
 			out = e.deliver(peer.host, sp.host, out, nil)
@@ -112,6 +111,8 @@ func refFilterReceived(sp *speaker, routes []BGPRoute, fromAddr netip.Addr) []BG
 		if r.OriginatorID.IsValid() && r.OriginatorID == sp.routerID {
 			continue // RR originator loop
 		}
+		a := *r.PathAttrs
+		r.PathAttrs = &a
 		r.LearnedFrom = fromAddr
 		if cfg != nil && cfg.RemoteASN != sp.asn {
 			r.FromEBGP = true
@@ -125,6 +126,7 @@ func refFilterReceived(sp *speaker, routes []BGPRoute, fromAddr netip.Addr) []BG
 			r.FromRRClient = cfg != nil && cfg.RRClient
 		}
 		r.Local = false
+		r.PathAttrs = seal(a)
 		out = append(out, r)
 	}
 	return out
@@ -154,7 +156,7 @@ func (r *refEngine) selectBest(sp *speaker) bool {
 	e := r.e
 	candidates := map[netip.Prefix][]*BGPRoute{}
 	for _, p := range sp.networks {
-		candidates[p] = append(candidates[p], &BGPRoute{Prefix: p, LocalPref: 100, Local: true})
+		candidates[p] = append(candidates[p], &BGPRoute{Prefix: p, PathAttrs: seal(PathAttrs{LocalPref: 100, Local: true})})
 	}
 	peers := make([]netip.Addr, 0, len(r.adjIn[sp.host]))
 	for a := range r.adjIn[sp.host] {

@@ -9,11 +9,11 @@ import (
 // Delta evaluation. A speaker's protocol state is three kinds of route
 // list, each sorted by prefix: one adj-RIB-in per session (ribIn), the
 // selection (speaker.rib) and one adj-RIB-out per export group (ribOut),
-// shared by the peers outbound policy treats alike — in an iBGP full mesh,
-// every peer. A Gauss–Seidel turn (turn, below) moves only what changed
-// through them: it consumes the changes its peers published since it last
+// shared by the peers outbound policy treats alike. An entry is a prefix
+// and a shared attribute record (attrTable), 40 bytes. A Gauss–Seidel turn
+// (turn, below) consumes the changes its peers published since it last
 // looked, re-decides the prefixes those touched, and runs outbound policy
-// once per export group for the prefixes whose selection moved. A turn
+// once per export group for the prefixes whose selection moved; a turn
 // with no dirty session does no work. This is the only evaluation path;
 // the naive full-table pull it replaced survives as the test oracle in
 // reference_test.go.
@@ -21,10 +21,9 @@ import (
 // Adj-RIB-ins and selections are patched in their own arrays
 // (patch.applyInPlace): each has one owner, and only a round's delta
 // (ribOut.delta) describes a change, so an incident costs the entries it
-// moves, not copies of whole lists. Adj-RIB-outs stay copy-on-write
-// (patch.apply): member peers read them, and a perturber keeps the slices it
-// was delivered. A selection is therefore only valid until the speaker's
-// next turn (BGPEngine.Selected).
+// moves. Adj-RIB-outs stay copy-on-write (patch.apply): member peers read
+// them, and a perturber keeps the slices it was delivered. A selection is
+// therefore only valid until the speaker's next turn (BGPEngine.Selected).
 
 // routeChange is one entry of a delta: the new route for rt.Prefix, or its
 // withdrawal.
@@ -49,6 +48,7 @@ type ribOut struct {
 	// delta takes version-1 to version; nil after the content was replaced
 	// wholesale (soft reset), which no delta describes.
 	delta []routeChange
+	attrs attrTable // the records outbound policy made
 }
 
 // ribIn is one session's adj-RIB-in: the routes accepted from the peer,
@@ -62,6 +62,7 @@ type ribIn struct {
 	// round — and the next turn must diff the whole session.
 	seen   uint64
 	synced bool
+	attrs  attrTable // the records inbound policy made
 }
 
 // ComparePrefix orders prefixes by (address, length): the order every route
@@ -191,9 +192,15 @@ func (pt *patch) merge(dst []BGPRoute) []BGPRoute {
 
 // routeIdentical is routeEqual plus the fields it deliberately ignores.
 // Delta staging needs full identity: LearnedFrom feeds decision steps 7–8
-// and FromRRClient drives iBGP reflection.
+// and FromRRClient drives iBGP reflection. A shared record is identical to
+// itself; records sealed apart are compared by value.
 func routeIdentical(a, b BGPRoute) bool {
-	return a.LearnedFrom == b.LearnedFrom && a.FromRRClient == b.FromRRClient && routeEqual(a, b)
+	return a.Prefix == b.Prefix && sameAttrs(a.PathAttrs, b.PathAttrs)
+}
+
+// sameAttrs reports whether two records hold the same value.
+func sameAttrs(a, b *PathAttrs) bool {
+	return a == b || a.hash == b.hash && a.LearnedFrom == b.LearnedFrom && a.FromRRClient == b.FromRRClient && attrsEqual(a, b)
 }
 
 // diffPrefixes appends, ascending, every prefix whose route differs between
@@ -248,21 +255,26 @@ func mixAddr(h uint64, a netip.Addr) uint64 {
 
 func routeHash(rt *BGPRoute, salt uint64) uint64 {
 	h := mixAddr(salt, rt.Prefix.Addr())
-	h = mix(h, uint64(rt.Prefix.Bits()))
-	h = mixAddr(h, rt.NextHop)
-	h = mixAddr(h, rt.OriginatorID)
-	h = mixAddr(h, rt.LearnedFrom)
-	h = mix(h, uint64(rt.LocalPref))
-	h = mix(h, uint64(rt.MED))
-	flags := uint64(len(rt.ASPath)) << 4
-	for i, f := range [...]bool{rt.FromEBGP, rt.Local, rt.FromRRClient} {
+	return mix(h, uint64(rt.Prefix.Bits())<<32^rt.hash)
+}
+
+// attrsHash is a record's value hash: equal attributes hash equal whichever
+// record holds them.
+func attrsHash(a *PathAttrs) uint64 {
+	h := mixAddr(0, a.NextHop)
+	h = mixAddr(h, a.OriginatorID)
+	h = mixAddr(h, a.LearnedFrom)
+	h = mix(h, uint64(a.LocalPref))
+	h = mix(h, uint64(a.MED))
+	flags := uint64(len(a.ASPath)) << 4
+	for i, f := range [...]bool{a.FromEBGP, a.Local, a.FromRRClient} {
 		if f {
 			flags |= 1 << i
 		}
 	}
 	h = mix(h, flags)
-	for _, a := range rt.ASPath {
-		h = mix(h, uint64(a))
+	for _, as := range a.ASPath {
+		h = mix(h, uint64(as))
 	}
 	return h
 }
@@ -304,6 +316,8 @@ type scratch struct {
 	cur      []int
 	local    BGPRoute // the candidate for an originated network
 	route    BGPRoute // the route inbound or outbound policy just produced
+	ext      []netip.Prefix
+	lists    [][]BGPRoute // allPrefixes' merge cursors
 }
 
 // turn is one speaker's step of a Gauss–Seidel round: it consumes what its
@@ -344,8 +358,11 @@ func (e *BGPEngine) consume(sp *speaker, k int, dirty []netip.Prefix, t *turnRes
 		for i := range out.delta {
 			c := &out.delta[i]
 			var next *BGPRoute
-			if !c.withdrawn && sp.accept(s, &c.rt, &sc.route) {
-				next = &sc.route
+			if !c.withdrawn {
+				if a := sp.accepted(&in.attrs, s, c.rt.PathAttrs); a != nil {
+					sc.route = BGPRoute{Prefix: c.rt.Prefix, PathAttrs: a}
+					next = &sc.route
+				}
 			}
 			if staged, moved := pt.set(c.rt.Prefix, next); staged {
 				dirty = append(dirty, c.rt.Prefix)
@@ -354,7 +371,7 @@ func (e *BGPEngine) consume(sp *speaker, k int, dirty []netip.Prefix, t *turnRes
 		}
 		in.routes, sc.chg = pt.applyInPlace(), pt.chg
 	default:
-		next := filterReceived(sp, s, e.deliver(s.peerHost, sp.host, out.routes, &t.events))
+		next := filterReceived(sp, s, e.deliver(s.peerHost, sp.host, out.routes, &t.events), &in.attrs)
 		if dirty = diffPrefixes(in.routes, next, dirty); len(dirty) > before {
 			sp.seg += sumHash(next, saltIn) - sumHash(in.routes, saltIn)
 			t.changed = t.changed || !routeSlicesEqual(in.routes, next)
@@ -383,7 +400,7 @@ func (e *BGPEngine) reselect(sp *speaker, dirty []netip.Prefix, t *turnResult, s
 	for _, p := range dirty {
 		cands := sc.cands[:0]
 		if slices.Contains(sp.networks, p) {
-			sc.local = BGPRoute{Prefix: p, LocalPref: 100, Local: true}
+			sc.local = BGPRoute{Prefix: p, PathAttrs: localAttrs}
 			cands = append(cands, &sc.local)
 		}
 		for k := range sp.in {
@@ -418,8 +435,11 @@ func (sp *speaker) publish(moved []routeChange, t *turnResult, sc *scratch) {
 		pt := patch{list: o.routes, chg: sc.adv[:0]}
 		for i := range moved {
 			var next *BGPRoute
-			if !moved[i].withdrawn && sp.advertise(&moved[i].rt, &o.sess, &sc.route) {
-				next = &sc.route
+			if rt := &moved[i].rt; !moved[i].withdrawn {
+				if a := sp.advertised(&o.attrs, &o.sess, rt.PathAttrs); a != nil {
+					sc.route = BGPRoute{Prefix: rt.Prefix, PathAttrs: a}
+					next = &sc.route
+				}
 			}
 			pt.set(moved[i].rt.Prefix, next)
 		}
@@ -447,18 +467,44 @@ func (sp *speaker) flush() {
 	sp.pending = slices.Clone(sp.networks)
 }
 
-// allPrefixes appends every prefix the speaker knows a candidate or a
-// selection for to buf, and returns it ascending and distinct.
-func (sp *speaker) allPrefixes(buf []netip.Prefix) []netip.Prefix {
-	buf = append(buf, sp.networks...)
-	for i := range sp.rib {
-		buf = append(buf, sp.rib[i].Prefix)
-	}
+// allPrefixes appends to dst, ascending and distinct, every prefix the
+// speaker knows a candidate or a selection for and every prefix of extra.
+// The selection and the adj-RIB-ins are sorted already, so this is one k-way
+// merge over them; only extra and the originated networks, a few prefixes,
+// are sorted, in a copy.
+func (sp *speaker) allPrefixes(dst, extra []netip.Prefix, sc *scratch) []netip.Prefix {
+	ext := append(append(sc.ext[:0], extra...), sp.networks...)
+	slices.SortFunc(ext, ComparePrefix)
+	sc.ext = ext
+	lists := append(sc.lists[:0], sp.rib)
 	for k := range sp.in {
-		for i := range sp.in[k].routes {
-			buf = append(buf, sp.in[k].routes[i].Prefix)
+		lists = append(lists, sp.in[k].routes)
+	}
+	for {
+		var p netip.Prefix
+		more := len(ext) > 0
+		if more {
+			p = ext[0]
+		}
+		for _, l := range lists {
+			if len(l) > 0 && (!more || ComparePrefix(l[0].Prefix, p) < 0) {
+				p, more = l[0].Prefix, true
+			}
+		}
+		if !more {
+			break
+		}
+		dst = append(dst, p)
+		for len(ext) > 0 && ext[0] == p {
+			ext = ext[1:]
+		}
+		for k, l := range lists {
+			if len(l) > 0 && l[0].Prefix == p {
+				lists[k] = l[1:]
+			}
 		}
 	}
-	slices.SortFunc(buf, ComparePrefix)
-	return slices.Compact(buf)
+	clear(lists) // hold no route list past the call
+	sc.lists = lists
+	return dst
 }

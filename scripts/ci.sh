@@ -75,8 +75,8 @@ go test -race -count=20 ./internal/par/
 echo "== Extract allocates per byte (without -race: the detector makes sync.Pool lossy, and archive/tar's pooled discard buffer then costs more than the payload)"
 go test -count=1 -run 'TestExtractAllocatesPerByteNotPerFile' ./internal/deploy/
 
-echo "== allocation bounds: a warm ping allocates nothing, one incident stays under its ceiling (without -race: the detector allocates for sync.Once and atomics, so the -race pass skips the bounds)"
-go test -count=1 -run 'TestWarmProbeAllocatesNothing|TestIncidentAllocationCeiling' ./internal/emul/
+echo "== allocation bounds: a warm ping allocates nothing, one incident and one cold converge stay under their ceilings (without -race: the detector allocates for sync.Once and atomics, so the -race pass skips the bounds)"
+go test -count=1 -run 'TestWarmProbeAllocatesNothing|TestIncidentAllocationCeiling|TestColdConvergeAllocationCeiling' ./internal/emul/
 
 echo "== compile + render benchmark at one and two goroutines (240 routers; -cpu sets GOMAXPROCS)"
 go test -run 'NONE' -bench 'BenchmarkP1_CompileRender' -cpu 1,2 -benchtime 1x .
